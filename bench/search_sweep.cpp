@@ -88,7 +88,7 @@ int run(int argc, char** argv) {
   };
   struct SearchRow {
     std::string name;
-    double time_s = 0.0, err = 0.0, trunc_frac = 0.0;
+    double time_s = 0.0, err = 0.0, trunc_frac = 0.0, trunc_share = 0.0;
     int evals = 0;
   };
   std::vector<DispatchRow> dispatch_rows;
@@ -97,7 +97,7 @@ int run(int argc, char** argv) {
   std::printf("search sweep dispatch cost (one truncated run each)\n");
   std::printf("%-12s %12s %12s %10s\n", "case", "scalar [s]", "batch [s]", "speedup");
 
-  // Inside the fast-kernel envelope (exp <= 9, man <= 24): the batch
+  // Inside the fast-kernel envelope (exp <= 11, man <= 24): the batch
   // path swaps the BigFloat emulator for the fast_round integer kernels
   // on top of saving the per-op dispatch.
   const rt::TruncationSpec spec = rt::TruncationSpec::trunc64(8, 20);
@@ -126,8 +126,11 @@ int run(int argc, char** argv) {
   }
 
   std::printf("\nfull precision search (batch dispatch)\n");
-  std::printf("%-12s %12s %12s %12s %10s\n", "workload", "time [s]", "evals", "err",
-              "trunc%");
+  // trunc% counts flops only; share weighs each searched region by its
+  // flops plus memory words (flop_weighted_trunc_share), so mesh searches
+  // whose regions move bytes rather than flops read honestly.
+  std::printf("%-16s %12s %12s %12s %14s %10s\n", "workload", "time [s]", "evals", "err",
+              "trunc% flops", "share");
   search::WorkloadOptions wopts;
   wopts.quick = quick;
   search::SearchOptions sopts;
@@ -141,11 +144,12 @@ int run(int argc, char** argv) {
     const search::PrecisionSearch driver(wl_opts);
     Timer t;
     const auto res = driver.run(search::builtin_workload(name, wopts));
-    std::printf("%-12s %12.2f %12d %12.3e %9.1f%%\n", name, t.seconds(), res.evaluations,
-                res.final_error, 100.0 * res.trunc_fraction);
+    const double share = search::flop_weighted_trunc_share(res.choices);
+    std::printf("%-16s %12.2f %12d %12.3e %13.1f%% %10.3f\n", name, t.seconds(),
+                res.evaluations, res.final_error, 100.0 * res.trunc_fraction, share);
     csv.row_strings({std::string("search_") + name, std::to_string(t.seconds()),
                      std::to_string(res.evaluations), std::to_string(res.final_error)});
-    search_rows.push_back({name, t.seconds(), res.final_error, res.trunc_fraction,
+    search_rows.push_back({name, t.seconds(), res.final_error, res.trunc_fraction, share,
                            res.evaluations});
   }
   R.reset_all();
@@ -169,8 +173,9 @@ int run(int argc, char** argv) {
       const auto& r = search_rows[i];
       std::fprintf(f,
                    "    {\"workload\": \"%s\", \"time_s\": %.6g, \"evaluations\": %d, "
-                   "\"final_error\": %.6g, \"trunc_fraction\": %.4f}%s\n",
-                   r.name.c_str(), r.time_s, r.evals, r.err, r.trunc_frac,
+                   "\"final_error\": %.6g, \"trunc_fraction_flops\": %.4f, "
+                   "\"trunc_share\": %.4f}%s\n",
+                   r.name.c_str(), r.time_s, r.evals, r.err, r.trunc_frac, r.trunc_share,
                    i + 1 < search_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -64,15 +63,14 @@ int run(int argc, char** argv) {
   std::atomic<bool> stop_requested{false};
   const bool serving = cli.has("serve");
   if (serving) {
-    std::string port_str = cli.get("serve", "0");
-    if (port_str == "1") port_str = "0";  // bare "--serve" parses as "1": ephemeral
+    const int port = cli.get_port("serve");
     rt::register_runtime_metrics();
     rt::add_runtime_endpoints(server, path);
     server.handle("/stop", [&stop_requested](const telemetry::HttpRequest&) {
       stop_requested.store(true);
       return telemetry::HttpResponse{200, "text/plain; charset=utf-8", "stopping\n"};
     });
-    if (!server.listen(static_cast<std::uint16_t>(std::atoi(port_str.c_str())))) {
+    if (!server.listen(static_cast<std::uint16_t>(port))) {
       std::fprintf(stderr, "FAIL: --serve could not bind: %s\n", server.error().c_str());
       return 1;
     }

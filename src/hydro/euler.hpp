@@ -8,6 +8,14 @@
 // refills between). Region labels let mem-mode group deviation flags per
 // stage and let Table-2-style experiments exclude a stage from truncation.
 //
+// Every stage kernel — load_prim, plm_face, the Riemann solvers and
+// flux_update — is written once and instantiated on double (native), Real
+// (per-op dispatch) and batch::Vec. With HydroConfig::batch in op-mode the
+// solver runs the Vec instantiations over all rows of a block at once (one
+// lane per pencil cell, face or interior cell), so each operator is one
+// batch call over the whole block with the same per-element ops and counts
+// as the row loop.
+//
 // Truncation scoping: when `trunc` is configured, every block's kernels run
 // under TruncScope(trunc, trunc_enabled(level)) — the per-AMR-level dynamic
 // cutoff of the paper's M-l experiments. CFL control and the AMR machinery
@@ -47,13 +55,39 @@ struct HydroConfig {
   std::optional<rt::TruncationSpec> trunc;
   /// Per-level gate for the spec (the M-l cutoff); default: all levels.
   std::function<bool(int level)> trunc_enabled;
-  /// Route the instrumented reconstruction and flux-update pencils through
-  /// the array batch dispatch (DESIGN.md §8) when running op-mode with
-  /// T = Real. Bit-identical results and counters; only the dispatch
-  /// overhead changes. The double baseline and mem-mode always take the
-  /// scalar path.
+  /// Run every stage of a block (primitive recovery, reconstruction,
+  /// Riemann solve, update) through the array batch dispatch (DESIGN.md §8)
+  /// when running op-mode with T = Real. Bit-identical results and
+  /// counters; only the dispatch overhead changes. The double baseline and
+  /// mem-mode always take the scalar row loop.
   bool batch = true;
 };
+
+/// Primitive recovery with the density and pressure floors: the work of
+/// the bare "hydro" region. `xdir` orders the velocities into the sweep
+/// frame (un normal, ut transverse).
+template <class T>
+PrimState<T> load_prim(const T& dens, const T& momx, const T& momy, const T& ener, bool xdir,
+                       const HydroConfig& cfg) {
+  using std::fmax;
+  const T rho = fmax(dens, T(cfg.dens_floor));
+  const T u = momx / rho;
+  const T v = momy / rho;
+  const T p =
+      fmax(T(cfg.gamma - 1.0) * (ener - T(0.5) * rho * (u * u + v * v)), T(cfg.pres_floor));
+  PrimState<T> out;
+  out.rho = rho;
+  out.un = xdir ? u : v;
+  out.ut = xdir ? v : u;
+  out.p = p;
+  return out;
+}
+
+/// Conservative flux-difference update of one cell variable.
+template <class T>
+T flux_update(const T& u, const T& dtdx, const T& fm, const T& fp) {
+  return u + dtdx * (fm - fp);
+}
 
 // ---------------------------------------------------------------------------
 // Pencil reconstruction (free functions shared by the solver and bench/)
@@ -65,6 +99,47 @@ T plm_minmod(const T& a, const T& b) {
   return std::fabs(to_double(a)) < std::fabs(to_double(b)) ? a : b;
 }
 
+/// plm_minmod lane by lane: a selection, never counted (the sign test is
+/// the same native product as the scalar form's).
+inline batch::Vec plm_minmod(const batch::Vec& a, const batch::Vec& b) {
+  return batch::Vec::gather(a.size(), [&](std::size_t i) {
+    if (a[i] * b[i] <= 0.0) return 0.0;
+    return std::fabs(a[i]) < std::fabs(b[i]) ? a[i] : b[i];
+  });
+}
+
+/// Minmod-limited (PLM) interface states of a face from the two cells on
+/// each side of it (cll, cl | cr, crr), with the density/pressure floors.
+template <class T>
+void plm_face(const PrimState<T>& cll, const PrimState<T>& cl, const PrimState<T>& cr,
+              const PrimState<T>& crr, PrimState<T>& wl, PrimState<T>& wr, double dens_floor,
+              double pres_floor) {
+  const auto limited = [&](auto member) {
+    const T dl_m = cl.*member - cll.*member;
+    const T dl_p = cr.*member - cl.*member;
+    const T dr_m = dl_p;
+    const T dr_p = crr.*member - cr.*member;
+    return std::pair<T, T>{plm_minmod(dl_m, dl_p), plm_minmod(dr_m, dr_p)};
+  };
+  const auto [srho_l, srho_r] = limited(&PrimState<T>::rho);
+  const auto [sun_l, sun_r] = limited(&PrimState<T>::un);
+  const auto [sut_l, sut_r] = limited(&PrimState<T>::ut);
+  const auto [sp_l, sp_r] = limited(&PrimState<T>::p);
+  wl.rho = cl.rho + T(0.5) * srho_l;
+  wl.un = cl.un + T(0.5) * sun_l;
+  wl.ut = cl.ut + T(0.5) * sut_l;
+  wl.p = cl.p + T(0.5) * sp_l;
+  wr.rho = cr.rho - T(0.5) * srho_r;
+  wr.un = cr.un - T(0.5) * sun_r;
+  wr.ut = cr.ut - T(0.5) * sut_r;
+  wr.p = cr.p - T(0.5) * sp_r;
+  using std::fmax;
+  wl.rho = fmax(wl.rho, T(dens_floor));
+  wr.rho = fmax(wr.rho, T(dens_floor));
+  wl.p = fmax(wl.p, T(pres_floor));
+  wr.p = fmax(wr.p, T(pres_floor));
+}
+
 /// Scalar pencil reconstruction: interface f sits between cells (f-1) and f
 /// (cell index c maps to w[c+ng]). First-order: piecewise constant; PLM:
 /// minmod-limited linear.
@@ -73,100 +148,13 @@ void plm_pencil(const std::vector<PrimState<T>>& w, std::vector<PrimState<T>>& w
                 std::vector<PrimState<T>>& wr, int n_interior, int ng, ReconKind recon,
                 double dens_floor, double pres_floor) {
   for (int f = 0; f <= n_interior; ++f) {
-    const PrimState<T>& cl = w[f - 1 + ng];
-    const PrimState<T>& cr = w[f + ng];
     if (recon == ReconKind::FirstOrder) {
-      wl[f] = cl;
-      wr[f] = cr;
+      wl[f] = w[f - 1 + ng];
+      wr[f] = w[f + ng];
       continue;
     }
-    const auto limited = [&](auto member) {
-      const T dl_m = cl.*member - w[f - 2 + ng].*member;
-      const T dl_p = cr.*member - cl.*member;
-      const T dr_m = dl_p;
-      const T dr_p = w[f + 1 + ng].*member - cr.*member;
-      return std::pair<T, T>{plm_minmod(dl_m, dl_p), plm_minmod(dr_m, dr_p)};
-    };
-    const auto [srho_l, srho_r] = limited(&PrimState<T>::rho);
-    const auto [sun_l, sun_r] = limited(&PrimState<T>::un);
-    const auto [sut_l, sut_r] = limited(&PrimState<T>::ut);
-    const auto [sp_l, sp_r] = limited(&PrimState<T>::p);
-    wl[f].rho = cl.rho + T(0.5) * srho_l;
-    wl[f].un = cl.un + T(0.5) * sun_l;
-    wl[f].ut = cl.ut + T(0.5) * sut_l;
-    wl[f].p = cl.p + T(0.5) * sp_l;
-    wr[f].rho = cr.rho - T(0.5) * srho_r;
-    wr[f].un = cr.un - T(0.5) * sun_r;
-    wr[f].ut = cr.ut - T(0.5) * sut_r;
-    wr[f].p = cr.p - T(0.5) * sp_r;
-    using std::fmax;
-    wl[f].rho = fmax(wl[f].rho, T(dens_floor));
-    wr[f].rho = fmax(wr[f].rho, T(dens_floor));
-    wl[f].p = fmax(wl[f].p, T(pres_floor));
-    wr[f].p = fmax(wr[f].p, T(pres_floor));
-  }
-}
-
-/// Reusable scratch for plm_pencil_batch (one per thread; resized lazily).
-struct PlmBatchScratch {
-  std::vector<double> m, dlm, dlp, drp, sl, sr, t, rl, rr, half;
-};
-
-/// Batched PLM pencil over raw payloads: the same operations in the same
-/// per-element order as plm_pencil<Real>, so results and counter totals are
-/// bitwise identical — but each Sub/Mul/Add streams the whole pencil through
-/// one Runtime batch call. Op-mode only (callers gate on Runtime::mode()).
-inline void plm_pencil_batch(const std::vector<PrimState<Real>>& w,
-                             std::vector<PrimState<Real>>& wl, std::vector<PrimState<Real>>& wr,
-                             int n_interior, int ng, double dens_floor, double pres_floor,
-                             PlmBatchScratch& s) {
-  auto& R = rt::Runtime::instance();
-  const std::size_t len = static_cast<std::size_t>(n_interior) + 1;
-  const std::size_t wlen = static_cast<std::size_t>(n_interior) + 2 * ng;
-  s.m.resize(wlen);
-  for (auto* v : {&s.dlm, &s.dlp, &s.drp, &s.sl, &s.sr, &s.t, &s.rl, &s.rr}) v->resize(len);
-  // The 0.5 operand vector only ever holds 0.5: refill on growth, not per
-  // call (the scratch is reused across every pencil of a solve).
-  if (s.half.size() < len) s.half.assign(len, 0.5);
-
-  constexpr Real PrimState<Real>::* kMembers[4] = {&PrimState<Real>::rho, &PrimState<Real>::un,
-                                                   &PrimState<Real>::ut, &PrimState<Real>::p};
-  const auto minmod_raw = [](double a, double b) {
-    if (a * b <= 0.0) return 0.0;
-    return std::fabs(a) < std::fabs(b) ? a : b;
-  };
-  for (int mi = 0; mi < 4; ++mi) {
-    const auto mem = kMembers[mi];
-    for (std::size_t c = 0; c < wlen; ++c) s.m[c] = (w[c].*mem).raw();
-    // Interface slices into the gathered pencil: cl[f] = cell f-1, etc.
-    const double* cll = s.m.data() + ng - 2;
-    const double* cl = s.m.data() + ng - 1;
-    const double* cr = s.m.data() + ng;
-    const double* crr = s.m.data() + ng + 1;
-    R.op2_batch(rt::OpKind::Sub, cl, cll, s.dlm.data(), len);
-    R.op2_batch(rt::OpKind::Sub, cr, cl, s.dlp.data(), len);
-    R.op2_batch(rt::OpKind::Sub, crr, cr, s.drp.data(), len);
-    for (std::size_t f = 0; f < len; ++f) {
-      s.sl[f] = minmod_raw(s.dlm[f], s.dlp[f]);
-      s.sr[f] = minmod_raw(s.dlp[f], s.drp[f]);
-    }
-    R.op2_batch(rt::OpKind::Mul, s.half.data(), s.sl.data(), s.t.data(), len);
-    R.op2_batch(rt::OpKind::Add, cl, s.t.data(), s.rl.data(), len);
-    R.op2_batch(rt::OpKind::Mul, s.half.data(), s.sr.data(), s.t.data(), len);
-    R.op2_batch(rt::OpKind::Sub, cr, s.t.data(), s.rr.data(), len);
-    // Floors are selections (no runtime ops), applied exactly as the scalar
-    // fmax(x, floor): NaN compares false and yields the floor.
-    const bool floored = mi == 0 || mi == 3;
-    const double floor = mi == 0 ? dens_floor : pres_floor;
-    for (std::size_t f = 0; f < len; ++f) {
-      double l = s.rl[f], r = s.rr[f];
-      if (floored) {
-        l = l >= floor ? l : floor;
-        r = r >= floor ? r : floor;
-      }
-      wl[f].*mem = Real::adopt_raw(l);
-      wr[f].*mem = Real::adopt_raw(r);
-    }
+    plm_face(w[f - 2 + ng], w[f - 1 + ng], w[f + ng], w[f + 1 + ng], wl[f], wr[f], dens_floor,
+             pres_floor);
   }
 }
 
@@ -249,7 +237,7 @@ class HydroSolver {
     const int ng = g.config().ng;
 
     // Batched dispatch applies to the instrumented op-mode run only; the
-    // double baseline and mem-mode take the scalar path (DESIGN.md §8).
+    // double baseline and mem-mode take the row loop (DESIGN.md §8).
     bool use_batch = false;
     if constexpr (std::is_same_v<T, Real>) {
       use_batch = cfg_.batch && rt::Runtime::instance().mode() == rt::Mode::Op;
@@ -261,8 +249,6 @@ class HydroSolver {
       std::vector<PrimState<T>> w(n_interior + 2 * ng);
       std::vector<PrimState<T>> wl(n_interior + 1), wr(n_interior + 1);
       std::vector<Flux<T>> fx(n_interior + 1);
-      PlmBatchScratch plm_scratch;
-      UpdateBatchScratch upd_scratch;
 
 #pragma omp for schedule(dynamic)
       for (int n = 0; n < g.num_leaves(); ++n) {
@@ -275,27 +261,25 @@ class HydroSolver {
         std::optional<TruncScope> scope;
         if (cfg_.trunc) scope.emplace(*cfg_.trunc, cfg_.trunc_enabled(b.level));
         Region hydro_region("hydro");
+        if constexpr (std::is_same_v<T, Real>) {
+          if (use_batch) {
+            sweep_block_batch(g, b, xdir, dtdx.raw());
+            continue;
+          }
+        }
 
         for (int row = 0; row < n_rows; ++row) {
+          const auto cell = [&](int var, int k) -> T& {
+            return xdir ? g.at(b, var, k, row) : g.at(b, var, row, k);
+          };
           // Load primitives along the pencil (includes guards).
           for (int k = -ng; k < n_interior + ng; ++k) {
-            const int i = xdir ? k : row;
-            const int j = xdir ? row : k;
-            w[k + ng] = load_prim(g, b, i, j, xdir);
+            w[k + ng] = load_prim(cell(DENS, k), cell(MOMX, k), cell(MOMY, k), cell(ENER, k),
+                                  xdir, cfg_);
           }
           {
             Region r("hydro/recon");
-            if constexpr (std::is_same_v<T, Real>) {
-              if (use_batch && cfg_.recon == ReconKind::PLM) {
-                plm_pencil_batch(w, wl, wr, n_interior, ng, cfg_.dens_floor, cfg_.pres_floor,
-                                 plm_scratch);
-              } else {
-                plm_pencil(w, wl, wr, n_interior, ng, cfg_.recon, cfg_.dens_floor,
-                           cfg_.pres_floor);
-              }
-            } else {
-              plm_pencil(w, wl, wr, n_interior, ng, cfg_.recon, cfg_.dens_floor, cfg_.pres_floor);
-            }
+            plm_pencil(w, wl, wr, n_interior, ng, cfg_.recon, cfg_.dens_floor, cfg_.pres_floor);
           }
           {
             Region r("hydro/riemann");
@@ -305,18 +289,11 @@ class HydroSolver {
           }
           {
             Region r("hydro/update");
-            bool updated = false;
-            if constexpr (std::is_same_v<T, Real>) {
-              if (use_batch) {
-                update_row_batch(g, b, row, xdir, dtdx, fx, n_interior, upd_scratch);
-                updated = true;
-              }
-            }
-            if (!updated) {
-              for (int k = 0; k < n_interior; ++k) {
-                const int i = xdir ? k : row;
-                const int j = xdir ? row : k;
-                apply_update(g, b, i, j, xdir, dtdx, fx[k], fx[k + 1]);
+            // Flux components are in the sweep frame [rho, mom_n, mom_t, E].
+            const int vars[4] = {DENS, xdir ? MOMX : MOMY, xdir ? MOMY : MOMX, ENER};
+            for (int k = 0; k < n_interior; ++k) {
+              for (int v = 0; v < 4; ++v) {
+                cell(vars[v], k) = flux_update(cell(vars[v], k), dtdx, fx[k].f[v], fx[k + 1].f[v]);
               }
             }
           }
@@ -327,74 +304,81 @@ class HydroSolver {
     }
   }
 
-  PrimState<T> load_prim(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, int i, int j,
-                         bool xdir) const {
-    using std::fmax;
-    const T rho = fmax(g.at(b, DENS, i, j), T(cfg_.dens_floor));
-    const T mx = g.at(b, MOMX, i, j);
-    const T my = g.at(b, MOMY, i, j);
-    const T en = g.at(b, ENER, i, j);
-    const T u = mx / rho;
-    const T v = my / rho;
-    const T p = fmax(T(cfg_.gamma - 1.0) * (en - T(0.5) * rho * (u * u + v * v)),
-                     T(cfg_.pres_floor));
-    PrimState<T> out;
-    out.rho = rho;
-    out.un = xdir ? u : v;
-    out.ut = xdir ? v : u;
-    out.p = p;
-    return out;
-  }
+  /// One block's sweep on the batch path: each stage runs its kernel's
+  /// batch::Vec instantiation once over every row of the block — one lane
+  /// per pencil cell (primitive recovery), per face (reconstruction and
+  /// Riemann solve) or per interior cell (update). Rows never share cells,
+  /// so finishing each stage for all rows before the next one starts gives
+  /// the row loop's per-element ops, results and counts.
+  void sweep_block_batch(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, bool xdir,
+                         double dtdx) {
+    using batch::Vec;
+    const int n_interior = xdir ? g.config().nxb : g.config().nyb;
+    const int n_rows = xdir ? g.config().nyb : g.config().nxb;
+    const int ng = g.config().ng;
+    const std::size_t cells = static_cast<std::size_t>(n_interior) + 2 * ng;  // per row
+    const std::size_t faces = static_cast<std::size_t>(n_interior) + 1;       // per row
+    const std::size_t nint = static_cast<std::size_t>(n_interior);
+    const std::size_t rows = static_cast<std::size_t>(n_rows);
+    const auto cell = [&](int var, std::size_t row, int k) -> T& {
+      const int r = static_cast<int>(row);
+      return xdir ? g.at(b, var, k, r) : g.at(b, var, r, k);
+    };
+    const auto pencils = [&](int var) {
+      return Vec::gather(rows * cells, [&](std::size_t c) {
+        return cell(var, c / cells, static_cast<int>(c % cells) - ng).raw();
+      });
+    };
+    const PrimState<Vec> w =
+        load_prim(pencils(DENS), pencils(MOMX), pencils(MOMY), pencils(ENER), xdir, cfg_);
+    // The cells at offset `off` from every face (face f of a row sits
+    // between its cells f-1 and f).
+    const auto at_faces = [&](int off) {
+      PrimState<Vec> s;
+      batch::zip_members(s, w, [&](Vec& out, const Vec& m) {
+        out = Vec::gather(rows * faces, [&](std::size_t c) {
+          return m[(c / faces) * cells + c % faces + static_cast<std::size_t>(ng + off)];
+        });
+      });
+      return s;
+    };
 
-  /// Batched flux-difference update of one row: the same Sub/Mul/Add per
-  /// cell and variable as apply_update, streamed per-variable through the
-  /// batch dispatch. Only instantiated for T = Real (guarded by if constexpr
-  /// at the call site).
-  struct UpdateBatchScratch {
-    std::vector<double> fv, u, d, t, dtdx_v;
-  };
-
-  void update_row_batch(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, int row,
-                        bool xdir, const T& dtdx, const std::vector<Flux<T>>& fx, int n_interior,
-                        UpdateBatchScratch& s) const {
-    auto& R = rt::Runtime::instance();
-    const std::size_t n = static_cast<std::size_t>(n_interior);
-    const int mom_n = xdir ? MOMX : MOMY;
-    const int mom_t = xdir ? MOMY : MOMX;
-    const int vars[4] = {DENS, mom_n, mom_t, ENER};
-    s.fv.resize(n + 1);
-    s.u.resize(n);
-    s.d.resize(n);
-    s.t.resize(n);
-    s.dtdx_v.assign(n, dtdx.raw());
-    for (int v = 0; v < 4; ++v) {
-      for (std::size_t k = 0; k <= n; ++k) s.fv[k] = fx[k].f[v].raw();
-      for (std::size_t k = 0; k < n; ++k) {
-        const int i = xdir ? static_cast<int>(k) : row;
-        const int j = xdir ? row : static_cast<int>(k);
-        s.u[k] = g.at(b, vars[v], i, j).raw();
-      }
-      R.op2_batch(rt::OpKind::Sub, s.fv.data(), s.fv.data() + 1, s.d.data(), n);
-      R.op2_batch(rt::OpKind::Mul, s.dtdx_v.data(), s.d.data(), s.t.data(), n);
-      R.op2_batch(rt::OpKind::Add, s.u.data(), s.t.data(), s.u.data(), n);
-      for (std::size_t k = 0; k < n; ++k) {
-        const int i = xdir ? static_cast<int>(k) : row;
-        const int j = xdir ? row : static_cast<int>(k);
-        g.at(b, vars[v], i, j) = Real::adopt_raw(s.u[k]);
+    PrimState<Vec> wl, wr;
+    {
+      Region r("hydro/recon");
+      if (cfg_.recon == ReconKind::PLM) {
+        plm_face(at_faces(-2), at_faces(-1), at_faces(0), at_faces(1), wl, wr, cfg_.dens_floor,
+                 cfg_.pres_floor);
+      } else {
+        wl = at_faces(-1);
+        wr = at_faces(0);
       }
     }
-  }
-
-  void apply_update(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, int i, int j,
-                    bool xdir, const T& dtdx, const Flux<T>& fm, const Flux<T>& fp) const {
-    // Flux components are in the sweep frame [rho, mom_n, mom_t, E];
-    // map back to (DENS, MOMX, MOMY, ENER).
-    const int mom_n = xdir ? MOMX : MOMY;
-    const int mom_t = xdir ? MOMY : MOMX;
-    g.at(b, DENS, i, j) = g.at(b, DENS, i, j) + dtdx * (fm.f[0] - fp.f[0]);
-    g.at(b, mom_n, i, j) = g.at(b, mom_n, i, j) + dtdx * (fm.f[1] - fp.f[1]);
-    g.at(b, mom_t, i, j) = g.at(b, mom_t, i, j) + dtdx * (fm.f[2] - fp.f[2]);
-    g.at(b, ENER, i, j) = g.at(b, ENER, i, j) + dtdx * (fm.f[3] - fp.f[3]);
+    Flux<Vec> fx;
+    {
+      Region r("hydro/riemann");
+      fx = riemann_flux(cfg_.riemann, wl, wr, cfg_.gamma);
+    }
+    {
+      Region r("hydro/update");
+      const int vars[4] = {DENS, xdir ? MOMX : MOMY, xdir ? MOMY : MOMX, ENER};
+      for (int v = 0; v < 4; ++v) {
+        const auto flux_at = [&](std::size_t off) {
+          return Vec::gather(rows * nint, [&](std::size_t c) {
+            return fx.f[v][(c / nint) * faces + c % nint + off];
+          });
+        };
+        const Vec u = Vec::gather(rows * nint, [&](std::size_t c) {
+          return cell(vars[v], c / nint, static_cast<int>(c % nint)).raw();
+        });
+        const Vec out = flux_update(u, Vec(dtdx), flux_at(0), flux_at(1));
+        for (std::size_t c = 0; c < rows * nint; ++c) {
+          cell(vars[v], c / nint, static_cast<int>(c % nint)) = Real::adopt_raw(out[c]);
+        }
+      }
+    }
+    rt::Runtime::instance().count_mem(static_cast<u64>(rows * nint) * kNumVars * 2 *
+                                      sizeof(double));
   }
 
   HydroConfig cfg_;

@@ -1,13 +1,21 @@
 // Approximate Riemann solvers for the 2D compressible Euler equations
 // (gamma-law gas): Rusanov (local Lax-Friedrichs), HLL and HLLC (Toro).
 //
-// All kernels are templated on the scalar type T; with T = raptor::Real
-// every operation routes through the RAPTOR runtime. The "hydro/riemann"
+// All kernels are written once, templated on the scalar type T:
+//   * T = double: the uninstrumented native baseline;
+//   * T = raptor::Real: every operation routes through the RAPTOR runtime;
+//   * T = batch::Vec: one lane per face, every operation one batch call over
+//     all faces of a block (HydroSolver's batch path, DESIGN.md §8).
+// The wave-speed tests branch through branch() (trunc/real.hpp,
+// trunc/span_ops.hpp): a plain if for double and Real, and for Vec a lane
+// partition whose arms run and count only their own faces — so the batched
+// solve issues exactly the ops of the per-face loop. The "hydro/riemann"
 // region label is applied by the caller (euler.hpp), so mem-mode flags and
 // Table-2 exclusions see these kernels as one module.
 #pragma once
 
 #include <cmath>
+#include <tuple>
 
 #include "trunc/real.hpp"
 
@@ -27,6 +35,25 @@ template <class T>
 struct Flux {
   T f[4];
 };
+
+// Member views through which batch::branch narrows and merges the
+// aggregates lane by lane.
+template <class T>
+auto members(PrimState<T>& w) {
+  return std::tie(w.rho, w.un, w.ut, w.p);
+}
+template <class T>
+auto members(const PrimState<T>& w) {
+  return std::tie(w.rho, w.un, w.ut, w.p);
+}
+template <class T>
+auto members(Flux<T>& x) {
+  return std::tie(x.f[0], x.f[1], x.f[2], x.f[3]);
+}
+template <class T>
+auto members(const Flux<T>& x) {
+  return std::tie(x.f[0], x.f[1], x.f[2], x.f[3]);
+}
 
 template <class T>
 T sound_speed(const PrimState<T>& w, double gamma) {
@@ -80,6 +107,39 @@ void wave_speeds(const PrimState<T>& wl, const PrimState<T>& wr, double gamma, T
   sl = fmin(wl.un - cl, wr.un - cr);
   sr = fmax(wl.un + cl, wr.un + cr);
 }
+
+/// The upwind choice HLL and HLLC share: faces with sl >= 0 take fl, faces
+/// with sr <= 0 take fr, and the subsonic rest take fan(pick), where pick
+/// narrows a value to those faces.
+template <class T, class Fan>
+Flux<T> upwind(const T& sl, const T& sr, const Flux<T>& fl, const Flux<T>& fr, Fan&& fan) {
+  return branch(
+      sl >= T(0.0), [&](auto pick) { return pick(fl); },
+      [&](auto pick) {
+        return branch(
+            pick(sr) <= T(0.0), [&](auto inner) { return inner(pick(fr)); },
+            [&](auto inner) {
+              return fan([&](const auto& x) { return inner(pick(x)); });
+            });
+      });
+}
+
+/// HLLC flux of the star region on the side of state w with wave speed s.
+template <class T>
+Flux<T> hllc_star(const PrimState<T>& w, const T& s, const Flux<T>& f, const T& sstar,
+                  double gamma) {
+  const T e = total_energy(w, gamma);
+  const T coef = w.rho * (s - w.un) / (s - sstar);
+  T ustar[4];
+  ustar[0] = coef;
+  ustar[1] = coef * sstar;
+  ustar[2] = coef * w.ut;
+  ustar[3] = coef * (e / w.rho + (sstar - w.un) * (sstar + w.p / (w.rho * (s - w.un))));
+  const T u[4] = {w.rho, w.rho * w.un, w.rho * w.ut, e};
+  Flux<T> out;
+  for (int k = 0; k < 4; ++k) out.f[k] = f.f[k] + s * (ustar[k] - u[k]);
+  return out;
+}
 }  // namespace detail
 
 template <class T>
@@ -88,16 +148,19 @@ Flux<T> hll_flux(const PrimState<T>& wl, const PrimState<T>& wr, double gamma) {
   detail::wave_speeds(wl, wr, gamma, sl, sr);
   const Flux<T> fl = physical_flux(wl, gamma);
   const Flux<T> fr = physical_flux(wr, gamma);
-  if (to_double(sl) >= 0.0) return fl;
-  if (to_double(sr) <= 0.0) return fr;
-  const T ul[4] = {wl.rho, wl.rho * wl.un, wl.rho * wl.ut, total_energy(wl, gamma)};
-  const T ur[4] = {wr.rho, wr.rho * wr.un, wr.rho * wr.ut, total_energy(wr, gamma)};
-  Flux<T> out;
-  const T inv = T(1.0) / (sr - sl);
-  for (int k = 0; k < 4; ++k) {
-    out.f[k] = (sr * fl.f[k] - sl * fr.f[k] + sl * sr * (ur[k] - ul[k])) * inv;
-  }
-  return out;
+  return detail::upwind(sl, sr, fl, fr, [&](auto pick) {
+    const PrimState<T> l = pick(wl), r = pick(wr);
+    const T a = pick(sl), b = pick(sr);
+    const Flux<T> fa = pick(fl), fb = pick(fr);
+    const T ul[4] = {l.rho, l.rho * l.un, l.rho * l.ut, total_energy(l, gamma)};
+    const T ur[4] = {r.rho, r.rho * r.un, r.rho * r.ut, total_energy(r, gamma)};
+    Flux<T> out;
+    const T inv = T(1.0) / (b - a);
+    for (int k = 0; k < 4; ++k) {
+      out.f[k] = (b * fa.f[k] - a * fb.f[k] + a * b * (ur[k] - ul[k])) * inv;
+    }
+    return out;
+  });
 }
 
 template <class T>
@@ -106,29 +169,21 @@ Flux<T> hllc_flux(const PrimState<T>& wl, const PrimState<T>& wr, double gamma) 
   detail::wave_speeds(wl, wr, gamma, sl, sr);
   const Flux<T> fl = physical_flux(wl, gamma);
   const Flux<T> fr = physical_flux(wr, gamma);
-  if (to_double(sl) >= 0.0) return fl;
-  if (to_double(sr) <= 0.0) return fr;
-
-  const T ml = wl.rho * (sl - wl.un);  // rho_L (S_L - u_L)
-  const T mr = wr.rho * (sr - wr.un);
-  const T sstar = (wr.p - wl.p + wl.un * ml - wr.un * mr) / (ml - mr);
-
-  const auto star_side = [&](const PrimState<T>& w, const T& s, const Flux<T>& f) {
-    const T e = total_energy(w, gamma);
-    const T coef = w.rho * (s - w.un) / (s - sstar);
-    T ustar[4];
-    ustar[0] = coef;
-    ustar[1] = coef * sstar;
-    ustar[2] = coef * w.ut;
-    ustar[3] = coef * (e / w.rho + (sstar - w.un) * (sstar + w.p / (w.rho * (s - w.un))));
-    const T u[4] = {w.rho, w.rho * w.un, w.rho * w.ut, e};
-    Flux<T> out;
-    for (int k = 0; k < 4; ++k) out.f[k] = f.f[k] + s * (ustar[k] - u[k]);
-    return out;
-  };
-
-  if (to_double(sstar) >= 0.0) return star_side(wl, sl, fl);
-  return star_side(wr, sr, fr);
+  return detail::upwind(sl, sr, fl, fr, [&](auto pick) {
+    const PrimState<T> l = pick(wl), r = pick(wr);
+    const T a = pick(sl), b = pick(sr);
+    const T ml = l.rho * (a - l.un);  // rho_L (S_L - u_L)
+    const T mr = r.rho * (b - r.un);
+    const T sstar = (r.p - l.p + l.un * ml - r.un * mr) / (ml - mr);
+    return branch(
+        sstar >= T(0.0),
+        [&](auto side) {
+          return detail::hllc_star(side(l), side(a), side(pick(fl)), side(sstar), gamma);
+        },
+        [&](auto side) {
+          return detail::hllc_star(side(r), side(b), side(pick(fr)), side(sstar), gamma);
+        });
+  });
 }
 
 template <class T>

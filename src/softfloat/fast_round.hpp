@@ -21,18 +21,33 @@
 // rounding) only when the working precision is large enough relative to p
 // (Figueroa 1995): p <= 25 for add/sub/mul/div/sqrt through a 53-bit
 // intermediate; fma additionally recovers the exact addition error with
-// TwoSum and rounds the intermediate to odd. The envelope predicates below also
-// cap exp_bits at 9 so no intermediate can land in double's subnormal range,
-// where the hardware rounds at reduced precision and the innocuousness
-// argument breaks down. Anything outside these envelopes must take the
-// BigFloat path; computing through fp32 hardware instead double-rounds for
-// every format narrower than fp32 with man_bits > 11 (DESIGN.md §8 shows a
-// witness pair) and is never correct here.
+// TwoSum and rounds the intermediate to odd.
+//
+// Below 2^-1022 the hardware rounds at reduced precision, so the two-operand
+// envelope (exp_bits <= 11, man_bits <= 24) rests on a per-op argument for
+// results in double's subnormal range:
+//   * add/sub: a sum that lands there is exact (Hauser 1996);
+//   * sqrt: never lands there (every positive operand is at least 2^-1046);
+//   * div: a quotient of p <= 25-bit operands is either a target midpoint
+//     exactly or more than 2^-1073 away from every one, i.e. more than half
+//     a hardware ulp, so the hardware rounding never creates a tie;
+//   * exp_bits <= 10: every result below 2^-1022 rounds to +-0 anyway
+//     (the smallest e10 subnormal is at least 2^-534);
+//   * mul at exp_bits == 11 is the one hazard: a product of two p-bit
+//     significands has up to 2p bits and can be double-rounded onto a
+//     target midpoint. fast_mul (and the SIMD Mul lanes) therefore send a
+//     product whose hardware value is a nonzero double subnormal to BigFloat.
+// fma keeps the narrower exp_bits <= 9 envelope. Anything outside these
+// envelopes must take the BigFloat path; computing through fp32 hardware
+// instead double-rounds for every format narrower than fp32 with
+// man_bits > 11 (DESIGN.md §8 shows a witness pair) and is never correct
+// here.
 #pragma once
 
 #include <bit>
 #include <cmath>
 
+#include "softfloat/bigfloat.hpp"
 #include "softfloat/format.hpp"
 
 namespace raptor::sf {
@@ -45,11 +60,11 @@ namespace raptor::sf {
 
 /// True if fast_add/sub/mul/div/sqrt are bit-identical to the BigFloat
 /// reference for this format: double rounding through the 53-bit hardware
-/// intermediate is innocuous (p <= 25) and no intermediate of
-/// format-representable operands can reach double's subnormal range
-/// (exp_bits <= 9 keeps |result| >= 2^-556 or exactly zero).
+/// intermediate is innocuous (p <= 25), and results in double's subnormal
+/// range are exact, round to +-0, or (exp_bits == 11 products) take the
+/// guarded BigFloat fix-up — see the header comment.
 [[nodiscard]] constexpr bool fast_op_supports(const Format& fmt) {
-  return fmt.valid() && fmt.exp_bits <= 9 && fmt.man_bits <= 24;
+  return fmt.valid() && fmt.exp_bits <= 11 && fmt.man_bits <= 24;
 }
 
 /// True if fast_fma is bit-identical to the BigFloat reference. The product
@@ -67,12 +82,27 @@ namespace raptor::sf {
 /// this out of the per-element kernel so exponent arithmetic on Format
 /// fields is not redone per call.
 struct RoundSpec {
+  int exp_bits;
   int man_bits;
   i64 emax;
   i64 emin_sub;
+  /// The format's subnormals lie below 2^-1022 (exp_bits == 11), so a
+  /// product the hardware rounds into double's subnormal range may be
+  /// double-rounded: fast_mul recomputes those in BigFloat.
+  bool guard_subnormal_mul;
   constexpr explicit RoundSpec(const Format& f)
-      : man_bits(f.man_bits), emax(f.emax()), emin_sub(f.emin_subnormal()) {}
+      : exp_bits(f.exp_bits),
+        man_bits(f.man_bits),
+        emax(f.emax()),
+        emin_sub(f.emin_subnormal()),
+        guard_subnormal_mul(f.emin_subnormal() < -1022) {}
+  [[nodiscard]] constexpr Format format() const { return {exp_bits, man_bits}; }
 };
+
+/// True if `p` is a nonzero double subnormal (the fast_mul hazard).
+[[nodiscard]] inline bool double_subnormal(double p) {
+  return std::fabs(p) < 0x1p-1022 && p != 0.0;
+}
 
 /// Round `x` into the format described by `spec` (RNE) and widen back to
 /// double. Bit-identical to sf::quantize for every format
@@ -169,7 +199,11 @@ struct RoundSpec {
   return fast_round(fast_round(a, fmt) - fast_round(b, fmt), fmt);
 }
 [[nodiscard]] inline double fast_mul(double a, double b, const RoundSpec& fmt) {
-  return fast_round(fast_round(a, fmt) * fast_round(b, fmt), fmt);
+  const double p = fast_round(a, fmt) * fast_round(b, fmt);
+  if (fmt.guard_subnormal_mul && double_subnormal(p)) [[unlikely]] {
+    return trunc_mul(a, b, fmt.format());
+  }
+  return fast_round(p, fmt);
 }
 [[nodiscard]] inline double fast_div(double a, double b, const RoundSpec& fmt) {
   return fast_round(fast_round(a, fmt) / fast_round(b, fmt), fmt);

@@ -27,7 +27,12 @@
 // fp16-pattern sweeps and >= 1M random fp64 inputs per format on every
 // available path. Envelopes are the caller's job, exactly as for the scalar
 // kernels: SpanOp::Round requires fast_round_supports(fmt); the arithmetic
-// ops require fast_op_supports / fast_fma_supports.
+// ops require fast_op_supports (exp <= 11, man <= 24) / fast_fma_supports
+// (exp <= 9). Inside them one check remains in the kernel: at exp_bits == 11
+// a Mul lane whose hardware product is a nonzero double subnormal may be
+// double-rounded (fast_round.hpp), so SpanOp::Mul masks those lanes and
+// recomputes exactly them through BigFloat from the operands it loaded, which
+// keeps in-place spans legal.
 //
 // Tail strategy: each span kernel streams full vectors and finishes the
 // remaining n % width elements through the scalar sf::fast_* kernels, which
@@ -344,9 +349,28 @@ inline void span_impl(SpanOp op, const double* a, const double* b, const double*
       break;
     case SpanOp::Mul:
       for (; i + W <= n; i += W) {
-        I::storeu(out + i, vround<I>(I::mulf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
-                                     S));
+        const typename I::vf xa = I::loadu(a + i);
+        const typename I::vf xb = I::loadu(b + i);
+        const typename I::vf p = I::mulf(vround<I>(xa, S), vround<I>(xb, S));
+        I::storeu(out + i, vround<I>(p, S));
+        if (sp.guard_subnormal_mul) {
+          // fast_mul's exp_bits == 11 guard as a lane mask: a nonzero
+          // product with a zero exponent field is a double subnormal. The
+          // operands come from registers, so in-place spans stay legal.
+          const typename I::vi pb = I::cast_i(p);
+          const typename I::vb hit =
+              I::andm(I::eq(I::and_(I::template srl<52>(pb), S.expf), S.zero),
+                      I::notm(I::eq(I::andnot(S.sign, pb), S.zero)));
+          if (!I::all(I::notm(hit))) [[unlikely]] {
+            double ta[W], tb[W], tp[W];
+            I::storeu(ta, xa);
+            I::storeu(tb, xb);
+            I::storeu(tp, p);
+            for (std::size_t j = 0; j < W; ++j) {
+              if (double_subnormal(tp[j])) out[i + j] = trunc_mul(ta[j], tb[j], sp.format());
+            }
+          }
+        }
       }
       for (; i < n; ++i) out[i] = fast_mul(a[i], b[i], sp);
       break;

@@ -70,6 +70,12 @@ int Cli::get_int(const std::string& key, int def) const {
   return static_cast<int>(n);
 }
 
+int Cli::get_port(const std::string& key) const {
+  const int port = get_int(key, 0);
+  if (port < 0 || port > 65535) bad_value(key, get(key, ""), "a port in 0..65535");
+  return port == 1 ? 0 : port;  // bare "--key" parses as "1"
+}
+
 double Cli::get_double(const std::string& key, double def) const {
   auto it = options_.find(key);
   if (it == options_.end()) return def;

@@ -29,6 +29,10 @@ class Cli {
   [[nodiscard]] std::string get(const std::string& key, const std::string& def) const;
   [[nodiscard]] int get_int(const std::string& key, int def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
+  /// TCP port of a `--key[=PORT]` option: bare `--key` (parsed as "1") and
+  /// `--key=0` mean an ephemeral port (0); a value that is not an integer in
+  /// 0..65535 throws CliError naming the flag.
+  [[nodiscard]] int get_port(const std::string& key) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] const std::string& program() const { return program_; }
 

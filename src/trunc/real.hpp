@@ -163,6 +163,26 @@ inline Real fabs(const Real& a) { return a.value() < 0 ? -a : a; }
 inline Real fmin(const Real& a, const Real& b) { return a.value() <= b.value() ? a : b; }
 inline Real fmax(const Real& a, const Real& b) { return a.value() >= b.value() ? a : b; }
 
+// -- Lane-generic control flow ----------------------------------------------
+// Kernels written once for double, Real and batch::Vec branch through
+// branch(cond, then_arm, else_arm). Each arm is called with `pick`, which
+// narrows a value to the lanes the arm runs on, and both arms return the same
+// type. For double and Real the condition is a bool, branch is a plain if and
+// pick returns its argument; batch::branch (span_ops.hpp) is the Vec form.
+
+struct PickAll {
+  template <class X>
+  [[nodiscard]] X operator()(const X& x) const {
+    return x;
+  }
+};
+
+template <class Then, class Else>
+auto branch(bool cond, Then&& then_arm, Else&& else_arm) {
+  if (cond) return then_arm(PickAll{});
+  return else_arm(PickAll{});
+}
+
 // -- Scalar abstraction helpers ---------------------------------------------
 // Substrate kernels are templated on the scalar type T (double or Real);
 // to_double(x) reads a plain double out of either.

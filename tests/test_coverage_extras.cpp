@@ -7,7 +7,6 @@
 
 #include "io/ppm.hpp"
 #include "runtime/runtime.hpp"
-#include "support/log.hpp"
 #include "support/timer.hpp"
 #include "trunc/capi.hpp"
 #include "trunc/real.hpp"
@@ -103,15 +102,6 @@ TEST(BigFloatExtras, CompareZeroAgainstSubnormals) {
 // ---------------------------------------------------------------------------
 // Support utilities
 // ---------------------------------------------------------------------------
-
-TEST(SupportExtras, LogLevelGate) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  log_debug("should be suppressed");
-  log_error("visible");
-  set_log_level(before);
-}
 
 TEST(SupportExtras, TimerAdvances) {
   Timer t;

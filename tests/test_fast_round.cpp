@@ -11,7 +11,10 @@
 //    values so subnormals, the overflow boundary, +-inf and NaN are all hit.
 //  * Operation differentials: fast_add/sub/mul/div/sqrt/fma against the
 //    trunc_* BigFloat reference over random and special operands for every
-//    format inside the innocuous-double-rounding envelope.
+//    format inside the innocuous-double-rounding envelope, including
+//    exp_bits 10/11 formats with operands aimed at double-subnormal products
+//    and quotients and at quotients next to a rounding midpoint, and the
+//    pinned exp_bits == 11 product witness.
 //
 // Any mismatch prints the offending input bit pattern(s) and both outputs.
 #include <gtest/gtest.h>
@@ -26,6 +29,7 @@
 
 #include "softfloat/bigfloat.hpp"
 #include "softfloat/fast_round.hpp"
+#include "tests/midpoint_products.hpp"
 
 namespace raptor::sf {
 namespace {
@@ -82,8 +86,13 @@ TEST(FastRoundSupports, EnvelopePredicates) {
   EXPECT_TRUE(fast_op_supports(Format::fp16()));
   EXPECT_TRUE(fast_op_supports(Format{8, 12}));
   EXPECT_TRUE(fast_op_supports(Format{9, 24}));
+  EXPECT_TRUE(fast_op_supports(Format{10, 12}));  // e10 subnormal results round to +-0
+  EXPECT_TRUE(fast_op_supports(Format{11, 12}));  // e11 products are guarded
+  EXPECT_TRUE(fast_op_supports(Format{11, 24}));
   EXPECT_FALSE(fast_op_supports(Format{8, 25}));   // double rounding not innocuous
-  EXPECT_FALSE(fast_op_supports(Format{10, 12}));  // double-subnormal hazard
+  EXPECT_FALSE(fast_op_supports(Format{11, 25}));
+  EXPECT_FALSE(fast_op_supports(Format{12, 4}));   // exponent beyond double
+  EXPECT_FALSE(fast_op_supports(Format{12, 24}));
   EXPECT_FALSE(fast_op_supports(Format::fp64()));
 
   EXPECT_TRUE(fast_fma_supports(Format::fp16()));
@@ -92,6 +101,7 @@ TEST(FastRoundSupports, EnvelopePredicates) {
   EXPECT_TRUE(fast_fma_supports(Format::fp32()));
   EXPECT_FALSE(fast_fma_supports(Format{8, 25}));  // product no longer exact
   EXPECT_FALSE(fast_fma_supports(Format{10, 10}));
+  EXPECT_FALSE(fast_fma_supports(Format{11, 12}));
 }
 
 TEST(FastRoundExhaustive, AllFp16PatternsIntoSmallFormats) {
@@ -256,6 +266,109 @@ TEST(FastOps, RandomSweepPerEligibleFormat) {
       const double a = draw();
       ASSERT_EQ(bits_of(fast_sqrt(a, fmt)), bits_of(trunc_sqrt(a, fmt)))
           << "sqrt fmt " << fmt.to_string() << " a=0x" << std::hex << bits_of(a);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// exp_bits 10 and 11: results in double's subnormal range
+// ---------------------------------------------------------------------------
+
+const std::vector<Format> kWideExpFormats = {
+    {10, 1}, {10, 12}, {10, 24}, {11, 1}, {11, 4}, {11, 12}, {11, 23}, {11, 24},
+};
+
+/// A random value of `fmt` (rounded with the BigFloat reference) whose
+/// exponent lies in [lo, hi], with a random sign.
+double format_value(std::mt19937_64& rng, const Format& fmt, int lo, int hi) {
+  const int e = lo + static_cast<int>(rng() % static_cast<u64>(hi - lo + 1));
+  const double sig = 1.0 + static_cast<double>(rng() >> 12) * 0x1p-52;
+  return quantize(std::ldexp((rng() & 1) != 0 ? -sig : sig, e), fmt);
+}
+
+TEST(FastOps, MulSubnormalProductWitness) {
+  // The hardware product is a double subnormal and rounds onto a target
+  // midpoint: unguarded, the second rounding ties to even and loses the
+  // last bit.
+  const Format fmt{11, 24};
+  const double a = std::ldexp(16777603.0, -524);
+  const double b = std::ldexp(27268395.0, -552);
+  const RoundSpec spec(fmt);
+  const double unguarded = fast_round(fast_round(a, spec) * fast_round(b, spec), spec);
+  EXPECT_EQ(bits_of(unguarded), bits_of(0x0.06805ep-1022));
+  EXPECT_EQ(bits_of(trunc_mul(a, b, fmt)), bits_of(0x0.06805fp-1022));
+  EXPECT_EQ(bits_of(fast_mul(a, b, fmt)), bits_of(0x0.06805fp-1022));
+  EXPECT_EQ(bits_of(fast_mul(-a, b, fmt)), bits_of(-0x0.06805fp-1022));
+}
+
+TEST(FastOps, MulProductsNextToSubnormalMidpoints) {
+  // Every pair double-rounds onto a target midpoint in hardware; the guard
+  // must recompute each of them.
+  for (const int m : {18, 20, 23, 24}) {
+    const Format fmt{11, m};
+    const RoundSpec spec(fmt);
+    int unguarded_wrong = 0;
+    for (const auto& [a, b] : testing_support::midpoint_products(fmt, 400, 0x3D + m)) {
+      ASSERT_TRUE(Op2Matches(2, a, b, fmt));
+      const double p = fast_round(a, spec) * fast_round(b, spec);
+      if (bits_of(fast_round(p, spec)) != bits_of(trunc_mul(a, b, fmt))) ++unguarded_wrong;
+    }
+    EXPECT_GT(unguarded_wrong, 100) << "the operands no longer reach the hazard at m=" << m;
+  }
+}
+
+TEST(FastOps, WideExponentFormatsMatchBigFloat) {
+  for (std::size_t fi = 0; fi < kWideExpFormats.size(); ++fi) {
+    const Format fmt = kWideExpFormats[fi];
+    ASSERT_TRUE(fast_op_supports(fmt));
+    std::mt19937_64 rng(0xE11 + fi);
+    const int lo = fmt.emin_subnormal(), hi = fmt.emax();
+    // Operand pairs aimed at double's subnormal range: products and
+    // quotients whose exponent lands in [-1080, -1018].
+    for (int i = 0; i < 100000; ++i) {
+      const int ea = std::clamp(-1080 - lo + static_cast<int>(rng() % 62), lo, hi);
+      const int pe = -1080 + static_cast<int>(rng() % 63);  // product exponent
+      const double a = format_value(rng, fmt, ea, ea);
+      const double b = format_value(rng, fmt, std::clamp(pe - ea, lo, hi),
+                                    std::clamp(pe - ea, lo, hi));
+      ASSERT_TRUE(Op2Matches(2, a, b, fmt));  // mul
+      const double q = format_value(rng, fmt, std::clamp(ea - pe, lo, hi),
+                                    std::clamp(ea - pe, lo, hi));
+      ASSERT_TRUE(Op2Matches(3, a, q, fmt));  // div
+      ASSERT_TRUE(Op2Matches(0, a, b, fmt));
+      ASSERT_TRUE(Op2Matches(1, a, b, fmt));
+    }
+    // Quotients within a few hardware ulps of a target midpoint: b times a
+    // midpoint M, rounded into the format, divided by b again.
+    for (int i = 0; i < 100000; ++i) {
+      const double b = format_value(rng, fmt, -40, 40);
+      const int em = std::max(lo - 1, -1060 + static_cast<int>(rng() % 1100));
+      const int t = std::max(em - fmt.man_bits, lo);  // target lsb at that magnitude
+      const double mid = std::ldexp(2.0 * static_cast<double>(rng() % (u64{1} << 24)) + 1.0,
+                                    t - 1);
+      if (!std::isfinite(mid * b)) continue;
+      const double a = quantize(mid * b, fmt);
+      ASSERT_TRUE(Op2Matches(3, a, b, fmt));
+      ASSERT_TRUE(Op2Matches(2, mid, b, fmt));
+    }
+    // Uniform and exponent-targeted operands across the whole range.
+    std::uniform_int_distribution<int> exp_dist(lo - 2, hi + 2);
+    const auto draw = [&] {
+      if ((rng() & 7) == 0) return from_bits(rng());
+      const int biased = std::clamp(exp_dist(rng) + 1023, 0, 2046);
+      return from_bits(((rng() & 1) << 63) | (static_cast<u64>(biased) << 52) |
+                       (rng() & ((u64{1} << 52) - 1)));
+    };
+    for (int i = 0; i < 200000; ++i) {
+      const double a = draw(), b = draw();
+      ASSERT_TRUE(Op2Matches(static_cast<int>(rng() % 4), a, b, fmt));
+      ASSERT_EQ(bits_of(fast_sqrt(a, fmt)), bits_of(trunc_sqrt(a, fmt)))
+          << "sqrt fmt " << fmt.to_string() << " a=0x" << std::hex << bits_of(a);
+    }
+    for (const double a : kSpecialOperands) {
+      for (const double b : kSpecialOperands) {
+        for (int op = 0; op < 4; ++op) ASSERT_TRUE(Op2Matches(op, a, b, fmt));
+      }
     }
   }
 }

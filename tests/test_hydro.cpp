@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-
 #include <cmath>
+#include <map>
+#include <string>
+#include <tuple>
 
 #include "hydro/euler.hpp"
 #include "hydro/exact_riemann.hpp"
@@ -296,42 +298,109 @@ TEST(HydroGravity, OperatorSplitSourceMatchesAnalyticImpulse) {
 // Truncation scoping through the solver
 // ---------------------------------------------------------------------------
 
-TEST(HydroTruncation, BatchedSolverBitwiseMatchesScalarSolver) {
-  // The batched recon/update pencils (DESIGN.md §8) must be bit-identical
-  // to the scalar per-op dispatch through a full multi-step AMR run — same
-  // cell values AND same counter totals (flops + per-OpKind histogram).
-  rt::Runtime::instance().reset_all();
-  const SodParams sp;
-  const auto run_with = [&sp](bool batch) {
-    rt::Runtime::instance().reset_counters();
-    auto cfg = sod_grid_config(2);
-    amr::AmrGrid<Real> grid(cfg);
-    grid.build_with_ic(
-        [&sp](double x, double y, std::span<Real> v) { sod_init(sp, x, y, v); });
+// The batch path (DESIGN.md §8) runs every stage of a block through the
+// batch::Vec instantiation of its kernel. Per solver and format it must be
+// bit-identical to the per-op row loop through a multi-step AMR run: cells,
+// per-OpKind counters, and the op counts of each hydro region.
+struct BatchCase {
+  RiemannKind riemann;
+  sf::Format fmt;
+  bool hw_fastpath;
+  ReconKind recon = ReconKind::PLM;
+};
+
+std::string batch_case_name(const ::testing::TestParamInfo<BatchCase>& info) {
+  const char* solver = info.param.riemann == RiemannKind::Rusanov ? "Rusanov"
+                       : info.param.riemann == RiemannKind::HLL   ? "HLL"
+                                                                  : "HLLC";
+  return std::string(solver) + "_" + info.param.fmt.tag() + (info.param.hw_fastpath ? "_hw" : "") +
+         (info.param.recon == ReconKind::FirstOrder ? "_first_order" : "");
+}
+
+class HydroBatch : public ::testing::TestWithParam<BatchCase> {};
+
+/// Colliding and separating supersonic streams with density jumps across
+/// both axes: every face outcome occurs — sl >= 0, sr <= 0, and the
+/// subsonic fan with the contact on either side (HLLC's sstar >= 0 / < 0).
+void streams_init(double x, double y, std::span<Real> v) {
+  const double rho = (x < 0.5) == (y < 0.5) ? 1.0 : 0.25;
+  const double u = x < 0.5 ? 2.5 : -2.5;
+  const double w = y < 0.5 ? -2.5 : 2.5;
+  const double p = 1.0;
+  v[DENS] = rho;
+  v[MOMX] = rho * u;
+  v[MOMY] = rho * w;
+  v[ENER] = p / (kGamma - 1.0) + 0.5 * rho * (u * u + w * w);
+}
+
+TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
+  const BatchCase bc = GetParam();
+  auto& R = rt::Runtime::instance();
+  const auto run_with = [&](bool batch) {
+    R.reset_all();
+    R.set_hw_fastpath(bc.hw_fastpath);
+    R.set_region_profiling(true);
+    amr::AmrGrid<Real> grid(sod_grid_config(2));
+    grid.build_with_ic(streams_init);
     HydroConfig hc;
-    hc.trunc = rt::TruncationSpec::trunc64(8, 12);
+    hc.riemann = bc.riemann;
+    hc.recon = bc.recon;
+    hc.trunc = rt::TruncationSpec::trunc64(bc.fmt.exp_bits, bc.fmt.man_bits);
     hc.batch = batch;
     HydroSolver<Real> solver(hc);
-    run_to_time(grid, solver, 0.05, /*regrid_interval=*/4);
-    auto fields = io::to_uniform(grid, DENS);
-    const auto momx = io::to_uniform(grid, MOMX);
-    const auto ener = io::to_uniform(grid, ENER);
-    fields.insert(fields.end(), momx.begin(), momx.end());
-    fields.insert(fields.end(), ener.begin(), ener.end());
-    return std::pair{fields, rt::Runtime::instance().counters()};
+    run_to_time(grid, solver, 0.04, /*regrid_interval=*/2);
+    std::vector<double> cells;
+    for (const int var : {DENS, MOMX, MOMY, ENER}) {
+      const auto f = io::to_uniform(grid, var);
+      cells.insert(cells.end(), f.begin(), f.end());
+    }
+    std::map<std::string, rt::CounterSnapshot> regions;
+    for (const auto& e : R.region_profiles()) regions[e.label] = e.profile.counters;
+    const auto counters = R.counters();
+    R.reset_all();
+    return std::tuple{cells, counters, regions};
   };
-  const auto [scalar, sc] = run_with(false);
-  const auto [batched, bc] = run_with(true);
+  const auto [scalar, sc, sregions] = run_with(false);
+  const auto [batched, bc_, bregions] = run_with(true);
   ASSERT_EQ(scalar.size(), batched.size());
   for (std::size_t i = 0; i < scalar.size(); ++i) {
     ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batched[i])) << "cell " << i;
   }
-  EXPECT_EQ(sc.trunc_flops, bc.trunc_flops);
-  EXPECT_EQ(sc.full_flops, bc.full_flops);
-  EXPECT_EQ(sc.trunc_by_kind, bc.trunc_by_kind);
-  EXPECT_EQ(sc.full_by_kind, bc.full_by_kind);
-  rt::Runtime::instance().reset_all();
+  EXPECT_EQ(sc.trunc_flops, bc_.trunc_flops);
+  EXPECT_EQ(sc.full_flops, bc_.full_flops);
+  EXPECT_EQ(sc.trunc_bytes, bc_.trunc_bytes);
+  EXPECT_EQ(sc.trunc_by_kind, bc_.trunc_by_kind);
+  EXPECT_EQ(sc.full_by_kind, bc_.full_by_kind);
+  for (const char* label : {"hydro", "hydro/recon", "hydro/riemann", "hydro/update"}) {
+    ASSERT_TRUE(sregions.count(label) != 0 && bregions.count(label) != 0) << label;
+    const auto& s = sregions.at(label);
+    const auto& b = bregions.at(label);
+    // First-order reconstruction copies cell states: no ops to count.
+    const bool copies_only =
+        bc.recon == ReconKind::FirstOrder && std::string(label) == "hydro/recon";
+    EXPECT_EQ(s.trunc_flops == 0, copies_only) << label;
+    EXPECT_EQ(s.trunc_flops, b.trunc_flops) << label;
+    EXPECT_EQ(s.full_flops, b.full_flops) << label;
+    EXPECT_EQ(s.trunc_by_kind, b.trunc_by_kind) << label;
+  }
 }
+
+// Format{8,12} and Format{11,12} run on the fast kernels; Format{11,30} is
+// outside their envelope, so the batch path emulates per element.
+INSTANTIATE_TEST_SUITE_P(
+    SolverByFormat, HydroBatch,
+    ::testing::Values(BatchCase{RiemannKind::Rusanov, {8, 12}, false},
+                      BatchCase{RiemannKind::HLL, {8, 12}, false},
+                      BatchCase{RiemannKind::HLLC, {8, 12}, false},
+                      BatchCase{RiemannKind::Rusanov, {11, 12}, false},
+                      BatchCase{RiemannKind::HLL, {11, 12}, false},
+                      BatchCase{RiemannKind::HLLC, {11, 12}, false},
+                      BatchCase{RiemannKind::Rusanov, {11, 30}, false},
+                      BatchCase{RiemannKind::HLL, {11, 30}, false},
+                      BatchCase{RiemannKind::HLLC, {11, 30}, false},
+                      BatchCase{RiemannKind::HLLC, {11, 12}, true},
+                      BatchCase{RiemannKind::HLLC, {11, 12}, false, ReconKind::FirstOrder}),
+    batch_case_name);
 
 TEST(HydroTruncation, TruncatedRunDegradesGracefully) {
   rt::Runtime::instance().reset_all();

@@ -3,13 +3,16 @@
 // scoped, counting, and the C API op shims.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "runtime/runtime.hpp"
 #include "trunc/capi.hpp"
 #include "trunc/real.hpp"
 #include "trunc/scope.hpp"
+#include "trunc/span_ops.hpp"
 
 namespace raptor {
 namespace {
@@ -54,6 +57,68 @@ TEST_F(RealTest, MinMaxAbsHelpers) {
   EXPECT_DOUBLE_EQ(fabs(Real(2.5)).value(), 2.5);
   EXPECT_DOUBLE_EQ(fmin(Real(1.0), Real(2.0)).value(), 1.0);
   EXPECT_DOUBLE_EQ(fmax(Real(1.0), Real(2.0)).value(), 2.0);
+}
+
+TEST_F(RealTest, BatchVecLaneSemanticsMatchReal) {
+  // batch::Vec's fabs / fmin / fmax / sqrt / branch against Real lane by
+  // lane — NaN (both signs), +-0, negative and infinite lanes — with
+  // identical result bits and identical per-OpKind counts.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> av = {nan, -nan, 0.0, -0.0, -1.5, 2.25, -3.0, 1e-3, -inf, 5.0, -0.0};
+  const std::vector<double> bv = {1.0, -2.0, -0.0, 0.0, -2.0, 2.25, 4.0, -1e-3, 0.0, nan, -0.0};
+  const std::size_t n = av.size();
+  TruncScope scope(8, 12);
+
+  // The kernel under test, written once: an if whose arms issue different
+  // ops (so a miscounted arm shows up per kind).
+  const auto kernel = [](const auto& a, const auto& b) {
+    using T = std::decay_t<decltype(a)>;
+    using std::fabs;
+    using std::fmax;
+    using std::fmin;
+    using std::sqrt;
+    const T abs_a = fabs(a);
+    const T lo = fmin(a, b);
+    const T hi = fmax(a, b);
+    const T picked = branch(
+        a >= b, [&](auto pick) { return pick(a) * pick(b); },
+        [&](auto pick) { return sqrt(pick(b)) - pick(a); });
+    return std::vector<T>{abs_a, lo, hi, picked};
+  };
+
+  std::vector<std::vector<double>> scalar(4, std::vector<double>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto r = kernel(Real(av[i]), Real(bv[i]));
+    for (std::size_t k = 0; k < 4; ++k) scalar[k][i] = r[k].raw();
+  }
+  const rt::CounterSnapshot sc = R.counters();
+  R.reset_counters();
+
+  const batch::Vec a = batch::Vec::gather(n, [&](std::size_t i) { return av[i]; });
+  const batch::Vec b = batch::Vec::gather(n, [&](std::size_t i) { return bv[i]; });
+  const auto v = kernel(a, b);
+  const rt::CounterSnapshot bc = R.counters();
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<u64>(v[k][i]), std::bit_cast<u64>(scalar[k][i]))
+          << "result " << k << " lane " << i << " a=" << av[i] << " b=" << bv[i];
+    }
+  }
+  EXPECT_EQ(sc.trunc_by_kind, bc.trunc_by_kind);
+  EXPECT_EQ(sc.full_by_kind, bc.full_by_kind);
+  // fabs negated exactly the three negative finite/infinite lanes.
+  EXPECT_EQ(bc.trunc_by_kind[static_cast<int>(rt::OpKind::Neg)], 3u);
+
+  // A mask with every lane on (or off) runs only that arm, densely.
+  R.reset_counters();
+  const batch::Vec all_on = branch(
+      a.lanes({4, 5}) <= batch::Vec(3.0), [&](auto pick) { return pick(a.lanes({4, 5})) + 1.0; },
+      [&](auto pick) { return pick(a.lanes({4, 5})) * 2.0; });
+  EXPECT_EQ(R.counters().trunc_by_kind[static_cast<int>(rt::OpKind::Add)], 2u);
+  EXPECT_EQ(R.counters().trunc_by_kind[static_cast<int>(rt::OpKind::Mul)], 0u);
+  EXPECT_EQ(all_on[0], -0.5);
+  EXPECT_EQ(all_on[1], 3.25);
 }
 
 TEST_F(RealTest, EveryOperationIsCounted) {

@@ -7,7 +7,11 @@
 //    reporting the element index, its lane index within the vector, and the
 //    input/output bit patterns.
 //  * Arithmetic span ops (add/sub/mul/div/neg/sqrt/fma) against the scalar
-//    fast_* kernels over random operands, plus a BigFloat cross-check.
+//    fast_* kernels over random operands, plus a BigFloat cross-check; for
+//    exp_bits 10/11 formats every element against BigFloat, with operands
+//    aimed at double-subnormal products and quotients and near-midpoint
+//    quotients, out of place and in place, and the guarded Mul witness at
+//    every lane position.
 //  * Edge spans through all four Runtime batch entry points: lengths 0, 1,
 //    and non-multiples of the lane width (tail handling), NaN / inf /
 //    subnormal / signed-zero planted at every lane position — pinned for
@@ -31,6 +35,7 @@
 #include "softfloat/bigfloat.hpp"
 #include "softfloat/fast_round.hpp"
 #include "softfloat/fast_round_simd.hpp"
+#include "tests/midpoint_products.hpp"
 #include "trace/analysis.hpp"
 #include "trunc/scope.hpp"
 
@@ -272,6 +277,129 @@ TEST(SimdOpParity, ArithmeticSpansEveryPath) {
         ASSERT_TRUE(SpanMatches(p, cs.op, a, b.data(), c.data(), expect, spec, cs.name))
             << "fmt " << fmt.to_string();
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// exp_bits 10/11: double-subnormal results, the guarded Mul lanes
+// ---------------------------------------------------------------------------
+
+/// BigFloat op-mode reference for the two-operand and unary span ops.
+double bigfloat_ref(SpanOp op, double a, double b, const sf::Format& fmt) {
+  switch (op) {
+    case SpanOp::Add: return sf::trunc_add(a, b, fmt);
+    case SpanOp::Sub: return sf::trunc_sub(a, b, fmt);
+    case SpanOp::Mul: return sf::trunc_mul(a, b, fmt);
+    case SpanOp::Div: return sf::trunc_div(a, b, fmt);
+    case SpanOp::Neg: return sf::quantize(-sf::quantize(a, fmt), fmt);
+    default: return sf::trunc_sqrt(a, fmt);
+  }
+}
+
+/// span_exec on `path` into a fresh buffer, in place over `a` and in place
+/// over `b`: all three must give `expect`.
+::testing::AssertionResult SpanMatchesInPlace(Path path, SpanOp op, const std::vector<double>& a,
+                                              const std::vector<double>& b,
+                                              const std::vector<u64>& expect,
+                                              const sf::RoundSpec& spec, const char* what) {
+  if (auto r = SpanMatches(path, op, a, b.data(), nullptr, expect, spec, what); !r) return r;
+  for (const bool over_a : {true, false}) {
+    if (!over_a && op != SpanOp::Add && op != SpanOp::Sub && op != SpanOp::Mul &&
+        op != SpanOp::Div) {
+      continue;
+    }
+    std::vector<double> x = a, y = b;
+    double* out = over_a ? x.data() : y.data();
+    sf::simd::span_exec(path, op, x.data(), y.data(), nullptr, out, a.size(), spec);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (bits_of(out[i]) == expect[i]) continue;
+      return ::testing::AssertionFailure()
+             << what << " in place over " << (over_a ? "a" : "b") << " path "
+             << sf::simd::path_name(path) << " elem " << i << " lane "
+             << i % lane_width(path) << " a=0x" << std::hex << bits_of(a[i]) << " b=0x"
+             << bits_of(b[i]) << " got 0x" << bits_of(out[i]) << " want 0x" << expect[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SimdOpParity, WideExponentSpansMatchBigFloatEveryPath) {
+  constexpr std::size_t kN = (1u << 14) + 5;  // full vectors plus a tail on every path
+  for (const sf::Format fmt :
+       {sf::Format{10, 1}, sf::Format{10, 24}, sf::Format{11, 4}, sf::Format{11, 12},
+        sf::Format{11, 24}}) {
+    ASSERT_TRUE(sf::fast_op_supports(fmt));
+    const sf::RoundSpec spec(fmt);
+    std::mt19937_64 rng(0x5B11 + static_cast<u64>(fmt.exp_bits * 64 + fmt.man_bits));
+    const auto value = [&](int e) {
+      e = std::clamp(e, fmt.emin_subnormal(), fmt.emax());
+      const double sig = 1.0 + static_cast<double>(rng() >> 12) * 0x1p-52;
+      return sf::quantize(std::ldexp((rng() & 1) != 0 ? -sig : sig, e), fmt);
+    };
+    std::vector<double> a(kN), b(kN);
+    // Products next to a subnormal target midpoint (the guarded Mul lanes),
+    // where the format admits them; random targeted operands elsewhere.
+    const auto near_mid = fmt.exp_bits == 11 && fmt.man_bits >= 18
+                              ? testing_support::midpoint_products(fmt, kN / 4, rng())
+                              : std::vector<std::pair<double, double>>{};
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (i % 4 == 3 && i / 4 < near_mid.size()) {
+        std::tie(a[i], b[i]) = near_mid[i / 4];
+        continue;
+      }
+      const int pe = -1080 + static_cast<int>(rng() % 63);  // aim at double subnormals
+      const int ea = -40 + static_cast<int>(rng() % 80);
+      switch (i % 3) {
+        case 0:  // product in double's subnormal range
+          a[i] = value(ea);
+          b[i] = value(pe - ea);
+          break;
+        case 1:  // quotient in double's subnormal range
+          a[i] = value(pe + ea);
+          b[i] = value(ea);
+          break;
+        default:  // quotient next to a target rounding midpoint
+          b[i] = value(ea);
+          a[i] = sf::quantize(std::ldexp(2.0 * static_cast<double>(rng() % 4096) + 1.0,
+                                         std::max(pe - 12, fmt.emin_subnormal()) - 1) *
+                                  b[i],
+                              fmt);
+          break;
+      }
+    }
+    for (const SpanOp op : {SpanOp::Add, SpanOp::Sub, SpanOp::Mul, SpanOp::Div, SpanOp::Neg,
+                            SpanOp::Sqrt}) {
+      std::vector<u64> expect(kN);
+      for (std::size_t i = 0; i < kN; ++i) expect[i] = bits_of(bigfloat_ref(op, a[i], b[i], fmt));
+      for (const Path p : available_paths()) {
+        ASSERT_TRUE(SpanMatchesInPlace(p, op, a, b, expect, spec, "wide-exp"))
+            << "fmt " << fmt.to_string();
+      }
+    }
+  }
+}
+
+TEST(SimdOpParity, MulSubnormalProductWitnessEveryLane) {
+  // The Format{11,24} product whose hardware value double-rounds onto a
+  // target midpoint, planted at every lane position of full vectors and of
+  // the tail, on every path.
+  const sf::Format fmt{11, 24};
+  const sf::RoundSpec spec(fmt);
+  const double wa = std::ldexp(16777603.0, -524);
+  const double wb = std::ldexp(27268395.0, -552);
+  const u64 want = bits_of(0x0.06805fp-1022);
+  ASSERT_EQ(bits_of(sf::trunc_mul(wa, wb, fmt)), want);
+  for (const Path p : available_paths()) {
+    const std::size_t n = 2 * lane_width(p) + 3;
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      std::vector<double> a(n, 1.5), b(n, 0.75);
+      a[pos] = wa;
+      b[pos] = wb;
+      std::vector<u64> expect(n, bits_of(1.125));
+      expect[pos] = want;
+      ASSERT_TRUE(SpanMatchesInPlace(p, SpanOp::Mul, a, b, expect, spec, "witness"))
+          << "pos " << pos;
     }
   }
 }

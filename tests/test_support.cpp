@@ -153,6 +153,28 @@ TEST(Cli, RejectsOutOfRangeNumbers) {
   EXPECT_THROW((void)cli.get_double("huge", 0.0), CliError);
 }
 
+TEST(Cli, PortsParseStrictly) {
+  // Regression: atoi turned --serve=70000 into port 4464 and --serve=abc
+  // into an ephemeral port.
+  const char* argv[] = {"prog", "--bare", "--zero=0", "--p=8080", "--max=65535",
+                        "--big=70000", "--neg=-1", "--abc=abc"};
+  Cli cli(8, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_port("bare"), 0);  // bare flag: ephemeral
+  EXPECT_EQ(cli.get_port("zero"), 0);
+  EXPECT_EQ(cli.get_port("p"), 8080);
+  EXPECT_EQ(cli.get_port("max"), 65535);
+  EXPECT_EQ(cli.get_port("absent"), 0);
+  for (const char* key : {"big", "neg", "abc"}) {
+    try {
+      (void)cli.get_port(key);
+      FAIL() << "expected CliError for --" << key;
+    } catch (const CliError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key + "="), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Cli, AcceptsWellFormedNumbers) {
   const char* argv[] = {"prog", "--a=-42", "--b=+7", "--c=-1.25e-3", "--d=0x0", "--tiny=1e-320"};
   Cli cli(6, const_cast<char**>(argv));

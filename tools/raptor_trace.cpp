@@ -43,7 +43,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -208,11 +207,10 @@ int follow(const Cli& cli) {
   // answered while we wait out the interval.
   telemetry::Server server;
   if (cli.has("serve")) {
-    std::string port_str = cli.get("serve", "0");
-    if (port_str == "1") port_str = "0";  // bare "--serve" parses as "1": ephemeral
+    const int port = cli.get_port("serve");
     rt::register_runtime_metrics();
     rt::add_runtime_endpoints(server, base);
-    if (!server.listen(static_cast<std::uint16_t>(std::atoi(port_str.c_str())))) {
+    if (!server.listen(static_cast<std::uint16_t>(port))) {
       throw CliError("--serve failed to bind: " + server.error());
     }
     std::printf("serving /metrics /profile /report on 127.0.0.1:%u\n", server.port());
