@@ -27,14 +27,20 @@
 // The two loop benches additionally re-measure the batched phase once per
 // supported SIMD dispatch path (DESIGN.md §13) — the forced-portable run is
 // the pre-SIMD per-element loop body, so batch_portable_s / batch_<best>_s
-// is the SIMD speedup — and write the per-path numbers to BENCH_simd.json.
+// is the SIMD speedup — and write the per-path numbers to BENCH_simd.json,
+// next to a batch::Vec lane-control ladder: ns per lane of a plain op, an op
+// with a broadcast, fabs, fmax and a one-op-per-arm branch at 8, 72 and 2016
+// lanes.
 //
 // Options: --level=N, --steps=N, --csv=..., --json=..., --simd-json=...,
 //   --loops-only (skip the Sedov table; CI), --gate-simd=N (exit nonzero
 //   unless the best SIMD path is >= N times the portable path on both
 //   loops; no-op when only the portable path is supported).
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -228,6 +234,80 @@ LoopBench bench_plm_pencil(int n, int reps) {
   return out;
 }
 
+/// One row of the batch::Vec lane-control ladder: ns per lane of one Vec
+/// operation at a span length.
+struct VecRow {
+  const char* op;
+  std::size_t lanes = 0;
+  double ns_per_lane = 0.0;
+};
+
+constexpr const char* kVecOps[] = {"plain", "broadcast", "fabs", "fmax", "branch"};
+constexpr std::size_t kVecLanes[] = {8, 72, 2016};
+
+/// The Vec ladder at format e8m12 on the default SIMD path: a plain op
+/// (a + b), an op with a broadcast (a * 0.5), fabs, fmax, and branch with
+/// one op per arm (a <= b ? a + b : a - b), each at 8, 72 and 2016 lanes
+/// over operands of random sign. Every row processes the same number of
+/// lanes. The rows of one span length take turns over 15 trials and each
+/// keeps its fastest, so a slow stretch of the host cannot skew one row
+/// against another.
+std::vector<VecRow> bench_vec_ladder() {
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  constexpr double kLanesPerRow = 2e6;
+  constexpr int kTrials = 15;
+  std::vector<VecRow> rows;
+  std::mt19937_64 rng(0x7EC);
+  for (const std::size_t n : kVecLanes) {
+    const auto draw = [&] {
+      return batch::Vec::gather(n, [&](std::size_t) {
+        const double v = std::ldexp(1.0 + static_cast<double>(rng() % 4096) / 4096.0,
+                                    static_cast<int>(rng() % 8) - 4);
+        return (rng() & 1) != 0 ? -v : v;
+      });
+    };
+    const batch::Vec a = draw(), b = draw();
+    const int reps = static_cast<int>(kLanesPerRow / static_cast<double>(n));
+    TruncScope sc(rt::TruncationSpec::trunc64(8, 12));
+    const auto once = [&](std::size_t k) {
+      switch (k) {
+        case 0: return a + b;
+        case 1: return a * batch::Vec(0.5);
+        case 2: return fabs(a);
+        case 3: return fmax(a, b);
+        default:
+          return batch::branch(
+              a <= b, [&](auto pick) { return pick(a) + pick(b); },
+              [&](auto pick) { return pick(a) - pick(b); });
+      }
+    };
+    std::vector<double> best(std::size(kVecOps), 1e300);
+    volatile double sink = 0.0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      for (std::size_t k = 0; k < std::size(kVecOps); ++k) {
+        Timer t;
+        for (int r = 0; r < reps; ++r) sink = sink + once(k)[0];
+        best[k] = std::min(best[k], t.seconds());
+      }
+    }
+    for (std::size_t k = 0; k < std::size(kVecOps); ++k) {
+      rows.push_back(
+          {kVecOps[k], n, 1e9 * best[k] / (static_cast<double>(reps) * static_cast<double>(n))});
+    }
+  }
+  R.reset_all();
+  return rows;
+}
+
+/// ns per lane of `op` at `lanes` in the ladder.
+double vec_ns(const std::vector<VecRow>& rows, std::string_view op, std::size_t lanes) {
+  for (const VecRow& r : rows) {
+    if (r.op == op && r.lanes == lanes) return r.ns_per_lane;
+  }
+  return 0.0;
+}
+
 void json_loop(std::FILE* f, const char* name, const LoopBench& lb, bool trailing_comma) {
   std::fprintf(f,
                "    \"%s\": {\"native_s\": %.6g, \"scalar_s\": %.6g, \"batch_s\": %.6g, "
@@ -250,7 +330,8 @@ void json_simd_loop(std::FILE* f, const char* name, const LoopBench& lb, bool tr
 /// Returns nonzero when gating is requested and the best SIMD path is not at
 /// least `gate_simd` times the portable path on both loops (skipped — with a
 /// note — when only the portable path exists, e.g. non-x86 runners).
-int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const std::string& path,
+int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
+                        const std::vector<VecRow>& ladder, const std::string& path,
                         int gate_simd) {
   std::printf("\n# SIMD batch kernels, format e8m12 (forced per-path batch timings):\n");
   for (const auto& [name, lb] : {std::pair<const char*, const LoopBench&>{"weno row", weno},
@@ -263,6 +344,20 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const std::
     std::printf("  speedup %.2fx\n", lb.simd_speedup());
   }
 
+  std::printf("\n# batch::Vec ladder, format e8m12, %s path (ns per lane; x = / plain):\n",
+              sf::simd::path_name(sf::simd::default_path()));
+  std::printf("%-10s", "op");
+  for (const std::size_t n : kVecLanes) std::printf("  %10zu lanes", n);
+  std::printf("\n");
+  for (const char* op : kVecOps) {
+    std::printf("%-10s", op);
+    for (const std::size_t n : kVecLanes) {
+      std::printf("  %6.2f (%4.2fx)", vec_ns(ladder, op, n),
+                  vec_ns(ladder, op, n) / vec_ns(ladder, "plain", n));
+    }
+    std::printf("\n");
+  }
+
   const bool vector_paths = sf::simd::best_path() != sf::simd::Path::Portable;
   const bool pass = !vector_paths || std::min(weno.simd_speedup(), plm.simd_speedup()) >=
                                          static_cast<double>(gate_simd);
@@ -273,6 +368,16 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const std::
     json_simd_loop(f, "weno_row", weno, true);
     json_simd_loop(f, "plm_pencil", plm, false);
     std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"vec_ladder\": [\n");
+    for (std::size_t i = 0; i < ladder.size(); ++i) {
+      const VecRow& r = ladder[i];
+      std::fprintf(f,
+                   "    {\"op\": \"%s\", \"lanes\": %zu, \"ns_per_lane\": %.4g, "
+                   "\"x_plain\": %.3f}%s\n",
+                   r.op, r.lanes, r.ns_per_lane, r.ns_per_lane / vec_ns(ladder, "plain", r.lanes),
+                   i + 1 < ladder.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"gate\": {\"min_speedup\": %d, \"pass\": %s}\n}\n", gate_simd,
                  pass ? "true" : "false");
     std::fclose(f);
@@ -307,8 +412,9 @@ int run(int argc, char** argv) {
               "weno row", weno.native_s, weno.scalar_s, weno.batch_s, weno.overhead_ratio());
   std::printf("%-16s native %.4fs  scalar %.4fs  batch %.4fs  overhead ratio %.1fx\n",
               "plm pencil", plm.native_s, plm.scalar_s, plm.batch_s, plm.overhead_ratio());
-  const int gate_rc =
-      simd_bench_and_gate(weno, plm, cli.get("simd-json", "BENCH_simd.json"), gate_simd);
+  const std::vector<VecRow> ladder = bench_vec_ladder();
+  const int gate_rc = simd_bench_and_gate(weno, plm, ladder,
+                                          cli.get("simd-json", "BENCH_simd.json"), gate_simd);
   if (loops_only) return gate_rc;
 
   hydro::SedovParams sp;

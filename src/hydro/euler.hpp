@@ -11,20 +11,25 @@
 // Every stage kernel — load_prim, plm_face, the Riemann solvers and
 // flux_update — is written once and instantiated on double (native), Real
 // (per-op dispatch) and batch::Vec. With HydroConfig::batch in op-mode the
-// solver runs the Vec instantiations over all rows of a block at once (one
-// lane per pencil cell, face or interior cell), so each operator is one
-// batch call over the whole block with the same per-element ops and counts
-// as the row loop.
+// solver runs the Vec instantiations over all rows of all the leaf blocks a
+// thread owns under one truncation gate (one lane per pencil cell, face or
+// interior cell, at most kMaxSpanBlocks blocks per span), so each operator
+// is one batch call over those blocks with the same per-element ops and
+// counts as the row loop.
 //
 // Truncation scoping: when `trunc` is configured, every block's kernels run
 // under TruncScope(trunc, trunc_enabled(level)) — the per-AMR-level dynamic
-// cutoff of the paper's M-l experiments. CFL control and the AMR machinery
-// always run in native double (paper §6.1: the AMR algorithm itself is not
-// truncated, it only reacts to truncated data).
+// cutoff of the paper's M-l experiments; the batch path groups a thread's
+// blocks by that gate, so one span never mixes truncated and native work.
+// CFL control and the AMR machinery always run in native double (paper
+// §6.1: the AMR algorithm itself is not truncated, it only reacts to
+// truncated data).
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
+#include <span>
 #include <type_traits>
 
 #include "amr/grid.hpp"
@@ -55,11 +60,12 @@ struct HydroConfig {
   std::optional<rt::TruncationSpec> trunc;
   /// Per-level gate for the spec (the M-l cutoff); default: all levels.
   std::function<bool(int level)> trunc_enabled;
-  /// Run every stage of a block (primitive recovery, reconstruction,
+  /// Run every stage of a sweep (primitive recovery, reconstruction,
   /// Riemann solve, update) through the array batch dispatch (DESIGN.md §8)
-  /// when running op-mode with T = Real. Bit-identical results and
-  /// counters; only the dispatch overhead changes. The double baseline and
-  /// mem-mode always take the scalar row loop.
+  /// when running op-mode with T = Real, over spans of up to
+  /// kMaxSpanBlocks leaf blocks. Bit-identical results and counters; only
+  /// the dispatch overhead changes. The double baseline and mem-mode always
+  /// take the scalar row loop.
   bool batch = true;
 };
 
@@ -100,11 +106,14 @@ T plm_minmod(const T& a, const T& b) {
 }
 
 /// plm_minmod lane by lane: a selection, never counted (the sign test is
-/// the same native product as the scalar form's).
+/// the same native product as the scalar form's). Both operands hold lanes
+/// (they are differences of Vecs).
 inline batch::Vec plm_minmod(const batch::Vec& a, const batch::Vec& b) {
+  const double* pa = a.data();
+  const double* pb = b.data();
   return batch::Vec::gather(a.size(), [&](std::size_t i) {
-    if (a[i] * b[i] <= 0.0) return 0.0;
-    return std::fabs(a[i]) < std::fabs(b[i]) ? a[i] : b[i];
+    if (pa[i] * pb[i] <= 0.0) return 0.0;
+    return std::fabs(pa[i]) < std::fabs(pb[i]) ? pa[i] : pb[i];
   });
 }
 
@@ -232,16 +241,17 @@ class HydroSolver {
     }
   }
   void sweep(amr::AmrGrid<T>& g, double dt, bool xdir) {
+    // Batched dispatch applies to the instrumented op-mode run only; the
+    // double baseline and mem-mode take the row loop (DESIGN.md §8).
+    if constexpr (std::is_same_v<T, Real>) {
+      if (cfg_.batch && rt::Runtime::instance().mode() == rt::Mode::Op) {
+        sweep_batch(g, dt, xdir);
+        return;
+      }
+    }
     const int n_interior = xdir ? g.config().nxb : g.config().nyb;
     const int n_rows = xdir ? g.config().nyb : g.config().nxb;
     const int ng = g.config().ng;
-
-    // Batched dispatch applies to the instrumented op-mode run only; the
-    // double baseline and mem-mode take the row loop (DESIGN.md §8).
-    bool use_batch = false;
-    if constexpr (std::is_same_v<T, Real>) {
-      use_batch = cfg_.batch && rt::Runtime::instance().mode() == rt::Mode::Op;
-    }
 
 #pragma omp parallel
     {
@@ -261,12 +271,6 @@ class HydroSolver {
         std::optional<TruncScope> scope;
         if (cfg_.trunc) scope.emplace(*cfg_.trunc, cfg_.trunc_enabled(b.level));
         Region hydro_region("hydro");
-        if constexpr (std::is_same_v<T, Real>) {
-          if (use_batch) {
-            sweep_block_batch(g, b, xdir, dtdx.raw());
-            continue;
-          }
-        }
 
         for (int row = 0; row < n_rows; ++row) {
           const auto cell = [&](int var, int k) -> T& {
@@ -304,41 +308,89 @@ class HydroSolver {
     }
   }
 
-  /// One block's sweep on the batch path: each stage runs its kernel's
-  /// batch::Vec instantiation once over every row of the block — one lane
-  /// per pencil cell (primitive recovery), per face (reconstruction and
-  /// Riemann solve) or per interior cell (update). Rows never share cells,
-  /// so finishing each stage for all rows before the next one starts gives
-  /// the row loop's per-element ops, results and counts.
-  void sweep_block_batch(amr::AmrGrid<T>& g, typename amr::AmrGrid<T>::Block& b, bool xdir,
-                         double dtdx) {
+  /// Most blocks one batch span covers. By ~2000 lanes (28 blocks of 8x8
+  /// cells, the top row of BENCH_simd.json's Vec ladder) a Vec operator
+  /// costs what its SIMD kernel costs, so longer spans gain nothing, while a
+  /// Riemann solve keeps a few dozen Vecs live: at 32 blocks (2304 faces,
+  /// 18 KB a Vec) they stay in L2, whereas one span over all 196 leaves of
+  /// a level-6 Sedov grid ran ~25% slower than spans of 16-64 blocks.
+  static constexpr std::size_t kMaxSpanBlocks = 32;
+
+  /// The batch path of one sweep. Each thread takes a contiguous share of
+  /// the leaves, splits it by truncation gate, and runs each group through
+  /// sweep_blocks, kMaxSpanBlocks blocks at a time.
+  void sweep_batch(amr::AmrGrid<T>& g, double dt, bool xdir) {
+#pragma omp parallel
+    {
+      std::vector<int> by_gate[2];
+#pragma omp for schedule(static) nowait
+      for (int n = 0; n < g.num_leaves(); ++n) {
+        by_gate[cfg_.trunc_enabled(g.leaf(n).level) ? 1 : 0].push_back(n);
+      }
+      for (const bool gate : {true, false}) {
+        const std::span<const int> group = by_gate[gate ? 1 : 0];
+        for (std::size_t i = 0; i < group.size(); i += kMaxSpanBlocks) {
+          sweep_blocks(g, group.subspan(i, std::min(kMaxSpanBlocks, group.size() - i)), dt, xdir,
+                       gate);
+        }
+      }
+    }
+  }
+
+  /// One sweep over `leaves`, all under truncation gate `gate`: each stage
+  /// runs its kernel's batch::Vec instantiation once over every row of every
+  /// block — one lane per pencil cell (primitive recovery), per face
+  /// (reconstruction and Riemann solve) or per interior cell (update, with
+  /// each lane's dt/dx taken from its block's level). Blocks and rows never
+  /// share cells, so finishing each stage for all of them before the next
+  /// one starts gives the row loop's per-element ops, results and counts.
+  void sweep_blocks(amr::AmrGrid<T>& g, std::span<const int> leaves, double dt, bool xdir,
+                    bool gate) {
     using batch::Vec;
-    const int n_interior = xdir ? g.config().nxb : g.config().nyb;
-    const int n_rows = xdir ? g.config().nyb : g.config().nxb;
-    const int ng = g.config().ng;
-    const std::size_t cells = static_cast<std::size_t>(n_interior) + 2 * ng;  // per row
-    const std::size_t faces = static_cast<std::size_t>(n_interior) + 1;       // per row
-    const std::size_t nint = static_cast<std::size_t>(n_interior);
-    const std::size_t rows = static_cast<std::size_t>(n_rows);
-    const auto cell = [&](int var, std::size_t row, int k) -> T& {
-      const int r = static_cast<int>(row);
-      return xdir ? g.at(b, var, k, r) : g.at(b, var, r, k);
+    std::optional<TruncScope> scope;
+    if (cfg_.trunc) scope.emplace(*cfg_.trunc, gate);
+    Region hydro_region("hydro");
+
+    const std::size_t nint = xdir ? g.config().nxb : g.config().nyb;  // per pencil
+    const std::size_t rows = xdir ? g.config().nyb : g.config().nxb;  // per block
+    const std::size_t ng = g.config().ng;
+    const std::size_t cells = nint + 2 * ng;  // per pencil, guards included
+    const std::size_t faces = nint + 1;       // per pencil
+    const std::size_t pencils = leaves.size() * rows;
+    // Cell kk of a pencil (kk = k + ng, guards included) of variable var in
+    // row `row` of a block sits at data[var_base * var + row_base(row) +
+    // kk * step].
+    const std::size_t sx = static_cast<std::size_t>(g.stride_x());
+    const std::size_t var_base = sx * static_cast<std::size_t>(g.stride_y());
+    const std::size_t step = xdir ? 1 : sx;
+    const auto row_base = [&](std::size_t row) { return xdir ? (row + ng) * sx : row + ng; };
+    // Cells [first, first + count) of every pencil, pencil after pencil.
+    const auto pencil_cells = [&](int var, std::size_t first, std::size_t count) {
+      Vec out(pencils * count);
+      double* o = out.data();
+      for (const int n : leaves) {
+        const Real* d = g.leaf(n).data.data() + var_base * static_cast<std::size_t>(var);
+        for (std::size_t row = 0; row < rows; ++row) {
+          const Real* c = d + row_base(row) + first * step;
+          for (std::size_t k = 0; k < count; ++k) *o++ = c[k * step].raw();
+        }
+      }
+      return out;
     };
-    const auto pencils = [&](int var) {
-      return Vec::gather(rows * cells, [&](std::size_t c) {
-        return cell(var, c / cells, static_cast<int>(c % cells) - ng).raw();
-      });
-    };
+
     const PrimState<Vec> w =
-        load_prim(pencils(DENS), pencils(MOMX), pencils(MOMY), pencils(ENER), xdir, cfg_);
-    // The cells at offset `off` from every face (face f of a row sits
+        load_prim(pencil_cells(DENS, 0, cells), pencil_cells(MOMX, 0, cells),
+                  pencil_cells(MOMY, 0, cells), pencil_cells(ENER, 0, cells), xdir, cfg_);
+    // The cells at offset `off` from every face (face f of a pencil sits
     // between its cells f-1 and f).
     const auto at_faces = [&](int off) {
       PrimState<Vec> s;
       batch::zip_members(s, w, [&](Vec& out, const Vec& m) {
-        out = Vec::gather(rows * faces, [&](std::size_t c) {
-          return m[(c / faces) * cells + c % faces + static_cast<std::size_t>(ng + off)];
-        });
+        out = Vec(pencils * faces);
+        const double* src = m.data() + static_cast<std::ptrdiff_t>(ng) + off;
+        for (std::size_t p = 0; p < pencils; ++p) {
+          std::copy_n(src + p * cells, faces, out.data() + p * faces);
+        }
       });
       return s;
     };
@@ -361,23 +413,35 @@ class HydroSolver {
     }
     {
       Region r("hydro/update");
+      Vec dtdx(pencils * nint);
+      double* o = dtdx.data();
+      for (const int n : leaves) {
+        const int level = g.leaf(n).level;
+        o = std::fill_n(o, rows * nint, dt / (xdir ? g.dx(level) : g.dy(level)));
+      }
       const int vars[4] = {DENS, xdir ? MOMX : MOMY, xdir ? MOMY : MOMX, ENER};
       for (int v = 0; v < 4; ++v) {
+        // The flux through the face at offset `off` from every interior cell.
         const auto flux_at = [&](std::size_t off) {
-          return Vec::gather(rows * nint, [&](std::size_t c) {
-            return fx.f[v][(c / nint) * faces + c % nint + off];
-          });
+          Vec out(pencils * nint);
+          for (std::size_t p = 0; p < pencils; ++p) {
+            std::copy_n(fx.f[v].data() + p * faces + off, nint, out.data() + p * nint);
+          }
+          return out;
         };
-        const Vec u = Vec::gather(rows * nint, [&](std::size_t c) {
-          return cell(vars[v], c / nint, static_cast<int>(c % nint)).raw();
-        });
-        const Vec out = flux_update(u, Vec(dtdx), flux_at(0), flux_at(1));
-        for (std::size_t c = 0; c < rows * nint; ++c) {
-          cell(vars[v], c / nint, static_cast<int>(c % nint)) = Real::adopt_raw(out[c]);
+        const Vec out =
+            flux_update(pencil_cells(vars[v], ng, nint), dtdx, flux_at(0), flux_at(1));
+        const double* src = out.data();
+        for (const int n : leaves) {
+          Real* d = g.leaf(n).data.data() + var_base * static_cast<std::size_t>(vars[v]);
+          for (std::size_t row = 0; row < rows; ++row) {
+            Real* c = d + row_base(row) + ng * step;
+            for (std::size_t k = 0; k < nint; ++k) c[k * step] = Real::adopt_raw(*src++);
+          }
         }
       }
     }
-    rt::Runtime::instance().count_mem(static_cast<u64>(rows * nint) * kNumVars * 2 *
+    rt::Runtime::instance().count_mem(static_cast<u64>(pencils * nint) * kNumVars * 2 *
                                       sizeof(double));
   }
 

@@ -21,11 +21,19 @@
 //                and its rotation segments) as trace::report_json — the
 //                same bytes `raptor_trace --json` derives offline
 //
-// Callbacks are evaluated at scrape time against mutex-guarded aggregate
-// reads (counters(), stats_now(), the shadow table's atomics), so serving
-// /metrics during a live run is race-free. /profile reads
-// region_profiles(), which carries the stricter quiescence contract —
-// scrape it between runs (or at barrier points), not mid-kernel.
+// Concurrency contract. Callbacks are evaluated at scrape time. The shadow
+// table's and the trace session's figures are atomics or mutex-guarded, but
+// the op, flop and byte series read Runtime::counters(), which takes the
+// thread-list mutex and then sums every live thread's plain u64 counters
+// while their owners keep writing them. That read is a data race in the C++
+// memory model (TSan reports it), not only a stale one: a value may be
+// missed or, on a target without atomic 64-bit stores, torn. So serving
+// /metrics mid-run gives approximate, possibly non-monotonic op series; the
+// numbers are exact only while no instrumented code runs (between runs or at
+// barriers). /profile reads region_profiles(), which is stricter still: it
+// walks other threads' region maps, which their owners insert into, so
+// scrape it only while no instrumented code runs. Both caveats stay until
+// the per-thread counters become single-writer atomic cells (ROADMAP item 1).
 //
 // reset() on the registry drops callback registrations (they capture
 // runtime state); call register_runtime_metrics again to re-arm. The call

@@ -2,6 +2,7 @@
 // (fast_round_simd.hpp; DESIGN.md §13).
 #include "softfloat/fast_round_simd.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,46 @@ void span_portable(SpanOp op, const double* a, const double* b, const double* c,
   }
 }
 
+bool mask_bit(const u64* mask, std::size_t i) { return ((mask[i / 64] >> (i % 64)) & 1) != 0; }
+
+/// Portable lane movement (every path but AVX-512).
+std::size_t compare_portable(LaneCmp op, const double* a, const double* b, std::size_t n,
+                             u64* mask) {
+  std::size_t set = 0;
+  for (std::size_t lo = 0; lo < n; lo += 64) {
+    const std::size_t len = std::min<std::size_t>(64, n - lo);
+    u64 bits = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      const double x = a[lo + j], y = b != nullptr ? b[lo + j] : 0.0;
+      const bool t = op == LaneCmp::Le ? x <= y : op == LaneCmp::Ge ? x >= y : x < y;
+      bits |= u64{t} << j;
+      set += t ? 1 : 0;
+    }
+    mask[lo / 64] = bits;
+  }
+  return set;
+}
+
+std::size_t compress_portable(const double* in, const u64* mask, bool on, std::size_t n,
+                              double* out) {
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask_bit(mask, i) == on) out[k++] = in[i];
+  }
+  return k;
+}
+
+void merge_portable(const double* on_vals, const double* off_vals, const u64* mask,
+                    std::size_t n, double* out) {
+  for (std::size_t i = 0, k_on = 0, k_off = 0; i < n; ++i) {
+    if (mask_bit(mask, i)) {
+      out[i] = on_vals[k_on++];
+    } else if (off_vals != nullptr) {
+      out[i] = off_vals[k_off++];
+    }
+  }
+}
+
 /// Runtime CPUID support for a path the binary was able to compile.
 bool cpu_supports(Path p) {
   switch (p) {
@@ -59,9 +100,11 @@ bool cpu_supports(Path p) {
     case Path::Avx512:
 #if defined(RAPTOR_SIMD_HAVE_AVX512)
       // The kernels use AVX-512 F (core u64 lane ops, masks) and CD
-      // (vplzcntq for floor_log2); both ship together on every AVX-512
-      // core since Skylake-SP, but check each explicitly.
-      return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512cd") != 0;
+      // (vplzcntq for floor_log2), the lane movement POPCNT; all ship
+      // together on every AVX-512 core since Skylake-SP, but check each
+      // explicitly.
+      return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512cd") != 0 &&
+             __builtin_cpu_supports("popcnt") != 0;
 #endif
       return false;
   }
@@ -87,7 +130,13 @@ Path read_env_default() {
 
 }  // namespace
 
-bool path_supported(Path p) { return cpu_supports(p); }
+bool path_supported(Path p) {
+  // Every batch call asks, so CPUID is read once.
+  static const bool supported[3] = {cpu_supports(Path::Portable), cpu_supports(Path::Avx2),
+                                    cpu_supports(Path::Avx512)};
+  const auto i = static_cast<std::size_t>(p);
+  return i < 3 && supported[i];
+}
 
 Path best_path() {
   static const Path p = detect_best();
@@ -144,6 +193,38 @@ void span_exec(Path p, SpanOp op, const double* a, const double* b, const double
       span_portable(op, a, b, c, out, n, spec);
       return;
   }
+}
+
+std::size_t lanes_compare(Path p, LaneCmp op, const double* a, const double* b, std::size_t n,
+                          u64* mask) {
+  if (n == 0) return 0;
+#if defined(RAPTOR_SIMD_HAVE_AVX512)
+  if (resolve_path(p) == Path::Avx512) return detail::lanes_compare_avx512(op, a, b, n, mask);
+#endif
+  (void)p;
+  return compare_portable(op, a, b, n, mask);
+}
+
+std::size_t lanes_compress(Path p, const double* in, const u64* mask, bool on, std::size_t n,
+                           double* out) {
+  if (n == 0) return 0;
+#if defined(RAPTOR_SIMD_HAVE_AVX512)
+  if (resolve_path(p) == Path::Avx512) return detail::lanes_compress_avx512(in, mask, on, n, out);
+#endif
+  (void)p;
+  return compress_portable(in, mask, on, n, out);
+}
+
+void lanes_merge(Path p, const double* on_vals, const double* off_vals, const u64* mask,
+                 std::size_t n, double* out) {
+  if (n == 0) return;
+#if defined(RAPTOR_SIMD_HAVE_AVX512)
+  if (resolve_path(p) == Path::Avx512) {
+    return detail::lanes_merge_avx512(on_vals, off_vals, mask, n, out);
+  }
+#endif
+  (void)p;
+  merge_portable(on_vals, off_vals, mask, n, out);
 }
 
 }  // namespace raptor::sf::simd

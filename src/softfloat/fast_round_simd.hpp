@@ -35,9 +35,13 @@
 // keeps in-place spans legal.
 //
 // Tail strategy: each span kernel streams full vectors and finishes the
-// remaining n % width elements through the scalar sf::fast_* kernels, which
-// are bit-identical by construction — so span results never depend on where
-// the vector/tail boundary falls (pinned by the edge-span tests).
+// remaining n % width elements as one more vector — the span's last `width`
+// elements (computed before the full vectors are stored, so in-place spans
+// stay legal), or for a span shorter than a vector its elements padded with
+// 1.0; the extra lanes are computed and dropped. Lanes never interact, so
+// span results never depend on where the vector/tail boundary falls (pinned
+// by the edge-span tests) — and short spans, such as the arms of a
+// batch::branch, pay no per-element scalar calls.
 #pragma once
 
 #include <cstddef>
@@ -87,6 +91,37 @@ enum class SpanOp : u8 { Round, Add, Sub, Mul, Div, Neg, Sqrt, Fma };
 /// default_path().
 void span_exec(Path p, SpanOp op, const double* a, const double* b, const double* c,
                double* out, std::size_t n, const RoundSpec& spec);
+
+// ===========================================================================
+// Lane movement for batch::Vec masks and branches (DESIGN.md §13)
+// ===========================================================================
+//
+// Exact copies — no rounding, no counting: the comparisons behind
+// batch::Mask and the compress/merge pair behind batch::branch, Pick and
+// fabs. A mask holds one bit per lane, lane i in bit i % 64 of word i / 64;
+// bits past n in the last word are zero. The AVX-512 path moves eight lanes
+// per instruction (VCMPPD into a k-mask, VCOMPRESSPD, VEXPANDPD); every
+// other path runs the portable loops. Like span_exec, an unsupported `p`
+// falls back to default_path().
+
+/// The Vec comparisons (IEEE ordered: a NaN lane compares false).
+enum class LaneCmp : u8 { Le, Ge, Lt };
+
+/// mask bit i = (a[i] op b[i]) for i in [0, n), against +0.0 where `b` is
+/// null; writes (n + 63) / 64 words and returns how many bits it set.
+std::size_t lanes_compare(Path p, LaneCmp op, const double* a, const double* b, std::size_t n,
+                          u64* mask);
+
+/// Copy the lanes i of `in` whose mask bit equals `on` to out[0, 1, ...],
+/// in lane order; returns how many there were.
+std::size_t lanes_compress(Path p, const double* in, const u64* mask, bool on, std::size_t n,
+                           double* out);
+
+/// The inverse of a compress on each side: out[i] = the next of on_vals
+/// where mask bit i is set, the next of off_vals where it is clear — or, if
+/// `off_vals` is null, out[i] unchanged there.
+void lanes_merge(Path p, const double* on_vals, const double* off_vals, const u64* mask,
+                 std::size_t n, double* out);
 
 // ===========================================================================
 // lanes:: — the width-agnostic kernel, templated on an ISA trait
@@ -193,19 +228,26 @@ template <class I>
   const vi bits = I::cast_i(x);
   const vi ef = I::and_(I::template srl<52>(bits), S.expf);
 
-  // Common-case branch: every lane normal with e_msb in [emin, emax] —
-  // excludes zeros, double subnormals, inf/NaN, gradual underflow into the
-  // format's subnormal range, and inputs beyond emax. For these lanes the
-  // drop count is the per-span constant 52 - man_bits, so RNE collapses to
-  // the significand bump bits + ((bits >> drop) & 1) + (half - 1) with the
-  // low bits masked off: a mantissa carry ripples into the exponent field
-  // exactly as rounding demands, and the one case that needs fixing up —
-  // carry past emax — is caught by re-reading the exponent (it can only
-  // land at emax + 1, where the mantissa field is all zero, so for an
-  // 11-bit-exponent format the carried pattern already IS the infinity).
-  // Real spans are overwhelmingly homogeneous, so the whole-vector test
-  // predicts well; any odd lane falls through to the general chain below.
-  const vb in_range = I::andm(I::gt(ef, S.fast_lo_m1), I::gt(S.fast_hi_p1, ef));
+  // Common-case branch: every lane either normal with e_msb in [emin, emax]
+  // or a signed zero — excludes double subnormals, inf/NaN, gradual
+  // underflow into the format's subnormal range, and inputs beyond emax.
+  // For the normal lanes the drop count is the per-span constant
+  // 52 - man_bits, so RNE collapses to the significand bump
+  // bits + ((bits >> drop) & 1) + (half - 1) with the low bits masked off: a
+  // mantissa carry ripples into the exponent field exactly as rounding
+  // demands, and the one case that needs fixing up — carry past emax — is
+  // caught by re-reading the exponent (it can only land at emax + 1, where
+  // the mantissa field is all zero, so for an 11-bit-exponent format the
+  // carried pattern already IS the infinity). A ±0 lane comes out of the
+  // same arithmetic unchanged: its bump is half - 1 < 2^drop, which `keep`
+  // masks off again, and the sign bit is never touched — so quiescent data
+  // (zero velocities, exact cancellations) stays on this branch too; the
+  // zero test runs only for vectors that fail the exponent test, so
+  // zero-free spans pay nothing for it. Real spans are overwhelmingly
+  // homogeneous, so the whole-vector test predicts well; any odd lane falls
+  // through to the general chain below.
+  vb in_range = I::andm(I::gt(ef, S.fast_lo_m1), I::gt(S.fast_hi_p1, ef));
+  if (!I::all(in_range)) in_range = I::orm(in_range, I::eq(I::template sll<1>(bits), S.zero));
   if (I::all(in_range)) [[likely]] {
     if (S.cdrop == 0) return x;  // man_bits == 52: every fast lane is exact
     const vi bump = I::add(I::and_(I::srlv(bits, S.cdrop_v), S.one), S.fast_half_m1);
@@ -318,37 +360,35 @@ template <class I>
   return vround<I>(I::cast_f(s2), S);
 }
 
-/// Span driver shared by the per-ISA translation units: full vectors through
-/// the lane kernels, scalar sf::fast_* for the n % width tail.
+/// The span ops over whole vectors: n must be a multiple of the lane width.
+/// Always inlined into span_impl, so the per-span constants in `S` stay in
+/// registers across the loop (an out-of-line call measured ~25% slower).
 template <class I>
-inline void span_impl(SpanOp op, const double* a, const double* b, const double* c,
-                      double* out, std::size_t n, const RoundSpec& sp) {
-  const VSpec<I> S(sp);
+[[gnu::always_inline]] inline void span_vectors(SpanOp op, const double* a, const double* b,
+                                                const double* c, double* out, std::size_t n,
+                                                const RoundSpec& sp, const VSpec<I>& S) {
   constexpr std::size_t W = I::width;
   std::size_t i = 0;
   switch (op) {
     case SpanOp::Round:
-      for (; i + W <= n; i += W) I::storeu(out + i, vround<I>(I::loadu(a + i), S));
-      for (; i < n; ++i) out[i] = fast_round(a[i], sp);
+      for (; i < n; i += W) I::storeu(out + i, vround<I>(I::loadu(a + i), S));
       break;
     case SpanOp::Add:
-      for (; i + W <= n; i += W) {
+      for (; i < n; i += W) {
         I::storeu(out + i, vround<I>(I::addf(vround<I>(I::loadu(a + i), S),
                                              vround<I>(I::loadu(b + i), S)),
                                      S));
       }
-      for (; i < n; ++i) out[i] = fast_add(a[i], b[i], sp);
       break;
     case SpanOp::Sub:
-      for (; i + W <= n; i += W) {
+      for (; i < n; i += W) {
         I::storeu(out + i, vround<I>(I::subf(vround<I>(I::loadu(a + i), S),
                                              vround<I>(I::loadu(b + i), S)),
                                      S));
       }
-      for (; i < n; ++i) out[i] = fast_sub(a[i], b[i], sp);
       break;
     case SpanOp::Mul:
-      for (; i + W <= n; i += W) {
+      for (; i < n; i += W) {
         const typename I::vf xa = I::loadu(a + i);
         const typename I::vf xb = I::loadu(b + i);
         const typename I::vf p = I::mulf(vround<I>(xa, S), vround<I>(xb, S));
@@ -372,38 +412,70 @@ inline void span_impl(SpanOp op, const double* a, const double* b, const double*
           }
         }
       }
-      for (; i < n; ++i) out[i] = fast_mul(a[i], b[i], sp);
       break;
     case SpanOp::Div:
-      for (; i + W <= n; i += W) {
+      for (; i < n; i += W) {
         I::storeu(out + i, vround<I>(I::divf(vround<I>(I::loadu(a + i), S),
                                              vround<I>(I::loadu(b + i), S)),
                                      S));
       }
-      for (; i < n; ++i) out[i] = fast_div(a[i], b[i], sp);
       break;
     case SpanOp::Neg:
       // Negation is the sign-bit flip (also on NaN), as the scalar kernel's
       // `-fast_round(a)`; the outer round only re-canonicalizes NaN.
-      for (; i + W <= n; i += W) {
+      for (; i < n; i += W) {
         const typename I::vi r = I::cast_i(vround<I>(I::loadu(a + i), S));
         I::storeu(out + i, vround<I>(I::cast_f(I::xor_(r, S.sign)), S));
       }
-      for (; i < n; ++i) out[i] = fast_neg(a[i], sp);
       break;
     case SpanOp::Sqrt:
-      for (; i + W <= n; i += W) {
+      for (; i < n; i += W) {
         I::storeu(out + i, vround<I>(I::sqrtf_(vround<I>(I::loadu(a + i), S)), S));
       }
-      for (; i < n; ++i) out[i] = fast_sqrt(a[i], sp);
       break;
     case SpanOp::Fma:
-      for (; i + W <= n; i += W) {
+      for (; i < n; i += W) {
         I::storeu(out + i, vfma<I>(I::loadu(a + i), I::loadu(b + i), I::loadu(c + i), S));
       }
-      for (; i < n; ++i) out[i] = fast_fma(a[i], b[i], c[i], sp);
       break;
   }
+}
+
+/// Span driver shared by the per-ISA translation units: full vectors through
+/// the lane kernels, and the n % width tail as one more vector. A span of at
+/// least one vector takes its tail from its last `width` elements, computed
+/// before any full vector is stored (so in-place spans read intact inputs)
+/// and kept only for the tail lanes; a shorter span is padded with 1.0 (in
+/// every format's range, so the padding keeps the vector on vround's
+/// common-case branch) through stack buffers.
+template <class I>
+inline void span_impl(SpanOp op, const double* a, const double* b, const double* c,
+                      double* out, std::size_t n, const RoundSpec& sp) {
+  constexpr std::size_t W = I::width;
+  const VSpec<I> S(sp);
+  const std::size_t full = n - n % W;
+  if (full == n) {
+    span_vectors<I>(op, a, b, c, out, n, sp, S);
+    return;
+  }
+  const std::size_t left = n - full;
+  double to[W];
+  if (n >= W) {
+    const std::size_t at = n - W;
+    span_vectors<I>(op, a + at, b != nullptr ? b + at : nullptr, c != nullptr ? c + at : nullptr,
+                    to, W, sp, S);
+    span_vectors<I>(op, a, b, c, out, full, sp, S);
+    for (std::size_t j = 0; j < left; ++j) out[full + j] = to[W - left + j];
+    return;
+  }
+  double ta[W], tb[W], tc[W];
+  for (std::size_t j = 0; j < W; ++j) {
+    ta[j] = j < n ? a[j] : 1.0;
+    tb[j] = j < n && b != nullptr ? b[j] : 1.0;
+    tc[j] = j < n && c != nullptr ? c[j] : 1.0;
+  }
+  span_vectors<I>(op, ta, tb, tc, to, W, sp, S);
+  for (std::size_t j = 0; j < n; ++j) out[j] = to[j];
 }
 
 }  // namespace lanes
@@ -418,6 +490,12 @@ void span_avx2(SpanOp op, const double* a, const double* b, const double* c, dou
                std::size_t n, const RoundSpec& spec);
 void span_avx512(SpanOp op, const double* a, const double* b, const double* c, double* out,
                  std::size_t n, const RoundSpec& spec);
+std::size_t lanes_compare_avx512(LaneCmp op, const double* a, const double* b, std::size_t n,
+                                 u64* mask);
+std::size_t lanes_compress_avx512(const double* in, const u64* mask, bool on, std::size_t n,
+                                  double* out);
+void lanes_merge_avx512(const double* on_vals, const double* off_vals, const u64* mask,
+                        std::size_t n, double* out);
 
 }  // namespace detail
 

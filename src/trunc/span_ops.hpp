@@ -23,11 +23,11 @@
 //    scalar op loop — but every operator is one batch call instead of n
 //    scalar dispatches. Vec mirrors Real's semantics lane by lane:
 //      - sqrt is one counted Sqrt per lane;
-//      - fabs is one counted Neg per negative lane (Real negates when
+//      - fabs is one Neg over the negative lanes (Real negates when
 //        value() < 0, so NaN and -0 lanes pass through uncounted);
 //      - fmin/fmax are uncounted selections (a <= b ? a : b, a >= b ? a : b,
 //        so a NaN lane selects the second operand);
-//      - the comparisons <= and >= yield a Mask of lanes;
+//      - the comparisons <= and >= yield a Mask, one bit per lane;
 //      - branch(mask, then_arm, else_arm) is the count-preserving if: each
 //        arm runs only on its own lanes (gathered dense), so it issues and
 //        counts exactly the ops the scalar if would, and an arm with no
@@ -35,6 +35,11 @@
 //        Vec or an aggregate exposing members()) to the arm's lanes; the
 //        arms' results are scattered back. For double and Real, branch is
 //        a plain if (real.hpp) and pick returns its argument.
+//    Picks compress an arm's lanes by the mask and branch merges the two
+//    arms back (sf::simd::lanes_compress / lanes_merge: eight lanes per
+//    instruction on AVX-512). Vec lanes and Mask bits live in uninitialised
+//    buffers from a per-thread pool (detail::LanePool), so in steady state
+//    no operator, pick or branch touches the heap (DESIGN.md §13).
 //
 // Ownership: raw payloads are plain doubles in op-mode. These helpers are
 // op-mode only — Vec intermediates would leak NaN-boxed shadow entries in
@@ -44,14 +49,33 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <initializer_list>
+#include <new>
 #include <span>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "softfloat/fast_round_simd.hpp"
 #include "trunc/real.hpp"
+
+// AddressSanitizer: pooled buffers are poisoned while they sit in a pool, so
+// a Vec read after its storage went back (and before it is handed out
+// again) fails like a use-after-free.
+#if defined(__SANITIZE_ADDRESS__)
+#define RAPTOR_LANES_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RAPTOR_LANES_ASAN 1
+#endif
+#endif
+
+#ifdef RAPTOR_LANES_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace raptor::batch {
 
@@ -164,13 +188,150 @@ inline void trunc(std::span<const double> a, std::span<double> out) {
 }
 
 // ---------------------------------------------------------------------------
+// Lane storage: a per-thread pool of uninitialised buffers
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// Free lists of cache-line-aligned buffers by power-of-two size class
+/// (class c holds 2^c bytes), linked through each free buffer's first word.
+/// Each thread owns one pool, so taking and giving back are a few loads and
+/// stores with no lock; a buffer given back on another thread than the one
+/// it came from joins that thread's pool. Whatever a pool holds is freed
+/// when its thread exits; storage taken or given back after that goes
+/// straight to the heap.
+class LanePool {
+ public:
+  /// Storage for `bytes` bytes; `cls` receives the class to give it back to.
+  static void* take(std::size_t bytes, unsigned& cls) {
+    cls = size_class(bytes);
+    State& s = state;
+    void* p = s.free[cls];
+    if (p == nullptr) return ::operator new(std::size_t{1} << cls, kAlign);
+    unpoison(p, cls);
+    s.free[cls] = *static_cast<void**>(p);
+    return p;
+  }
+
+  static void give(void* p, unsigned cls) {
+    State& s = state;
+    if (!s.armed) {
+      if (s.gone) {
+        ::operator delete(p, kAlign);
+        return;
+      }
+      arm();
+    }
+    *static_cast<void**>(p) = s.free[cls];
+    s.free[cls] = p;
+#ifdef RAPTOR_LANES_ASAN
+    // The first word holds the free-list link; poison the rest.
+    ASAN_POISON_MEMORY_REGION(static_cast<char*>(p) + sizeof(void*),
+                              (std::size_t{1} << cls) - sizeof(void*));
+#endif
+  }
+
+ private:
+  static constexpr unsigned kMinClass = 6;  ///< 64 bytes: one cache line
+  static constexpr std::align_val_t kAlign{64};
+
+  static unsigned size_class(std::size_t bytes) {
+    return std::max(kMinClass, static_cast<unsigned>(std::bit_width(bytes - 1)));
+  }
+
+  /// The free lists: trivially destructible, so the hot path reads them
+  /// without a TLS initialisation check.
+  struct State {
+    void* free[64];
+    bool armed;  ///< a Reaper will empty the lists at thread exit
+    bool gone;   ///< the Reaper has run: no more pooling on this thread
+  };
+  static inline thread_local State state{};
+
+  /// Frees the thread's lists at thread exit. Armed before the first buffer
+  /// enters a list, so nothing a list holds can outlive its thread.
+  struct Reaper {
+    Reaper() = default;
+    Reaper(const Reaper&) = delete;
+    Reaper& operator=(const Reaper&) = delete;
+    ~Reaper() {
+      for (unsigned cls = 0; cls < 64; ++cls) {
+        while (void* p = state.free[cls]) {
+          unpoison(p, cls);
+          state.free[cls] = *static_cast<void**>(p);
+          ::operator delete(p, kAlign);
+        }
+      }
+      state.armed = false;
+      state.gone = true;
+    }
+  };
+  static void arm() {
+    thread_local Reaper reaper;
+    state.armed = true;
+  }
+
+  static void unpoison([[maybe_unused]] void* p, [[maybe_unused]] unsigned cls) {
+#ifdef RAPTOR_LANES_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(p, std::size_t{1} << cls);
+#endif
+  }
+};
+
+/// Uninitialised storage for n values of T from the calling thread's pool.
+template <class T>
+class Lanes {
+ public:
+  Lanes() = default;
+  explicit Lanes(std::size_t n) : n_(n) {
+    if (n != 0) p_ = static_cast<T*>(LanePool::take(n * sizeof(T), cls_));
+  }
+  Lanes(const Lanes& o) : Lanes(o.n_) { std::copy_n(o.p_, n_, p_); }
+  Lanes(Lanes&& o) noexcept
+      : p_(std::exchange(o.p_, nullptr)), n_(std::exchange(o.n_, 0)), cls_(o.cls_) {}
+  Lanes& operator=(Lanes o) noexcept {
+    std::swap(p_, o.p_);
+    std::swap(n_, o.n_);
+    std::swap(cls_, o.cls_);
+    return *this;
+  }
+  ~Lanes() {
+    if (p_ != nullptr) LanePool::give(p_, cls_);
+  }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] T* data() { return p_; }
+  [[nodiscard]] const T* data() const { return p_; }
+  T& operator[](std::size_t i) { return p_[i]; }
+  const T& operator[](std::size_t i) const { return p_[i]; }
+
+ private:
+  T* p_ = nullptr;
+  std::size_t n_ = 0;
+  unsigned cls_ = 0;
+};
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // batch::Vec — operator-overloaded batches of raw payloads
 // ---------------------------------------------------------------------------
 
-/// Lane truth values of a Vec comparison; branch() consumes it.
-struct Mask {
-  std::vector<u8> on;
-  [[nodiscard]] std::size_t size() const { return on.size(); }
+/// Lane truth values of a Vec comparison, one bit per lane (lane i in bit
+/// i % 64 of word i / 64); branch() consumes it.
+class Mask {
+ public:
+  explicit Mask(std::size_t n) : n_(n), words_((n + 63) / 64) {}
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  /// Number of lanes set.
+  [[nodiscard]] std::size_t count() const { return set_; }
+
+ private:
+  friend class Vec;
+  std::size_t n_;
+  std::size_t set_ = 0;  ///< filled in by the comparison that builds the mask
+  detail::Lanes<u64> words_;
 };
 
 class Vec {
@@ -179,6 +340,7 @@ class Vec {
   /// Broadcast constant, mirroring the scalar kernels' `S(2.0)` idiom: each
   /// element-wise use still issues one runtime op per element.
   Vec(double scalar) : scalar_(scalar), is_scalar_(true) {}  // NOLINT: numeric
+  /// n lanes of uninitialised storage: write every lane before reading it.
   explicit Vec(std::size_t n) : v_(n) {}
 
   /// Build by gathering raw payloads: fn(i) -> double, i in [0, n).
@@ -192,7 +354,9 @@ class Vec {
   [[nodiscard]] bool is_scalar() const { return is_scalar_; }
   [[nodiscard]] std::size_t size() const { return is_scalar_ ? 1 : v_.size(); }
   [[nodiscard]] double operator[](std::size_t i) const { return is_scalar_ ? scalar_ : v_[i]; }
-  [[nodiscard]] const std::vector<double>& raw() const { return v_; }
+  /// The lanes of a non-broadcast Vec.
+  [[nodiscard]] double* data() { return v_.data(); }
+  [[nodiscard]] const double* data() const { return v_.data(); }
 
   friend Vec operator+(const Vec& a, const Vec& b) { return bin(rt::OpKind::Add, a, b); }
   friend Vec operator-(const Vec& a, const Vec& b) { return bin(rt::OpKind::Sub, a, b); }
@@ -200,25 +364,14 @@ class Vec {
   friend Vec operator/(const Vec& a, const Vec& b) { return bin(rt::OpKind::Div, a, b); }
   Vec operator-() const { return unary(rt::OpKind::Neg, *this); }
 
-  friend Mask operator<=(const Vec& a, const Vec& b) {
-    return cmp(a, b, [](double x, double y) { return x <= y; });
-  }
-  friend Mask operator>=(const Vec& a, const Vec& b) {
-    return cmp(a, b, [](double x, double y) { return x >= y; });
-  }
+  friend Mask operator<=(const Vec& a, const Vec& b) { return cmp(sf::simd::LaneCmp::Le, a, b); }
+  friend Mask operator>=(const Vec& a, const Vec& b) { return cmp(sf::simd::LaneCmp::Ge, a, b); }
 
   friend Vec sqrt(const Vec& a) { return unary(rt::OpKind::Sqrt, a); }
-  /// Real's fabs lane by lane: one counted Neg per lane whose value is < 0.
-  friend Vec fabs(const Vec& a) {
-    if (a.is_scalar_) return a.scalar_ < 0 ? -a : a;
-    std::vector<u32> neg;
-    for (std::size_t i = 0; i < a.v_.size(); ++i) {
-      if (a.v_[i] < 0) neg.push_back(static_cast<u32>(i));
-    }
-    Vec r = a;
-    if (!neg.empty()) r.scatter(-a.lanes(neg), neg);
-    return r;
-  }
+  /// Real's fabs lane by lane: one Neg over the lanes whose value is < 0
+  /// (compressed dense, negated in place in one batch call, merged back
+  /// over a copy).
+  friend Vec fabs(const Vec& a) { return abs(a); }
   /// Real's fmin/fmax lane by lane: selections, never counted.
   friend Vec fmin(const Vec& a, const Vec& b) {
     return select(a, b, [](double x, double y) { return x <= y; });
@@ -228,18 +381,57 @@ class Vec {
   }
 
   /// The lanes `idx` of this Vec, dense (a broadcast stays a broadcast).
-  [[nodiscard]] Vec lanes(const std::vector<u32>& idx) const {
+  [[nodiscard]] Vec lanes(std::initializer_list<u32> idx) const {
     if (is_scalar_) return *this;
     Vec r(idx.size());
-    for (std::size_t j = 0; j < idx.size(); ++j) r.v_[j] = v_[idx[j]];
+    std::size_t j = 0;
+    for (const u32 i : idx) r.v_[j++] = v_[i];
     return r;
   }
-  /// this[idx[j]] = src[j] for every j (this must hold every lane).
-  void scatter(const Vec& src, const std::vector<u32>& idx) {
-    for (std::size_t j = 0; j < idx.size(); ++j) v_[idx[j]] = src[j];
+  /// The `count` lanes whose bit in `m` equals `on`, dense and in lane
+  /// order (a broadcast stays a broadcast).
+  [[nodiscard]] Vec compress(const Mask& m, bool on, std::size_t count) const {
+    if (is_scalar_) return *this;
+    Vec r(count);
+    sf::simd::lanes_compress(path(), v_.data(), m.words_.data(), on, m.size(), r.v_.data());
+    return r;
+  }
+  /// The inverse of compressing each side of `m`: lane i takes the next
+  /// lane of `on` where m is set and the next lane of `off` where it is not.
+  [[nodiscard]] static Vec merge(const Mask& m, const Vec& on, const Vec& off) {
+    const std::size_t n = m.size(), n_on = m.count();
+    // A broadcast side is spread to its lane count first.
+    const auto lanes_of = [](const Vec& x, std::size_t len, detail::Lanes<double>& spread) {
+      if (!x.is_scalar_) return x.v_.data();
+      spread = detail::Lanes<double>(len);
+      std::fill_n(spread.data(), len, x.scalar_);
+      return static_cast<const double*>(spread.data());
+    };
+    detail::Lanes<double> spread_on, spread_off;
+    Vec r(n);
+    sf::simd::lanes_merge(path(), lanes_of(on, n_on, spread_on),
+                          lanes_of(off, n - n_on, spread_off), m.words_.data(), n, r.v_.data());
+    return r;
   }
 
  private:
+  static sf::simd::Path path() { return rt::Runtime::instance().simd_path(); }
+
+  static Vec abs(const Vec& a) {
+    if (a.is_scalar_) return a.scalar_ < 0 ? -a : a;
+    const std::size_t n = a.v_.size();
+    Mask neg(n);
+    const std::size_t k = neg.set_ = sf::simd::lanes_compare(
+        path(), sf::simd::LaneCmp::Lt, a.v_.data(), nullptr, n, neg.words_.data());
+    if (k == 0) return a;
+    if (k == n) return -a;
+    Vec t = a.compress(neg, true, k);
+    rt::Runtime::instance().op1_batch(rt::OpKind::Neg, t.v_.data(), t.v_.data(), k);
+    Vec r = a;
+    sf::simd::lanes_merge(path(), t.v_.data(), nullptr, neg.words_.data(), n, r.v_.data());
+    return r;
+  }
+
   static Vec unary(rt::OpKind k, const Vec& a) {
     auto& R = rt::Runtime::instance();
     if (a.is_scalar_) return Vec(R.op1(k, a.scalar_));
@@ -254,11 +446,30 @@ class Vec {
     return n;
   }
 
-  template <class Pred>
-  static Mask cmp(const Vec& a, const Vec& b, Pred pred) {
+  /// Broadcast scratch reused across operator calls (one live broadcast per
+  /// call, so a single thread-local buffer suffices) — the WENO kernels do
+  /// ~20 scalar-times-vector ops per invocation and must not pay an
+  /// allocation for each.
+  static const double* broadcast(double scalar, std::size_t n) {
+    static thread_local std::vector<double> buf;
+    if (buf.size() < n) buf.resize(n);
+    std::fill(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n), scalar);
+    return buf.data();
+  }
+
+  /// Operand `x` of an n-lane operation as n contiguous lanes. At most one
+  /// operand of a call may need the broadcast scratch, which holds as long
+  /// as two broadcasts only ever meet at n == 1.
+  static const double* operand(const Vec& x, std::size_t n) {
+    if (!x.is_scalar_) return x.v_.data();
+    return n == 1 ? &x.scalar_ : broadcast(x.scalar_, n);
+  }
+
+  static Mask cmp(sf::simd::LaneCmp op, const Vec& a, const Vec& b) {
     const std::size_t n = common_size(a, b);
-    Mask m{std::vector<u8>(n)};
-    for (std::size_t i = 0; i < n; ++i) m.on[i] = pred(a[i], b[i]) ? 1 : 0;
+    Mask m(n);
+    m.set_ = sf::simd::lanes_compare(path(), op, operand(a, n), operand(b, n), n,
+                                     m.words_.data());
     return m;
   }
 
@@ -267,20 +478,12 @@ class Vec {
   static Vec select(const Vec& a, const Vec& b, Pred pred) {
     if (a.is_scalar_ && b.is_scalar_) return pred(a.scalar_, b.scalar_) ? a : b;
     const std::size_t n = common_size(a, b);
+    const double* pa = operand(a, n);
+    const double* pb = operand(b, n);
     Vec r(n);
-    for (std::size_t i = 0; i < n; ++i) r.v_[i] = pred(a[i], b[i]) ? a[i] : b[i];
+    double* out = r.v_.data();
+    for (std::size_t i = 0; i < n; ++i) out[i] = pred(pa[i], pb[i]) ? pa[i] : pb[i];
     return r;
-  }
-
-  /// Broadcast scratch reused across operator calls (one live broadcast per
-  /// op2_batch call, so a single thread-local buffer suffices) — the WENO
-  /// kernels do ~20 scalar-times-vector ops per invocation and must not pay
-  /// an allocation for each.
-  static const double* broadcast(double scalar, std::size_t n) {
-    static thread_local std::vector<double> buf;
-    if (buf.size() < n) buf.resize(n);
-    std::fill(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n), scalar);
-    return buf.data();
   }
 
   static Vec bin(rt::OpKind k, const Vec& a, const Vec& b) {
@@ -288,17 +491,11 @@ class Vec {
     if (a.is_scalar_ && b.is_scalar_) return Vec(R.op2(k, a.scalar_, b.scalar_));
     const std::size_t n = common_size(a, b);
     Vec r(n);
-    if (a.is_scalar_) {
-      R.op2_batch(k, broadcast(a.scalar_, n), b.v_.data(), r.v_.data(), n);
-    } else if (b.is_scalar_) {
-      R.op2_batch(k, a.v_.data(), broadcast(b.scalar_, n), r.v_.data(), n);
-    } else {
-      R.op2_batch(k, a.v_.data(), b.v_.data(), r.v_.data(), n);
-    }
+    R.op2_batch(k, operand(a, n), operand(b, n), r.v_.data(), n);
     return r;
   }
 
-  std::vector<double> v_;
+  detail::Lanes<double> v_;
   double scalar_ = 0.0;
   bool is_scalar_ = false;
 };
@@ -318,48 +515,43 @@ void zip_members(X& dst, const X& src, Fn&& fn) {
   }(std::make_index_sequence<std::tuple_size_v<decltype(d)>>{});
 }
 
-/// Narrows values to one arm's lanes (see branch); a null lane list means
-/// every lane and returns a copy.
+/// Narrows values to one arm's lanes — the `count` lanes whose mask bit is
+/// `on` (see branch); a default Pick means every lane and returns a copy.
 class Pick {
  public:
-  explicit Pick(const std::vector<u32>* idx) : idx_(idx) {}
+  Pick() = default;
+  Pick(const Mask& m, bool on, std::size_t count) : m_(&m), on_(on), count_(count) {}
   template <class X>
   [[nodiscard]] X operator()(const X& x) const {
-    if (idx_ == nullptr) return x;
+    if (m_ == nullptr) return x;
     if constexpr (std::is_same_v<X, Vec>) {
-      return x.lanes(*idx_);
+      return x.compress(*m_, on_, count_);
     } else {
       X out;
-      zip_members(out, x, [&](Vec& o, const Vec& v) { o = v.lanes(*idx_); });
+      zip_members(out, x, [&](Vec& o, const Vec& v) { o = v.compress(*m_, on_, count_); });
       return out;
     }
   }
 
  private:
-  const std::vector<u32>* idx_;
+  const Mask* m_ = nullptr;
+  bool on_ = true;
+  std::size_t count_ = 0;
 };
 
 /// The lane form of `if (m) then_arm else else_arm`: each arm runs once,
 /// densely, on its own lanes — so it issues and counts exactly the ops the
 /// scalar if issues per element — and an arm with no lanes does not run.
 /// Each arm is called with a Pick and returns a Vec or an aggregate with
-/// members(); the two results are scattered back into lane order.
+/// members(); the two results are merged back into lane order.
 template <class Then, class Else>
 auto branch(const Mask& m, Then&& then_arm, Else&& else_arm) {
-  std::vector<u32> on, off;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    (m.on[i] != 0 ? on : off).push_back(static_cast<u32>(i));
-  }
-  if (off.empty()) return then_arm(Pick(nullptr));
-  if (on.empty()) return else_arm(Pick(nullptr));
-  auto out = then_arm(Pick(&on));
-  const decltype(out) other = else_arm(Pick(&off));
-  const auto merge = [&](Vec& o, const Vec& y) {
-    const Vec x = std::move(o);
-    o = Vec(m.size());
-    o.scatter(x, on);
-    o.scatter(y, off);
-  };
+  const std::size_t n = m.size(), n_on = m.count();
+  if (n_on == n) return then_arm(Pick());
+  if (n_on == 0) return else_arm(Pick());
+  auto out = then_arm(Pick(m, true, n_on));
+  const decltype(out) other = else_arm(Pick(m, false, n - n_on));
+  const auto merge = [&](Vec& o, const Vec& y) { o = Vec::merge(m, o, y); };
   if constexpr (std::is_same_v<decltype(out), Vec>) {
     merge(out, other);
   } else {

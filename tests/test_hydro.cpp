@@ -6,8 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "hydro/euler.hpp"
 #include "hydro/exact_riemann.hpp"
@@ -298,23 +303,42 @@ TEST(HydroGravity, OperatorSplitSourceMatchesAnalyticImpulse) {
 // Truncation scoping through the solver
 // ---------------------------------------------------------------------------
 
-// The batch path (DESIGN.md §8) runs every stage of a block through the
-// batch::Vec instantiation of its kernel. Per solver and format it must be
+// The batch path (DESIGN.md §8) runs every stage of a sweep through the
+// batch::Vec instantiation of its kernel, over all the leaf blocks a thread
+// owns under one truncation gate. Per solver and format it must be
 // bit-identical to the per-op row loop through a multi-step AMR run: cells,
-// per-OpKind counters, and the op counts of each hydro region.
+// per-OpKind counters, and the op counts of each hydro region. Beyond the
+// solver x format grid, three cases aim at the span layout itself:
+//  * a Sedov start, whose zero velocities put ±0 lanes through the SIMD
+//    kernels' common-case branch in every stage;
+//  * a level gate on a three-level Sedov grid that splits each sweep into
+//    a truncated and a native group, with blocks of two levels (so two
+//    dt/dx values) in the truncated span;
+//  * a 3-thread team, whose static share of the leaves is uneven.
+enum class BatchSetup { Streams, Sedov };
+
 struct BatchCase {
   RiemannKind riemann;
   sf::Format fmt;
   bool hw_fastpath;
   ReconKind recon = ReconKind::PLM;
+  BatchSetup setup = BatchSetup::Streams;
+  bool level_gate = false;  ///< truncate only the levels below the finest
+  int threads = 0;          ///< OpenMP team size; 0 keeps the default
 };
 
 std::string batch_case_name(const ::testing::TestParamInfo<BatchCase>& info) {
-  const char* solver = info.param.riemann == RiemannKind::Rusanov ? "Rusanov"
-                       : info.param.riemann == RiemannKind::HLL   ? "HLL"
-                                                                  : "HLLC";
-  return std::string(solver) + "_" + info.param.fmt.tag() + (info.param.hw_fastpath ? "_hw" : "") +
-         (info.param.recon == ReconKind::FirstOrder ? "_first_order" : "");
+  const BatchCase& c = info.param;
+  const char* solver = c.riemann == RiemannKind::Rusanov ? "Rusanov"
+                       : c.riemann == RiemannKind::HLL   ? "HLL"
+                                                         : "HLLC";
+  std::string name = std::string(solver) + "_" + c.fmt.tag();
+  if (c.hw_fastpath) name += "_hw";
+  if (c.recon == ReconKind::FirstOrder) name += "_first_order";
+  if (c.setup == BatchSetup::Sedov) name += "_sedov_start";
+  if (c.level_gate) name += "_level_gate";
+  if (c.threads != 0) name += "_threads" + std::to_string(c.threads);
+  return name;
 }
 
 class HydroBatch : public ::testing::TestWithParam<BatchCase> {};
@@ -333,22 +357,63 @@ void streams_init(double x, double y, std::span<Real> v) {
   v[ENER] = p / (kGamma - 1.0) + 0.5 * rho * (u * u + w * w);
 }
 
+/// Sets the OpenMP team size for its lifetime (no-op without OpenMP).
+class TeamSize {
+ public:
+  explicit TeamSize([[maybe_unused]] int threads) {
+#ifdef _OPENMP
+    saved_ = omp_get_max_threads();
+    if (threads > 0) omp_set_num_threads(threads);
+#endif
+  }
+  ~TeamSize() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_);
+#endif
+  }
+  TeamSize(const TeamSize&) = delete;
+  TeamSize& operator=(const TeamSize&) = delete;
+
+ private:
+  int saved_ = 1;
+};
+
 TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
   const BatchCase bc = GetParam();
   auto& R = rt::Runtime::instance();
+  const TeamSize team(bc.threads);
   const auto run_with = [&](bool batch) {
     R.reset_all();
     R.set_hw_fastpath(bc.hw_fastpath);
     R.set_region_profiling(true);
-    amr::AmrGrid<Real> grid(sod_grid_config(2));
-    grid.build_with_ic(streams_init);
+    const bool sedov = bc.setup == BatchSetup::Sedov;
+    amr::AmrGrid<Real> grid(sedov ? sedov_grid_config(bc.level_gate ? 4 : 3) : sod_grid_config(2));
+    if (sedov) {
+      const SedovParams sp;
+      grid.build_with_ic([&sp](double x, double y, std::span<Real> v) { sedov_init(sp, x, y, v); });
+    } else {
+      grid.build_with_ic(streams_init);
+    }
     HydroConfig hc;
     hc.riemann = bc.riemann;
     hc.recon = bc.recon;
     hc.trunc = rt::TruncationSpec::trunc64(bc.fmt.exp_bits, bc.fmt.man_bits);
     hc.batch = batch;
+    std::set<int> gated_levels;
+    if (bc.level_gate) {
+      const int finest = grid.max_level_present();
+      hc.trunc_enabled = [finest](int level) { return level < finest; };
+      for (int n = 0; n < grid.num_leaves(); ++n) {
+        if (grid.leaf(n).level < finest) gated_levels.insert(grid.leaf(n).level);
+      }
+    }
+    const int leaves = grid.num_leaves();
     HydroSolver<Real> solver(hc);
-    run_to_time(grid, solver, 0.04, /*regrid_interval=*/2);
+    if (sedov) {
+      run_to_time(grid, solver, 1.0, /*regrid_interval=*/2, 0.0, /*max_steps=*/6);
+    } else {
+      run_to_time(grid, solver, 0.04, /*regrid_interval=*/2);
+    }
     std::vector<double> cells;
     for (const int var : {DENS, MOMX, MOMY, ENER}) {
       const auto f = io::to_uniform(grid, var);
@@ -358,10 +423,17 @@ TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
     for (const auto& e : R.region_profiles()) regions[e.label] = e.profile.counters;
     const auto counters = R.counters();
     R.reset_all();
-    return std::tuple{cells, counters, regions};
+    return std::tuple{cells, counters, regions, gated_levels.size(), leaves};
   };
-  const auto [scalar, sc, sregions] = run_with(false);
-  const auto [batched, bc_, bregions] = run_with(true);
+  const auto [scalar, sc, sregions, s_gated, s_leaves] = run_with(false);
+  const auto [batched, bc_, bregions, b_gated, b_leaves] = run_with(true);
+  // The span-layout cases must exercise what they are named for.
+  if (bc.level_gate) {
+    EXPECT_GE(s_gated, 2u) << "truncated group spans fewer than two levels";
+  }
+  if (bc.threads != 0) {
+    EXPECT_NE(s_leaves % bc.threads, 0) << "leaves split evenly";
+  }
   ASSERT_EQ(scalar.size(), batched.size());
   for (std::size_t i = 0; i < scalar.size(); ++i) {
     ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batched[i])) << "cell " << i;
@@ -369,8 +441,12 @@ TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
   EXPECT_EQ(sc.trunc_flops, bc_.trunc_flops);
   EXPECT_EQ(sc.full_flops, bc_.full_flops);
   EXPECT_EQ(sc.trunc_bytes, bc_.trunc_bytes);
+  EXPECT_EQ(sc.full_bytes, bc_.full_bytes);
   EXPECT_EQ(sc.trunc_by_kind, bc_.trunc_by_kind);
   EXPECT_EQ(sc.full_by_kind, bc_.full_by_kind);
+  if (bc.level_gate) {
+    EXPECT_GT(sc.full_flops, 0u) << "the native group issued no ops";
+  }
   for (const char* label : {"hydro", "hydro/recon", "hydro/riemann", "hydro/update"}) {
     ASSERT_TRUE(sregions.count(label) != 0 && bregions.count(label) != 0) << label;
     const auto& s = sregions.at(label);
@@ -381,7 +457,10 @@ TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
     EXPECT_EQ(s.trunc_flops == 0, copies_only) << label;
     EXPECT_EQ(s.trunc_flops, b.trunc_flops) << label;
     EXPECT_EQ(s.full_flops, b.full_flops) << label;
+    EXPECT_EQ(s.trunc_bytes, b.trunc_bytes) << label;
+    EXPECT_EQ(s.full_bytes, b.full_bytes) << label;
     EXPECT_EQ(s.trunc_by_kind, b.trunc_by_kind) << label;
+    EXPECT_EQ(s.full_by_kind, b.full_by_kind) << label;
   }
 }
 
@@ -389,17 +468,22 @@ TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
 // outside their envelope, so the batch path emulates per element.
 INSTANTIATE_TEST_SUITE_P(
     SolverByFormat, HydroBatch,
-    ::testing::Values(BatchCase{RiemannKind::Rusanov, {8, 12}, false},
-                      BatchCase{RiemannKind::HLL, {8, 12}, false},
-                      BatchCase{RiemannKind::HLLC, {8, 12}, false},
-                      BatchCase{RiemannKind::Rusanov, {11, 12}, false},
-                      BatchCase{RiemannKind::HLL, {11, 12}, false},
-                      BatchCase{RiemannKind::HLLC, {11, 12}, false},
-                      BatchCase{RiemannKind::Rusanov, {11, 30}, false},
-                      BatchCase{RiemannKind::HLL, {11, 30}, false},
-                      BatchCase{RiemannKind::HLLC, {11, 30}, false},
-                      BatchCase{RiemannKind::HLLC, {11, 12}, true},
-                      BatchCase{RiemannKind::HLLC, {11, 12}, false, ReconKind::FirstOrder}),
+    ::testing::Values(
+        BatchCase{RiemannKind::Rusanov, {8, 12}, false},
+        BatchCase{RiemannKind::HLL, {8, 12}, false},
+        BatchCase{RiemannKind::HLLC, {8, 12}, false},
+        BatchCase{RiemannKind::Rusanov, {11, 12}, false},
+        BatchCase{RiemannKind::HLL, {11, 12}, false},
+        BatchCase{RiemannKind::HLLC, {11, 12}, false},
+        BatchCase{RiemannKind::Rusanov, {11, 30}, false},
+        BatchCase{RiemannKind::HLL, {11, 30}, false},
+        BatchCase{RiemannKind::HLLC, {11, 30}, false},
+        BatchCase{RiemannKind::HLLC, {11, 12}, true},
+        BatchCase{RiemannKind::HLLC, {11, 12}, false, ReconKind::FirstOrder},
+        BatchCase{RiemannKind::HLLC, {11, 12}, false, ReconKind::PLM, BatchSetup::Sedov},
+        BatchCase{RiemannKind::HLLC, {8, 12}, false, ReconKind::PLM, BatchSetup::Sedov, true},
+        BatchCase{RiemannKind::HLLC, {11, 12}, false, ReconKind::PLM, BatchSetup::Streams, false,
+                  3}),
     batch_case_name);
 
 TEST(HydroTruncation, TruncatedRunDegradesGracefully) {

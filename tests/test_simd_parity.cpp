@@ -12,6 +12,14 @@
 //    aimed at double-subnormal products and quotients and near-midpoint
 //    quotients, out of place and in place, and the guarded Mul witness at
 //    every lane position.
+//  * Zero lanes: ±0 beside in-range lanes at every lane position (one zero,
+//    half, all but one, all), as inputs and as exact zero results, for
+//    e5..e11 x m1..24 (Round also m52) on every path, in place and out of
+//    place, against scalar fast_* and BigFloat — the vectors that take the
+//    kernel's common-case branch with zero lanes in them.
+//  * Lane movement (the compare / compress / merge behind batch::Vec masks
+//    and branches) against scalar loops on every path, lengths around the
+//    vector width, NaN and -0 lanes.
 //  * Edge spans through all four Runtime batch entry points: lengths 0, 1,
 //    and non-multiples of the lane width (tail handling), NaN / inf /
 //    subnormal / signed-zero planted at every lane position — pinned for
@@ -23,6 +31,7 @@
 //    and lane width, per kind, for truncated and full-precision spans alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -461,6 +470,208 @@ TEST(SimdSpanEdges, TailLengthsAndSpecialLanePositions) {
           }
           ASSERT_TRUE(SpanMatches(p, op, a, b.data(), c.data(), expect, spec, "edge"))
               << "n=" << n << " special_pos=" << (n ? pos % n : 0);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Zero lanes on the common branch: ±0 beside in-range lanes
+// ---------------------------------------------------------------------------
+
+/// Which lanes of an 8-lane pattern carry a zero: one zero at every
+/// position, all but one at every position, half (even, odd, low, high),
+/// all, and none. An 8-lane pattern is one AVX-512 vector and two AVX2
+/// vectors, so every lane position of both widths sees every pattern.
+std::vector<std::vector<bool>> zero_lane_patterns() {
+  constexpr std::size_t w = 8;
+  std::vector<std::vector<bool>> out;
+  for (std::size_t p = 0; p < w; ++p) {
+    std::vector<bool> one(w, false), all_but(w, true);
+    one[p] = true;
+    all_but[p] = false;
+    out.push_back(one);
+    out.push_back(all_but);
+  }
+  std::vector<bool> even(w), odd(w), low(w), high(w);
+  for (std::size_t i = 0; i < w; ++i) {
+    even[i] = i % 2 == 0;
+    odd[i] = i % 2 == 1;
+    low[i] = i < w / 2;
+    high[i] = i >= w / 2;
+  }
+  for (const auto& z : {even, odd, low, high, std::vector<bool>(w, true),
+                        std::vector<bool>(w, false)}) {
+    out.push_back(z);
+  }
+  out.push_back({true, false, true, true, false});  // a scalar tail
+  return out;
+}
+
+/// How the zero lanes of a span come about.
+enum class ZeroKind {
+  InA,     ///< a = ±0
+  InB,     ///< b = ±0 (and c = ±0 for fma)
+  Result,  ///< an exact zero result: a + -a, a - a, ±0 * ±v, ±0 / ±v, a*2^k - a*2^k
+};
+
+TEST(SimdZeroLanes, SignedZerosBesideInRangeLanesEveryFormatEveryPath) {
+  const auto patterns = zero_lane_patterns();
+  std::vector<bool> zero;
+  for (const auto& p : patterns) zero.insert(zero.end(), p.begin(), p.end());
+  const std::size_t n = zero.size();
+  std::vector<sf::Format> formats;
+  for (int e = 5; e <= 11; ++e) {
+    for (int m = 1; m <= 24; ++m) formats.push_back({e, m});
+    formats.push_back({e, 52});  // Round only
+  }
+  for (const sf::Format& fmt : formats) {
+    const sf::RoundSpec spec(fmt);
+    const bool round_only = fmt.man_bits > 24;
+    std::mt19937_64 rng(0x2E50 + static_cast<u64>(fmt.exp_bits * 64 + fmt.man_bits));
+    // In-range lanes: format values with exponents in [-3, 3], either sign.
+    const auto value = [&] {
+      const double sig = 1.0 + static_cast<double>(rng() >> 12) * 0x1p-52;
+      const double v = std::ldexp(sig, static_cast<int>(rng() % 7) - 3);
+      return sf::quantize((rng() & 1) != 0 ? -v : v, fmt);
+    };
+    const auto signed_zero = [](std::size_t i) { return i % 3 == 1 ? -0.0 : 0.0; };
+    for (const ZeroKind kind : {ZeroKind::InA, ZeroKind::InB, ZeroKind::Result}) {
+      for (const SpanOp op : {SpanOp::Round, SpanOp::Neg, SpanOp::Sqrt, SpanOp::Add, SpanOp::Sub,
+                              SpanOp::Mul, SpanOp::Div, SpanOp::Fma}) {
+        const bool binary = op != SpanOp::Round && op != SpanOp::Neg && op != SpanOp::Sqrt;
+        if (round_only && op != SpanOp::Round) continue;
+        if (!binary && kind != ZeroKind::InA) continue;
+        if (op == SpanOp::Fma && !sf::fast_fma_supports(fmt)) continue;
+        std::vector<double> a(n), b(n), c(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          a[i] = value();
+          b[i] = value();
+          c[i] = value();
+          if (op == SpanOp::Sqrt) a[i] = std::fabs(a[i]);
+          if (!zero[i]) continue;
+          switch (kind) {
+            case ZeroKind::InA: a[i] = signed_zero(i); break;
+            case ZeroKind::InB:
+              b[i] = signed_zero(i);
+              c[i] = signed_zero(i + 1);
+              break;
+            case ZeroKind::Result:
+              switch (op) {
+                case SpanOp::Add: b[i] = -a[i]; break;
+                case SpanOp::Sub: b[i] = a[i]; break;
+                case SpanOp::Fma:
+                  b[i] = std::ldexp((rng() & 1) != 0 ? -1.0 : 1.0, static_cast<int>(rng() % 5) - 2);
+                  c[i] = -(a[i] * b[i]);
+                  break;
+                default: a[i] = signed_zero(i); break;  // ±0 * ±v, ±0 / ±v
+              }
+              break;
+          }
+        }
+        std::vector<u64> expect(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          double fast = 0.0, big = 0.0;
+          switch (op) {
+            case SpanOp::Round:
+              fast = sf::fast_round(a[i], spec);
+              big = sf::quantize(a[i], fmt);
+              break;
+            case SpanOp::Fma:
+              fast = sf::fast_fma(a[i], b[i], c[i], spec);
+              big = sf::trunc_fma(a[i], b[i], c[i], fmt);
+              break;
+            default:
+              fast = op == SpanOp::Add   ? sf::fast_add(a[i], b[i], spec)
+                     : op == SpanOp::Sub ? sf::fast_sub(a[i], b[i], spec)
+                     : op == SpanOp::Mul ? sf::fast_mul(a[i], b[i], spec)
+                     : op == SpanOp::Div ? sf::fast_div(a[i], b[i], spec)
+                     : op == SpanOp::Neg ? sf::fast_neg(a[i], spec)
+                                         : sf::fast_sqrt(a[i], spec);
+              big = bigfloat_ref(op, a[i], b[i], fmt);
+              break;
+          }
+          ASSERT_EQ(bits_of(fast), bits_of(big))
+              << "scalar/BigFloat disagree: fmt " << fmt.to_string() << " elem " << i;
+          if (zero[i] && (kind == ZeroKind::Result || !binary)) {
+            ASSERT_EQ(fast, 0.0) << "fmt " << fmt.to_string() << " elem " << i;
+          }
+          expect[i] = bits_of(fast);
+        }
+        for (const Path p : available_paths()) {
+          // Out of place, then in place over each operand the op reads.
+          ASSERT_TRUE(SpanMatches(p, op, a, b.data(), c.data(), expect, spec, "zero-lanes"))
+              << "fmt " << fmt.to_string() << " kind " << static_cast<int>(kind);
+          const int operands = op == SpanOp::Fma ? 3 : binary ? 2 : 1;
+          for (int over = 0; over < operands; ++over) {
+            std::vector<double> x = a, y = b, z = c;
+            double* out = over == 0 ? x.data() : over == 1 ? y.data() : z.data();
+            sf::simd::span_exec(p, op, x.data(), y.data(), z.data(), out, n, spec);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(bits_of(out[i]), expect[i])
+                  << "zero-lanes in place over operand " << over << " path "
+                  << sf::simd::path_name(p) << " fmt " << fmt.to_string() << " kind "
+                  << static_cast<int>(kind) << " elem " << i << " lane " << i % lane_width(p);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lane movement: compare, compress, merge on every path
+// ---------------------------------------------------------------------------
+
+TEST(SimdLaneMovement, CompareCompressMergeMatchScalarEveryPath) {
+  std::mt19937_64 rng(0x1A7E);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{8},
+                              std::size_t{9}, std::size_t{63}, std::size_t{64},
+                              std::size_t{65}, std::size_t{200}}) {
+    std::vector<double> a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = static_cast<double>(static_cast<int>(rng() % 7) - 3);
+      b[i] = static_cast<double>(static_cast<int>(rng() % 7) - 3);
+      if (rng() % 9 == 0) a[i] = (rng() & 1) != 0 ? nan : -0.0;
+    }
+    for (const sf::simd::LaneCmp op :
+         {sf::simd::LaneCmp::Le, sf::simd::LaneCmp::Ge, sf::simd::LaneCmp::Lt}) {
+      std::vector<bool> want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = op == sf::simd::LaneCmp::Le   ? a[i] <= b[i]
+                  : op == sf::simd::LaneCmp::Ge ? a[i] >= b[i]
+                                                : a[i] < b[i];
+      }
+      for (const Path p : available_paths()) {
+        // Poisoned words: compare must write every word it owns.
+        std::vector<u64> mask((n + 63) / 64, ~u64{0});
+        const std::size_t set = sf::simd::lanes_compare(p, op, a.data(), b.data(), n, mask.data());
+        ASSERT_EQ(set, static_cast<std::size_t>(std::count(want.begin(), want.end(), true)))
+            << sf::simd::path_name(p) << " n=" << n;
+        for (std::size_t i = 0; i < mask.size() * 64; ++i) {
+          const bool bit = ((mask[i / 64] >> (i % 64)) & 1) != 0;
+          ASSERT_EQ(bit, i < n && want[i]) << sf::simd::path_name(p) << " n=" << n << " i=" << i;
+        }
+        std::vector<double> on(n + 1, 42.0), off(n + 1, 42.0), merged(n, 42.0);
+        const std::size_t n_on =
+            sf::simd::lanes_compress(p, a.data(), mask.data(), true, n, on.data());
+        const std::size_t n_off =
+            sf::simd::lanes_compress(p, a.data(), mask.data(), false, n, off.data());
+        ASSERT_EQ(n_on + n_off, n);
+        std::size_t k_on = 0, k_off = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double got = want[i] ? on[k_on++] : off[k_off++];
+          ASSERT_EQ(bits_of(got), bits_of(a[i])) << sf::simd::path_name(p) << " i=" << i;
+        }
+        // Nothing is written past the compressed lanes.
+        ASSERT_EQ(on[n_on], 42.0);
+        ASSERT_EQ(off[n_off], 42.0);
+        sf::simd::lanes_merge(p, on.data(), off.data(), mask.data(), n, merged.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(bits_of(merged[i]), bits_of(a[i])) << sf::simd::path_name(p) << " i=" << i;
         }
       }
     }
