@@ -12,6 +12,7 @@
 #include "hydro/setups.hpp"
 #include "io/sfocu.hpp"
 #include "runtime/runtime.hpp"
+#include "support/timer.hpp"
 #include "trunc/real.hpp"
 
 namespace raptor::bench {
@@ -27,6 +28,7 @@ struct SweepResult {
   u64 trunc_bytes = 0;
   u64 full_bytes = 0;
   int leaves_end = 0;
+  double seconds = 0.0;  ///< wall time of the truncated run (grid build + solve)
 };
 
 /// Uniform-sampled x-velocity field (momx / dens) for the Table 2 metrics.
@@ -57,6 +59,7 @@ inline SweepResult run_truncated_case(const CompressibleCase& pc, int mantissa, 
   auto& R = rt::Runtime::instance();
   R.reset_counters();
 
+  const Timer timer;
   amr::AmrGrid<Real> grid(pc.grid_cfg);
   grid.build_with_ic(pc.init);
   const int M = pc.grid_cfg.max_level;
@@ -69,6 +72,7 @@ inline SweepResult run_truncated_case(const CompressibleCase& pc, int mantissa, 
   hydro::run_to_time(grid, solver, pc.t_end, pc.regrid_interval);
 
   SweepResult out;
+  out.seconds = timer.seconds();
   out.mantissa = mantissa;
   out.cutoff_l = cutoff_l;
   out.l1_dens = io::compare_fields(io::to_uniform(grid, hydro::DENS), ref_dens).l1;
@@ -84,17 +88,17 @@ inline SweepResult run_truncated_case(const CompressibleCase& pc, int mantissa, 
 
 inline void print_sweep_header(const char* name) {
   std::printf("%s\n", name);
-  std::printf("%-8s %-6s %-12s %-12s %-14s %-14s %-10s %s\n", "cutoff", "man", "L1(dens)",
-              "L1(velx)", "trunc_flops", "full_flops", "trunc%", "leaves");
+  std::printf("%-8s %-6s %-12s %-12s %-14s %-14s %-10s %-8s %s\n", "cutoff", "man", "L1(dens)",
+              "L1(velx)", "trunc_flops", "full_flops", "trunc%", "leaves", "seconds");
 }
 
 inline void print_sweep_row(const SweepResult& r) {
   const double total = static_cast<double>(r.trunc_flops + r.full_flops);
-  std::printf("M-%-6d %-6d %-12.4e %-12.4e %-14llu %-14llu %-10.1f %d\n", r.cutoff_l,
+  std::printf("M-%-6d %-6d %-12.4e %-12.4e %-14llu %-14llu %-10.1f %-8d %.3f\n", r.cutoff_l,
               r.mantissa, r.l1_dens, r.l1_velx, static_cast<unsigned long long>(r.trunc_flops),
               static_cast<unsigned long long>(r.full_flops),
               total > 0 ? 100.0 * static_cast<double>(r.trunc_flops) / total : 0.0,
-              r.leaves_end);
+              r.leaves_end, r.seconds);
 }
 
 inline std::vector<int> default_mantissas() { return {4, 6, 8, 10, 12, 16, 20, 28, 36, 44, 52}; }

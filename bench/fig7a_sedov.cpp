@@ -2,7 +2,8 @@
 //
 // Sweeps mantissa width and the AMR refinement cutoff M-l; reports the L1
 // density error against the full-precision reference (sfocu style) and the
-// truncated/full operation counts behind the paper's bar plots.
+// truncated/full operation counts behind the paper's bar plots, with the wall
+// time of each truncated run (the cost per mantissa).
 //
 // Expected shape (paper §6.1): excluding the finest level (M-1) drops the
 // error by many orders of magnitude for small mantissas and exposes a flat
@@ -47,14 +48,14 @@ int run(int argc, char** argv) {
   bench::print_sweep_header("Figure 7a: Sedov truncation sweep (L1 density error vs mantissa)");
   io::CsvWriter csv(cli.get("csv", "fig7a_sedov.csv"),
                     {"cutoff_l", "mantissa", "l1_dens", "l1_velx", "trunc_flops", "full_flops",
-                     "leaves"});
+                     "leaves", "seconds"});
   for (const int cutoff : {0, 1, 2, 3}) {
     for (const int m : mantissas) {
       const auto r = bench::run_truncated_case(pc, m, cutoff, ref_dens, ref_velx);
       bench::print_sweep_row(r);
       csv.row({static_cast<double>(r.cutoff_l), static_cast<double>(r.mantissa), r.l1_dens,
                r.l1_velx, static_cast<double>(r.trunc_flops), static_cast<double>(r.full_flops),
-               static_cast<double>(r.leaves_end)});
+               static_cast<double>(r.leaves_end), r.seconds});
     }
     std::printf("#\n");
   }

@@ -44,14 +44,14 @@ int run(int argc, char** argv) {
   bench::print_sweep_header("Figure 7b: Sod truncation sweep (L1 density error vs mantissa)");
   io::CsvWriter csv(cli.get("csv", "fig7b_sod.csv"),
                     {"cutoff_l", "mantissa", "l1_dens", "l1_velx", "trunc_flops", "full_flops",
-                     "leaves"});
+                     "leaves", "seconds"});
   for (const int cutoff : {0, 1, 2}) {
     for (const int m : mantissas) {
       const auto r = bench::run_truncated_case(pc, m, cutoff, ref_dens, ref_velx);
       bench::print_sweep_row(r);
       csv.row({static_cast<double>(r.cutoff_l), static_cast<double>(r.mantissa), r.l1_dens,
                r.l1_velx, static_cast<double>(r.trunc_flops), static_cast<double>(r.full_flops),
-               static_cast<double>(r.leaves_end)});
+               static_cast<double>(r.leaves_end), r.seconds});
     }
     std::printf("#\n");
   }

@@ -28,9 +28,10 @@
 // supported SIMD dispatch path (DESIGN.md §13) — the forced-portable run is
 // the pre-SIMD per-element loop body, so batch_portable_s / batch_<best>_s
 // is the SIMD speedup — and write the per-path numbers to BENCH_simd.json,
-// next to a batch::Vec lane-control ladder: ns per lane of a plain op, an op
+// next to a batch::Vec lane-control ladder (ns per lane of a plain op, an op
 // with a broadcast, fabs, fmax and a one-op-per-arm branch at 8, 72 and 2016
-// lanes.
+// lanes) and a mantissa ladder (ns per element of batch Add/Mul/Div/Sqrt at
+// Format{11,m}, m from 12 to 52, 4096 lanes, on every path).
 //
 // Options: --level=N, --steps=N, --csv=..., --json=..., --simd-json=...,
 //   --loops-only (skip the Sedov table; CI), --gate-simd=N (exit nonzero
@@ -300,6 +301,74 @@ std::vector<VecRow> bench_vec_ladder() {
   return rows;
 }
 
+/// One row of the mantissa ladder: ns per element of one batch op at
+/// Format{11, man}, 4096 lanes, on one SIMD path.
+struct ManRow {
+  const char* op;
+  int man = 0;
+  sf::simd::Path path = sf::simd::Path::Portable;
+  double ns_per_el = 0.0;
+};
+
+constexpr const char* kManOps[] = {"add", "mul", "div", "sqrt"};
+constexpr int kManBits[] = {12, 24, 25, 28, 36, 44, 50, 51, 52};
+
+/// The mantissa ladder: op2_batch Add/Mul/Div and op1_batch Sqrt over 4096
+/// lanes at e11 x m in kManBits, on every supported path — the cost of the
+/// double-rounding kernels (m <= 24) against the tie-breaking ones
+/// (m > 24). Operands are random normal values (positive, for sqrt). Per
+/// path the rows take turns over 7 trials and each keeps its fastest.
+std::vector<ManRow> bench_mantissa_ladder() {
+  auto& R = rt::Runtime::instance();
+  constexpr std::size_t kLanes = 4096;
+  constexpr double kElemsPerRow = 1e6;
+  constexpr int kTrials = 7;
+  const int reps = static_cast<int>(kElemsPerRow / kLanes);
+  std::mt19937_64 rng(0x3A4);
+  std::vector<double> a(kLanes), b(kLanes), out(kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    a[i] = std::ldexp(1.0 + static_cast<double>(rng() >> 12) * 0x1p-52,
+                      static_cast<int>(rng() % 16) - 8);
+    b[i] = std::ldexp(1.0 + static_cast<double>(rng() >> 12) * 0x1p-52,
+                      static_cast<int>(rng() % 16) - 8);
+    if ((rng() & 1) != 0) b[i] = -b[i];
+  }
+  std::vector<ManRow> rows;
+  for (const sf::simd::Path p : kAllPaths) {
+    if (!sf::simd::path_supported(p)) continue;
+    R.reset_all();
+    R.force_simd_path(p);
+    std::vector<double> best(std::size(kManBits) * std::size(kManOps), 1e300);
+    for (int trial = 0; trial < kTrials; ++trial) {
+      for (std::size_t mi = 0; mi < std::size(kManBits); ++mi) {
+        TruncScope sc(rt::TruncationSpec::trunc64(11, kManBits[mi]));
+        for (std::size_t k = 0; k < std::size(kManOps); ++k) {
+          const rt::OpKind kinds[] = {rt::OpKind::Add, rt::OpKind::Mul, rt::OpKind::Div};
+          Timer t;
+          for (int r = 0; r < reps; ++r) {
+            if (k < 3) {
+              R.op2_batch(kinds[k], a.data(), b.data(), out.data(), kLanes);
+            } else {
+              R.op1_batch(rt::OpKind::Sqrt, a.data(), out.data(), kLanes);
+            }
+          }
+          double& cell = best[mi * std::size(kManOps) + k];
+          cell = std::min(cell, t.seconds());
+        }
+      }
+    }
+    for (std::size_t mi = 0; mi < std::size(kManBits); ++mi) {
+      for (std::size_t k = 0; k < std::size(kManOps); ++k) {
+        rows.push_back({kManOps[k], kManBits[mi], p,
+                        1e9 * best[mi * std::size(kManOps) + k] /
+                            (static_cast<double>(reps) * static_cast<double>(kLanes))});
+      }
+    }
+  }
+  R.reset_all();
+  return rows;
+}
+
 /// ns per lane of `op` at `lanes` in the ladder.
 double vec_ns(const std::vector<VecRow>& rows, std::string_view op, std::size_t lanes) {
   for (const VecRow& r : rows) {
@@ -331,8 +400,8 @@ void json_simd_loop(std::FILE* f, const char* name, const LoopBench& lb, bool tr
 /// least `gate_simd` times the portable path on both loops (skipped — with a
 /// note — when only the portable path exists, e.g. non-x86 runners).
 int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
-                        const std::vector<VecRow>& ladder, const std::string& path,
-                        int gate_simd) {
+                        const std::vector<VecRow>& ladder, const std::vector<ManRow>& man_ladder,
+                        const std::string& path, int gate_simd) {
   std::printf("\n# SIMD batch kernels, format e8m12 (forced per-path batch timings):\n");
   for (const auto& [name, lb] : {std::pair<const char*, const LoopBench&>{"weno row", weno},
                                  {"plm pencil", plm}}) {
@@ -358,6 +427,20 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
     std::printf("\n");
   }
 
+  std::printf("\n# mantissa ladder, Format{11,m}, 4096 lanes (ns per element):\n");
+  std::printf("%-10s %-6s", "path", "op");
+  for (const int m : kManBits) std::printf("  m=%-5d", m);
+  std::printf("\n");
+  for (std::size_t r = 0; r < man_ladder.size(); r += std::size(kManBits) * std::size(kManOps)) {
+    for (std::size_t k = 0; k < std::size(kManOps); ++k) {
+      std::printf("%-10s %-6s", sf::simd::path_name(man_ladder[r].path), kManOps[k]);
+      for (std::size_t mi = 0; mi < std::size(kManBits); ++mi) {
+        std::printf("  %7.2f", man_ladder[r + mi * std::size(kManOps) + k].ns_per_el);
+      }
+      std::printf("\n");
+    }
+  }
+
   const bool vector_paths = sf::simd::best_path() != sf::simd::Path::Portable;
   const bool pass = !vector_paths || std::min(weno.simd_speedup(), plm.simd_speedup()) >=
                                          static_cast<double>(gate_simd);
@@ -376,6 +459,16 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
                    "\"x_plain\": %.3f}%s\n",
                    r.op, r.lanes, r.ns_per_lane, r.ns_per_lane / vec_ns(ladder, "plain", r.lanes),
                    i + 1 < ladder.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"mantissa_ladder\": [\n");
+    for (std::size_t i = 0; i < man_ladder.size(); ++i) {
+      const ManRow& r = man_ladder[i];
+      std::fprintf(f,
+                   "    {\"op\": \"%s\", \"format\": \"e11m%d\", \"lanes\": 4096, "
+                   "\"path\": \"%s\", \"ns_per_el\": %.4g}%s\n",
+                   r.op, r.man, sf::simd::path_name(r.path), r.ns_per_el,
+                   i + 1 < man_ladder.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"gate\": {\"min_speedup\": %d, \"pass\": %s}\n}\n", gate_simd,
@@ -413,7 +506,8 @@ int run(int argc, char** argv) {
   std::printf("%-16s native %.4fs  scalar %.4fs  batch %.4fs  overhead ratio %.1fx\n",
               "plm pencil", plm.native_s, plm.scalar_s, plm.batch_s, plm.overhead_ratio());
   const std::vector<VecRow> ladder = bench_vec_ladder();
-  const int gate_rc = simd_bench_and_gate(weno, plm, ladder,
+  const std::vector<ManRow> man_ladder = bench_mantissa_ladder();
+  const int gate_rc = simd_bench_and_gate(weno, plm, ladder, man_ladder,
                                           cli.get("simd-json", "BENCH_simd.json"), gate_simd);
   if (loops_only) return gate_rc;
 

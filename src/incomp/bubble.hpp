@@ -20,7 +20,9 @@
 // the air phase.
 #pragma once
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -32,6 +34,35 @@
 #include "trunc/span_ops.hpp"
 
 namespace raptor::incomp {
+
+// ---------------------------------------------------------------------------
+// Stage kernels, written once for double, Real and batch::Vec
+// ---------------------------------------------------------------------------
+
+/// First-order upwind advection of a face velocity q by the velocity
+/// (ax, ay): q - dt (ax dq/dx + ay dq/dy), each one-sided difference taken
+/// on the side its component comes from (xm/xp, ym/yp: q's neighbours in
+/// x and y). Shared by the u faces (ax = q) and the v faces (ay = q).
+template <class S>
+S advect_face(const S& q, const S& xm, const S& xp, const S& ym, const S& yp, const S& ax,
+              const S& ay, double dt, double hx, double hy) {
+  const auto upx = ax >= 0.0;
+  const auto upy = ay >= 0.0;
+  const S dqdx = (select(upx, q, xp) - select(upx, xm, q)) * S(1.0 / hx);
+  const S dqdy = (select(upy, q, yp) - select(upy, ym, q)) * S(1.0 / hy);
+  return q - S(dt) * (ax * dqdx + ay * dqdy);
+}
+
+/// Explicit viscous update of a face velocity: acc + dt nu * lap(q), with
+/// the five-point Laplacian of q from its neighbours. Shared by the u and v
+/// faces.
+template <class S>
+S diffuse_face(const S& acc, const S& q, const S& xm, const S& xp, const S& ym, const S& yp,
+               const S& dt_nu, double hx, double hy) {
+  const S lap = (xp - S(2.0) * q + xm) * S(1.0 / (hx * hx)) +
+                (yp - S(2.0) * q + ym) * S(1.0 / (hy * hy));
+  return acc + dt_nu * lap;
+}
 
 struct BubbleConfig {
   int nx = 64, ny = 128;
@@ -54,13 +85,14 @@ struct BubbleConfig {
   /// Truncation of the advect/diffuse modules; cutoff_l = l of "M-l".
   std::optional<rt::TruncationSpec> trunc;
   int cutoff_l = 0;
-  /// Route the WENO5 level-set advection through the array batch dispatch
-  /// (DESIGN.md §8) when running op-mode with S = Real: rows are split into
-  /// runs of equal truncation gate, the scope is pushed once per run, and
-  /// weno5<batch::Vec> executes the same expression tree as weno5<Real> —
-  /// bit-identical results and counters, batched dispatch. The batch calls
-  /// land on the SIMD truncation kernels (DESIGN.md §13), so a row is
-  /// consumed as full vectors on AVX2/AVX-512 hosts.
+  /// Run every truncated stage (level-set and momentum advection, viscous
+  /// terms) through the array batch dispatch (DESIGN.md §8) when running
+  /// op-mode with S = Real: each thread gathers its share of the cells or
+  /// faces, per truncation gate, into spans of at most kMaxSpanLanes lanes
+  /// and runs the stage kernel's batch::Vec instantiation over each, with
+  /// the scope pushed once per span — bit-identical results and counters,
+  /// one batch call per operator. The double baseline and mem-mode always
+  /// take the per-point loop.
   bool batch = true;
 };
 
@@ -134,6 +166,7 @@ class BubbleSim {
   [[nodiscard]] bool cell_truncated(int i, int j) const {
     return vlevel_[pidx(i, j)] <= cfg_.max_vlevel - cfg_.cutoff_l;
   }
+  [[nodiscard]] double velocity_u(int i, int j) const { return to_double(u_[uidx(i, j)]); }
   [[nodiscard]] double velocity_v(int i, int j) const { return to_double(v_[vidx(i, j)]); }
 
  private:
@@ -158,22 +191,58 @@ class BubbleSim {
     return (1.0 - h) * mu_w + h * mu_w / cfg_.mu_ratio;
   }
 
-  /// Clamped phi accessor in the instrumented scalar.
-  [[nodiscard]] const S& phi_c(int i, int j) const {
-    i = std::clamp(i, 0, cfg_.nx - 1);
-    j = std::clamp(j, 0, cfg_.ny - 1);
-    return phi_[pidx(i, j)];
-  }
-  [[nodiscard]] const S& u_c(int i, int j) const {
-    i = std::clamp(i, 0, cfg_.nx);
-    j = std::clamp(j, 0, cfg_.ny - 1);
-    return u_[uidx(i, j)];
-  }
-  [[nodiscard]] const S& v_c(int i, int j) const {
-    i = std::clamp(i, 0, cfg_.nx - 1);
-    j = std::clamp(j, 0, cfg_.ny);
-    return v_[vidx(i, j)];
-  }
+  /// A field on one of the staggered grids (row length w, h rows); reads
+  /// clamp to its edges.
+  struct Field {
+    const std::vector<S>& v;
+    int w, h;
+    [[nodiscard]] const S& at(int i, int j) const {
+      return v[static_cast<std::size_t>(std::clamp(j, 0, h - 1)) * w + std::clamp(i, 0, w - 1)];
+    }
+  };
+  [[nodiscard]] Field u_field(const std::vector<S>& u) const { return {u, cfg_.nx + 1, cfg_.ny}; }
+  [[nodiscard]] Field v_field(const std::vector<S>& v) const { return {v, cfg_.nx, cfg_.ny + 1}; }
+
+  /// A cell or face (i, j) a stage runs over.
+  struct Point {
+    int i, j;
+  };
+
+  /// A stage kernel's operands at one point, in the instrumented scalar.
+  struct PointAt {
+    using value_type = S;
+    int i, j;
+    [[nodiscard]] S get(const Field& f, int di, int dj) const { return f.at(i + di, j + dj); }
+    /// A per-point native value fn(i, j) as an operand.
+    template <class Fn>
+    [[nodiscard]] S native(const Fn& fn) const {
+      return S(fn(i, j));
+    }
+    void put(std::vector<S>& dst, int w, S value) const {
+      dst[static_cast<std::size_t>(j) * w + i] = std::move(value);
+    }
+  };
+
+  /// The same operands over a span of points, one lane each (S = Real,
+  /// op-mode: lanes carry raw payloads).
+  struct SpanAt {
+    using value_type = batch::Vec;
+    std::span<const Point> pts;
+    [[nodiscard]] batch::Vec get(const Field& f, int di, int dj) const {
+      return batch::Vec::gather(pts.size(), [&](std::size_t k) {
+        return f.at(pts[k].i + di, pts[k].j + dj).raw();
+      });
+    }
+    template <class Fn>
+    [[nodiscard]] batch::Vec native(const Fn& fn) const {
+      return batch::Vec::gather(pts.size(), [&](std::size_t k) { return fn(pts[k].i, pts[k].j); });
+    }
+    void put(std::vector<S>& dst, int w, const batch::Vec& value) const {
+      for (std::size_t k = 0; k < pts.size(); ++k) {
+        dst[static_cast<std::size_t>(pts[k].j) * w + pts[k].i] = Real::adopt_raw(value[k]);
+      }
+    }
+  };
 
   void update_vlevels() {
     for (int j = 0; j < cfg_.ny; ++j) {
@@ -209,164 +278,121 @@ class BubbleSim {
     return dt;
   }
 
-  void advect_phi(double dt) {
+  /// Most points one batch span holds. On the 64x128 bubble, caps from 256
+  /// to 8192 ran within noise of each other; 1024 keeps the WENO kernel's
+  /// few dozen live Vecs (8 KB each) in L2 (DESIGN.md §8).
+  static constexpr std::size_t kMaxSpanLanes = 1024;
+
+  /// Runs `stage` over the points [i0, i1) x [j0, j1) in region `label`,
+  /// each under TruncScope(trunc, gate(i, j)) when cfg.trunc is set.
+  /// stage(at) evaluates a kernel on the operands `at` reads and stores the
+  /// result through it. In op-mode with S = Real and cfg.batch, each thread
+  /// takes a static contiguous share of the points, groups it by gate and
+  /// runs stage's batch::Vec instantiation over spans of up to
+  /// kMaxSpanLanes points, pushing the scope once per span; otherwise the
+  /// stage runs point by point on S. Points never read what another point
+  /// of the stage writes, so both give the same per-point ops, results and
+  /// counts. `mem_bytes` per point go to count_mem outside the scopes.
+  template <class Gate, class Stage>
+  void for_each_point(const char* label, int i0, int i1, int j0, int j1, const Gate& gate,
+                      const Stage& stage, u64 mem_bytes = 0) {
     // Region entry happens inside the parallel block: every executing
     // thread must carry the label, or per-region profiles, overrides, and
     // exclusions would only see the master thread's share.
-    std::vector<S> next(phi_.size());
     if constexpr (std::is_same_v<S, Real>) {
       if (cfg_.batch && rt::Runtime::instance().mode() == rt::Mode::Op) {
+        const int w = i1 - i0, n = w * (j1 - j0);
 #pragma omp parallel
         {
-          Region region("incomp/advect");
-#pragma omp for schedule(dynamic)
-          for (int j = 0; j < cfg_.ny; ++j) {
-            advect_row_batch(j, dt, next);
-            rt::Runtime::instance().count_mem(static_cast<u64>(cfg_.nx) * 16 * sizeof(double));
+          Region region(label);
+          std::vector<Point> share[2];  // by gate: [0] native or untruncated, [1] truncated
+#pragma omp for schedule(static) nowait
+          for (int p = 0; p < n; ++p) {
+            const int i = i0 + p % w, j = j0 + p / w;
+            share[cfg_.trunc && gate(i, j) ? 1 : 0].push_back({i, j});
+          }
+          for (const int g : {1, 0}) {
+            const std::span<const Point> pts = share[g];
+            for (std::size_t k = 0; k < pts.size(); k += kMaxSpanLanes) {
+              std::optional<TruncScope> sc;
+              if (cfg_.trunc) sc.emplace(*cfg_.trunc, g == 1);
+              stage(SpanAt{pts.subspan(k, std::min(kMaxSpanLanes, pts.size() - k))});
+            }
+          }
+          if (mem_bytes != 0) {
+            rt::Runtime::instance().count_mem((share[0].size() + share[1].size()) * mem_bytes);
           }
         }
-        phi_ = std::move(next);
         return;
       }
     }
 #pragma omp parallel
     {
-      Region region("incomp/advect");
+      Region region(label);
 #pragma omp for schedule(dynamic)
-      for (int j = 0; j < cfg_.ny; ++j) {
-        for (int i = 0; i < cfg_.nx; ++i) {
+      for (int j = j0; j < j1; ++j) {
+        for (int i = i0; i < i1; ++i) {
           std::optional<TruncScope> sc;
           if (cfg_.trunc) sc.emplace(*cfg_.trunc, gate(i, j));
-          const S uc = (u_c(i, j) + u_c(i + 1, j)) * S(0.5);
-          const S vc = (v_c(i, j) + v_c(i, j + 1)) * S(0.5);
-          const double ud = to_double(uc), vd = to_double(vc);
-          const S dphidx = weno5_derivative<S>(
-              [&](int k) -> S { return phi_c(i + k, j); }, ud, hx_);
-          const S dphidy = weno5_derivative<S>(
-              [&](int k) -> S { return phi_c(i, j + k); }, vd, hy_);
-          next[pidx(i, j)] = phi_[pidx(i, j)] - S(dt) * (uc * dphidx + vc * dphidy);
+          stage(PointAt{i, j});
         }
-        rt::Runtime::instance().count_mem(static_cast<u64>(cfg_.nx) * 16 * sizeof(double));
+        if (mem_bytes != 0) rt::Runtime::instance().count_mem((i1 - i0) * mem_bytes);
       }
     }
-    phi_ = std::move(next);
   }
 
-  /// Batched WENO5 advection of one row (S = Real, op-mode): the row is cut
-  /// into maximal runs of equal truncation gate; each run pushes its scope
-  /// once, gathers the upwind stencils natively, and evaluates the same
-  /// expression tree as the scalar loop via batch::Vec — per-element results
-  /// and counter totals are bitwise identical to the scalar path.
-  void advect_row_batch(int j, double dt, std::vector<S>& next) {
-    using batch::Vec;
-    int i0 = 0;
-    while (i0 < cfg_.nx) {
-      int i1 = i0 + 1;
-      if (cfg_.trunc) {
-        while (i1 < cfg_.nx && gate(i1, j) == gate(i0, j)) ++i1;
-      } else {
-        i1 = cfg_.nx;
-      }
-      const std::size_t len = static_cast<std::size_t>(i1 - i0);
-      std::optional<TruncScope> sc;
-      if (cfg_.trunc) sc.emplace(*cfg_.trunc, gate(i0, j));
-
-      const Vec ua = Vec::gather(len, [&](std::size_t k) {
-        return u_c(i0 + static_cast<int>(k), j).raw();
-      });
-      const Vec ub = Vec::gather(len, [&](std::size_t k) {
-        return u_c(i0 + static_cast<int>(k) + 1, j).raw();
-      });
-      const Vec uc = (ua + ub) * Vec(0.5);
-      const Vec va = Vec::gather(len, [&](std::size_t k) {
-        return v_c(i0 + static_cast<int>(k), j).raw();
-      });
-      const Vec vb = Vec::gather(len, [&](std::size_t k) {
-        return v_c(i0 + static_cast<int>(k), j + 1).raw();
-      });
-      const Vec vc = (va + vb) * Vec(0.5);
-
-      // Upwind-selected one-sided differences: v1..v5 in the scalar loop's
-      // order, gathered per cell from the sign of the advecting velocity.
-      static constexpr int kUp[5][2] = {{-2, -3}, {-1, -2}, {0, -1}, {1, 0}, {2, 1}};
-      static constexpr int kDn[5][2] = {{3, 2}, {2, 1}, {1, 0}, {0, -1}, {-1, -2}};
-      const auto stencil = [&](const Vec& vel, bool xdir_, int s) {
-        const double ih = 1.0 / (xdir_ ? hx_ : hy_);
-        const Vec a = Vec::gather(len, [&](std::size_t k) {
-          const int i = i0 + static_cast<int>(k);
-          const int o = vel[k] >= 0.0 ? kUp[s][0] : kDn[s][0];
-          return (xdir_ ? phi_c(i + o, j) : phi_c(i, j + o)).raw();
-        });
-        const Vec b = Vec::gather(len, [&](std::size_t k) {
-          const int i = i0 + static_cast<int>(k);
-          const int o = vel[k] >= 0.0 ? kUp[s][1] : kDn[s][1];
-          return (xdir_ ? phi_c(i + o, j) : phi_c(i, j + o)).raw();
-        });
-        return (a - b) * Vec(ih);
-      };
-      const Vec dphidx = weno5<Vec>(stencil(uc, true, 0), stencil(uc, true, 1),
-                                    stencil(uc, true, 2), stencil(uc, true, 3),
-                                    stencil(uc, true, 4));
-      const Vec dphidy = weno5<Vec>(stencil(vc, false, 0), stencil(vc, false, 1),
-                                    stencil(vc, false, 2), stencil(vc, false, 3),
-                                    stencil(vc, false, 4));
-      const Vec phi_row =
-          Vec::gather(len, [&](std::size_t k) { return phi_[pidx(i0 + static_cast<int>(k), j)].raw(); });
-      const Vec out = phi_row - Vec(dt) * (uc * dphidx + vc * dphidy);
-      for (std::size_t k = 0; k < len; ++k) {
-        next[pidx(i0 + static_cast<int>(k), j)] = Real::adopt_raw(out[k]);
-      }
-      i0 = i1;
-    }
+  /// WENO5 level-set transport by the cell-centred velocity.
+  void advect_phi(double dt) {
+    const Field u = u_field(u_), v = v_field(v_), phi{phi_, cfg_.nx, cfg_.ny};
+    std::vector<S> next(phi_.size());
+    for_each_point(
+        "incomp/advect", 0, cfg_.nx, 0, cfg_.ny, [&](int i, int j) { return gate(i, j); },
+        [&](const auto& at) {
+          using T = typename std::decay_t<decltype(at)>::value_type;
+          const T uc = (at.get(u, 0, 0) + at.get(u, 1, 0)) * T(0.5);
+          const T vc = (at.get(v, 0, 0) + at.get(v, 0, 1)) * T(0.5);
+          const T dphidx = weno5_derivative<T>([&](int k) { return at.get(phi, k, 0); }, uc, hx_);
+          const T dphidy = weno5_derivative<T>([&](int k) { return at.get(phi, 0, k); }, vc, hy_);
+          at.put(next, cfg_.nx, at.get(phi, 0, 0) - T(dt) * (uc * dphidx + vc * dphidy));
+        },
+        16 * sizeof(double));
+    phi_ = std::move(next);
   }
 
   void predictor(double dt) {
     const double g = 1.0 / (cfg_.fr * cfg_.fr);
     const double sigma = 1.0 / cfg_.we;
+    const int nx = cfg_.nx, ny = cfg_.ny;
     const ScalarField phid = phi_field();
     std::vector<S> us = u_, vs = v_;
+    const Field u = u_field(u_), v = v_field(v_), u_acc = u_field(us), v_acc = v_field(vs);
+    // dt * nu at a face, nu the kinematic viscosity of its phase mix.
+    const auto face_dt_nu = [&](double phi_face) {
+      const double nu = mu_of(phi_face) / rho_of(phi_face);
+      return dt * nu;
+    };
 
     // u faces (interior: no penetration at the side walls).
-#pragma omp parallel
-    {
-      Region region("incomp/advect");
-#pragma omp for schedule(dynamic)
-      for (int j = 0; j < cfg_.ny; ++j) {
-        for (int i = 1; i < cfg_.nx; ++i) {
-          std::optional<TruncScope> sc;
-          if (cfg_.trunc) sc.emplace(*cfg_.trunc, gate(i - 1, j) && gate(i, j));
-          const S uc = u_[uidx(i, j)];
-          const S vbar = (v_c(i - 1, j) + v_c(i, j) + v_c(i - 1, j + 1) + v_c(i, j + 1)) * S(0.25);
-          const double ud = to_double(uc), vd = to_double(vbar);
-          const S dudx = ud >= 0 ? (uc - u_c(i - 1, j)) * S(1.0 / hx_)
-                                 : (u_c(i + 1, j) - uc) * S(1.0 / hx_);
-          const S dudy = vd >= 0 ? (uc - u_c(i, j - 1)) * S(1.0 / hy_)
-                                 : (u_c(i, j + 1) - uc) * S(1.0 / hy_);
-          us[uidx(i, j)] = uc - S(dt) * (uc * dudx + vbar * dudy);
-        }
-      }
-    }
-#pragma omp parallel
-    {
-      Region region("incomp/diffuse");
-#pragma omp for schedule(dynamic)
-      for (int j = 0; j < cfg_.ny; ++j) {
-        for (int i = 1; i < cfg_.nx; ++i) {
-          std::optional<TruncScope> sc;
-          if (cfg_.trunc) sc.emplace(*cfg_.trunc, gate(i - 1, j) && gate(i, j));
-          const double phi_face = 0.5 * (phid.at(i - 1, j) + phid.at(i, j));
-          const double nu = mu_of(phi_face) / rho_of(phi_face);
-          const S lap = (u_c(i + 1, j) - S(2.0) * u_[uidx(i, j)] + u_c(i - 1, j)) *
-                            S(1.0 / (hx_ * hx_)) +
-                        (u_c(i, j + 1) - S(2.0) * u_[uidx(i, j)] + u_c(i, j - 1)) *
-                            S(1.0 / (hy_ * hy_));
-          us[uidx(i, j)] = us[uidx(i, j)] + S(dt * nu) * lap;
-        }
-      }
-    }
+    const auto u_gate = [&](int i, int j) { return gate(i - 1, j) && gate(i, j); };
+    for_each_point("incomp/advect", 1, nx, 0, ny, u_gate, [&](const auto& at) {
+      using T = typename std::decay_t<decltype(at)>::value_type;
+      const T q = at.get(u, 0, 0);
+      const T vbar = (at.get(v, -1, 0) + at.get(v, 0, 0) + at.get(v, -1, 1) + at.get(v, 0, 1)) *
+                     T(0.25);
+      at.put(us, nx + 1,
+             advect_face(q, at.get(u, -1, 0), at.get(u, 1, 0), at.get(u, 0, -1), at.get(u, 0, 1),
+                         q, vbar, dt, hx_, hy_));
+    });
+    for_each_point("incomp/diffuse", 1, nx, 0, ny, u_gate, [&](const auto& at) {
+      const auto dt_nu = at.native(
+          [&](int i, int j) { return face_dt_nu(0.5 * (phid.at(i - 1, j) + phid.at(i, j))); });
+      at.put(us, nx + 1,
+             diffuse_face(at.get(u_acc, 0, 0), at.get(u, 0, 0), at.get(u, -1, 0),
+                          at.get(u, 1, 0), at.get(u, 0, -1), at.get(u, 0, 1), dt_nu, hx_, hy_));
+    });
     // Surface tension x-component (native force, added outside truncation).
-    for (int j = 0; j < cfg_.ny; ++j) {
-      for (int i = 1; i < cfg_.nx; ++i) {
+    for (int j = 0; j < ny; ++j) {
+      for (int i = 1; i < nx; ++i) {
         const double phi_face = 0.5 * (phid.at(i - 1, j) + phid.at(i, j));
         const double rho_f = rho_of(phi_face);
         const double kap = 0.5 * (curvature(phid, i - 1, j) + curvature(phid, i, j));
@@ -379,46 +405,26 @@ class BubbleSim {
     }
 
     // v faces (interior: no penetration at top/bottom walls).
-#pragma omp parallel
-    {
-      Region region("incomp/advect");
-#pragma omp for schedule(dynamic)
-      for (int j = 1; j < cfg_.ny; ++j) {
-        for (int i = 0; i < cfg_.nx; ++i) {
-          std::optional<TruncScope> sc;
-          if (cfg_.trunc) sc.emplace(*cfg_.trunc, gate(i, j - 1) && gate(i, j));
-          const S vc = v_[vidx(i, j)];
-          const S ubar = (u_c(i, j - 1) + u_c(i + 1, j - 1) + u_c(i, j) + u_c(i + 1, j)) * S(0.25);
-          const double vd = to_double(vc), ud = to_double(ubar);
-          const S dvdx = ud >= 0 ? (vc - v_c(i - 1, j)) * S(1.0 / hx_)
-                                 : (v_c(i + 1, j) - vc) * S(1.0 / hx_);
-          const S dvdy = vd >= 0 ? (vc - v_c(i, j - 1)) * S(1.0 / hy_)
-                                 : (v_c(i, j + 1) - vc) * S(1.0 / hy_);
-          vs[vidx(i, j)] = vc - S(dt) * (ubar * dvdx + vc * dvdy);
-        }
-      }
-    }
-#pragma omp parallel
-    {
-      Region region("incomp/diffuse");
-#pragma omp for schedule(dynamic)
-      for (int j = 1; j < cfg_.ny; ++j) {
-        for (int i = 0; i < cfg_.nx; ++i) {
-          std::optional<TruncScope> sc;
-          if (cfg_.trunc) sc.emplace(*cfg_.trunc, gate(i, j - 1) && gate(i, j));
-          const double phi_face = 0.5 * (phid.at(i, j - 1) + phid.at(i, j));
-          const double nu = mu_of(phi_face) / rho_of(phi_face);
-          const S lap = (v_c(i + 1, j) - S(2.0) * v_[vidx(i, j)] + v_c(i - 1, j)) *
-                            S(1.0 / (hx_ * hx_)) +
-                        (v_c(i, j + 1) - S(2.0) * v_[vidx(i, j)] + v_c(i, j - 1)) *
-                            S(1.0 / (hy_ * hy_));
-          vs[vidx(i, j)] = vs[vidx(i, j)] + S(dt * nu) * lap;
-        }
-      }
-    }
+    const auto v_gate = [&](int i, int j) { return gate(i, j - 1) && gate(i, j); };
+    for_each_point("incomp/advect", 0, nx, 1, ny, v_gate, [&](const auto& at) {
+      using T = typename std::decay_t<decltype(at)>::value_type;
+      const T q = at.get(v, 0, 0);
+      const T ubar = (at.get(u, 0, -1) + at.get(u, 1, -1) + at.get(u, 0, 0) + at.get(u, 1, 0)) *
+                     T(0.25);
+      at.put(vs, nx,
+             advect_face(q, at.get(v, -1, 0), at.get(v, 1, 0), at.get(v, 0, -1), at.get(v, 0, 1),
+                         ubar, q, dt, hx_, hy_));
+    });
+    for_each_point("incomp/diffuse", 0, nx, 1, ny, v_gate, [&](const auto& at) {
+      const auto dt_nu = at.native(
+          [&](int i, int j) { return face_dt_nu(0.5 * (phid.at(i, j - 1) + phid.at(i, j))); });
+      at.put(vs, nx,
+             diffuse_face(at.get(v_acc, 0, 0), at.get(v, 0, 0), at.get(v, -1, 0),
+                          at.get(v, 1, 0), at.get(v, 0, -1), at.get(v, 0, 1), dt_nu, hx_, hy_));
+    });
     // Buoyancy + surface tension y-component (native forces).
-    for (int j = 1; j < cfg_.ny; ++j) {
-      for (int i = 0; i < cfg_.nx; ++i) {
+    for (int j = 1; j < ny; ++j) {
+      for (int i = 0; i < nx; ++i) {
         const double phi_face = 0.5 * (phid.at(i, j - 1) + phid.at(i, j));
         const double rho_f = rho_of(phi_face);
         // Gravity with the hydrostatic water column subtracted: quiescent

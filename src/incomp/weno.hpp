@@ -35,25 +35,24 @@ S weno5(const S& v1, const S& v2, const S& v3, const S& v4, const S& v5) {
   return w1 * q1 + w2 * q2 + w3 * q3;
 }
 
-/// Upwinded WENO5 x-derivative of field q at cell i (needs i +- 3 in
-/// bounds): vel > 0 uses the left-biased stencil, else right-biased.
-/// `get(k)` fetches q at offset k from i; h is the grid spacing.
-template <class S, class Get>
-S weno5_derivative(const Get& get, double vel, double h) {
+/// Upwinded WENO5 derivative of a field q at a cell (needs offsets -3..3):
+/// vel >= 0 uses the left-biased stencil, else the right-biased one.
+/// `get(k)` fetches q at offset k from the cell; h is the grid spacing.
+/// Written once for every lane type: the upwind choice selects operands
+/// (select, real.hpp) rather than branching, so for batch::Vec, with `vel`
+/// and every get(k) a Vec and the choice a Mask, each lane issues the same
+/// ops the scalar call does for it.
+template <class S, class Get, class Vel>
+S weno5_derivative(const Get& get, const Vel& vel, double h) {
+  const auto up = vel >= 0.0;
   const S ih(1.0 / h);
-  if (vel >= 0.0) {
-    const S v1 = (get(-2) - get(-3)) * ih;
-    const S v2 = (get(-1) - get(-2)) * ih;
-    const S v3 = (get(0) - get(-1)) * ih;
-    const S v4 = (get(1) - get(0)) * ih;
-    const S v5 = (get(2) - get(1)) * ih;
-    return weno5(v1, v2, v3, v4, v5);
-  }
-  const S v1 = (get(3) - get(2)) * ih;
-  const S v2 = (get(2) - get(1)) * ih;
-  const S v3 = (get(1) - get(0)) * ih;
-  const S v4 = (get(0) - get(-1)) * ih;
-  const S v5 = (get(-1) - get(-2)) * ih;
+  const S q[7] = {get(-3), get(-2), get(-1), get(0), get(1), get(2), get(3)};  // offsets -3..3
+  // The k-th (from 0) of the upwind-ordered differences v1..v5:
+  // q(k-2) - q(k-3) left-biased, mirrored to q(3-k) - q(2-k) right-biased.
+  const auto diff = [&](int k) {
+    return (select(up, q[k + 1], q[6 - k]) - select(up, q[k], q[5 - k])) * ih;
+  };
+  const S v1 = diff(0), v2 = diff(1), v3 = diff(2), v4 = diff(3), v5 = diff(4);
   return weno5(v1, v2, v3, v4, v5);
 }
 

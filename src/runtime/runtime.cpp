@@ -883,7 +883,7 @@ double Runtime::op1_dispatch(ThreadState& ts, OpKind k, double a, int width) {
     // Narrower formats execute on fp64 hardware + fast_round, never through
     // fp32 hardware: widening through fp32 double-rounds for man_bits > 11
     // (DESIGN.md §8; pinned by DoubleRoundingWitness in test_runtime).
-    if (fast1_kind(k) && sf::fast_op_supports(*f)) return fast1(k, a, *f);
+    if (fast1_kind(k) && sf::fast_round_supports(*f)) return fast1(k, a, *f);
   }
   return emulate1(ts, k, a, *f);
 }
@@ -907,7 +907,7 @@ double Runtime::op2_dispatch(ThreadState& ts, OpKind k, double a, double b, int 
   if (hw_fastpath_) {
     if (*f == sf::Format::fp64()) return native2(k, a, b);
     if (*f == sf::Format::fp32()) return native2_f32(k, a, b);
-    if (fast2_kind(k) && sf::fast_op_supports(*f)) return fast2(k, a, b, *f);
+    if (fast2_kind(k) && sf::fast_round_supports(*f)) return fast2(k, a, b, *f);
   }
   return emulate2(ts, k, a, b, *f);
 }
@@ -944,8 +944,9 @@ double Runtime::op3_dispatch(ThreadState& ts, OpKind k, double a, double b, doub
 // Shared structure: resolve the thread state, mode and effective format once,
 // bump the counters with a single bulk add, then stream one of four loop
 // bodies over the span — native (no truncation), hardware (fp64/fp32 under
-// the fast-path flag), fast_round integer kernel (formats inside the
-// innocuous-double-rounding envelope), or per-element BigFloat emulation.
+// the fast-path flag), the fast_round kernels (every format with
+// exp_bits <= 11; fma: exp_bits <= 9, man_bits <= 24), or per-element
+// BigFloat emulation.
 // Every body is bit-identical to the scalar op loop it replaces; mem-mode
 // delegates to the scalar entry points so handle ownership is unchanged.
 
@@ -981,7 +982,7 @@ void Runtime::op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* o
     for (std::size_t i = 0; i < n; ++i) out[i] = native1_f32(k, a[i]);
     return;
   }
-  if (fast1_kind(k) && sf::fast_op_supports(*f)) {
+  if (fast1_kind(k) && sf::fast_round_supports(*f)) {
     const sf::RoundSpec fmt(*f);
     sf::simd::span_exec(simd_path_,
                         k == OpKind::Neg ? sf::simd::SpanOp::Neg : sf::simd::SpanOp::Sqrt, a,
@@ -1036,7 +1037,7 @@ void Runtime::op2_batch_op(ThreadState& ts, OpKind k, const double* a, const dou
     for (std::size_t i = 0; i < n; ++i) out[i] = native2_f32(k, a[i], b[i]);
     return;
   }
-  if (fast2_kind(k) && sf::fast_op_supports(*f)) {
+  if (fast2_kind(k) && sf::fast_round_supports(*f)) {
     const sf::RoundSpec fmt(*f);  // hoisted format constants for the hot loop
     sf::simd::span_exec(simd_path_, span2_op(k), a, b, nullptr, out, n, fmt);
     return;
@@ -1098,9 +1099,6 @@ void Runtime::trunc_array(const double* in, double* out, std::size_t n, int widt
     return;
   }
   if (sf::fast_round_supports(*f)) {
-    // Wider envelope than the arithmetic ops: pure rounding is exact for
-    // every format representable in double, including exp_bits == 11
-    // formats whose outputs land in double's subnormal range.
     const sf::RoundSpec fmt(*f);
     sf::simd::span_exec(simd_path_, sf::simd::SpanOp::Round, in, nullptr, nullptr, out, n, fmt);
     return;

@@ -188,6 +188,7 @@ SearchResult PrecisionSearch::run(const Workload& workload) const {
       log_line(opts_, "  region " + region + ": left native (err " +
                           std::to_string(err_at_hi) + " at m=" + std::to_string(hi) + ")");
       out.choices.push_back(std::move(choice));
+      progress.update(out.choices);
       continue;
     }
     while (lo < hi) {

@@ -338,10 +338,13 @@ u64 isqrt128(u128 x) {
   double approx = std::sqrt(static_cast<double>(static_cast<u64>(x >> 64)) * 0x1.0p64 +
                             static_cast<double>(static_cast<u64>(x)));
   u64 g = approx >= 0x1.0p64 ? ~u64{0} : static_cast<u64>(approx);
-  // A couple of Newton steps in integer arithmetic.
+  // A couple of Newton steps in integer arithmetic. The quotient saturates:
+  // a seed just below a root near 2^64 (an all-ones 53-bit significand,
+  // e.g. DBL_MAX) makes x / g reach 2^64.
   for (int i = 0; i < 4; ++i) {
     if (g == 0) break;
-    const u64 q = static_cast<u64>(x / g);
+    const u128 q128 = x / g;
+    const u64 q = q128 > ~u64{0} ? ~u64{0} : static_cast<u64>(q128);
     g = g / 2 + q / 2 + (g & q & 1);
   }
   while (g != 0 && u128{g} * g > x) --g;

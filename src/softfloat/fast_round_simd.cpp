@@ -86,6 +86,11 @@ void merge_portable(const double* on_vals, const double* off_vals, const u64* ma
   }
 }
 
+void blend_portable(const u64* mask, const double* a, const double* b, std::size_t n,
+                    double* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = mask_bit(mask, i) ? a[i] : b[i];
+}
+
 /// Runtime CPUID support for a path the binary was able to compile.
 bool cpu_supports(Path p) {
   switch (p) {
@@ -93,7 +98,9 @@ bool cpu_supports(Path p) {
       return true;
     case Path::Avx2:
 #if defined(RAPTOR_SIMD_HAVE_AVX2)
-      return __builtin_cpu_supports("avx2") != 0;
+      // The man_bits > 24 kernels use FMA3 (every AVX2 core from Intel
+      // Haswell and AMD Excavator on has it; check it explicitly).
+      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0;
 #else
       return false;
 #endif
@@ -213,6 +220,16 @@ std::size_t lanes_compress(Path p, const double* in, const u64* mask, bool on, s
 #endif
   (void)p;
   return compress_portable(in, mask, on, n, out);
+}
+
+void lanes_blend(Path p, const u64* mask, const double* a, const double* b, std::size_t n,
+                 double* out) {
+  if (n == 0) return;
+#if defined(RAPTOR_SIMD_HAVE_AVX512)
+  if (resolve_path(p) == Path::Avx512) return detail::lanes_blend_avx512(mask, a, b, n, out);
+#endif
+  (void)p;
+  blend_portable(mask, a, b, n, out);
 }
 
 void lanes_merge(Path p, const double* on_vals, const double* off_vals, const u64* mask,

@@ -26,13 +26,17 @@
 // overflow-to-inf. tests/test_simd_parity.cpp pins this with exhaustive
 // fp16-pattern sweeps and >= 1M random fp64 inputs per format on every
 // available path. Envelopes are the caller's job, exactly as for the scalar
-// kernels: SpanOp::Round requires fast_round_supports(fmt); the arithmetic
-// ops require fast_op_supports (exp <= 11, man <= 24) / fast_fma_supports
-// (exp <= 9). Inside them one check remains in the kernel: at exp_bits == 11
-// a Mul lane whose hardware product is a nonzero double subnormal may be
-// double-rounded (fast_round.hpp), so SpanOp::Mul masks those lanes and
-// recomputes exactly them through BigFloat from the operands it loaded, which
-// keeps in-place spans legal.
+// kernels: every op but Fma requires fast_round_supports(fmt) (exp <= 11,
+// man <= 52); Fma requires fast_fma_supports (exp <= 9, man <= 24). Which
+// kernel runs is decided once per span: man_bits <= 24 takes the
+// double-rounding kernels, man_bits > 24 the tie-breaking ones (each op's
+// error recovered with an error-free transform, vround_tie below). One
+// check remains inside the kernels at exp_bits == 11: lanes whose fast
+// argument fails near double's underflow (man_bits <= 24: a Mul whose
+// hardware product is a nonzero double subnormal; man_bits > 24: a Mul
+// product, or a Div dividend or Sqrt radicand, nonzero and below 2^-968)
+// are masked and recomputed through BigFloat from the operands the kernel
+// loaded, which keeps in-place spans legal.
 //
 // Tail strategy: each span kernel streams full vectors and finishes the
 // remaining n % width elements as one more vector — the span's last `width`
@@ -97,12 +101,12 @@ void span_exec(Path p, SpanOp op, const double* a, const double* b, const double
 // ===========================================================================
 //
 // Exact copies — no rounding, no counting: the comparisons behind
-// batch::Mask and the compress/merge pair behind batch::branch, Pick and
-// fabs. A mask holds one bit per lane, lane i in bit i % 64 of word i / 64;
-// bits past n in the last word are zero. The AVX-512 path moves eight lanes
-// per instruction (VCMPPD into a k-mask, VCOMPRESSPD, VEXPANDPD); every
-// other path runs the portable loops. Like span_exec, an unsupported `p`
-// falls back to default_path().
+// batch::Mask, the compress/merge pair behind batch::branch, Pick and fabs,
+// and the blend behind batch::select. A mask holds one bit per lane, lane i
+// in bit i % 64 of word i / 64; bits past n in the last word are zero. The
+// AVX-512 path moves eight lanes per instruction (VCMPPD into a k-mask,
+// VCOMPRESSPD, VEXPANDPD, VBLENDMPD); every other path runs the portable
+// loops. Like span_exec, an unsupported `p` falls back to default_path().
 
 /// The Vec comparisons (IEEE ordered: a NaN lane compares false).
 enum class LaneCmp : u8 { Le, Ge, Lt };
@@ -116,6 +120,10 @@ std::size_t lanes_compare(Path p, LaneCmp op, const double* a, const double* b, 
 /// in lane order; returns how many there were.
 std::size_t lanes_compress(Path p, const double* in, const u64* mask, bool on, std::size_t n,
                            double* out);
+
+/// out[i] = mask bit i ? a[i] : b[i] for i in [0, n).
+void lanes_blend(Path p, const u64* mask, const double* a, const double* b, std::size_t n,
+                 double* out);
 
 /// The inverse of a compress on each side: out[i] = the next of on_vals
 /// where mask bit i is set, the next of off_vals where it is clear — or, if
@@ -144,6 +152,8 @@ void lanes_merge(Path p, const double* on_vals, const double* off_vals, const u6
 //   bool all(vb);                             // every lane set?
 //   vi  blend(vb m, vi t, vi f);              // m ? t : f, per lane
 //   vf  addf/subf/mulf/divf(vf, vf);  vf sqrtf_(vf);
+//   vf  fmsub(vf a, vf b, vf c);              // a * b - c, one rounding
+//   vf  fnmadd(vf a, vf b, vf c);             // c - a * b, one rounding
 //   vi  floor_log2(vi v);                     // exact for 1 <= v <= 2^52;
 //                                             // v == 0 may return anything
 //
@@ -216,12 +226,14 @@ struct VSpec {
         fast_keep(I::b64(static_cast<i64>(~((u64{1} << cdrop) - 1)))) {}
 };
 
-/// fast_round across lanes: RNE round of each lane into the format described
-/// by `S`, widened back to double. Bit-identical to sf::fast_round per lane
-/// over the full fast_round_supports envelope (exp <= 11, man <= 52),
-/// including double-subnormal inputs AND outputs.
-template <class I>
-[[nodiscard]] inline typename I::vf vround(typename I::vf x, const VSpec<I>& S) {
+/// The body of vround and vround_tie. With kTie, lane i of `t` is the
+/// error of x's lane i as in the scalar sf::fast_round(x, t, spec): zero
+/// when x is exact, else its sign breaks the ties x lands on. Without kTie
+/// `t` is ignored and ties go to even.
+template <class I, bool kTie>
+[[gnu::always_inline]] inline typename I::vf round_lanes(typename I::vf x,
+                                                         [[maybe_unused]] typename I::vf t,
+                                                         const VSpec<I>& S) {
   using vi = typename I::vi;
   using vb = typename I::vb;
 
@@ -250,7 +262,15 @@ template <class I>
   if (!I::all(in_range)) in_range = I::orm(in_range, I::eq(I::template sll<1>(bits), S.zero));
   if (I::all(in_range)) [[likely]] {
     if (S.cdrop == 0) return x;  // man_bits == 52: every fast lane is exact
-    const vi bump = I::add(I::and_(I::srlv(bits, S.cdrop_v), S.one), S.fast_half_m1);
+    // The tie bit: the kept LSB (ties to even), or with kTie, where t != 0,
+    // whether t has x's sign (the exact value lies beyond the midpoint).
+    vi tie = I::and_(I::srlv(bits, S.cdrop_v), S.one);
+    if constexpr (kTie) {
+      const vi tb = I::cast_i(t);
+      const vi same = I::xor_(I::template srl<63>(I::xor_(tb, bits)), S.one);
+      tie = I::blend(I::notm(I::eq(I::andnot(S.sign, tb), S.zero)), same, tie);
+    }
+    const vi bump = I::add(tie, S.fast_half_m1);
     vi r = I::and_(I::add(bits, bump), S.fast_keep);
     const vi ref = I::and_(I::template srl<52>(r), S.expf);
     r = I::blend(I::gt(ref, S.fast_hi), I::or_(I::and_(bits, S.sign), S.inf), r);
@@ -293,8 +313,14 @@ template <class I>
   const vi kept0 = I::srlv(m, drop);
   const vi below = I::and_(m, I::sub(half, S.one));
   const vb hit_half = I::notm(I::eq(I::and_(m, half), S.zero));
-  const vb sticky = I::orm(I::notm(I::eq(below, S.zero)),
-                           I::notm(I::eq(I::and_(kept0, S.one), S.zero)));
+  vb tie_up = I::notm(I::eq(I::and_(kept0, S.one), S.zero));
+  if constexpr (kTie) {
+    const vi tb = I::cast_i(t);
+    const vb t_nonzero = I::notm(I::eq(I::andnot(S.sign, tb), S.zero));
+    const vb same = I::eq(I::and_(I::xor_(tb, bits), S.sign), S.zero);
+    tie_up = I::orm(I::andm(t_nonzero, same), I::andm(I::notm(t_nonzero), tie_up));
+  }
+  const vb sticky = I::orm(I::notm(I::eq(below, S.zero)), tie_up);
   const vb round_up = I::andm(hit_half, sticky);
   const vi kept = I::add(kept0, I::blend(round_up, S.one, S.zero));
   const vb kzero = I::eq(kept, S.zero);
@@ -323,6 +349,33 @@ template <class I>
   out = I::blend(special, bits, out);  // +-inf passes through
   out = I::blend(is_nan, S.qnan, out);
   return I::cast_f(out);
+}
+
+/// fast_round across lanes: RNE round of each lane into the format described
+/// by `S`, widened back to double. Bit-identical to sf::fast_round per lane
+/// over the full fast_round_supports envelope (exp <= 11, man <= 52),
+/// including double-subnormal inputs AND outputs.
+template <class I>
+[[nodiscard]] inline typename I::vf vround(typename I::vf x, const VSpec<I>& S) {
+  return round_lanes<I, false>(x, x, S);
+}
+
+/// sf::fast_round(s, t, spec) across lanes: the round of an op's exact
+/// value from its hardware result `s` and the error `t` of s (only t's
+/// sign and whether it is zero are read).
+template <class I>
+[[nodiscard]] inline typename I::vf vround_tie(typename I::vf s, typename I::vf t,
+                                               const VSpec<I>& S) {
+  return round_lanes<I, true>(s, t, S);
+}
+
+/// The exact error of the lane sums s = a + b (TwoSum, as sf::two_sum_err).
+template <class I>
+[[nodiscard]] inline typename I::vf two_sum_err(typename I::vf a, typename I::vf b,
+                                                typename I::vf s) {
+  const typename I::vf bv = I::subf(s, a);
+  const typename I::vf av = I::subf(s, bv);
+  return I::addf(I::subf(a, av), I::subf(b, bv));
 }
 
 /// fast_fma across lanes: exact product + TwoSum error recovery + round of
@@ -393,7 +446,7 @@ template <class I>
         const typename I::vf xb = I::loadu(b + i);
         const typename I::vf p = I::mulf(vround<I>(xa, S), vround<I>(xb, S));
         I::storeu(out + i, vround<I>(p, S));
-        if (sp.guard_subnormal_mul) {
+        if (sp.guard_tiny) {
           // fast_mul's exp_bits == 11 guard as a lane mask: a nonzero
           // product with a zero exponent field is a double subnormal. The
           // operands come from registers, so in-place spans stay legal.
@@ -441,6 +494,118 @@ template <class I>
   }
 }
 
+/// The lanes of one vector whose fast argument fails near double's
+/// underflow (`key` nonzero and below 2^-968: a man_bits > 24 product,
+/// dividend or radicand at exp_bits == 11), recomputed by `ref` through
+/// BigFloat from the operands as loaded.
+template <class I, class Ref>
+inline void fix_tiny_lanes(typename I::vf xa, typename I::vf xb, typename I::vf key,
+                           double* out, const VSpec<I>& S, Ref ref) {
+  constexpr std::size_t W = I::width;
+  const typename I::vi kb = I::cast_i(key);
+  // Biased exponent below kTinyErrorBound's, magnitude nonzero.
+  const auto bound_exp = static_cast<i64>(std::bit_cast<u64>(kTinyErrorBound) >> 52);
+  const typename I::vb hit =
+      I::andm(I::gt(I::b64(bound_exp), I::and_(I::template srl<52>(kb), S.expf)),
+              I::notm(I::eq(I::andnot(S.sign, kb), S.zero)));
+  if (I::all(I::notm(hit))) [[likely]] return;
+  double ta[W], tb[W], tk[W];
+  I::storeu(ta, xa);
+  I::storeu(tb, xb);
+  I::storeu(tk, key);
+  for (std::size_t j = 0; j < W; ++j) {
+    if (tiny_operand(tk[j])) out[j] = ref(ta[j], tb[j]);
+  }
+}
+
+/// The man_bits > 24 arithmetic ops over whole vectors: each keeps its
+/// hardware result and breaks target ties with the result's error,
+/// recovered exactly (TwoSum; fma TwoProd; the fma remainders of div and
+/// sqrt, whose sign times the divisor's is the sign of the error) — lane
+/// for lane the scalar fast_add/sub/mul/div/sqrt. Round, Neg and Fma are
+/// the same kernels at every precision.
+template <class I>
+[[gnu::always_inline]] inline void span_vectors_tie(SpanOp op, const double* a, const double* b,
+                                                    const double* c, double* out, std::size_t n,
+                                                    const RoundSpec& sp, const VSpec<I>& S) {
+  using vf = typename I::vf;
+  constexpr std::size_t W = I::width;
+  std::size_t i = 0;
+  switch (op) {
+    case SpanOp::Add:
+      for (; i < n; i += W) {
+        const vf x = vround<I>(I::loadu(a + i), S), y = vround<I>(I::loadu(b + i), S);
+        const vf s = I::addf(x, y);
+        I::storeu(out + i, vround_tie<I>(s, two_sum_err<I>(x, y, s), S));
+      }
+      break;
+    case SpanOp::Sub:
+      for (; i < n; i += W) {
+        const vf x = vround<I>(I::loadu(a + i), S), y = vround<I>(I::loadu(b + i), S);
+        const vf s = I::subf(x, y);
+        const vf neg_y = I::cast_f(I::xor_(I::cast_i(y), S.sign));
+        I::storeu(out + i, vround_tie<I>(s, two_sum_err<I>(x, neg_y, s), S));
+      }
+      break;
+    case SpanOp::Mul:
+      for (; i < n; i += W) {
+        const vf xa = I::loadu(a + i), xb = I::loadu(b + i);
+        const vf x = vround<I>(xa, S), y = vround<I>(xb, S);
+        const vf p = I::mulf(x, y);
+        I::storeu(out + i, vround_tie<I>(p, I::fmsub(x, y, p), S));
+        if (sp.guard_tiny) {
+          fix_tiny_lanes<I>(xa, xb, p, out + i, S, [&](double u, double v) {
+            return trunc_mul(u, v, sp.format());
+          });
+        }
+      }
+      break;
+    case SpanOp::Div:
+      for (; i < n; i += W) {
+        const vf xa = I::loadu(a + i), xb = I::loadu(b + i);
+        const vf x = vround<I>(xa, S), y = vround<I>(xb, S);
+        const vf q = I::divf(x, y);
+        const typename I::vi rem = I::cast_i(I::fnmadd(q, y, x));
+        const vf err = I::cast_f(I::xor_(rem, I::and_(I::cast_i(y), S.sign)));
+        I::storeu(out + i, vround_tie<I>(q, err, S));
+        if (sp.guard_tiny) {
+          fix_tiny_lanes<I>(xa, xb, x, out + i, S, [&](double u, double v) {
+            return trunc_div(u, v, sp.format());
+          });
+        }
+      }
+      break;
+    case SpanOp::Sqrt:
+      for (; i < n; i += W) {
+        const vf xa = I::loadu(a + i);
+        const vf x = vround<I>(xa, S);
+        const vf r = I::sqrtf_(x);
+        I::storeu(out + i, vround_tie<I>(r, I::fnmadd(r, r, x), S));
+        if (sp.guard_tiny) {
+          fix_tiny_lanes<I>(xa, xa, x, out + i, S,
+                            [&](double u, double) { return trunc_sqrt(u, sp.format()); });
+        }
+      }
+      break;
+    default:
+      span_vectors<I>(op, a, b, c, out, n, sp, S);
+      break;
+  }
+}
+
+/// One kernel family over whole vectors: span_vectors_tie when kTie, else
+/// span_vectors.
+template <class I, bool kTie>
+[[gnu::always_inline]] inline void vectors(SpanOp op, const double* a, const double* b,
+                                           const double* c, double* out, std::size_t n,
+                                           const RoundSpec& sp, const VSpec<I>& S) {
+  if constexpr (kTie) {
+    span_vectors_tie<I>(op, a, b, c, out, n, sp, S);
+  } else {
+    span_vectors<I>(op, a, b, c, out, n, sp, S);
+  }
+}
+
 /// Span driver shared by the per-ISA translation units: full vectors through
 /// the lane kernels, and the n % width tail as one more vector. A span of at
 /// least one vector takes its tail from its last `width` elements, computed
@@ -448,23 +613,23 @@ template <class I>
 /// and kept only for the tail lanes; a shorter span is padded with 1.0 (in
 /// every format's range, so the padding keeps the vector on vround's
 /// common-case branch) through stack buffers.
-template <class I>
-inline void span_impl(SpanOp op, const double* a, const double* b, const double* c,
-                      double* out, std::size_t n, const RoundSpec& sp) {
+template <class I, bool kTie>
+inline void span_driver(SpanOp op, const double* a, const double* b, const double* c,
+                        double* out, std::size_t n, const RoundSpec& sp) {
   constexpr std::size_t W = I::width;
   const VSpec<I> S(sp);
   const std::size_t full = n - n % W;
   if (full == n) {
-    span_vectors<I>(op, a, b, c, out, n, sp, S);
+    vectors<I, kTie>(op, a, b, c, out, n, sp, S);
     return;
   }
   const std::size_t left = n - full;
   double to[W];
   if (n >= W) {
     const std::size_t at = n - W;
-    span_vectors<I>(op, a + at, b != nullptr ? b + at : nullptr, c != nullptr ? c + at : nullptr,
-                    to, W, sp, S);
-    span_vectors<I>(op, a, b, c, out, full, sp, S);
+    vectors<I, kTie>(op, a + at, b != nullptr ? b + at : nullptr,
+                     c != nullptr ? c + at : nullptr, to, W, sp, S);
+    vectors<I, kTie>(op, a, b, c, out, full, sp, S);
     for (std::size_t j = 0; j < left; ++j) out[full + j] = to[W - left + j];
     return;
   }
@@ -474,8 +639,20 @@ inline void span_impl(SpanOp op, const double* a, const double* b, const double*
     tb[j] = j < n && b != nullptr ? b[j] : 1.0;
     tc[j] = j < n && c != nullptr ? c[j] : 1.0;
   }
-  span_vectors<I>(op, ta, tb, tc, to, W, sp, S);
+  vectors<I, kTie>(op, ta, tb, tc, to, W, sp, S);
   for (std::size_t j = 0; j < n; ++j) out[j] = to[j];
+}
+
+/// The span entry of the per-ISA translation units: the kernel family is
+/// chosen once per span from the format's precision.
+template <class I>
+inline void span_impl(SpanOp op, const double* a, const double* b, const double* c,
+                      double* out, std::size_t n, const RoundSpec& sp) {
+  if (sp.tie_break) {
+    span_driver<I, true>(op, a, b, c, out, n, sp);
+  } else {
+    span_driver<I, false>(op, a, b, c, out, n, sp);
+  }
 }
 
 }  // namespace lanes
@@ -496,6 +673,8 @@ std::size_t lanes_compress_avx512(const double* in, const u64* mask, bool on, st
                                   double* out);
 void lanes_merge_avx512(const double* on_vals, const double* off_vals, const u64* mask,
                         std::size_t n, double* out);
+void lanes_blend_avx512(const u64* mask, const double* a, const double* b, std::size_t n,
+                        double* out);
 
 }  // namespace detail
 

@@ -1,10 +1,13 @@
 // AVX2 instantiation of the width-agnostic truncation kernel: 4 x u64 lanes,
 // lane masks carried as all-ones/all-zero __m256i (VPBLENDVB selects per
-// byte, which is safe because every mask byte within a lane agrees).
+// byte, which is safe because every mask byte within a lane agrees). The
+// man_bits > 24 kernels recover their error terms with FMA3 (VFMSUB /
+// VFNMADD).
 //
-// Compiled with -mavx2 in this TU only; reached exclusively through
-// simd::span_exec after the CPUID gate (see fast_round_simd.cpp), so no
-// illegal instruction can execute on a non-AVX2 host.
+// Compiled with -mavx2 -mfma in this TU only; reached exclusively through
+// simd::span_exec after the CPUID gate for both extensions (see
+// fast_round_simd.cpp), so no illegal instruction can execute on a host
+// without them.
 #include "softfloat/fast_round_simd.hpp"
 
 #include <immintrin.h>
@@ -58,6 +61,8 @@ struct IsaAvx2 {
   static vf mulf(vf a, vf b) { return _mm256_mul_pd(a, b); }
   static vf divf(vf a, vf b) { return _mm256_div_pd(a, b); }
   static vf sqrtf_(vf a) { return _mm256_sqrt_pd(a); }
+  static vf fmsub(vf a, vf b, vf c) { return _mm256_fmsub_pd(a, b, c); }
+  static vf fnmadd(vf a, vf b, vf c) { return _mm256_fnmadd_pd(a, b, c); }
 
   // AVX2 has no 64-bit lzcnt; locate the MSB through the FP exponent field.
   // Integer-ADD of the 0x433 magic (not OR!) converts v <= 2^52 to the

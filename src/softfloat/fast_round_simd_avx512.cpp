@@ -1,12 +1,14 @@
 // AVX-512 instantiation of the width-agnostic truncation kernel: 8 x u64
 // lanes with native __mmask8 predication. Requires only the F (64-bit lane
-// arithmetic, masks, blends) and CD (VPLZCNTQ for floor_log2) subsets —
+// arithmetic, masks, blends, the FMA forms behind the man_bits > 24 error
+// terms) and CD (VPLZCNTQ for floor_log2) subsets —
 // deliberately not DQ/BW/VL, so the kernel runs on every AVX-512 core back
 // to Skylake-SP; mask logic uses plain integer operators on __mmask8 rather
 // than the DQ k-register intrinsics for the same reason.
 //
-// The lane-movement primitives behind batch::Vec's masks and branches
-// (VCMPPD into a k-mask, VCOMPRESSPD, VEXPANDPD) are AVX-512 F as well.
+// The lane-movement primitives behind batch::Vec's masks, branches and
+// selects (VCMPPD into a k-mask, VCOMPRESSPD, VEXPANDPD, VBLENDMPD) are
+// AVX-512 F as well.
 //
 // Compiled with -mavx512f -mavx512cd -mpopcnt in this TU only; reached
 // exclusively through simd::span_exec and the simd::lanes_* entry points
@@ -62,6 +64,8 @@ struct IsaAvx512 {
   static vf mulf(vf a, vf b) { return _mm512_mul_pd(a, b); }
   static vf divf(vf a, vf b) { return _mm512_div_pd(a, b); }
   static vf sqrtf_(vf a) { return _mm512_sqrt_pd(a); }
+  static vf fmsub(vf a, vf b, vf c) { return _mm512_fmsub_pd(a, b, c); }
+  static vf fnmadd(vf a, vf b, vf c) { return _mm512_fnmadd_pd(a, b, c); }
 
   static vi floor_log2(vi v) { return sub(b64(63), _mm512_lzcnt_epi64(v)); }
 };
@@ -167,6 +171,23 @@ void lanes_merge_avx512(const double* on_vals, const double* off_vals, const u64
     const __m512d cur =
         off_vals != nullptr ? _mm512_setzero_pd() : _mm512_maskz_loadu_pd(live, out + full);
     _mm512_mask_storeu_pd(out + full, live, step(full, live, cur));
+  }
+}
+
+void lanes_blend_avx512(const u64* mask, const double* a, const double* b, std::size_t n,
+                        double* out) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(mask);
+  const std::size_t full = n - n % 8;
+  for (std::size_t i = 0; i < full; i += 8) {
+    _mm512_storeu_pd(out + i, _mm512_mask_blend_pd(static_cast<__mmask8>(bytes[i / 8]),
+                                                   _mm512_loadu_pd(b + i), _mm512_loadu_pd(a + i)));
+  }
+  if (full != n) {
+    const __mmask8 live = live_lanes(n - full);
+    const __m512d v = _mm512_mask_blend_pd(static_cast<__mmask8>(bytes[full / 8]),
+                                           _mm512_maskz_loadu_pd(live, b + full),
+                                           _mm512_maskz_loadu_pd(live, a + full));
+    _mm512_mask_storeu_pd(out + full, live, v);
   }
 }
 

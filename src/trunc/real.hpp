@@ -165,7 +165,8 @@ inline Real fmax(const Real& a, const Real& b) { return a.value() >= b.value() ?
 
 // -- Lane-generic control flow ----------------------------------------------
 // Kernels written once for double, Real and batch::Vec branch through
-// branch(cond, then_arm, else_arm). Each arm is called with `pick`, which
+// branch(cond, then_arm, else_arm) and choose operands through
+// select(cond, a, b). Each arm is called with `pick`, which
 // narrows a value to the lanes the arm runs on, and both arms return the same
 // type. For double and Real the condition is a bool, branch is a plain if and
 // pick returns its argument; batch::branch (span_ops.hpp) is the Vec form.
@@ -181,6 +182,15 @@ template <class Then, class Else>
 auto branch(bool cond, Then&& then_arm, Else&& else_arm) {
   if (cond) return then_arm(PickAll{});
   return else_arm(PickAll{});
+}
+
+/// The operand choice `cond ? a : b`: a selection, never counted. Upwind
+/// kernels pick their operands with it instead of branching around the ops,
+/// so every lane issues the same ops; batch::select (span_ops.hpp) is the
+/// Vec form, a blend under a Mask.
+template <class T>
+[[nodiscard]] T select(bool cond, const T& a, const T& b) {
+  return cond ? a : b;
 }
 
 // -- Scalar abstraction helpers ---------------------------------------------

@@ -2,10 +2,11 @@
 // runtime batch entry points these reach execute on the SIMD truncation
 // kernels (DESIGN.md §13) — contiguous spans assembled here are consumed as
 // full AVX2/AVX-512 vectors when the host supports them, bit-identically to
-// the scalar kernels on every path. Every format with exp_bits <= 11 and
-// man_bits <= 24 runs there (fma: exp_bits <= 9), the paper's Format{11,m}
-// family included; only e11 products that land in double's subnormal range
-// are recomputed in BigFloat, element by element (fast_round.hpp).
+// the scalar kernels on every path. Every format with exp_bits <= 11 runs
+// there at any man_bits up to 52 (fma: exp_bits <= 9, man_bits <= 24), the
+// paper's whole Format{11,m} family included; only e11 results near
+// double's underflow are recomputed in BigFloat, element by element
+// (fast_round.hpp).
 //
 // Two layers, both reaching Runtime::op*_batch / trunc_array:
 //
@@ -28,6 +29,8 @@
 //      - fmin/fmax are uncounted selections (a <= b ? a : b, a >= b ? a : b,
 //        so a NaN lane selects the second operand);
 //      - the comparisons <= and >= yield a Mask, one bit per lane;
+//      - select(mask, a, b) is the uncounted operand choice, a blend (for
+//        double and Real, the ternary in real.hpp);
 //      - branch(mask, then_arm, else_arm) is the count-preserving if: each
 //        arm runs only on its own lanes (gathered dense), so it issues and
 //        counts exactly the ops the scalar if would, and an arm with no
@@ -379,6 +382,9 @@ class Vec {
   friend Vec fmax(const Vec& a, const Vec& b) {
     return select(a, b, [](double x, double y) { return x >= y; });
   }
+  /// select(cond, a, b) lane by lane (real.hpp): lane i of a where m is
+  /// set, of b where it is not; a blend, never counted.
+  friend Vec select(const Mask& m, const Vec& a, const Vec& b) { return blend(m, a, b); }
 
   /// The lanes `idx` of this Vec, dense (a broadcast stays a broadcast).
   [[nodiscard]] Vec lanes(std::initializer_list<u32> idx) const {
@@ -483,6 +489,23 @@ class Vec {
     Vec r(n);
     double* out = r.v_.data();
     for (std::size_t i = 0; i < n; ++i) out[i] = pred(pa[i], pb[i]) ? pa[i] : pb[i];
+    return r;
+  }
+
+  static Vec blend(const Mask& m, const Vec& a, const Vec& b) {
+    const std::size_t n = m.size();
+    RAPTOR_REQUIRE((a.is_scalar_ || a.v_.size() == n) && (b.is_scalar_ || b.v_.size() == n),
+                   "Vec: size mismatch");
+    // operand() spreads at most one broadcast; a second one gets its own lanes.
+    detail::Lanes<double> spread;
+    const double* pb = b.v_.data();
+    if (b.is_scalar_) {
+      spread = detail::Lanes<double>(n);
+      std::fill_n(spread.data(), n, b.scalar_);
+      pb = spread.data();
+    }
+    Vec r(n);
+    sf::simd::lanes_blend(path(), m.words_.data(), operand(a, n), pb, n, r.v_.data());
     return r;
   }
 

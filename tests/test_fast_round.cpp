@@ -15,6 +15,10 @@
 //    exp_bits 10/11 formats with operands aimed at double-subnormal products
 //    and quotients and at quotients next to a rounding midpoint, and the
 //    pinned exp_bits == 11 product witness.
+//  * The man_bits > 24 kernels, which break target ties by the sign of
+//    each op's exact error: e5..e11 x m25..52 on operands aimed at target
+//    midpoints, the subnormal range, the exp_bits == 11 fallback bound and
+//    the overflow threshold (tests/midpoint_products.hpp).
 //
 // Any mismatch prints the offending input bit pattern(s) and both outputs.
 #include <gtest/gtest.h>
@@ -82,18 +86,17 @@ TEST(FastRoundSupports, EnvelopePredicates) {
   EXPECT_FALSE(fast_round_supports(Format{8, 53}));   // invalid anyway
   EXPECT_FALSE(fast_round_supports(Format{18, 61}));
 
-  EXPECT_TRUE(fast_op_supports(Format::fp32()));
-  EXPECT_TRUE(fast_op_supports(Format::fp16()));
-  EXPECT_TRUE(fast_op_supports(Format{8, 12}));
-  EXPECT_TRUE(fast_op_supports(Format{9, 24}));
-  EXPECT_TRUE(fast_op_supports(Format{10, 12}));  // e10 subnormal results round to +-0
-  EXPECT_TRUE(fast_op_supports(Format{11, 12}));  // e11 products are guarded
-  EXPECT_TRUE(fast_op_supports(Format{11, 24}));
-  EXPECT_FALSE(fast_op_supports(Format{8, 25}));   // double rounding not innocuous
-  EXPECT_FALSE(fast_op_supports(Format{11, 25}));
-  EXPECT_FALSE(fast_op_supports(Format{12, 4}));   // exponent beyond double
-  EXPECT_FALSE(fast_op_supports(Format{12, 24}));
-  EXPECT_FALSE(fast_op_supports(Format::fp64()));
+  // One envelope for the rounding kernel and every non-fma op.
+  EXPECT_TRUE(fast_round_supports(Format{8, 12}));
+  EXPECT_TRUE(fast_round_supports(Format{9, 24}));
+  EXPECT_TRUE(fast_round_supports(Format{10, 12}));  // e10 subnormal results round to +-0
+  EXPECT_TRUE(fast_round_supports(Format{11, 12}));  // e11 products are guarded
+  EXPECT_TRUE(fast_round_supports(Format{11, 24}));
+  EXPECT_TRUE(fast_round_supports(Format{8, 25}));   // ties broken by the op's exact error
+  EXPECT_TRUE(fast_round_supports(Format{11, 25}));
+  EXPECT_FALSE(fast_round_supports(Format{12, 4}));  // exponent beyond double
+  EXPECT_FALSE(fast_round_supports(Format{12, 24}));
+  EXPECT_FALSE(fast_round_supports(Format{12, 52}));
 
   EXPECT_TRUE(fast_fma_supports(Format::fp16()));
   EXPECT_TRUE(fast_fma_supports(Format::bf16()));
@@ -232,7 +235,7 @@ const std::vector<double> kSpecialOperands = {
 TEST(FastOps, SpecialOperandCrossProduct) {
   for (const Format& fmt : {Format{5, 10}, Format{8, 7}, Format{4, 3}, Format{8, 23},
                             Format{8, 12}, Format{9, 24}, Format{5, 2}}) {
-    ASSERT_TRUE(fast_op_supports(fmt));
+    ASSERT_TRUE(fast_round_supports(fmt));
     for (const double a : kSpecialOperands) {
       for (const double b : kSpecialOperands) {
         for (int op = 0; op < 4; ++op) {
@@ -320,7 +323,7 @@ TEST(FastOps, MulProductsNextToSubnormalMidpoints) {
 TEST(FastOps, WideExponentFormatsMatchBigFloat) {
   for (std::size_t fi = 0; fi < kWideExpFormats.size(); ++fi) {
     const Format fmt = kWideExpFormats[fi];
-    ASSERT_TRUE(fast_op_supports(fmt));
+    ASSERT_TRUE(fast_round_supports(fmt));
     std::mt19937_64 rng(0xE11 + fi);
     const int lo = fmt.emin_subnormal(), hi = fmt.emax();
     // Operand pairs aimed at double's subnormal range: products and
@@ -368,6 +371,111 @@ TEST(FastOps, WideExponentFormatsMatchBigFloat) {
     for (const double a : kSpecialOperands) {
       for (const double b : kSpecialOperands) {
         for (int op = 0; op < 4; ++op) ASSERT_TRUE(Op2Matches(op, a, b, fmt));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// man_bits 25..52: ties broken by the sign of the op's exact error
+// ---------------------------------------------------------------------------
+
+/// The BigFloat op-mode reference of a tie_operands op ('n': negation).
+double tie_ref(char op, double a, double b, const Format& fmt) {
+  switch (op) {
+    case '+': return trunc_add(a, b, fmt);
+    case '-': return trunc_sub(a, b, fmt);
+    case '*': return trunc_mul(a, b, fmt);
+    case '/': return trunc_div(a, b, fmt);
+    case 'n': return quantize(-quantize(a, fmt), fmt);
+    default: return trunc_sqrt(a, fmt);
+  }
+}
+
+double tie_fast(char op, double a, double b, const RoundSpec& spec) {
+  switch (op) {
+    case '+': return fast_add(a, b, spec);
+    case '-': return fast_sub(a, b, spec);
+    case '*': return fast_mul(a, b, spec);
+    case '/': return fast_div(a, b, spec);
+    case 'n': return fast_neg(a, spec);
+    default: return fast_sqrt(a, spec);
+  }
+}
+
+/// True if the hardware result of `op` lands on a target midpoint and its
+/// exact error, not ties-to-even, decides the rounding.
+bool tie_decided(char op, double a, double b, const RoundSpec& spec) {
+  const double x = fast_round(a, spec), y = fast_round(b, spec);
+  double s = 0.0, t = 0.0;
+  switch (op) {
+    case '+': s = x + y; t = two_sum_err(x, y, s); break;
+    case '-': s = x - y; t = two_sum_err(x, -y, s); break;
+    case '*': s = x * y; t = std::fma(x, y, -s); break;
+    case '/': s = x / y; t = std::signbit(y) ? -std::fma(-s, y, x) : std::fma(-s, y, x); break;
+    default: s = std::sqrt(x); t = std::fma(-s, s, x); break;
+  }
+  if (!std::isfinite(s) || !std::isfinite(t)) return false;
+  return bits_of(fast_round(s, t, spec)) != bits_of(fast_round(s, spec));
+}
+
+TEST(FastOps, TieBreakingFormatsMatchBigFloat) {
+  // Every man_bits > 24 format of exp_bits 5..11, every non-fma op, on
+  // operands aimed at target midpoints (sums by construction, products,
+  // quotients and roots by modular inversion), at the subnormal range, at
+  // the 2^-968 fallback bound and at the overflow threshold, plus random
+  // ones: each result bitwise equal to BigFloat.
+  int decided[128] = {};
+  for (int e = 5; e <= 11; ++e) {
+    for (int m = 25; m <= 52; ++m) {
+      const Format fmt{e, m};
+      ASSERT_TRUE(fast_round_supports(fmt));
+      const RoundSpec spec(fmt);
+      for (const char op : {'+', '-', '*', '/', 'r', 'n'}) {
+        const u64 seed = static_cast<u64>(e * 1000 + m * 10) + static_cast<u64>(op);
+        for (const auto& [a, b] :
+             testing_support::tie_operands(fmt, op == 'n' ? '+' : op, 1200, seed)) {
+          const double fast = tie_fast(op, a, b, spec);
+          const double ref = tie_ref(op, a, b, fmt);
+          ASSERT_EQ(bits_of(fast), bits_of(ref))
+              << "op " << op << " fmt " << fmt.to_string() << " a=0x" << std::hex << bits_of(a)
+              << " b=0x" << bits_of(b);
+          if (op != 'n' && m >= 27 && tie_decided(op, a, b, spec)) {
+            ++decided[static_cast<unsigned char>(op)];
+          }
+        }
+      }
+    }
+  }
+  for (const char op : {'+', '-', '*', '/', 'r'}) {
+    EXPECT_GT(decided[static_cast<unsigned char>(op)], 2000)
+        << "op " << op << ": the operands no longer reach ties the error decides";
+  }
+}
+
+TEST(FastOps, TieBreakingFallbackBoundAtExp11) {
+  // exp_bits == 11: the error terms are exact down to 2^-968; below it
+  // mul/div/sqrt go to BigFloat. Walk products, dividends and radicands
+  // through every binade from 2^-990 to 2^-950 and one double ulp around
+  // each power of two.
+  std::mt19937_64 rng(0x968);
+  for (const int m : {25, 30, 40, 51, 52}) {
+    const Format fmt{11, m};
+    const RoundSpec spec(fmt);
+    for (int k = -990; k <= -950; ++k) {
+      for (const double v : {std::ldexp(1.0, k), std::nextafter(std::ldexp(1.0, k), 0.0),
+                             std::nextafter(std::ldexp(1.0, k), 1.0)}) {
+        for (int i = 0; i < 40; ++i) {
+          const double b = format_value(rng, fmt, -60, 60);
+          const double a = quantize(v / b, fmt);
+          const double q = quantize(v, fmt);
+          for (const char op : {'*', '/', 'r'}) {
+            const double x = op == '*' ? a : op == '/' ? q : std::fabs(q);
+            ASSERT_EQ(bits_of(tie_fast(op, x, b, spec)), bits_of(tie_ref(op, x, b, fmt)))
+                << "op " << op << " fmt " << fmt.to_string() << " a=0x" << std::hex
+                << bits_of(x) << " b=0x" << bits_of(b);
+          }
+        }
       }
     }
   }

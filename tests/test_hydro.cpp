@@ -10,15 +10,12 @@
 #include <string>
 #include <tuple>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "hydro/euler.hpp"
 #include "hydro/exact_riemann.hpp"
 #include "hydro/setups.hpp"
 #include "io/sfocu.hpp"
 #include "runtime/runtime.hpp"
+#include "tests/team_size.hpp"
 
 namespace raptor::hydro {
 namespace {
@@ -357,31 +354,10 @@ void streams_init(double x, double y, std::span<Real> v) {
   v[ENER] = p / (kGamma - 1.0) + 0.5 * rho * (u * u + w * w);
 }
 
-/// Sets the OpenMP team size for its lifetime (no-op without OpenMP).
-class TeamSize {
- public:
-  explicit TeamSize([[maybe_unused]] int threads) {
-#ifdef _OPENMP
-    saved_ = omp_get_max_threads();
-    if (threads > 0) omp_set_num_threads(threads);
-#endif
-  }
-  ~TeamSize() {
-#ifdef _OPENMP
-    omp_set_num_threads(saved_);
-#endif
-  }
-  TeamSize(const TeamSize&) = delete;
-  TeamSize& operator=(const TeamSize&) = delete;
-
- private:
-  int saved_ = 1;
-};
-
 TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
   const BatchCase bc = GetParam();
   auto& R = rt::Runtime::instance();
-  const TeamSize team(bc.threads);
+  const testing_support::TeamSize team(bc.threads);
   const auto run_with = [&](bool batch) {
     R.reset_all();
     R.set_hw_fastpath(bc.hw_fastpath);
@@ -464,8 +440,9 @@ TEST_P(HydroBatch, BatchedSolverBitwiseMatchesScalarSolver) {
   }
 }
 
-// Format{8,12} and Format{11,12} run on the fast kernels; Format{11,30} is
-// outside their envelope, so the batch path emulates per element.
+// Format{8,12} and Format{11,12} run on the double-rounding fast kernels,
+// Format{11,30} on the tie-breaking ones (man_bits > 24); the scalar path
+// they are compared against stays on BigFloat.
 INSTANTIATE_TEST_SUITE_P(
     SolverByFormat, HydroBatch,
     ::testing::Values(

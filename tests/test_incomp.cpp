@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-
 #include <cmath>
+#include <map>
+#include <string>
+#include <tuple>
 
 #include "incomp/bubble.hpp"
 #include "io/sfocu.hpp"
 #include "runtime/runtime.hpp"
+#include "tests/team_size.hpp"
 
 namespace raptor::incomp {
 namespace {
@@ -406,9 +409,9 @@ TEST_F(IncompTest, VirtualLevelsFollowInterfaceDistance) {
 }
 
 TEST_F(IncompTest, BatchedAdvectionBitwiseMatchesScalarAdvection) {
-  // The batched WENO5 advection (gate-run splitting + batch::Vec,
-  // DESIGN.md §8) must reproduce the scalar per-cell path bit for bit,
-  // including with a cutoff so rows split into runs of mixed gates.
+  // The batched stages (per-thread spans grouped by gate + batch::Vec,
+  // DESIGN.md §8) must reproduce the scalar per-point path bit for bit,
+  // including with a cutoff so a thread's points split by gate.
   const auto run_phi = [](bool batch, int cutoff) {
     rt::Runtime::instance().reset_all();
     auto cfg = small_bubble_cfg();
@@ -435,6 +438,116 @@ TEST_F(IncompTest, BatchedAdvectionBitwiseMatchesScalarAdvection) {
   }
   rt::Runtime::instance().reset_all();
 }
+
+// The batch path (DESIGN.md §8) runs every truncated stage of a step —
+// level-set and momentum advection, the viscous terms — through the
+// batch::Vec instantiation of its kernel over spans of each thread's
+// points. Whole steps must match the per-point loop bit for bit: u, v and
+// phi, the per-OpKind counters, and the op counts and bytes of both
+// regions. The cases aim at the span layout and at the kernels behind it:
+//  * cfg.trunc with cutoffs 0/1/2, so a thread's share splits into a
+//    truncated and a native group (1/2) or stays whole (0);
+//  * region formats at m = 9, 28 and 44, installed the way the precision
+//    search installs them, so every op runs truncated on the fast kernels
+//    (m = 9) or the tie-breaking ones (m = 28, 44) while the scalar path
+//    stays on BigFloat;
+//  * hw_fastpath on, which moves the scalar path onto the fast kernels too;
+//  * a 3-thread team, whose static share of the points is uneven.
+struct BubbleCase {
+  const char* name = "";
+  std::optional<sf::Format> trunc = std::nullopt;   ///< cfg.trunc, with cutoff_l below
+  int cutoff = 0;
+  std::optional<sf::Format> region = std::nullopt;  ///< region format of both regions
+  bool hw_fastpath = false;
+  int threads = 0;                   ///< OpenMP team size; 0 keeps the default
+};
+
+class BubbleBatch : public ::testing::TestWithParam<BubbleCase> {};
+
+TEST_P(BubbleBatch, WholeStepBitwiseMatchesScalarStep) {
+  const BubbleCase bc = GetParam();
+  auto& R = rt::Runtime::instance();
+  const testing_support::TeamSize team(bc.threads);
+  const auto run_with = [&](bool batch) {
+    R.reset_all();
+    R.set_hw_fastpath(bc.hw_fastpath);
+    R.set_region_profiling(true);
+    if (bc.region) {
+      rt::TruncationSpec spec;
+      spec.for64 = *bc.region;
+      R.set_region_format("incomp/advect", spec);
+      R.set_region_format("incomp/diffuse", spec);
+    }
+    auto cfg = small_bubble_cfg();
+    if (bc.trunc) cfg.trunc = rt::TruncationSpec::trunc64(bc.trunc->exp_bits, bc.trunc->man_bits);
+    cfg.cutoff_l = bc.cutoff;
+    cfg.batch = batch;
+    BubbleSim<Real> sim(cfg);
+    for (int s = 0; s < 3; ++s) sim.step();
+    std::vector<double> fields;
+    for (int j = 0; j < cfg.ny; ++j) {
+      for (int i = 0; i <= cfg.nx; ++i) fields.push_back(sim.velocity_u(i, j));
+    }
+    for (int j = 0; j <= cfg.ny; ++j) {
+      for (int i = 0; i < cfg.nx; ++i) fields.push_back(sim.velocity_v(i, j));
+    }
+    const auto phi = sim.phi_field().v;
+    fields.insert(fields.end(), phi.begin(), phi.end());
+    std::map<std::string, rt::CounterSnapshot> regions;
+    for (const auto& e : R.region_profiles()) regions[e.label] = e.profile.counters;
+    const auto counters = R.counters();
+    R.reset_all();
+    return std::tuple{fields, counters, regions};
+  };
+  const auto [scalar, sc, sregions] = run_with(false);
+  const auto [batched, bcnt, bregions] = run_with(true);
+  ASSERT_EQ(scalar.size(), batched.size());
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batched[i])) << "value " << i;
+  }
+  EXPECT_EQ(sc.trunc_flops, bcnt.trunc_flops);
+  EXPECT_EQ(sc.full_flops, bcnt.full_flops);
+  EXPECT_EQ(sc.trunc_bytes, bcnt.trunc_bytes);
+  EXPECT_EQ(sc.full_bytes, bcnt.full_bytes);
+  EXPECT_EQ(sc.trunc_by_kind, bcnt.trunc_by_kind);
+  EXPECT_EQ(sc.full_by_kind, bcnt.full_by_kind);
+  for (const char* label : {"incomp/advect", "incomp/diffuse"}) {
+    ASSERT_TRUE(sregions.count(label) != 0 && bregions.count(label) != 0) << label;
+    const auto& s = sregions.at(label);
+    const auto& b = bregions.at(label);
+    EXPECT_GT(s.trunc_flops, 0u) << label;
+    EXPECT_EQ(s.trunc_flops, b.trunc_flops) << label;
+    EXPECT_EQ(s.full_flops, b.full_flops) << label;
+    EXPECT_EQ(s.trunc_bytes, b.trunc_bytes) << label;
+    EXPECT_EQ(s.full_bytes, b.full_bytes) << label;
+    EXPECT_EQ(s.trunc_by_kind, b.trunc_by_kind) << label;
+    EXPECT_EQ(s.full_by_kind, b.full_by_kind) << label;
+  }
+  // The layout cases must exercise what they are named for.
+  if (bc.cutoff != 0) {
+    EXPECT_GT(sregions.at("incomp/advect").full_flops, 0u) << "no native group";
+  }
+  if (bc.threads != 0) {
+    const auto& cfg = small_bubble_cfg();
+    EXPECT_NE(cfg.nx * cfg.ny % bc.threads, 0) << "cells split evenly";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BubbleByFormat, BubbleBatch,
+    ::testing::Values(
+        BubbleCase{.name = "trunc_e8m12_cutoff0", .trunc = sf::Format{8, 12}},
+        BubbleCase{.name = "trunc_e8m12_cutoff1", .trunc = sf::Format{8, 12}, .cutoff = 1},
+        BubbleCase{.name = "trunc_e11m28_cutoff2", .trunc = sf::Format{11, 28}, .cutoff = 2},
+        BubbleCase{.name = "region_e11m9", .region = sf::Format{11, 9}},
+        BubbleCase{.name = "region_e11m28", .region = sf::Format{11, 28}},
+        BubbleCase{.name = "region_e11m44", .region = sf::Format{11, 44}},
+        BubbleCase{.name = "region_e11m28_hw", .region = sf::Format{11, 28}, .hw_fastpath = true},
+        BubbleCase{.name = "trunc_e11m44_cutoff1_threads3",
+                   .trunc = sf::Format{11, 44},
+                   .cutoff = 1,
+                   .threads = 3}),
+    [](const ::testing::TestParamInfo<BubbleCase>& info) { return std::string(info.param.name); });
 
 TEST_F(IncompTest, CutoffGateControlsTruncatedFraction) {
   auto run_fraction = [](int cutoff) {

@@ -8,6 +8,7 @@
 #include "search/precision_search.hpp"
 #include "search/workloads.hpp"
 #include "softfloat/bigfloat.hpp"
+#include "telemetry/registry.hpp"
 #include "trunc/real.hpp"
 #include "trunc/scope.hpp"
 
@@ -315,6 +316,49 @@ TEST_F(SearchTest, DriverSkipsTinyRegions) {
   EXPECT_TRUE(result.choices[0].truncated);
   EXPECT_FALSE(result.choices[1].truncated);  // skipped, stays native
   EXPECT_EQ(result.choices[1].error, 0.0);
+}
+
+TEST_F(SearchTest, ProgressGaugesCountRegionsLeftNative) {
+  // An exponent hint forfeits the free identity format, so the search pays
+  // a feasibility run at Format{5, 52} — which overflows "wide" (1e6 is
+  // beyond e5's range) and leaves it native. The live progress gauges
+  // must still count it as decided.
+  search::Workload w;
+  w.name = "hinted";
+  w.regions = {"bulk", "wide"};
+  w.run = []() {
+    std::vector<double> out;
+    {
+      Region r("bulk");
+      Real acc(0.0);
+      for (int i = 1; i <= 300; ++i) acc += Real(1.0) / Real(i);
+      out.push_back(acc.value());
+    }
+    {
+      Region r("wide");
+      out.push_back((Real(1e6) * Real(3.0) / Real(1e6)).value());
+    }
+    return out;
+  };
+  search::SearchOptions opts;
+  opts.tolerance = 1e-3;
+  opts.min_flop_share = 0.0;
+  opts.exp_hints = {{"wide", 5}};
+  const auto result = search::PrecisionSearch(opts).run(w);
+  ASSERT_EQ(result.choices.size(), 2u);
+  EXPECT_TRUE(result.choices[0].truncated);
+  EXPECT_FALSE(result.choices[1].truncated);
+
+  double done = -1.0, total = -1.0, share = -1.0;
+  for (const auto& sample : telemetry::Registry::instance().snapshot().samples) {
+    if (sample.name == "raptor_search_regions_done") done = sample.value;
+    if (sample.name == "raptor_search_regions_total") total = sample.value;
+    if (sample.name == "raptor_search_trunc_share") share = sample.value;
+  }
+  EXPECT_EQ(total, 2.0);
+  EXPECT_EQ(done, total);
+  EXPECT_EQ(share, search::flop_weighted_trunc_share(result.choices));
+  EXPECT_GT(share, 0.0);
 }
 
 // ---------------------------------------------------------------------------

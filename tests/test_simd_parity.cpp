@@ -12,14 +12,18 @@
 //    aimed at double-subnormal products and quotients and near-midpoint
 //    quotients, out of place and in place, and the guarded Mul witness at
 //    every lane position.
+//  * man_bits 25..52 (the tie-breaking kernels): e5..e11 spans of operands
+//    aimed at target midpoints, the subnormal range, the exp_bits == 11
+//    fallback bound and the overflow threshold, every element against
+//    BigFloat on every path, out of place and in place.
 //  * Zero lanes: ±0 beside in-range lanes at every lane position (one zero,
 //    half, all but one, all), as inputs and as exact zero results, for
 //    e5..e11 x m1..24 (Round also m52) on every path, in place and out of
 //    place, against scalar fast_* and BigFloat — the vectors that take the
 //    kernel's common-case branch with zero lanes in them.
-//  * Lane movement (the compare / compress / merge behind batch::Vec masks
-//    and branches) against scalar loops on every path, lengths around the
-//    vector width, NaN and -0 lanes.
+//  * Lane movement (the compare / compress / merge / blend behind batch::Vec
+//    masks, branches and selects) against scalar loops on every path,
+//    lengths around the vector width, NaN and -0 lanes.
 //  * Edge spans through all four Runtime batch entry points: lengths 0, 1,
 //    and non-multiples of the lane width (tail handling), NaN / inf /
 //    subnormal / signed-zero planted at every lane position — pinned for
@@ -229,7 +233,7 @@ TEST(SimdOpParity, ArithmeticSpansEveryPath) {
   std::vector<u64> expect(kN);
   for (std::size_t fi = 0; fi < kOpFormats.size(); ++fi) {
     const sf::Format& fmt = kOpFormats[fi];
-    ASSERT_TRUE(sf::fast_op_supports(fmt));
+    ASSERT_TRUE(sf::fast_round_supports(fmt));
     ASSERT_TRUE(sf::fast_fma_supports(fmt));
     const sf::RoundSpec spec(fmt);
     std::mt19937_64 rng(0x0BAD + fi);
@@ -338,7 +342,7 @@ TEST(SimdOpParity, WideExponentSpansMatchBigFloatEveryPath) {
   for (const sf::Format fmt :
        {sf::Format{10, 1}, sf::Format{10, 24}, sf::Format{11, 4}, sf::Format{11, 12},
         sf::Format{11, 24}}) {
-    ASSERT_TRUE(sf::fast_op_supports(fmt));
+    ASSERT_TRUE(sf::fast_round_supports(fmt));
     const sf::RoundSpec spec(fmt);
     std::mt19937_64 rng(0x5B11 + static_cast<u64>(fmt.exp_bits * 64 + fmt.man_bits));
     const auto value = [&](int e) {
@@ -384,6 +388,43 @@ TEST(SimdOpParity, WideExponentSpansMatchBigFloatEveryPath) {
       for (const Path p : available_paths()) {
         ASSERT_TRUE(SpanMatchesInPlace(p, op, a, b, expect, spec, "wide-exp"))
             << "fmt " << fmt.to_string();
+      }
+    }
+  }
+}
+
+TEST(SimdOpParity, TieBreakingSpansMatchBigFloatEveryPath) {
+  // man_bits 25..52 at exp_bits 5..11, the kernels that break target ties
+  // by the sign of each op's exact error: operands aimed at midpoints (sums,
+  // products, quotients, roots), at the subnormal range, at the 2^-968
+  // fallback bound and at the overflow threshold, plus random ones, in
+  // spans of full vectors and a tail on every path, out of place and in
+  // place, every element against BigFloat.
+  constexpr std::size_t kN = 1029;
+  struct Case {
+    SpanOp op;
+    char kind;  // tie_operands op
+  };
+  for (int e = 5; e <= 11; ++e) {
+    for (int m = 25; m <= 52; ++m) {
+      const sf::Format fmt{e, m};
+      ASSERT_TRUE(sf::fast_round_supports(fmt));
+      const sf::RoundSpec spec(fmt);
+      for (const Case cs : {Case{SpanOp::Add, '+'}, Case{SpanOp::Sub, '-'},
+                            Case{SpanOp::Mul, '*'}, Case{SpanOp::Div, '/'},
+                            Case{SpanOp::Sqrt, 'r'}, Case{SpanOp::Neg, '+'}}) {
+        const auto pairs = testing_support::tie_operands(
+            fmt, cs.kind, kN, static_cast<u64>(e * 4096 + m * 16) + static_cast<u64>(cs.op));
+        std::vector<double> a(pairs.size()), b(pairs.size());
+        std::vector<u64> expect(pairs.size());
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          std::tie(a[i], b[i]) = pairs[i];
+          expect[i] = bits_of(bigfloat_ref(cs.op, a[i], b[i], fmt));
+        }
+        for (const Path p : available_paths()) {
+          ASSERT_TRUE(SpanMatchesInPlace(p, cs.op, a, b, expect, spec, "tie"))
+              << "fmt " << fmt.to_string();
+        }
       }
     }
   }
@@ -674,6 +715,35 @@ TEST(SimdLaneMovement, CompareCompressMergeMatchScalarEveryPath) {
           ASSERT_EQ(bits_of(merged[i]), bits_of(a[i])) << sf::simd::path_name(p) << " i=" << i;
         }
       }
+    }
+  }
+}
+
+TEST(SimdLaneMovement, BlendMatchesScalarEveryPath) {
+  // batch::select's blend: lane i from a where the mask bit is set, from b
+  // where not, bits exact (NaN and -0 lanes included), nothing written past
+  // n, lengths around the vector width and the mask word.
+  std::mt19937_64 rng(0xB1E0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+                              std::size_t{63}, std::size_t{64}, std::size_t{65},
+                              std::size_t{200}}) {
+    std::vector<double> a(n), b(n);
+    std::vector<u64> mask((n + 63) / 64, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = (rng() % 9 == 0) ? nan : static_cast<double>(rng() % 100) - 50.0;
+      b[i] = (rng() % 9 == 0) ? -0.0 : static_cast<double>(rng() % 100) + 0.5;
+      if ((rng() & 1) != 0) mask[i / 64] |= u64{1} << (i % 64);
+    }
+    for (const Path p : available_paths()) {
+      std::vector<double> out(n + 1, 42.0);
+      sf::simd::lanes_blend(p, mask.data(), a.data(), b.data(), n, out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool on = ((mask[i / 64] >> (i % 64)) & 1) != 0;
+        ASSERT_EQ(bits_of(out[i]), bits_of(on ? a[i] : b[i]))
+            << sf::simd::path_name(p) << " n=" << n << " i=" << i;
+      }
+      ASSERT_EQ(out[n], 42.0) << sf::simd::path_name(p) << " n=" << n;
     }
   }
 }

@@ -252,6 +252,18 @@ TEST(Fp64HardwareEquiv, SqrtRandomSweep) {
   }
 }
 
+TEST(Fp64HardwareEquiv, SqrtOfAllOnesSignificands) {
+  // An all-ones 53-bit significand at an odd exponent has a root just below
+  // 2^64 in the integer kernel, where the hardware seed of the Newton
+  // iteration made x / g overflow 64 bits (and the final correction walk
+  // never end).
+  for (int e = -1021; e <= 1023; e += 2) {
+    const double a = std::ldexp(0x1.fffffffffffffp0, e);
+    ASSERT_TRUE(same_double(trunc_sqrt(a, Format::fp64()), std::sqrt(a))) << e;
+  }
+  EXPECT_TRUE(same_double(trunc_sqrt(0x1.fffffffffffffp+15, Format{5, 52}), 0x1.fffffffffffffp+7));
+}
+
 TEST(Fp32HardwareEquivSqrt, RandomSweep) {
   Rng rng(10);
   for (int i = 0; i < 30000; ++i) {
