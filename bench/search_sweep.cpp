@@ -4,8 +4,9 @@
 // (DESIGN.md §8). This bench measures exactly that margin:
 //
 //   1. scalar-vs-batch dispatch time for one truncated run of the Poisson
-//      solve and the cellular detonation (the PR's newly batched paths) —
-//      the speedup is the factor the whole sweep inherits;
+//      solve and the cellular detonation — each kernel written once, run
+//      per cell on Real or as batch::Vec spans — the speedup is the factor
+//      the whole sweep inherits;
 //   2. a full precision search on each of the registered workloads —
 //      Poisson, cellular burn, the broadened hydro corpus (double Mach
 //      reflection, Rayleigh–Taylor, shock–bubble) and the per-level mesh

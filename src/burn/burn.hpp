@@ -7,11 +7,15 @@
 // numerical perturbation" — which is why the EOS, not Burn, is the module
 // truncated in the §6.1 experiment. Burn here always runs at the scalar
 // type's ambient precision under the "burn" region label.
+//
+// burn_rate and burn_cell are written once for double, Real and batch::Vec
+// (DESIGN.md §8); the Cellular mini-app runs the Vec instantiation over all
+// cells at once in op-mode.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <tuple>
 
 #include "trunc/real.hpp"
 
@@ -32,233 +36,126 @@ template <class S>
   using std::exp;
   using std::cbrt;
   const S t9 = temp * S(1e-9);
-  if (to_double(t9) <= 0.05) return S(0.0);  // frozen below ~5e7 K
-  const S arg = S(-bp.t9_activation) / cbrt(t9);
-  return S(-bp.rate_coeff) * x * x * rho * S(1e-12) * exp(arg);
+  return branch(
+      t9 <= 0.05, [](auto) { return S(0.0); },  // frozen below ~5e7 K
+      [&](auto pick) {
+        const S xs = pick(x);
+        const S arg = S(-bp.t9_activation) / cbrt(pick(t9));
+        return S(-bp.rate_coeff) * xs * xs * pick(rho) * S(1e-12) * exp(arg);
+      });
 }
 
 template <class S>
 struct BurnResult {
   S x_new{0.0};
   S energy_released{0.0};
-  int substeps = 0;
+  native_t<S, int> substeps = 0;  ///< per lane for batch::Vec
 };
+
+/// Per-lane state of burn_cell's sub-cycling loop: the cell, its energy
+/// release so far, and native bookkeeping (members() lets branch and
+/// repeat_while narrow it to lanes).
+template <class S>
+struct BurnState {
+  S x, rho, temp, energy;
+  S t_done, substeps;
+};
+template <class S>
+auto members(BurnState<S>& s) {
+  return std::tie(s.x, s.rho, s.temp, s.energy, s.t_done, s.substeps);
+}
+template <class S>
+auto members(const BurnState<S>& s) {
+  return std::tie(s.x, s.rho, s.temp, s.energy, s.t_done, s.substeps);
+}
+
+/// Per-lane state of one substep's backward-Euler Newton solve.
+template <class S>
+struct BurnNewton {
+  S x1, x, h, rho, temp;
+  S iterations, converged;
+};
+template <class S>
+auto members(BurnNewton<S>& s) {
+  return std::tie(s.x1, s.x, s.h, s.rho, s.temp, s.iterations, s.converged);
+}
+template <class S>
+auto members(const BurnNewton<S>& s) {
+  return std::tie(s.x1, s.x, s.h, s.rho, s.temp, s.iterations, s.converged);
+}
 
 /// Advance the mass fraction X over dt with adaptive sub-cycling; each
 /// substep solves backward Euler with a few Newton iterations (the rate is
 /// stiff in X through the X^2 factor and in T through the exponential).
+/// Written once for double, Real and batch::Vec: the step size, clock and
+/// counts are native lane values and both loops are repeat_whiles, so the
+/// Vec instantiation retires each cell from a loop as the scalar loop would
+/// and gives every cell the results, substep count and counter totals of
+/// burn_cell<Real> on it.
 template <class S>
 BurnResult<S> burn_cell(const BurnParams& bp, const S& x0, const S& rho, const S& temp,
                         double dt) {
-  using std::fabs;
-  BurnResult<S> out;
-  S x = x0;
-  double t_done = 0.0;
-  int substeps = 0;
-  while (t_done < dt && substeps < bp.max_substeps) {
-    ++substeps;
-    const double rate_now = std::fabs(to_double(burn_rate(bp, x, rho, temp)));
-    double h = dt - t_done;
-    if (rate_now > 0.0) {
-      h = std::min(h, bp.max_dx_per_substep / rate_now);
-    }
+  const auto newton_step = [&](BurnNewton<S> s) {
+    s.iterations = native([](double it) { return it + 1.0; }, s.iterations);
+    const S f = burn_rate(bp, s.x1, s.rho, s.temp);
+    // df/dx = 2 f / x (f ~ x^2)
+    const S dfdx = branch(
+        s.x1 > bp.x_floor, [&](auto pick) { return S(2.0) * pick(f) / pick(s.x1); },
+        [](auto) { return S(0.0); });
+    const S g = s.x1 - s.x - s.h * f;
+    const S dg = S(1.0) - s.h * dfdx;
+    const S dx = g / dg;
+    const S x1 = s.x1 - dx;
+    s.x1 = select(x1 < 0.0, S(bp.x_floor), x1);
+    s.converged = native(
+        [](double d, double x) {
+          return std::fabs(d) < 1e-12 * std::max(1.0, std::fabs(x)) ? 1.0 : 0.0;
+        },
+        dx, s.x1);
+    return s;
+  };
+  const auto substep = [&](BurnState<S> s) {
+    s.substeps = native([](double n) { return n + 1.0; }, s.substeps);
+    const S h = native(
+        [&](double rate, double t_done) {
+          const double rate_now = std::fabs(rate);
+          double step = dt - t_done;
+          if (rate_now > 0.0) step = std::min(step, bp.max_dx_per_substep / rate_now);
+          return step;
+        },
+        burn_rate(bp, s.x, s.rho, s.temp), s.t_done);
     // Backward Euler: solve x1 - x - h f(x1) = 0 for x1 (f < 0, consuming).
-    S x1 = x;
-    for (int newton = 0; newton < 8; ++newton) {
-      const S f = burn_rate(bp, x1, rho, temp);
-      // df/dx = 2 f / x (f ~ x^2)
-      const S dfdx = to_double(x1) > bp.x_floor ? S(2.0) * f / x1 : S(0.0);
-      const S g = x1 - x - S(h) * f;
-      const S dg = S(1.0) - S(h) * dfdx;
-      const S dx = g / dg;
-      x1 = x1 - dx;
-      if (to_double(x1) < 0.0) x1 = S(bp.x_floor);
-      if (std::fabs(to_double(dx)) < 1e-12 * std::max(1.0, std::fabs(to_double(x1)))) break;
-    }
-    out.energy_released = out.energy_released + S(bp.q_release) * (x - x1);
-    x = x1;
-    t_done += h;
-    if (to_double(x) <= bp.x_floor) break;
-  }
-  out.x_new = x;
-  out.substeps = substeps;
+    const S zero = native([](double) { return 0.0; }, h);  // a native count per lane
+    const BurnNewton<S> solved = repeat_while(
+        BurnNewton<S>{s.x, s.x, h, s.rho, s.temp, zero, zero},
+        [](const BurnNewton<S>& n) {
+          return native([](double it, double conv) { return it < 8 && conv == 0.0; },
+                        n.iterations, n.converged);
+        },
+        newton_step);
+    s.energy = s.energy + S(bp.q_release) * (s.x - solved.x1);
+    s.x = solved.x1;
+    s.t_done = native([](double t, double step) { return t + step; }, s.t_done, h);
+    return s;
+  };
+  const S zero = native([](double) { return 0.0; }, x0);  // a native clock per lane
+  // Sub-cycle until the step is covered, the substep budget is spent, or
+  // (after a substep) the fuel is exhausted.
+  const BurnState<S> done = repeat_while(
+      BurnState<S>{x0, rho, temp, S(0.0), zero, zero},
+      [&](const BurnState<S>& s) {
+        return native(
+            [&](double t_done, double n, double x) {
+              return t_done < dt && n < bp.max_substeps && (n == 0.0 || !(x <= bp.x_floor));
+            },
+            s.t_done, s.substeps, s.x);
+      },
+      substep);
+  BurnResult<S> out;
+  out.x_new = done.x;
+  out.energy_released = done.energy;
+  out.substeps = native_cast<int>(done.substeps);
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Batched burn (DESIGN.md §8/§10)
-// ---------------------------------------------------------------------------
-
-/// Batched burn_cell over op-mode raw payloads: every lane follows exactly
-/// the scalar sub-cycling and Newton control flow (decided on the same
-/// native values), but each instrumented operation streams over the active
-/// lanes through one Runtime batch call. Lanes retire from the batch as
-/// their Newton iteration converges, their sub-cycling completes, or their
-/// fuel is exhausted — per-lane results, substep counts and counter totals
-/// are bit-identical to burn_cell<Real>. Op-mode only (callers gate on
-/// Runtime::mode()). `x` carries X in and out; `energy` receives the
-/// per-cell specific energy release; `substeps_out` (optional) the per-cell
-/// substep count.
-inline void burn_cells_batch(const BurnParams& bp, std::size_t n, double* x, const double* rho,
-                             const double* temp, double dt, double* energy,
-                             int* substeps_out = nullptr) {
-  using rt::OpKind;
-  auto& R = rt::Runtime::instance();
-  std::vector<double> t_done(n, 0.0);
-  std::vector<int> substeps(n, 0);
-  for (std::size_t k = 0; k < n; ++k) energy[k] = 0.0;
-
-  std::vector<double> bc;
-  const auto bcast = [&bc](double v, std::size_t m) {
-    if (bc.size() < m) bc.resize(m);
-    std::fill(bc.begin(), bc.begin() + static_cast<std::ptrdiff_t>(m), v);
-    return static_cast<const double*>(bc.data());
-  };
-
-  // Batched burn_rate over m dense lanes: the unconditional t9 multiply,
-  // then the hot-lane tail (frozen lanes return 0 with no further ops,
-  // exactly like the scalar early return).
-  std::vector<double> rb_t9, rb_t0, rb_t1, rb_x, rb_rho;
-  std::vector<std::size_t> rb_hot;
-  const auto rate_batch = [&](std::size_t m, const double* xs, const double* rhos,
-                              const double* temps, double* out) {
-    rb_t9.resize(m);
-    R.op2_batch(OpKind::Mul, temps, bcast(1e-9, m), rb_t9.data(), m);
-    rb_hot.clear();
-    for (std::size_t k = 0; k < m; ++k) {
-      if (rb_t9[k] <= 0.05) {
-        out[k] = 0.0;
-      } else {
-        rb_hot.push_back(k);
-      }
-    }
-    const std::size_t h = rb_hot.size();
-    if (h == 0) return;
-    rb_t0.resize(h);
-    rb_t1.resize(h);
-    rb_x.resize(h);
-    rb_rho.resize(h);
-    for (std::size_t k = 0; k < h; ++k) {
-      rb_t0[k] = rb_t9[rb_hot[k]];
-      rb_x[k] = xs[rb_hot[k]];
-      rb_rho[k] = rhos[rb_hot[k]];
-    }
-    // arg = -B / cbrt(t9); rate = ((((-A * x) * x) * rho) * 1e-12) * exp(arg)
-    R.op1_batch(OpKind::Cbrt, rb_t0.data(), rb_t1.data(), h);
-    R.op2_batch(OpKind::Div, bcast(-bp.t9_activation, h), rb_t1.data(), rb_t0.data(), h);
-    R.op1_batch(OpKind::Exp, rb_t0.data(), rb_t1.data(), h);
-    R.op2_batch(OpKind::Mul, bcast(-bp.rate_coeff, h), rb_x.data(), rb_t0.data(), h);
-    R.op2_batch(OpKind::Mul, rb_t0.data(), rb_x.data(), rb_t0.data(), h);
-    R.op2_batch(OpKind::Mul, rb_t0.data(), rb_rho.data(), rb_t0.data(), h);
-    R.op2_batch(OpKind::Mul, rb_t0.data(), bcast(1e-12, h), rb_t0.data(), h);
-    R.op2_batch(OpKind::Mul, rb_t0.data(), rb_t1.data(), rb_t0.data(), h);
-    for (std::size_t k = 0; k < h; ++k) out[rb_hot[k]] = rb_t0[k];
-  };
-
-  std::vector<std::size_t> o;  // active lanes (global ids)
-  for (std::size_t k = 0; k < n; ++k) {
-    if (0.0 < dt && 0 < bp.max_substeps) o.push_back(k);
-  }
-  std::vector<double> xs, rhos, temps, rates, hs, x1s;
-  std::vector<double> nx1, nx, nh, nrho, ntemp, nf, dfdx, g, dg, dx, t0, t1, en;
-  std::vector<std::size_t> nidx, hot;
-  while (!o.empty()) {
-    const std::size_t m = o.size();
-    xs.resize(m);
-    rhos.resize(m);
-    temps.resize(m);
-    rates.resize(m);
-    hs.resize(m);
-    x1s.resize(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t l = o[k];
-      ++substeps[l];
-      xs[k] = x[l];
-      rhos[k] = rho[l];
-      temps[k] = temp[l];
-    }
-    rate_batch(m, xs.data(), rhos.data(), temps.data(), rates.data());
-    for (std::size_t k = 0; k < m; ++k) {
-      const double rate_now = std::fabs(rates[k]);
-      double h = dt - t_done[o[k]];
-      if (rate_now > 0.0) h = std::min(h, bp.max_dx_per_substep / rate_now);
-      hs[k] = h;
-      x1s[k] = xs[k];
-    }
-    // Backward-Euler Newton over the substep's lanes; `nidx` holds the
-    // positions (into the dense arrays) still iterating.
-    nidx.resize(m);
-    for (std::size_t k = 0; k < m; ++k) nidx[k] = k;
-    for (int newton = 0; newton < 8 && !nidx.empty(); ++newton) {
-      const std::size_t mn = nidx.size();
-      for (auto* v : {&nx1, &nx, &nh, &nrho, &ntemp, &nf, &dfdx, &g, &dg, &dx, &t0, &t1}) {
-        v->resize(mn);
-      }
-      for (std::size_t k = 0; k < mn; ++k) {
-        const std::size_t p = nidx[k];
-        nx1[k] = x1s[p];
-        nx[k] = xs[p];
-        nh[k] = hs[p];
-        nrho[k] = rhos[p];
-        ntemp[k] = temps[p];
-      }
-      rate_batch(mn, nx1.data(), nrho.data(), ntemp.data(), nf.data());
-      // dfdx = x1 > floor ? 2 f / x1 : 0 (per-lane branch on native value)
-      hot.clear();
-      for (std::size_t k = 0; k < mn; ++k) {
-        dfdx[k] = 0.0;
-        if (nx1[k] > bp.x_floor) hot.push_back(k);
-      }
-      if (!hot.empty()) {
-        const std::size_t hn = hot.size();
-        for (std::size_t k = 0; k < hn; ++k) {
-          t0[k] = nf[hot[k]];
-          t1[k] = nx1[hot[k]];
-        }
-        R.op2_batch(OpKind::Mul, bcast(2.0, hn), t0.data(), t0.data(), hn);
-        R.op2_batch(OpKind::Div, t0.data(), t1.data(), t0.data(), hn);
-        for (std::size_t k = 0; k < hn; ++k) dfdx[hot[k]] = t0[k];
-      }
-      // g = (x1 - x) - h f;  dg = 1 - h dfdx;  dx = g / dg;  x1 -= dx
-      R.op2_batch(OpKind::Sub, nx1.data(), nx.data(), g.data(), mn);
-      R.op2_batch(OpKind::Mul, nh.data(), nf.data(), t0.data(), mn);
-      R.op2_batch(OpKind::Sub, g.data(), t0.data(), g.data(), mn);
-      R.op2_batch(OpKind::Mul, nh.data(), dfdx.data(), t0.data(), mn);
-      R.op2_batch(OpKind::Sub, bcast(1.0, mn), t0.data(), dg.data(), mn);
-      R.op2_batch(OpKind::Div, g.data(), dg.data(), dx.data(), mn);
-      R.op2_batch(OpKind::Sub, nx1.data(), dx.data(), nx1.data(), mn);
-      std::size_t kept = 0;
-      for (std::size_t k = 0; k < mn; ++k) {
-        double xk = nx1[k];
-        if (xk < 0.0) xk = bp.x_floor;
-        x1s[nidx[k]] = xk;
-        if (std::fabs(dx[k]) < 1e-12 * std::max(1.0, std::fabs(xk))) continue;  // converged
-        nidx[kept++] = nidx[k];
-      }
-      nidx.resize(kept);
-    }
-    // energy += q (x - x1) over every lane of this substep
-    en.resize(m);
-    t0.resize(m);
-    for (std::size_t k = 0; k < m; ++k) en[k] = energy[o[k]];
-    R.op2_batch(OpKind::Sub, xs.data(), x1s.data(), t0.data(), m);
-    R.op2_batch(OpKind::Mul, bcast(bp.q_release, m), t0.data(), t0.data(), m);
-    R.op2_batch(OpKind::Add, en.data(), t0.data(), en.data(), m);
-    std::size_t kept = 0;
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t l = o[k];
-      energy[l] = en[k];
-      x[l] = x1s[k];
-      t_done[l] += hs[k];
-      if (x[l] <= bp.x_floor) continue;  // fuel exhausted: scalar `break`
-      if (!(t_done[l] < dt) || substeps[l] >= bp.max_substeps) continue;
-      o[kept++] = l;
-    }
-    o.resize(kept);
-  }
-  if (substeps_out != nullptr) {
-    for (std::size_t k = 0; k < n; ++k) substeps_out[k] = substeps[k];
-  }
 }
 
 }  // namespace raptor::burn

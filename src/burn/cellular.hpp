@@ -9,17 +9,80 @@
 // stay at ambient precision — "we intend to explore the possibility of
 // using lower precision in a solver other than hydro in a multiphysics
 // scenario".
+//
+// Each stage of a step is written once, on a scalar type: cell by cell on S,
+// or (CellularConfig::batch, op-mode, S = Real) as the stage's batch::Vec
+// instantiation over every cell or face at once.
 #pragma once
 
+#include <algorithm>
 #include <optional>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "burn/burn.hpp"
 #include "eos/helmholtz.hpp"
 #include "runtime/config.hpp"
 #include "trunc/scope.hpp"
+#include "trunc/span_ops.hpp"
 
 namespace raptor::burn {
+
+/// Conserved flux through one face.
+template <class T>
+struct FaceFlux {
+  T rho, mom, ener;
+};
+template <class T>
+auto members(FaceFlux<T>& f) {
+  return std::tie(f.rho, f.mom, f.ener);
+}
+template <class T>
+auto members(const FaceFlux<T>& f) {
+  return std::tie(f.rho, f.mom, f.ener);
+}
+
+/// HLL flux between a left (l) and a right (r) cell of density, momentum,
+/// pressure, total energy density and effective Gamma. Faces whose Davis
+/// wave speeds are both of one sign take that side's physical flux; the
+/// subsonic rest take the HLL combination (written once for double, Real
+/// and batch::Vec; the two wave-speed tests are branch()es).
+template <class T>
+FaceFlux<T> hll_face(const T& rl, const T& rr, const T& ml, const T& mr, const T& pl, const T& pr,
+                     const T& el, const T& er, const T& gl, const T& gr) {
+  using std::sqrt;
+  using std::fmin;
+  using std::fmax;
+  const T ul = ml / rl, ur = mr / rr;
+  const T cl = sqrt(fmax(gl, T(1.05)) * pl / rl);
+  const T cr = sqrt(fmax(gr, T(1.05)) * pr / rr);
+  const T sl = fmin(ul - cl, ur - cr);
+  const T sr = fmax(ul + cl, ur + cr);
+  const T fl_rho = rl * ul, fr_rho = rr * ur;
+  const T fl_mom = rl * ul * ul + pl, fr_mom = rr * ur * ur + pr;
+  const T fl_ener = ul * (el + pl), fr_ener = ur * (er + pr);
+  return branch(
+      sl >= 0.0,
+      [&](auto pick) { return FaceFlux<T>{pick(fl_rho), pick(fl_mom), pick(fl_ener)}; },
+      [&](auto pick) {
+        return branch(
+            pick(sr) <= 0.0,
+            [&](auto inner) {
+              return FaceFlux<T>{inner(pick(fr_rho)), inner(pick(fr_mom)), inner(pick(fr_ener))};
+            },
+            [&](auto inner) {
+              const auto at = [&](const T& v) { return inner(pick(v)); };
+              const T a = at(sl), b = at(sr);
+              const T inv = T(1.0) / (b - a);
+              return FaceFlux<T>{
+                  (b * at(fl_rho) - a * at(fr_rho) + a * b * (at(rr) - at(rl))) * inv,
+                  (b * at(fl_mom) - a * at(fr_mom) + a * b * (at(rr) * at(ur) - at(rl) * at(ul))) *
+                      inv,
+                  (b * at(fl_ener) - a * at(fr_ener) + a * b * (at(er) - at(el))) * inv};
+            });
+      });
+}
 
 struct CellularConfig {
   int n = 256;
@@ -33,10 +96,12 @@ struct CellularConfig {
   int eos_max_iter = 20;
   /// Truncation applied to the EOS module only (the §6.1 experiment).
   std::optional<rt::TruncationSpec> eos_trunc;
-  /// Route the EOS inversion, HLL fluxes, conserved update and burn network
-  /// through the array batch dispatch (DESIGN.md §8) when running op-mode
-  /// with S = Real: bit-identical results and counters, batched dispatch.
-  /// The double baseline and mem-mode always take the scalar path.
+  /// Run each stage — the EOS sweep, the HLL fluxes, the conserved update
+  /// and the burn network — as its kernel's batch::Vec instantiation over
+  /// all cells or faces at once (DESIGN.md §8) when running op-mode with
+  /// S = Real: bit-identical results, stats and counters, one batch call
+  /// per operator. The double baseline and mem-mode always run the stages
+  /// cell by cell on S.
   bool batch = true;
 };
 
@@ -81,36 +146,23 @@ class CellularSim {
   /// and temperature per cell; Burn then releases energy.
   double step() {
     const int n = cfg_.n;
-    // Batched dispatch applies to the instrumented op-mode run only; the
-    // double baseline and mem-mode take the scalar path (DESIGN.md §8).
-    bool use_batch = false;
-    if constexpr (std::is_same_v<S, Real>) {
-      use_batch = cfg_.batch && rt::Runtime::instance().mode() == rt::Mode::Op;
-    }
     // 1. EOS sweep: invert (rho, e_int) -> T, p under the eos scope.
     std::vector<S> pres(n), gam(n);
     {
       std::optional<TruncScope> scope;
       if (cfg_.eos_trunc) scope.emplace(*cfg_.eos_trunc, true);
       Region region("eos");
-      bool done = false;
-      if constexpr (std::is_same_v<S, Real>) {
-        if (use_batch) {
-          eos_sweep_batch(pres, gam);
-          done = true;
-        }
-      }
-      if (!done) {
-        for (int i = 0; i < n; ++i) {
-          const S vel = mom_[i] / rho_[i];
-          S eint = ener_[i] / rho_[i] - S(0.5) * vel * vel;
-          const auto res = table_.invert_energy(rho_[i], eint, temp_[i], cfg_.eos_rtol,
-                                                cfg_.eos_max_iter, &eos_stats_);
-          temp_[i] = res.temp;
-          pres[i] = res.pres;
-          gam[i] = table_.gamma_eff(rho_[i], res.pres, eint);
-        }
-      }
+      for_each(n, [&](const auto& at) {
+        using T = typename std::decay_t<decltype(at)>::value_type;
+        const T rho = at.get(rho_);
+        const T vel = at.get(mom_) / rho;
+        const T eint = at.get(ener_) / rho - T(0.5) * vel * vel;
+        const auto res = table_.invert_energy(rho, eint, at.get(temp_), cfg_.eos_rtol,
+                                              cfg_.eos_max_iter, &eos_stats_);
+        at.put(temp_, res.temp);
+        at.put(pres, res.pres);
+        at.put(gam, table_.gamma_eff(rho, res.pres, eint));
+      });
     }
 
     // 2. CFL dt (native bookkeeping).
@@ -127,294 +179,81 @@ class CellularSim {
     // 3. Hydro update (HLL, first order, outflow boundaries), "hydro" region.
     {
       Region region("hydro");
-      bool done = false;
-      if constexpr (std::is_same_v<S, Real>) {
-        if (use_batch) {
-          hydro_batch(pres, gam, dt);
-          done = true;
-        }
-      }
-      if (!done) {
-        std::vector<S> f_rho(n + 1), f_mom(n + 1), f_ener(n + 1);
-        for (int f = 0; f <= n; ++f) {
-          const int il = std::max(f - 1, 0);
-          const int ir = std::min(f, n - 1);
-          flux(il, ir, pres, gam, f_rho[f], f_mom[f], f_ener[f]);
-        }
-        const S dtdx(dt / dx_);
-        for (int i = 0; i < n; ++i) {
-          rho_[i] = rho_[i] + dtdx * (f_rho[i] - f_rho[i + 1]);
-          mom_[i] = mom_[i] + dtdx * (f_mom[i] - f_mom[i + 1]);
-          ener_[i] = ener_[i] + dtdx * (f_ener[i] - f_ener[i + 1]);
-        }
-      }
+      // Face f lies between cells f - 1 and f, clamped at the walls.
+      std::vector<S> f_rho(n + 1), f_mom(n + 1), f_ener(n + 1);
+      for_each(n + 1, [&](const auto& at) {
+        const auto f = hll_face(at.get(rho_, -1), at.get(rho_), at.get(mom_, -1), at.get(mom_),
+                                at.get(pres, -1), at.get(pres), at.get(ener_, -1), at.get(ener_),
+                                at.get(gam, -1), at.get(gam));
+        at.put(f_rho, f.rho);
+        at.put(f_mom, f.mom);
+        at.put(f_ener, f.ener);
+      });
+      for_each(n, [&](const auto& at) {
+        using T = typename std::decay_t<decltype(at)>::value_type;
+        const T dtdx(dt / dx_);
+        at.put(rho_, at.get(rho_) + dtdx * (at.get(f_rho) - at.get(f_rho, 1)));
+        at.put(mom_, at.get(mom_) + dtdx * (at.get(f_mom) - at.get(f_mom, 1)));
+        at.put(ener_, at.get(ener_) + dtdx * (at.get(f_ener) - at.get(f_ener, 1)));
+      });
     }
 
-    // 4. Burn source, "burn" region.
+    // 4. Burn source, "burn" region. The release is summed in cell order.
     {
       Region region("burn");
-      bool done = false;
-      if constexpr (std::is_same_v<S, Real>) {
-        if (use_batch) {
-          burn_batch(dt);
-          done = true;
-        }
-      }
-      if (!done) {
-        for (int i = 0; i < n; ++i) {
-          const auto res = burn_cell(bp_, xfrac_[i], rho_[i], temp_[i], dt);
-          xfrac_[i] = res.x_new;
-          ener_[i] = ener_[i] + rho_[i] * res.energy_released;
-          energy_released_ += to_double(rho_[i] * res.energy_released) * dx_;
-        }
-      }
+      for_each(n, [&](const auto& at) {
+        const auto rho = at.get(rho_);
+        const auto res = burn_cell(bp_, at.get(xfrac_), rho, at.get(temp_), dt);
+        at.put(xfrac_, res.x_new);
+        at.put(ener_, at.get(ener_) + rho * res.energy_released);
+        native([&](double deposit) { energy_released_ += deposit * dx_; },
+               rho * res.energy_released);
+      });
     }
     return dt;
   }
 
  private:
-  // -- Batched stage implementations (S = Real, op-mode; DESIGN.md §8) ----
-  //
-  // Each mirrors its scalar loop operation for operation over gathered raw
-  // payloads, so per-cell results and counter totals are bitwise identical;
-  // per-cell control flow (EOS convergence, HLL wave-speed branches, burn
-  // sub-cycling) is decided on the same native values and handled by lane
-  // compaction.
+  /// A stage's operands at one cell or face k, in the instrumented scalar.
+  struct At {
+    using value_type = S;
+    int k;
+    /// field[k + off], clamped into the field.
+    [[nodiscard]] S get(const std::vector<S>& field, int off = 0) const {
+      return field[std::clamp(k + off, 0, static_cast<int>(field.size()) - 1)];
+    }
+    void put(std::vector<S>& field, S value) const { field[k] = std::move(value); }
+  };
 
-  /// Stage 1: vel/eint preparation, batched Newton inversion, gamma_eff.
-  void eos_sweep_batch(std::vector<S>& pres, std::vector<S>& gam)
-    requires std::is_same_v<S, Real>
-  {
-    using rt::OpKind;
-    auto& R = rt::Runtime::instance();
-    const std::size_t n = static_cast<std::size_t>(cfg_.n);
-    std::vector<double> rho(n), mom(n), ener(n), temp(n), vel(n), eint(n), pr(n), t0(n), t1(n),
-        half(n, 0.5), one(n, 1.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      rho[i] = rho_[i].raw();
-      mom[i] = mom_[i].raw();
-      ener[i] = ener_[i].raw();
-      temp[i] = temp_[i].raw();
+  /// The same operands at every cell or face k in [0, n), one lane each
+  /// (S = Real, op-mode: lanes carry raw payloads).
+  struct Span {
+    using value_type = batch::Vec;
+    int n;
+    [[nodiscard]] batch::Vec get(const std::vector<S>& field, int off = 0) const {
+      const int last = static_cast<int>(field.size()) - 1;
+      return batch::Vec::gather(static_cast<std::size_t>(n), [&](std::size_t k) {
+        return field[std::clamp(static_cast<int>(k) + off, 0, last)].raw();
+      });
     }
-    // vel = mom / rho;  eint = ener / rho - 0.5 vel vel
-    R.op2_batch(OpKind::Div, mom.data(), rho.data(), vel.data(), n);
-    R.op2_batch(OpKind::Div, ener.data(), rho.data(), t0.data(), n);
-    R.op2_batch(OpKind::Mul, half.data(), vel.data(), t1.data(), n);
-    R.op2_batch(OpKind::Mul, t1.data(), vel.data(), t1.data(), n);
-    R.op2_batch(OpKind::Sub, t0.data(), t1.data(), eint.data(), n);
-    table_.invert_energy_batch(rho.data(), eint.data(), temp.data(), pr.data(), n, cfg_.eos_rtol,
-                               cfg_.eos_max_iter, &eos_stats_);
-    // gamma_eff = 1 + p / (rho e)
-    R.op2_batch(OpKind::Mul, rho.data(), eint.data(), t0.data(), n);
-    R.op2_batch(OpKind::Div, pr.data(), t0.data(), t1.data(), n);
-    R.op2_batch(OpKind::Add, one.data(), t1.data(), t0.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      temp_[i] = Real::adopt_raw(temp[i]);
-      pres[i] = Real::adopt_raw(pr[i]);
-      gam[i] = Real::adopt_raw(t0[i]);
+    void put(std::vector<S>& field, const batch::Vec& value) const {
+      for (int k = 0; k < n; ++k) field[k] = Real::adopt_raw(value[k]);
     }
-  }
+  };
 
-  /// Stages 3a+3b: HLL fluxes over all faces (wave-speed branches resolved
-  /// by face partition) and the conserved flux-difference update.
-  void hydro_batch(const std::vector<S>& pres, const std::vector<S>& gam, double dt)
-    requires std::is_same_v<S, Real>
-  {
-    using rt::OpKind;
-    auto& R = rt::Runtime::instance();
-    const std::size_t n = static_cast<std::size_t>(cfg_.n);
-    const std::size_t nf = n + 1;
-    std::vector<double> rl(nf), rr(nf), ml(nf), mr(nf), pl(nf), pr(nf), el(nf), er(nf), gl(nf),
-        gr(nf);
-    for (std::size_t f = 0; f < nf; ++f) {
-      const std::size_t il = f == 0 ? 0 : f - 1;
-      const std::size_t ir = std::min(f, n - 1);
-      rl[f] = rho_[il].raw();
-      rr[f] = rho_[ir].raw();
-      ml[f] = mom_[il].raw();
-      mr[f] = mom_[ir].raw();
-      pl[f] = pres[il].raw();
-      pr[f] = pres[ir].raw();
-      el[f] = ener_[il].raw();
-      er[f] = ener_[ir].raw();
-      // fmax(gam, 1.05) is a selection on the truncated value (no op).
-      gl[f] = gam[il].raw() >= 1.05 ? gam[il].raw() : 1.05;
-      gr[f] = gam[ir].raw() >= 1.05 ? gam[ir].raw() : 1.05;
-    }
-    std::vector<double> ul(nf), ur(nf), cl(nf), cr(nf), sl(nf), sr(nf), t0(nf), t1(nf);
-    std::vector<double> flr(nf), frr(nf), flm(nf), frm(nf), fle(nf), fre(nf);
-    R.op2_batch(OpKind::Div, ml.data(), rl.data(), ul.data(), nf);
-    R.op2_batch(OpKind::Div, mr.data(), rr.data(), ur.data(), nf);
-    // c = sqrt(g p / r) per side
-    R.op2_batch(OpKind::Mul, gl.data(), pl.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Div, t0.data(), rl.data(), t0.data(), nf);
-    R.op1_batch(OpKind::Sqrt, t0.data(), cl.data(), nf);
-    R.op2_batch(OpKind::Mul, gr.data(), pr.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Div, t0.data(), rr.data(), t0.data(), nf);
-    R.op1_batch(OpKind::Sqrt, t0.data(), cr.data(), nf);
-    // sl = fmin(ul - cl, ur - cr); sr = fmax(ul + cl, ur + cr)
-    R.op2_batch(OpKind::Sub, ul.data(), cl.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Sub, ur.data(), cr.data(), t1.data(), nf);
-    for (std::size_t f = 0; f < nf; ++f) sl[f] = t0[f] <= t1[f] ? t0[f] : t1[f];
-    R.op2_batch(OpKind::Add, ul.data(), cl.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Add, ur.data(), cr.data(), t1.data(), nf);
-    for (std::size_t f = 0; f < nf; ++f) sr[f] = t0[f] >= t1[f] ? t0[f] : t1[f];
-    // One-sided fluxes (computed for every face, as in the scalar code)
-    R.op2_batch(OpKind::Mul, rl.data(), ul.data(), flr.data(), nf);
-    R.op2_batch(OpKind::Mul, rr.data(), ur.data(), frr.data(), nf);
-    R.op2_batch(OpKind::Mul, rl.data(), ul.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Mul, t0.data(), ul.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Add, t0.data(), pl.data(), flm.data(), nf);
-    R.op2_batch(OpKind::Mul, rr.data(), ur.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Mul, t0.data(), ur.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Add, t0.data(), pr.data(), frm.data(), nf);
-    R.op2_batch(OpKind::Add, el.data(), pl.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Mul, ul.data(), t0.data(), fle.data(), nf);
-    R.op2_batch(OpKind::Add, er.data(), pr.data(), t0.data(), nf);
-    R.op2_batch(OpKind::Mul, ur.data(), t0.data(), fre.data(), nf);
-    // Wave-speed branch: upwind faces copy a one-sided flux (no ops), the
-    // subsonic middle faces take the HLL combination, batched compacted.
-    std::vector<double> f_rho(nf), f_mom(nf), f_ener(nf);
-    std::vector<std::size_t> mid;
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (sl[f] >= 0.0) {
-        f_rho[f] = flr[f];
-        f_mom[f] = flm[f];
-        f_ener[f] = fle[f];
-      } else if (sr[f] <= 0.0) {
-        f_rho[f] = frr[f];
-        f_mom[f] = frm[f];
-        f_ener[f] = fre[f];
-      } else {
-        mid.push_back(f);
+  /// Runs stage(at) over the cells or faces [0, n): with cfg.batch in
+  /// op-mode on S = Real once, as the batch::Vec instantiation over all of
+  /// them; otherwise once per index on S. No index of a stage reads what
+  /// another writes, so both give the same per-index results and counts.
+  template <class Stage>
+  void for_each(int n, const Stage& stage) {
+    if constexpr (std::is_same_v<S, Real>) {
+      if (cfg_.batch && rt::Runtime::instance().mode() == rt::Mode::Op) {
+        stage(Span{n});
+        return;
       }
     }
-    if (!mid.empty()) {
-      const std::size_t m = mid.size();
-      std::vector<double> msl(m), msr(m), inv(m), a(m), b(m), c(m), d(m), e(m), one(m, 1.0);
-      const auto gather = [&](const std::vector<double>& src, std::vector<double>& dst) {
-        for (std::size_t k = 0; k < m; ++k) dst[k] = src[mid[k]];
-      };
-      gather(sl, msl);
-      gather(sr, msr);
-      R.op2_batch(OpKind::Sub, msr.data(), msl.data(), a.data(), m);
-      R.op2_batch(OpKind::Div, one.data(), a.data(), inv.data(), m);
-      // f = (sr fl - sl fr + sl sr (qr - ql)) * inv, per component; the
-      // q-difference for momentum is rr ur - rl ul (recomputed, as in the
-      // scalar expression).
-      const auto combine = [&](const std::vector<double>& fl, const std::vector<double>& fr,
-                               auto&& qdiff, std::vector<double>& out) {
-        gather(fl, a);
-        gather(fr, b);
-        R.op2_batch(OpKind::Mul, msr.data(), a.data(), a.data(), m);
-        R.op2_batch(OpKind::Mul, msl.data(), b.data(), b.data(), m);
-        R.op2_batch(OpKind::Sub, a.data(), b.data(), a.data(), m);
-        qdiff(c);  // fills c with (qr - ql)
-        R.op2_batch(OpKind::Mul, msl.data(), msr.data(), d.data(), m);
-        R.op2_batch(OpKind::Mul, d.data(), c.data(), d.data(), m);
-        R.op2_batch(OpKind::Add, a.data(), d.data(), a.data(), m);
-        R.op2_batch(OpKind::Mul, a.data(), inv.data(), a.data(), m);
-        for (std::size_t k = 0; k < m; ++k) out[mid[k]] = a[k];
-      };
-      combine(flr, frr,
-              [&](std::vector<double>& q) {
-                gather(rr, b);
-                gather(rl, c);
-                R.op2_batch(OpKind::Sub, b.data(), c.data(), q.data(), m);
-              },
-              f_rho);
-      combine(flm, frm,
-              [&](std::vector<double>& q) {
-                gather(rr, b);
-                gather(ur, c);
-                R.op2_batch(OpKind::Mul, b.data(), c.data(), d.data(), m);
-                gather(rl, b);
-                gather(ul, c);
-                R.op2_batch(OpKind::Mul, b.data(), c.data(), e.data(), m);
-                R.op2_batch(OpKind::Sub, d.data(), e.data(), q.data(), m);
-              },
-              f_mom);
-      combine(fle, fre,
-              [&](std::vector<double>& q) {
-                gather(er, b);
-                gather(el, c);
-                R.op2_batch(OpKind::Sub, b.data(), c.data(), q.data(), m);
-              },
-              f_ener);
-    }
-    // Conserved update: u[i] += dtdx (f[i] - f[i+1]) per variable.
-    std::vector<double> dtdx(n, dt / dx_), u(n), diff(n), t2(n);
-    const auto update = [&](std::vector<S>& field, const std::vector<double>& fl) {
-      for (std::size_t i = 0; i < n; ++i) u[i] = field[i].raw();
-      R.op2_batch(OpKind::Sub, fl.data(), fl.data() + 1, diff.data(), n);
-      R.op2_batch(OpKind::Mul, dtdx.data(), diff.data(), t2.data(), n);
-      R.op2_batch(OpKind::Add, u.data(), t2.data(), u.data(), n);
-      for (std::size_t i = 0; i < n; ++i) field[i] = Real::adopt_raw(u[i]);
-    };
-    update(rho_, f_rho);
-    update(mom_, f_mom);
-    update(ener_, f_ener);
-  }
-
-  /// Stage 4: batched burn network plus the energy deposition.
-  void burn_batch(double dt)
-    requires std::is_same_v<S, Real>
-  {
-    using rt::OpKind;
-    auto& R = rt::Runtime::instance();
-    const std::size_t n = static_cast<std::size_t>(cfg_.n);
-    std::vector<double> x(n), rho(n), temp(n), en(n), rel(n), t0(n), t1(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = xfrac_[i].raw();
-      rho[i] = rho_[i].raw();
-      temp[i] = temp_[i].raw();
-      en[i] = ener_[i].raw();
-    }
-    burn_cells_batch(bp_, n, x.data(), rho.data(), temp.data(), dt, rel.data());
-    // ener += rho * release;  energy_released_ += (rho * release) * dx —
-    // the product is evaluated twice, exactly as in the scalar statements.
-    R.op2_batch(OpKind::Mul, rho.data(), rel.data(), t0.data(), n);
-    R.op2_batch(OpKind::Add, en.data(), t0.data(), en.data(), n);
-    R.op2_batch(OpKind::Mul, rho.data(), rel.data(), t1.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      xfrac_[i] = Real::adopt_raw(x[i]);
-      ener_[i] = Real::adopt_raw(en[i]);
-      energy_released_ += t1[i] * dx_;
-    }
-  }
-
-  void flux(int il, int ir, const std::vector<S>& pres, const std::vector<S>& gam, S& f_rho,
-            S& f_mom, S& f_ener) const {
-    using std::sqrt;
-    using std::fmin;
-    using std::fmax;
-    const S rl = rho_[il], rr = rho_[ir];
-    const S ul = mom_[il] / rl, ur = mom_[ir] / rr;
-    const S pl = pres[il], pr = pres[ir];
-    const S el = ener_[il], er = ener_[ir];
-    const S cl = sqrt(fmax(gam[il], S(1.05)) * pl / rl);
-    const S cr = sqrt(fmax(gam[ir], S(1.05)) * pr / rr);
-    const S sl = fmin(ul - cl, ur - cr);
-    const S sr = fmax(ul + cl, ur + cr);
-    const S fl_rho = rl * ul, fr_rho = rr * ur;
-    const S fl_mom = rl * ul * ul + pl, fr_mom = rr * ur * ur + pr;
-    const S fl_ener = ul * (el + pl), fr_ener = ur * (er + pr);
-    if (to_double(sl) >= 0.0) {
-      f_rho = fl_rho;
-      f_mom = fl_mom;
-      f_ener = fl_ener;
-      return;
-    }
-    if (to_double(sr) <= 0.0) {
-      f_rho = fr_rho;
-      f_mom = fr_mom;
-      f_ener = fr_ener;
-      return;
-    }
-    const S inv = S(1.0) / (sr - sl);
-    f_rho = (sr * fl_rho - sl * fr_rho + sl * sr * (rr - rl)) * inv;
-    f_mom = (sr * fl_mom - sl * fr_mom + sl * sr * (rr * ur - rl * ul)) * inv;
-    f_ener = (sr * fl_ener - sl * fr_ener + sl * sr * (er - el)) * inv;
+    for (int k = 0; k < n; ++k) stage(At{k});
   }
 
   CellularConfig cfg_;

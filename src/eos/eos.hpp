@@ -32,8 +32,8 @@ template <class S>
 struct EosResult {
   S temp{0.0};
   S pres{0.0};
-  int iterations = 0;
-  bool converged = false;
+  native_t<S, int> iterations = 0;  ///< per lane for batch::Vec
+  native_t<S, bool> converged = false;
 };
 
 /// Aggregate Newton-Raphson statistics across EOS calls — the §6.1

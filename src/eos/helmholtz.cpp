@@ -1,7 +1,5 @@
 #include "eos/helmholtz.hpp"
 
-#include "runtime/runtime.hpp"
-
 namespace raptor::eos {
 
 namespace {
@@ -24,10 +22,6 @@ double HelmholtzTable::p_analytic(double rho, double temp) {
          (2.0 / 3.0) * kKDeg * std::pow(rho, 5.0 / 3.0);
 }
 
-double HelmholtzTable::dedT_analytic(double rho, double temp) {
-  return kCvIon + 4.0 * kARad * temp * temp * temp / rho;
-}
-
 HelmholtzTable::HelmholtzTable(const Config& cfg) : cfg_(cfg) {
   RAPTOR_REQUIRE(cfg_.n_rho >= 2 && cfg_.n_temp >= 2, "helmholtz: table too small");
   dlr_ = (cfg_.log_rho_hi - cfg_.log_rho_lo) / (cfg_.n_rho - 1);
@@ -35,192 +29,12 @@ HelmholtzTable::HelmholtzTable(const Config& cfg) : cfg_(cfg) {
   const std::size_t n = static_cast<std::size_t>(cfg_.n_rho) * cfg_.n_temp;
   e_.resize(n);
   p_.resize(n);
-  dedT_.resize(n);
   for (int j = 0; j < cfg_.n_temp; ++j) {
     const double temp = std::pow(10.0, cfg_.log_temp_lo + j * dlt_);
     for (int i = 0; i < cfg_.n_rho; ++i) {
       const double rho = std::pow(10.0, cfg_.log_rho_lo + i * dlr_);
       e_[idx(i, j)] = e_analytic(rho, temp);
       p_[idx(i, j)] = p_analytic(rho, temp);
-      dedT_[idx(i, j)] = dedT_analytic(rho, temp);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched inversion (DESIGN.md §8/§10)
-// ---------------------------------------------------------------------------
-//
-// Discipline: every instrumented scalar operation of invert_energy<Real> has
-// exactly one batched counterpart here, applied over the (compacted) active
-// lanes in the same per-lane order — so per-lane results, Newton iteration
-// counts, EosStats and counter totals are bit-identical to the scalar sweep.
-// Table-index bookkeeping (locate's i/j, clamping, convergence tests) stays
-// native, exactly as in the scalar code.
-
-struct HelmholtzTable::BatchScratch {
-  std::vector<double> rho, temp, lr, lt, fx, fy, resid;
-  std::vector<double> t0, t1, t2, t3, v00, v10, v01, v11, out;
-  std::vector<int> ii, jj;
-  std::vector<double> bc;  ///< broadcast constant (one live use per batch call)
-
-  void resize(std::size_t n) {
-    for (auto* v : {&rho, &temp, &lr, &lt, &fx, &fy, &resid, &t0, &t1, &t2, &t3, &v00, &v10,
-                    &v01, &v11, &out}) {
-      v->resize(n);
-    }
-    ii.resize(n);
-    jj.resize(n);
-  }
-
-  const double* bcast(double v, std::size_t n) {
-    if (bc.size() < n) bc.resize(n);
-    std::fill(bc.begin(), bc.begin() + static_cast<std::ptrdiff_t>(n), v);
-    return bc.data();
-  }
-};
-
-void HelmholtzTable::locate_batch(std::size_t n, BatchScratch& s) const {
-  using rt::OpKind;
-  auto& R = rt::Runtime::instance();
-  R.op1_batch(OpKind::Log10, s.rho.data(), s.lr.data(), n);
-  R.op1_batch(OpKind::Log10, s.temp.data(), s.lt.data(), n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const int i = static_cast<int>((s.lr[k] - cfg_.log_rho_lo) / dlr_);
-    const int j = static_cast<int>((s.lt[k] - cfg_.log_temp_lo) / dlt_);
-    s.ii[k] = std::clamp(i, 0, cfg_.n_rho - 2);
-    s.jj[k] = std::clamp(j, 0, cfg_.n_temp - 2);
-    s.t0[k] = cfg_.log_rho_lo + s.ii[k] * dlr_;
-    s.t1[k] = cfg_.log_temp_lo + s.jj[k] * dlt_;
-  }
-  R.op2_batch(OpKind::Sub, s.lr.data(), s.t0.data(), s.t2.data(), n);
-  R.op2_batch(OpKind::Mul, s.t2.data(), s.bcast(1.0 / dlr_, n), s.fx.data(), n);
-  R.op2_batch(OpKind::Sub, s.lt.data(), s.t1.data(), s.t2.data(), n);
-  R.op2_batch(OpKind::Mul, s.t2.data(), s.bcast(1.0 / dlt_, n), s.fy.data(), n);
-}
-
-void HelmholtzTable::blend_batch(const std::vector<double>& tab, std::size_t n,
-                                 BatchScratch& s) const {
-  using rt::OpKind;
-  auto& R = rt::Runtime::instance();
-  for (std::size_t k = 0; k < n; ++k) {
-    s.v00[k] = tab[idx(s.ii[k], s.jj[k])];
-    s.v10[k] = tab[idx(s.ii[k] + 1, s.jj[k])];
-    s.v01[k] = tab[idx(s.ii[k], s.jj[k] + 1)];
-    s.v11[k] = tab[idx(s.ii[k] + 1, s.jj[k] + 1)];
-  }
-  // (one - fx) * ((one - fy) * v00 + fy * v01) + fx * ((one - fy) * v10 +
-  // fy * v11) — including the scalar expression's second (one - fy).
-  R.op2_batch(OpKind::Sub, s.bcast(1.0, n), s.fx.data(), s.t0.data(), n);
-  R.op2_batch(OpKind::Sub, s.bcast(1.0, n), s.fy.data(), s.t1.data(), n);
-  R.op2_batch(OpKind::Mul, s.t1.data(), s.v00.data(), s.t2.data(), n);
-  R.op2_batch(OpKind::Mul, s.fy.data(), s.v01.data(), s.t3.data(), n);
-  R.op2_batch(OpKind::Add, s.t2.data(), s.t3.data(), s.t2.data(), n);
-  R.op2_batch(OpKind::Mul, s.t0.data(), s.t2.data(), s.t2.data(), n);
-  R.op2_batch(OpKind::Sub, s.bcast(1.0, n), s.fy.data(), s.t1.data(), n);
-  R.op2_batch(OpKind::Mul, s.t1.data(), s.v10.data(), s.t3.data(), n);
-  R.op2_batch(OpKind::Mul, s.fy.data(), s.v11.data(), s.t1.data(), n);
-  R.op2_batch(OpKind::Add, s.t3.data(), s.t1.data(), s.t3.data(), n);
-  R.op2_batch(OpKind::Mul, s.fx.data(), s.t3.data(), s.t3.data(), n);
-  R.op2_batch(OpKind::Add, s.t2.data(), s.t3.data(), s.out.data(), n);
-}
-
-void HelmholtzTable::interp_batch(const std::vector<double>& tab, std::size_t n,
-                                  BatchScratch& s) const {
-  locate_batch(n, s);
-  blend_batch(tab, n, s);
-}
-
-void HelmholtzTable::dedt_batch(std::size_t n, BatchScratch& s) const {
-  using rt::OpKind;
-  auto& R = rt::Runtime::instance();
-  locate_batch(n, s);
-  for (std::size_t k = 0; k < n; ++k) {
-    s.v00[k] = e_[idx(s.ii[k], s.jj[k])];
-    s.v10[k] = e_[idx(s.ii[k] + 1, s.jj[k])];
-    s.v01[k] = e_[idx(s.ii[k], s.jj[k] + 1)];
-    s.v11[k] = e_[idx(s.ii[k] + 1, s.jj[k] + 1)];
-  }
-  // ((one - fx) * (v01 - v00) + fx * (v11 - v10)) / dlt / (temp * ln 10)
-  R.op2_batch(OpKind::Sub, s.bcast(1.0, n), s.fx.data(), s.t0.data(), n);
-  R.op2_batch(OpKind::Sub, s.v01.data(), s.v00.data(), s.t1.data(), n);
-  R.op2_batch(OpKind::Mul, s.t0.data(), s.t1.data(), s.t2.data(), n);
-  R.op2_batch(OpKind::Sub, s.v11.data(), s.v10.data(), s.t1.data(), n);
-  R.op2_batch(OpKind::Mul, s.fx.data(), s.t1.data(), s.t3.data(), n);
-  R.op2_batch(OpKind::Add, s.t2.data(), s.t3.data(), s.t2.data(), n);
-  R.op2_batch(OpKind::Mul, s.t2.data(), s.bcast(1.0 / dlt_, n), s.t2.data(), n);
-  R.op2_batch(OpKind::Mul, s.temp.data(), s.bcast(2.302585092994046, n), s.t3.data(), n);
-  R.op2_batch(OpKind::Div, s.t2.data(), s.t3.data(), s.out.data(), n);
-}
-
-void HelmholtzTable::invert_energy_batch(const double* rho, const double* e_target, double* temp,
-                                         double* pres, std::size_t n, double rtol, int max_iter,
-                                         EosStats* stats) const {
-  using rt::OpKind;
-  auto& R = rt::Runtime::instance();
-  const double t_lo = temp_lo() * 1.0000001, t_hi = temp_hi() * 0.9999999;
-  std::vector<std::size_t> act(n);
-  std::vector<int> iters(n, 0);
-  std::vector<char> conv(n, 0);
-  std::vector<double> e_scale(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (temp[k] < t_lo) temp[k] = t_lo;
-    if (temp[k] > t_hi) temp[k] = t_hi;
-    e_scale[k] = std::fabs(e_target[k]);
-    act[k] = k;
-  }
-  BatchScratch s;
-  for (int it = 1; it <= max_iter && !act.empty(); ++it) {
-    const std::size_t m = act.size();
-    s.resize(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      s.rho[k] = rho[act[k]];
-      s.temp[k] = temp[act[k]];
-      iters[act[k]] = it;
-    }
-    interp_batch(e_, m, s);
-    for (std::size_t k = 0; k < m; ++k) s.t0[k] = e_target[act[k]];
-    R.op2_batch(OpKind::Sub, s.out.data(), s.t0.data(), s.resid.data(), m);
-    // Retire converged lanes before the derivative, as the scalar loop
-    // breaks before computing dedT.
-    std::size_t kept = 0;
-    for (std::size_t k = 0; k < m; ++k) {
-      if (std::fabs(s.resid[k]) < rtol * e_scale[act[k]]) {
-        conv[act[k]] = 1;
-      } else {
-        act[kept] = act[k];
-        s.rho[kept] = s.rho[k];
-        s.temp[kept] = s.temp[k];
-        s.resid[kept] = s.resid[k];
-        ++kept;
-      }
-    }
-    act.resize(kept);
-    if (kept == 0) break;
-    dedt_batch(kept, s);
-    R.op2_batch(OpKind::Div, s.resid.data(), s.out.data(), s.t0.data(), kept);
-    R.op2_batch(OpKind::Sub, s.temp.data(), s.t0.data(), s.t1.data(), kept);
-    for (std::size_t k = 0; k < kept; ++k) {
-      double t = s.t1[k];
-      if (t < t_lo) t = t_lo;
-      if (t > t_hi) t = t_hi;
-      temp[act[k]] = t;
-    }
-  }
-  // Pressure at the final temperature, over every lane.
-  s.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    s.rho[k] = rho[k];
-    s.temp[k] = temp[k];
-  }
-  interp_batch(p_, n, s);
-  for (std::size_t k = 0; k < n; ++k) pres[k] = s.out[k];
-  if (stats != nullptr) {
-    for (std::size_t k = 0; k < n; ++k) {
-      ++stats->calls;
-      if (conv[k] == 0) ++stats->failures;
-      stats->total_iterations += static_cast<u64>(iters[k]);
-      stats->max_iterations_seen = std::max(stats->max_iterations_seen, iters[k]);
     }
   }
 }

@@ -14,10 +14,18 @@
 // update — reproducing the paper's §6.1 experiment where the inversion
 // stops converging below ~42 mantissa bits regardless of tolerance and
 // iteration budget (Hypothesis 2 falsified).
+//
+// The inversion is written once for double, Real and batch::Vec (DESIGN.md
+// §8): table cells are native lookups (native()), the Newton loop is a
+// repeat_while whose Vec form retires each lane as it converges, and the
+// clamps are select()s. invert_energy<Vec> over many cells therefore gives
+// every cell the results, iteration count, EosStats contribution and
+// counter totals of invert_energy<Real> on it.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "eos/eos.hpp"
@@ -25,6 +33,23 @@
 #include "trunc/real.hpp"
 
 namespace raptor::eos {
+
+/// Per-lane state of the Newton inversion: the inputs it reads, the
+/// iterate, and native counts (members() lets branch and repeat_while
+/// narrow it to lanes).
+template <class S>
+struct NewtonState {
+  S rho, e_target, temp;
+  S iterations, converged;
+};
+template <class S>
+auto members(NewtonState<S>& s) {
+  return std::tie(s.rho, s.e_target, s.temp, s.iterations, s.converged);
+}
+template <class S>
+auto members(const NewtonState<S>& s) {
+  return std::tie(s.rho, s.e_target, s.temp, s.iterations, s.converged);
+}
 
 class HelmholtzTable {
  public:
@@ -43,7 +68,6 @@ class HelmholtzTable {
   // -- Analytic ground truth (table construction; test oracle) -----------
   static double e_analytic(double rho, double temp);
   static double p_analytic(double rho, double temp);
-  static double dedT_analytic(double rho, double temp);
 
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] double temp_lo() const { return std::pow(10.0, cfg_.log_temp_lo); }
@@ -59,25 +83,15 @@ class HelmholtzTable {
   [[nodiscard]] S p_interp(const S& rho, const S& temp) const {
     return interp(p_, rho, temp);
   }
-  /// Analytic de/dT sampled at nodes (diagnostics/tests).
-  template <class S>
-  [[nodiscard]] S dedT_interp(const S& rho, const S& temp) const {
-    return interp(dedT_, rho, temp);
-  }
-
   /// de/dT *consistent with the bilinear e-interpolant* (its exact partial
   /// derivative) — what Newton must use so the iteration terminates on the
   /// piecewise-linear table rather than oscillating across cell kinks.
   template <class S>
   [[nodiscard]] S dedT_consistent(const S& rho, const S& temp) const {
     using std::log10;
-    int i, j;
-    S fx, fy;
-    locate(log10(rho), log10(temp), i, j, fx, fy);
+    const Cell<S> c = locate(e_, log10(rho), log10(temp));
     const S one(1.0);
-    const S v00(e_[idx(i, j)]), v10(e_[idx(i + 1, j)]);
-    const S v01(e_[idx(i, j + 1)]), v11(e_[idx(i + 1, j + 1)]);
-    const S de_dlt = ((one - fx) * (v01 - v00) + fx * (v11 - v10)) * S(1.0 / dlt_);
+    const S de_dlt = ((one - c.fx) * (c.v01 - c.v00) + c.fx * (c.v11 - c.v10)) * S(1.0 / dlt_);
     // d(log10 T)/dT = 1 / (T ln 10)
     return de_dlt / (temp * S(2.302585092994046));
   }
@@ -91,102 +105,117 @@ class HelmholtzTable {
 
   // -- Newton-Raphson inversion (the §6.1 experiment target) -------------
 
-  /// Batched form of invert_energy over spans of op-mode raw payloads
-  /// (DESIGN.md §8): the effective format, mode and dispatch are resolved
-  /// once per batch operation, lanes retire from the batch as their Newton
-  /// iteration converges, and every lane's result, iteration count and
-  /// counter contribution is bit-identical to invert_energy<Real> on the
-  /// same inputs. `temp` carries the guess in and the result out; `pres`
-  /// receives p_interp at the result. Op-mode only (callers gate on
-  /// Runtime::mode(), as for the other batch front-ends).
-  void invert_energy_batch(const double* rho, const double* e_target, double* temp, double* pres,
-                           std::size_t n, double rtol, int max_iter,
-                           EosStats* stats = nullptr) const;
-
   /// Given (rho, e) find T such that e_interp(rho, T) = e. `stats` (if
-  /// non-null) accumulates convergence bookkeeping.
+  /// non-null) accumulates convergence bookkeeping, lane by lane.
   template <class S>
   EosResult<S> invert_energy(const S& rho, const S& e_target, const S& temp_guess, double rtol,
                              int max_iter, EosStats* stats = nullptr) const {
-    EosResult<S> out;
-    S temp = temp_guess;
-    // Clamp the running iterate into the table (native bookkeeping).
+    // Clamp the running iterate into the table (a selection, never counted).
     const double t_lo = temp_lo() * 1.0000001, t_hi = temp_hi() * 0.9999999;
-    if (to_double(temp) < t_lo) temp = S(t_lo);
-    if (to_double(temp) > t_hi) temp = S(t_hi);
+    const auto clamp = [&](const S& t) {
+      const S above = select(t < t_lo, S(t_lo), t);
+      return select(above > t_hi, S(t_hi), above);
+    };
     // Convergence is judged on the *energy residual* (as in Flash-X's
     // eos_helm): truncated arithmetic cannot fake convergence by rounding
     // the Newton update to zero while the residual sits at the quantization
     // floor. The derivative is the exact derivative of the interpolant, so
     // the iteration terminates on the piecewise-linear table instead of
     // oscillating across cell kinks.
-    const double e_scale = std::fabs(to_double(e_target));
-    for (int it = 1; it <= max_iter; ++it) {
-      out.iterations = it;
-      const S e = e_interp(rho, temp);
-      const S resid = e - e_target;
-      if (std::fabs(to_double(resid)) < rtol * e_scale) {
-        out.converged = true;
-        break;
-      }
-      const S dedt = dedT_consistent(rho, temp);
-      const S dt = resid / dedt;
-      temp = temp - dt;
-      if (to_double(temp) < t_lo) temp = S(t_lo);
-      if (to_double(temp) > t_hi) temp = S(t_hi);
-    }
-    out.temp = temp;
-    out.pres = p_interp(rho, temp);
+    const S zero = native([](double) { return 0.0; }, rho);  // a native count per lane
+    const NewtonState<S> done = repeat_while(
+        NewtonState<S>{rho, e_target, clamp(temp_guess), zero, zero},
+        [&](const NewtonState<S>& s) {
+          return native([&](double it, double conv) { return it < max_iter && conv == 0.0; },
+                        s.iterations, s.converged);
+        },
+        [&](NewtonState<S> s) {
+          s.iterations = native([](double it) { return it + 1.0; }, s.iterations);
+          const S resid = e_interp(s.rho, s.temp) - s.e_target;
+          s.converged = native(
+              [&](double r, double e) { return std::fabs(r) < rtol * std::fabs(e) ? 1.0 : 0.0; },
+              resid, s.e_target);
+          s.temp = branch(
+              s.converged > 0.0, [&](auto pick) { return pick(s.temp); },
+              [&](auto pick) {
+                const S t = pick(s.temp);
+                return clamp(t - pick(resid) / dedT_consistent(pick(s.rho), t));
+              });
+          return s;
+        });
+    EosResult<S> out;
+    out.temp = done.temp;
+    out.pres = p_interp(rho, done.temp);
+    out.iterations = native_cast<int>(done.iterations);
+    out.converged = native_cast<bool>(done.converged);
     if (stats != nullptr) {
-      ++stats->calls;
-      if (!out.converged) ++stats->failures;
-      stats->total_iterations += static_cast<u64>(out.iterations);
-      stats->max_iterations_seen = std::max(stats->max_iterations_seen, out.iterations);
+      native(
+          [stats](double it, double conv) {
+            ++stats->calls;
+            if (conv == 0.0) ++stats->failures;
+            stats->total_iterations += static_cast<u64>(it);
+            stats->max_iterations_seen =
+                std::max(stats->max_iterations_seen, static_cast<int>(it));
+          },
+          done.iterations, done.converged);
     }
     return out;
   }
 
  private:
-  /// Locate (log rho, log T) in the table. Index search is native mesh
-  /// bookkeeping (like AMR); the fractional offsets run in the instrumented
-  /// scalar so truncation applies to the blending arithmetic.
+  /// The table cell holding (log rho, log T): the fractional offsets into
+  /// it, in the instrumented scalar so truncation applies to the blending
+  /// arithmetic, and its four corners of `tab`. The index search is native
+  /// mesh bookkeeping (like AMR), so the cell's row and column and the
+  /// corner values are native lane values.
   template <class S>
-  void locate(const S& lr, const S& lt, int& i, int& j, S& fx, S& fy) const {
-    const double lrd = to_double(lr), ltd = to_double(lt);
-    i = static_cast<int>((lrd - cfg_.log_rho_lo) / dlr_);
-    j = static_cast<int>((ltd - cfg_.log_temp_lo) / dlt_);
-    i = std::clamp(i, 0, cfg_.n_rho - 2);
-    j = std::clamp(j, 0, cfg_.n_temp - 2);
-    fx = (lr - S(cfg_.log_rho_lo + i * dlr_)) * S(1.0 / dlr_);
-    fy = (lt - S(cfg_.log_temp_lo + j * dlt_)) * S(1.0 / dlt_);
+  struct Cell {
+    S fx, fy, v00, v10, v01, v11;
+  };
+  template <class S>
+  [[nodiscard]] Cell<S> locate(const std::vector<double>& tab, const S& lr, const S& lt) const {
+    const S i = native(
+        [&](double l) {
+          return 1.0 *
+                 std::clamp(static_cast<int>((l - cfg_.log_rho_lo) / dlr_), 0, cfg_.n_rho - 2);
+        },
+        lr);
+    const S j = native(
+        [&](double l) {
+          return 1.0 *
+                 std::clamp(static_cast<int>((l - cfg_.log_temp_lo) / dlt_), 0, cfg_.n_temp - 2);
+        },
+        lt);
+    const auto corner = [&](int di, int dj) {
+      return native(
+          [&](double ci, double cj) {
+            return tab[idx(static_cast<int>(ci) + di, static_cast<int>(cj) + dj)];
+          },
+          i, j);
+    };
+    return {(lr - native([&](double ci) { return cfg_.log_rho_lo + ci * dlr_; }, i)) *
+                S(1.0 / dlr_),
+            (lt - native([&](double cj) { return cfg_.log_temp_lo + cj * dlt_; }, j)) *
+                S(1.0 / dlt_),
+            corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)};
   }
 
   template <class S>
   [[nodiscard]] S interp(const std::vector<double>& tab, const S& rho, const S& temp) const {
     using std::log10;
-    int i, j;
-    S fx, fy;
-    locate(log10(rho), log10(temp), i, j, fx, fy);
+    const Cell<S> c = locate(tab, log10(rho), log10(temp));
     const S one(1.0);
-    const S v00(tab[idx(i, j)]), v10(tab[idx(i + 1, j)]);
-    const S v01(tab[idx(i, j + 1)]), v11(tab[idx(i + 1, j + 1)]);
-    return (one - fx) * ((one - fy) * v00 + fy * v01) + fx * ((one - fy) * v10 + fy * v11);
+    return (one - c.fx) * ((one - c.fy) * c.v00 + c.fy * c.v01) +
+           c.fx * ((one - c.fy) * c.v10 + c.fy * c.v11);
   }
 
   [[nodiscard]] std::size_t idx(int i, int j) const {
     return static_cast<std::size_t>(j) * cfg_.n_rho + i;
   }
 
-  /// Scratch and helpers for the batched inversion (helmholtz.cpp).
-  struct BatchScratch;
-  void locate_batch(std::size_t n, BatchScratch& s) const;
-  void blend_batch(const std::vector<double>& tab, std::size_t n, BatchScratch& s) const;
-  void interp_batch(const std::vector<double>& tab, std::size_t n, BatchScratch& s) const;
-  void dedt_batch(std::size_t n, BatchScratch& s) const;
-
   Config cfg_;
   double dlr_ = 0.0, dlt_ = 0.0;
-  std::vector<double> e_, p_, dedT_;
+  std::vector<double> e_, p_;
 };
 
 }  // namespace raptor::eos

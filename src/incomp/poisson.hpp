@@ -11,10 +11,12 @@
 //     face coefficients, convergence control and Neumann null-space pinning
 //     stay native bookkeeping, mirroring how AMR/EOS treat mesh metadata.
 //
-// With S = Real in op-mode the red-black sweep dispatches through the batch
-// entry points (DESIGN.md §8): cells of one color in a row are independent,
-// so each is gathered into spans and streamed through op2_batch with the
-// exact scalar expression tree — bit-identical results and counter totals.
+// The SOR cell update is written once (sor_update) for double, Real and
+// batch::Vec. With S = Real in op-mode the red-black sweep runs its Vec
+// instantiation (DESIGN.md §8): cells of one color never read each other,
+// so each thread gathers its share of a color's cells into one span, one
+// lane per cell — bit-identical results and counter totals to the
+// cell-by-cell loop.
 //
 // Convergence control: the (expensive) residual is recomputed every 10
 // sweeps, but a cheap per-sweep update norm triggers an early residual
@@ -25,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <type_traits>
 #include <vector>
@@ -32,8 +35,28 @@
 #include "support/common.hpp"
 #include "trunc/real.hpp"
 #include "trunc/scope.hpp"
+#include "trunc/span_ops.hpp"
 
 namespace raptor::incomp {
+
+template <class S>
+struct SorUpdate {
+  S p;    ///< the cell's new value
+  S upd;  ///< the relaxed update added to it
+};
+
+/// One SOR update of a cell with value pc: the Gauss-Seidel value from its
+/// left, right, bottom and top neighbours (pl..pt, each times its face
+/// coefficient bl..bt), relaxed by omega.
+template <class S>
+SorUpdate<S> sor_update(const S& bl, const S& pl, const S& br, const S& pr, const S& bb,
+                        const S& pb, const S& bt, const S& pt, const S& rhs, const S& diag,
+                        const S& omega, const S& pc) {
+  const S nb = bl * pl + br * pr + bb * pb + bt * pt;
+  const S gs = (nb - rhs) / diag;
+  const S upd = omega * (gs - pc);
+  return {pc + upd, upd};
+}
 
 struct PoissonResult {
   int iterations = 0;
@@ -47,8 +70,8 @@ class PoissonSolver {
   PoissonSolver(int nx, int ny, double hx, double hy)
       : nx_(nx), ny_(ny), hx2_(1.0 / (hx * hx)), hy2_(1.0 / (hy * hy)) {}
 
-  /// Route the instrumented sweep through the batch dispatch (op-mode with
-  /// S = Real only; bit-identical to the scalar path).
+  /// Run the instrumented sweep as sor_update's batch::Vec instantiation
+  /// (op-mode with S = Real only; bit-identical to the cell-by-cell loop).
   void set_batch(bool on) { batch_ = on; }
 
   /// Solve div(beta grad p) = rhs. beta_x: (nx+1) x ny face coefficients,
@@ -92,11 +115,16 @@ class PoissonSolver {
           Region region("poisson");
           if (use_batch) {
             if constexpr (std::is_same_v<S, Real>) {
-              BatchRow row;
-#pragma omp for schedule(static)
+              std::vector<Cell> share;
+#pragma omp for schedule(static) nowait
               for (int j = 0; j < ny_; ++j) {
-                max_update = std::max(
-                    max_update, sweep_row_batch(p, rhs, beta_x, beta_y, j, color, omega, row));
+                for (int i = (j + color) & 1; i < nx_; i += 2) {
+                  if (diag_at(beta_x, beta_y, i, j) > 0.0) share.push_back({i, j});
+                }
+              }
+              if (!share.empty()) {
+                max_update =
+                    std::max(max_update, sweep_span(p, rhs, beta_x, beta_y, share, omega));
               }
             }
           } else {
@@ -107,18 +135,14 @@ class PoissonSolver {
                 if (diag <= 0.0) continue;
                 // Neumann walls: the face coefficient is zero there, so the
                 // clamped neighbour reads contribute exactly nothing while
-                // every cell executes the same operation sequence (which is
-                // what lets the batch path mirror this loop bit for bit).
-                const double ble = i > 0 ? bx(beta_x, i, j) * hx2_ : 0.0;
-                const double bri = i < nx_ - 1 ? bx(beta_x, i + 1, j) * hx2_ : 0.0;
-                const double bbo = j > 0 ? by(beta_y, i, j) * hy2_ : 0.0;
-                const double bto = j < ny_ - 1 ? by(beta_y, i, j + 1) * hy2_ : 0.0;
-                const S nb = S(ble) * p_c(p, i - 1, j) + S(bri) * p_c(p, i + 1, j) +
-                             S(bbo) * p_c(p, i, j - 1) + S(bto) * p_c(p, i, j + 1);
-                const S gs = (nb - S(rhs[idx(i, j)])) / S(diag);
-                const S upd = S(omega) * (gs - p[idx(i, j)]);
-                p[idx(i, j)] = p[idx(i, j)] + upd;
-                max_update = std::max(max_update, std::fabs(to_double(upd)));
+                // every cell executes the same operation sequence.
+                const auto [ble, bri, bbo, bto] = faces(beta_x, beta_y, i, j);
+                const SorUpdate<S> u =
+                    sor_update(S(ble), p_c(p, i - 1, j), S(bri), p_c(p, i + 1, j), S(bbo),
+                               p_c(p, i, j - 1), S(bto), p_c(p, i, j + 1), S(rhs[idx(i, j)]),
+                               S(diag), S(omega), p[idx(i, j)]);
+                p[idx(i, j)] = u.p;
+                max_update = std::max(max_update, std::fabs(to_double(u.upd)));
               }
             }
           }
@@ -157,10 +181,7 @@ class PoissonSolver {
 #pragma omp parallel for schedule(static) reduction(max : worst)
     for (int j = 0; j < ny_; ++j) {
       for (int i = 0; i < nx_; ++i) {
-        const double ble = i > 0 ? bx(beta_x, i, j) * hx2_ : 0.0;
-        const double bri = i < nx_ - 1 ? bx(beta_x, i + 1, j) * hx2_ : 0.0;
-        const double bbo = j > 0 ? by(beta_y, i, j) * hy2_ : 0.0;
-        const double bto = j < ny_ - 1 ? by(beta_y, i, j + 1) * hy2_ : 0.0;
+        const auto [ble, bri, bbo, bto] = faces(beta_x, beta_y, i, j);
         const double pc = to_double(p[idx(i, j)]);
         const double lap =
             (i > 0 ? ble * (to_double(p[idx(i - 1, j)]) - pc) : 0.0) +
@@ -183,12 +204,17 @@ class PoissonSolver {
   [[nodiscard]] double by(const std::vector<double>& beta_y, int i, int j) const {
     return beta_y[static_cast<std::size_t>(j) * nx_ + i];
   }
+  /// Face coefficients of cell (i, j) over h^2 — left, right, bottom,
+  /// top — zero on a Neumann wall.
+  [[nodiscard]] std::array<double, 4> faces(const std::vector<double>& beta_x,
+                                            const std::vector<double>& beta_y, int i,
+                                            int j) const {
+    return {i > 0 ? bx(beta_x, i, j) * hx2_ : 0.0, i < nx_ - 1 ? bx(beta_x, i + 1, j) * hx2_ : 0.0,
+            j > 0 ? by(beta_y, i, j) * hy2_ : 0.0, j < ny_ - 1 ? by(beta_y, i, j + 1) * hy2_ : 0.0};
+  }
   [[nodiscard]] double diag_at(const std::vector<double>& beta_x,
                                const std::vector<double>& beta_y, int i, int j) const {
-    const double ble = i > 0 ? bx(beta_x, i, j) * hx2_ : 0.0;
-    const double bri = i < nx_ - 1 ? bx(beta_x, i + 1, j) * hx2_ : 0.0;
-    const double bbo = j > 0 ? by(beta_y, i, j) * hy2_ : 0.0;
-    const double bto = j < ny_ - 1 ? by(beta_y, i, j + 1) * hy2_ : 0.0;
+    const auto [ble, bri, bbo, bto] = faces(beta_x, beta_y, i, j);
     return ble + bri + bbo + bto;
   }
   /// Clamped cell read; out-of-domain neighbours pair with a zero face
@@ -199,64 +225,36 @@ class PoissonSolver {
     return p[idx(i, j)];
   }
 
-  /// Per-thread gather/scatter buffers for one row's batched sweep.
-  struct BatchRow {
-    std::vector<double> ble, bri, bbo, bto, pl, pr, pb, pt, pc, rv, dv, om, t1, t2, nb, gs, upd;
-    std::vector<int> cells;
+  struct Cell {
+    int i, j;
   };
 
-  /// Batched update of one row's cells of one color: the same operation
-  /// sequence as the scalar loop (Mul/Mul/Add/Mul/Add/Mul/Add for nb, then
-  /// Sub/Div, Sub/Mul, Add), streamed through the batch entry points over
-  /// the diag > 0 cells. Returns the row's max |update| (native).
-  double sweep_row_batch(std::vector<S>& p, const std::vector<double>& rhs,
-                         const std::vector<double>& beta_x, const std::vector<double>& beta_y,
-                         int j, int color, double omega, BatchRow& r) const
+  /// sor_update's batch::Vec instantiation over `cells` (one color, so no
+  /// cell reads another), one lane per cell (S = Real, op-mode: lanes carry
+  /// raw payloads). Returns the cells' max |update| (native).
+  double sweep_span(std::vector<S>& p, const std::vector<double>& rhs,
+                    const std::vector<double>& beta_x, const std::vector<double>& beta_y,
+                    const std::vector<Cell>& cells, double omega) const
     requires std::is_same_v<S, Real>
   {
-    auto& R = rt::Runtime::instance();
-    r.cells.clear();
-    for (int i = (j + color) & 1; i < nx_; i += 2) {
-      if (diag_at(beta_x, beta_y, i, j) > 0.0) r.cells.push_back(i);
-    }
-    const std::size_t n = r.cells.size();
-    if (n == 0) return 0.0;
-    for (auto* v : {&r.ble, &r.bri, &r.bbo, &r.bto, &r.pl, &r.pr, &r.pb, &r.pt, &r.pc, &r.rv,
-                    &r.dv, &r.t1, &r.t2, &r.nb, &r.gs, &r.upd}) {
-      v->resize(n);
-    }
-    r.om.assign(n, omega);
-    for (std::size_t k = 0; k < n; ++k) {
-      const int i = r.cells[k];
-      r.ble[k] = i > 0 ? bx(beta_x, i, j) * hx2_ : 0.0;
-      r.bri[k] = i < nx_ - 1 ? bx(beta_x, i + 1, j) * hx2_ : 0.0;
-      r.bbo[k] = j > 0 ? by(beta_y, i, j) * hy2_ : 0.0;
-      r.bto[k] = j < ny_ - 1 ? by(beta_y, i, j + 1) * hy2_ : 0.0;
-      r.pl[k] = p_c(p, i - 1, j).raw();
-      r.pr[k] = p_c(p, i + 1, j).raw();
-      r.pb[k] = p_c(p, i, j - 1).raw();
-      r.pt[k] = p_c(p, i, j + 1).raw();
-      r.pc[k] = p[idx(i, j)].raw();
-      r.rv[k] = rhs[idx(i, j)];
-      r.dv[k] = r.ble[k] + r.bri[k] + r.bbo[k] + r.bto[k];
-    }
-    using rt::OpKind;
-    R.op2_batch(OpKind::Mul, r.ble.data(), r.pl.data(), r.nb.data(), n);
-    R.op2_batch(OpKind::Mul, r.bri.data(), r.pr.data(), r.t1.data(), n);
-    R.op2_batch(OpKind::Add, r.nb.data(), r.t1.data(), r.nb.data(), n);
-    R.op2_batch(OpKind::Mul, r.bbo.data(), r.pb.data(), r.t1.data(), n);
-    R.op2_batch(OpKind::Add, r.nb.data(), r.t1.data(), r.nb.data(), n);
-    R.op2_batch(OpKind::Mul, r.bto.data(), r.pt.data(), r.t1.data(), n);
-    R.op2_batch(OpKind::Add, r.nb.data(), r.t1.data(), r.nb.data(), n);
-    R.op2_batch(OpKind::Sub, r.nb.data(), r.rv.data(), r.t1.data(), n);
-    R.op2_batch(OpKind::Div, r.t1.data(), r.dv.data(), r.gs.data(), n);
-    R.op2_batch(OpKind::Sub, r.gs.data(), r.pc.data(), r.t2.data(), n);
-    R.op2_batch(OpKind::Mul, r.om.data(), r.t2.data(), r.upd.data(), n);
-    R.op2_batch(OpKind::Add, r.pc.data(), r.upd.data(), r.t1.data(), n);
+    using batch::Vec;
+    const auto lanes = [&](const auto& fn) {
+      return Vec::gather(cells.size(), [&](std::size_t k) { return fn(cells[k].i, cells[k].j); });
+    };
+    const auto face = [&](int side) {
+      return lanes([&](int i, int j) { return faces(beta_x, beta_y, i, j)[side]; });
+    };
+    const auto at = [&](int di, int dj) {
+      return lanes([&](int i, int j) { return p_c(p, i + di, j + dj).raw(); });
+    };
+    const SorUpdate<Vec> u = sor_update<Vec>(
+        face(0), at(-1, 0), face(1), at(1, 0), face(2), at(0, -1), face(3), at(0, 1),
+        lanes([&](int i, int j) { return rhs[idx(i, j)]; }),
+        lanes([&](int i, int j) { return diag_at(beta_x, beta_y, i, j); }), Vec(omega), at(0, 0));
     double max_update = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      p[idx(r.cells[k], j)] = Real::adopt_raw(r.t1[k]);
-      max_update = std::max(max_update, std::fabs(r.upd[k]));
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      p[idx(cells[k].i, cells[k].j)] = Real::adopt_raw(u.p[k]);
+      max_update = std::max(max_update, std::fabs(u.upd[k]));
     }
     return max_update;
   }

@@ -118,15 +118,16 @@ class PrecisionSearch {
   SearchOptions opts_;
 };
 
-/// Best *flat* single-format configuration at the same tolerance: one
-/// mantissa bisection in the Format{opts.exp_bits, m} family, applied to
-/// every one of the workload's regions simultaneously. The baseline the
+/// Best *flat* single-format configuration at the same tolerance: the
+/// search above with one search unit, the group of all the workload's
+/// regions, so one mantissa bisection in the Format{opts.exp_bits, m}
+/// family applies to every region simultaneously. The baseline the
 /// per-region (e.g. per-AMR-level) search must beat — a flat format is
 /// forced to the width of the most sensitive region, while the per-region
 /// search narrows each region independently (DESIGN.md §15). Ignores
-/// min_flop_share and exp_hints; the result carries one RegionChoice per
-/// region, all with the same format (or all untruncated when even the
-/// widest candidate misses tolerance).
+/// min_flop_share, min_time_share and exp_hints; the result carries one
+/// RegionChoice per region, all with the same format (or all untruncated
+/// when even the widest candidate misses tolerance).
 [[nodiscard]] SearchResult flat_format_search(const Workload& workload,
                                               const SearchOptions& opts = {});
 

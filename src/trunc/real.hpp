@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "runtime/runtime.hpp"
 
@@ -199,5 +201,54 @@ template <class T>
 
 inline double to_double(double x) { return x; }
 inline double to_double(const Real& x) { return x.value(); }
+
+/// Native bookkeeping inside a lane-generic kernel, never counted: fn
+/// applied to the plain double of each argument (to_double). A double
+/// result comes back as the kernel's scalar type (Real if any argument is
+/// one) holding it — a table corner, a step size, an iteration count; a
+/// bool result comes back as the bool; a void fn only visits (statistics).
+/// batch::native (span_ops.hpp) is the Vec form, one call per lane. A
+/// native value never stands in for a payload later arithmetic reads, so
+/// mem-mode handles survive: clamps stay select()s.
+template <class Fn, class... X>
+  requires((std::is_same_v<X, double> || std::is_same_v<X, Real>) && ...)
+auto native(Fn&& fn, const X&... x) {
+  using R = decltype(fn(to_double(x)...));
+  if constexpr (std::is_same_v<R, double>) {
+    return std::conditional_t<(std::is_same_v<X, Real> || ...), Real, double>(
+        fn(to_double(x)...));
+  } else {
+    return fn(to_double(x)...);
+  }
+}
+
+/// A per-lane count or flag of type T that a kernel on S returns: T itself
+/// for double and Real, a Vec of native lane values for batch::Vec
+/// (span_ops.hpp). native_cast<T> turns a native value into it.
+template <class S, class T>
+struct NativeLanes {
+  using type = T;
+};
+template <class S, class T>
+using native_t = typename NativeLanes<S, T>::type;
+
+template <class T, class S>
+[[nodiscard]] native_t<S, T> native_cast(const S& v) {
+  return static_cast<T>(to_double(v));
+}
+
+/// The loop `while (cond(x)) x = body(x); return x;` written once (body
+/// takes the state by value, so it may update it in place). For
+/// double and Real cond returns a bool and this is that loop;
+/// batch::repeat_while (span_ops.hpp) is the Vec form, where each round
+/// runs only the lanes still looping. The state x is a scalar or an
+/// aggregate exposing members() (as for branch), and carries everything
+/// the body reads per lane.
+template <class X, class Cond, class Body>
+  requires std::is_same_v<std::invoke_result_t<Cond&, const X&>, bool>
+X repeat_while(X x, Cond&& cond, Body&& body) {
+  while (cond(x)) x = body(std::move(x));
+  return x;
+}
 
 }  // namespace raptor

@@ -8,27 +8,21 @@
 // double's underflow are recomputed in BigFloat, element by element
 // (fast_round.hpp).
 //
-// Two layers, both reaching Runtime::op*_batch / trunc_array:
-//
-//  * Span helpers — element-wise add/sub/mul/div/scale/trunc over spans of
-//    raptor::Real (raw payloads are gathered chunk-wise, dispatched in one
-//    batch call, and the results adopted back), with `double` overloads that
-//    compile to plain native loops so substrate kernels templated on the
-//    scalar type keep an uninstrumented baseline.
-//
 //  * batch::Vec — a dynamically sized vector of raw payloads with operator
-//    overloading. A kernel templated on its scalar type (e.g. incomp::weno5,
-//    the hydro Riemann solvers and primitive recovery) instantiated with Vec
+//    overloading, reaching Runtime::op*_batch. A kernel templated on its
+//    scalar type (e.g. incomp::weno5, the hydro Riemann solvers, the
+//    Helmholtz inversion, the burn network) instantiated with Vec
 //    executes the *same expression tree* as its Real instantiation, so
 //    per-element results and counter totals are bitwise identical to the
 //    scalar op loop — but every operator is one batch call instead of n
 //    scalar dispatches. Vec mirrors Real's semantics lane by lane:
-//      - sqrt is one counted Sqrt per lane;
+//      - sqrt, exp, cbrt and log10 are one counted op per lane;
 //      - fabs is one Neg over the negative lanes (Real negates when
 //        value() < 0, so NaN and -0 lanes pass through uncounted);
 //      - fmin/fmax are uncounted selections (a <= b ? a : b, a >= b ? a : b,
 //        so a NaN lane selects the second operand);
-//      - the comparisons <= and >= yield a Mask, one bit per lane;
+//      - the comparisons <, >, <= and >= yield a Mask, one bit per lane (a
+//        NaN lane reads false);
 //      - select(mask, a, b) is the uncounted operand choice, a blend (for
 //        double and Real, the ternary in real.hpp);
 //      - branch(mask, then_arm, else_arm) is the count-preserving if: each
@@ -37,26 +31,29 @@
 //        lanes never runs. Arms receive `pick`, which narrows a value (a
 //        Vec or an aggregate exposing members()) to the arm's lanes; the
 //        arms' results are scattered back. For double and Real, branch is
-//        a plain if (real.hpp) and pick returns its argument.
+//        a plain if (real.hpp) and pick returns its argument;
+//      - native(fn, x...) is uncounted bookkeeping, fn called once per lane
+//        on the lanes' values: a double result gives a Vec (a table corner,
+//        a step size, a count), a bool a Mask, and a void fn only visits;
+//      - repeat_while(x, cond, body) is the loop `while (cond(x)) x =
+//        body(x)`: each round runs body only on the lanes still looping,
+//        and lanes that finish merge back in lane order.
 //    Picks compress an arm's lanes by the mask and branch merges the two
 //    arms back (sf::simd::lanes_compress / lanes_merge: eight lanes per
 //    instruction on AVX-512). Vec lanes and Mask bits live in uninitialised
 //    buffers from a per-thread pool (detail::LanePool), so in steady state
 //    no operator, pick or branch touches the heap (DESIGN.md §13).
 //
-// Ownership: raw payloads are plain doubles in op-mode. These helpers are
-// op-mode only — Vec intermediates would leak NaN-boxed shadow entries in
-// mem-mode — so substrates gate on Runtime::mode() == Mode::Op before taking
-// the batch path (the runtime batch entry points themselves fall back to
-// scalar dispatch in mem-mode, which the span helpers inherit).
+// Ownership: raw payloads are plain doubles in op-mode. Vec is op-mode only
+// — its intermediates would leak NaN-boxed shadow entries in mem-mode — so
+// substrates gate on Runtime::mode() == Mode::Op before taking the batch
+// path.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <initializer_list>
 #include <new>
-#include <span>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -81,114 +78,6 @@
 #endif
 
 namespace raptor::batch {
-
-// ---------------------------------------------------------------------------
-// Span helpers
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-/// Chunk size for gather/dispatch/adopt over Real spans: large enough to
-/// amortize the per-batch dispatch, small enough to stay on the stack.
-inline constexpr std::size_t kChunk = 256;
-
-inline void bin_real(rt::OpKind k, std::span<const Real> a, std::span<const Real> b,
-                     std::span<Real> out) {
-  RAPTOR_REQUIRE(a.size() == b.size() && a.size() == out.size(), "batch: span size mismatch");
-  auto& R = rt::Runtime::instance();
-  double xa[kChunk], xb[kChunk], xo[kChunk];
-  for (std::size_t base = 0; base < a.size(); base += kChunk) {
-    const std::size_t m = std::min(kChunk, a.size() - base);
-    for (std::size_t i = 0; i < m; ++i) {
-      xa[i] = a[base + i].raw();
-      xb[i] = b[base + i].raw();
-    }
-    R.op2_batch(k, xa, xb, xo, m);
-    for (std::size_t i = 0; i < m; ++i) out[base + i] = Real::adopt_raw(xo[i]);
-  }
-}
-
-inline void bin_double(rt::OpKind k, std::span<const double> a, std::span<const double> b,
-                       std::span<double> out) {
-  RAPTOR_REQUIRE(a.size() == b.size() && a.size() == out.size(), "batch: span size mismatch");
-  switch (k) {
-    case rt::OpKind::Add:
-      for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-      break;
-    case rt::OpKind::Sub:
-      for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-      break;
-    case rt::OpKind::Mul:
-      for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-      break;
-    default:
-      for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] / b[i];
-      break;
-  }
-}
-
-}  // namespace detail
-
-inline void add(std::span<const Real> a, std::span<const Real> b, std::span<Real> out) {
-  detail::bin_real(rt::OpKind::Add, a, b, out);
-}
-inline void sub(std::span<const Real> a, std::span<const Real> b, std::span<Real> out) {
-  detail::bin_real(rt::OpKind::Sub, a, b, out);
-}
-inline void mul(std::span<const Real> a, std::span<const Real> b, std::span<Real> out) {
-  detail::bin_real(rt::OpKind::Mul, a, b, out);
-}
-inline void div(std::span<const Real> a, std::span<const Real> b, std::span<Real> out) {
-  detail::bin_real(rt::OpKind::Div, a, b, out);
-}
-inline void add(std::span<const double> a, std::span<const double> b, std::span<double> out) {
-  detail::bin_double(rt::OpKind::Add, a, b, out);
-}
-inline void sub(std::span<const double> a, std::span<const double> b, std::span<double> out) {
-  detail::bin_double(rt::OpKind::Sub, a, b, out);
-}
-inline void mul(std::span<const double> a, std::span<const double> b, std::span<double> out) {
-  detail::bin_double(rt::OpKind::Mul, a, b, out);
-}
-inline void div(std::span<const double> a, std::span<const double> b, std::span<double> out) {
-  detail::bin_double(rt::OpKind::Div, a, b, out);
-}
-
-/// out[i] = s * a[i] (one Mul per element, like the scalar `T(s) * a[i]`).
-inline void scale(std::span<const Real> a, const Real& s, std::span<Real> out) {
-  RAPTOR_REQUIRE(a.size() == out.size(), "batch: span size mismatch");
-  auto& R = rt::Runtime::instance();
-  double xa[detail::kChunk], xs[detail::kChunk], xo[detail::kChunk];
-  for (std::size_t i = 0; i < detail::kChunk; ++i) xs[i] = s.raw();
-  for (std::size_t base = 0; base < a.size(); base += detail::kChunk) {
-    const std::size_t m = std::min(detail::kChunk, a.size() - base);
-    for (std::size_t i = 0; i < m; ++i) xa[i] = a[base + i].raw();
-    R.op2_batch(rt::OpKind::Mul, xs, xa, xo, m);
-    for (std::size_t i = 0; i < m; ++i) out[base + i] = Real::adopt_raw(xo[i]);
-  }
-}
-inline void scale(std::span<const double> a, double s, std::span<double> out) {
-  RAPTOR_REQUIRE(a.size() == out.size(), "batch: span size mismatch");
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = s * a[i];
-}
-
-/// Quantize a span into the current effective format (array `_raptor_pre_c`;
-/// no flop counting, mirroring Runtime::trunc_array).
-inline void trunc(std::span<const Real> a, std::span<Real> out) {
-  RAPTOR_REQUIRE(a.size() == out.size(), "batch: span size mismatch");
-  auto& R = rt::Runtime::instance();
-  double xa[detail::kChunk], xo[detail::kChunk];
-  for (std::size_t base = 0; base < a.size(); base += detail::kChunk) {
-    const std::size_t m = std::min(detail::kChunk, a.size() - base);
-    for (std::size_t i = 0; i < m; ++i) xa[i] = a[base + i].raw();
-    R.trunc_array(xa, xo, m);
-    for (std::size_t i = 0; i < m; ++i) out[base + i] = Real::adopt_raw(xo[i]);
-  }
-}
-inline void trunc(std::span<const double> a, std::span<double> out) {
-  RAPTOR_REQUIRE(a.size() == out.size(), "batch: span size mismatch");
-  rt::Runtime::instance().trunc_array(a.data(), out.data(), a.size());
-}
 
 // ---------------------------------------------------------------------------
 // Lane storage: a per-thread pool of uninitialised buffers
@@ -326,6 +215,20 @@ class Mask {
  public:
   explicit Mask(std::size_t n) : n_(n), words_((n + 63) / 64) {}
 
+  /// The mask of pred(i) over lanes i in [0, n).
+  template <class Pred>
+  [[nodiscard]] static Mask of(std::size_t n, Pred&& pred) {
+    Mask m(n);
+    std::fill_n(m.words_.data(), (n + 63) / 64, u64{0});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (pred(i)) {
+        m.words_[i / 64] |= u64{1} << (i % 64);
+        ++m.set_;
+      }
+    }
+    return m;
+  }
+
   [[nodiscard]] std::size_t size() const { return n_; }
   /// Number of lanes set.
   [[nodiscard]] std::size_t count() const { return set_; }
@@ -369,8 +272,14 @@ class Vec {
 
   friend Mask operator<=(const Vec& a, const Vec& b) { return cmp(sf::simd::LaneCmp::Le, a, b); }
   friend Mask operator>=(const Vec& a, const Vec& b) { return cmp(sf::simd::LaneCmp::Ge, a, b); }
+  friend Mask operator<(const Vec& a, const Vec& b) { return cmp(sf::simd::LaneCmp::Lt, a, b); }
+  /// b < a: the same ordered compare with the operands swapped.
+  friend Mask operator>(const Vec& a, const Vec& b) { return cmp(sf::simd::LaneCmp::Lt, b, a); }
 
   friend Vec sqrt(const Vec& a) { return unary(rt::OpKind::Sqrt, a); }
+  friend Vec exp(const Vec& a) { return unary(rt::OpKind::Exp, a); }
+  friend Vec cbrt(const Vec& a) { return unary(rt::OpKind::Cbrt, a); }
+  friend Vec log10(const Vec& a) { return unary(rt::OpKind::Log10, a); }
   /// Real's fabs lane by lane: one Neg over the lanes whose value is < 0
   /// (compressed dense, negated in place in one batch call, merged back
   /// over a copy).
@@ -386,14 +295,6 @@ class Vec {
   /// set, of b where it is not; a blend, never counted.
   friend Vec select(const Mask& m, const Vec& a, const Vec& b) { return blend(m, a, b); }
 
-  /// The lanes `idx` of this Vec, dense (a broadcast stays a broadcast).
-  [[nodiscard]] Vec lanes(std::initializer_list<u32> idx) const {
-    if (is_scalar_) return *this;
-    Vec r(idx.size());
-    std::size_t j = 0;
-    for (const u32 i : idx) r.v_[j++] = v_[i];
-    return r;
-  }
   /// The `count` lanes whose bit in `m` equals `on`, dense and in lane
   /// order (a broadcast stays a broadcast).
   [[nodiscard]] Vec compress(const Mask& m, bool on, std::size_t count) const {
@@ -583,4 +484,77 @@ auto branch(const Mask& m, Then&& then_arm, Else&& else_arm) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// native and repeat_while — per-lane bookkeeping and loops
+// ---------------------------------------------------------------------------
+
+namespace detail {
+inline double lane_of(const Vec& x, std::size_t i) { return x[i]; }
+inline double lane_of(double x, std::size_t /*i*/) { return x; }
+inline std::size_t lanes_in(const Vec& x) { return x.is_scalar() ? 0 : x.size(); }
+inline std::size_t lanes_in(double /*x*/) { return 0; }
+}  // namespace detail
+
+/// native (real.hpp) lane by lane, never counted: fn(lane values...) once
+/// per lane, in lane order; double arguments and broadcast Vecs give every
+/// lane the same value. A double result gives a Vec, a bool result a Mask,
+/// and a void fn only visits.
+template <class Fn, class... X>
+  requires(((std::is_same_v<X, Vec> || std::is_same_v<X, double>) && ...) &&
+           (std::is_same_v<X, Vec> || ...))
+auto native(Fn&& fn, const X&... x) {
+  std::size_t n = 0;
+  ((n = std::max(n, detail::lanes_in(x))), ...);
+  RAPTOR_REQUIRE(((detail::lanes_in(x) == 0 || detail::lanes_in(x) == n) && ...),
+                 "Vec: size mismatch");
+  const auto at = [&](std::size_t i) { return fn(detail::lane_of(x, i)...); };
+  using R = decltype(at(0));
+  if constexpr (std::is_same_v<R, double>) {
+    if (n == 0) return Vec(at(0));
+    Vec r(n);
+    for (std::size_t i = 0; i < n; ++i) r.data()[i] = at(i);
+    return r;
+  } else if constexpr (std::is_same_v<R, bool>) {
+    return Mask::of(std::max<std::size_t>(n, 1), at);
+  } else {
+    for (std::size_t i = 0; i < std::max<std::size_t>(n, 1); ++i) at(i);
+  }
+}
+
+/// repeat_while (real.hpp) over lanes: each round runs body on the lanes
+/// whose cond bit is set. A round where every lane continues runs on x in
+/// place; otherwise the continuing lanes are picked out and loop on in a
+/// nested call while the finished ones wait, and branch merges both back in
+/// lane order — so the nesting depth is at most the number of rounds.
+template <class X, class Cond, class Body>
+  requires std::is_same_v<std::invoke_result_t<Cond&, const X&>, Mask>
+X repeat_while(X x, Cond&& cond, Body&& body) {
+  for (;;) {
+    const Mask m = cond(x);
+    if (m.count() == 0) return x;
+    if (m.count() < m.size()) {
+      return branch(
+          m, [&](const Pick& pick) { return repeat_while(body(pick(x)), cond, body); },
+          [&](const Pick& pick) { return pick(x); });
+    }
+    x = body(std::move(x));
+  }
+}
+
+/// native_cast (real.hpp) for Vec: the native lane values themselves.
+template <class T>
+[[nodiscard]] Vec native_cast(const Vec& v) {
+  return v;
+}
+
 }  // namespace raptor::batch
+
+namespace raptor {
+
+/// A Vec kernel returns its per-lane counts and flags as native lane values.
+template <class T>
+struct NativeLanes<batch::Vec, T> {
+  using type = batch::Vec;
+};
+
+}  // namespace raptor

@@ -5,11 +5,15 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "burn/burn.hpp"
 #include "burn/cellular.hpp"
 #include "runtime/runtime.hpp"
 #include "support/rng.hpp"
+#include "trace/rtrace.hpp"
 
 namespace raptor::burn {
 namespace {
@@ -164,9 +168,17 @@ TEST_F(BurnTest, BatchedBurnMatchesScalarBitwise) {
 
     std::vector<double> x_b = x, en_b(n);
     std::vector<int> sub_b(n);
+    const auto lanes = [n](const std::vector<double>& v) {
+      return batch::Vec::gather(n, [&](std::size_t k) { return v[k]; });
+    };
     R.reset_counters();
-    burn_cells_batch(bp, n, x_b.data(), rho.data(), temp.data(), dt, en_b.data(), sub_b.data());
+    const auto res_b = burn_cell(bp, lanes(x_b), lanes(rho), lanes(temp), dt);
     const auto cb = R.counters();
+    for (std::size_t k = 0; k < n; ++k) {
+      x_b[k] = res_b.x_new[k];
+      en_b[k] = res_b.energy_released[k];
+      sub_b[k] = static_cast<int>(res_b.substeps[k]);
+    }
 
     for (std::size_t k = 0; k < n; ++k) {
       EXPECT_EQ(std::bit_cast<u64>(x_s[k]), std::bit_cast<u64>(x_b[k])) << k;
@@ -220,6 +232,107 @@ TEST_F(BurnTest, CellularBatchStepMatchesScalarBitwise) {
     EXPECT_EQ(cs.full_by_kind[i], cb.full_by_kind[i]) << i;
   }
   EXPECT_GT(cs.trunc_flops, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// RealPathPin: burn_cell<Real> held to recorded constants
+// ---------------------------------------------------------------------------
+//
+// The batched parity test compares two instantiations of one template, so a
+// change to the kernel itself moves both sides and still passes. These
+// cases pin the Real instantiation: per-cell results, substep counts and
+// per-OpKind counters under set_truncate_all, plus the shape of the work:
+// a hash of the multiset of (op kind, result exponent) over every op, from
+// a trace that samples each one. Every op runs in the fast kernels or
+// BigFloat, never in libm, so the constants hold on any host; the multiset
+// does not depend on the order in which a compiler evaluates operands. The
+// shape line catches rewrites that are exact in value: computing df/dx as
+// 2 (f / x) instead of (2 f) / x gives the same bits (doubling is exact)
+// and the same counts, but the Div's result lands one binade lower.
+
+/// Formatted pin of one burn_cell<Real> run per input cell, then the
+/// per-OpKind truncated counts and the shape hash; full-precision counts
+/// must be zero and the trace must drop nothing.
+std::vector<std::string> burn_pin(const BurnParams& bp, int exp_bits, int man_bits) {
+  struct Cell {
+    double x, rho, temp, dt;
+  };
+  const Cell cells[] = {
+      {1.0, 1e7, 4e7, 1e-6},     // frozen: T9 below 0.05
+      {0.7, 2e6, 1.2e9, 1e-9},   // gentle: one substep
+      {1.0, 1e7, 4e9, 2e-4},     // stiff: sub-cycled
+      {0.9, 3e7, 3.5e9, 1.0},    // stiff over a long step: many substeps
+      {0.7, 1e-18, 6e7, 1e38},   // an ember whose rate is subnormal at e8
+  };
+  auto& R = rt::Runtime::instance();
+  R.reset_counters();
+  R.set_truncate_all(rt::TruncationSpec::trunc64(exp_bits, man_bits));
+  const std::string path = ::testing::TempDir() + "real_path_pin_burn.rtrace";
+  trace::TraceOptions topts;
+  topts.path = path;
+  topts.sample_stride = 1;
+  topts.ring_capacity = 1 << 16;  // more than a run's ops: nothing drops
+  R.trace_start(topts);
+  std::vector<std::string> out;
+  char line[160];
+  for (const Cell& c : cells) {
+    const auto res = burn_cell(bp, Real(c.x), Real(c.rho), Real(c.temp), c.dt);
+    std::snprintf(line, sizeof line, "x %016llx e %016llx sub %d",
+                  static_cast<unsigned long long>(std::bit_cast<u64>(to_double(res.x_new))),
+                  static_cast<unsigned long long>(
+                      std::bit_cast<u64>(to_double(res.energy_released))),
+                  res.substeps);
+    out.emplace_back(line);
+  }
+  EXPECT_EQ(R.trace_stop().dropped, 0u);
+  R.clear_truncate_all();
+  const auto cs = R.counters();
+  std::string kinds = "ops";
+  for (int i = 0; i < rt::kNumOpKinds; ++i) {
+    kinds += ' ';
+    kinds += std::to_string(cs.trunc_by_kind[i]);
+  }
+  out.push_back(kinds);
+  EXPECT_EQ(cs.full_flops, 0u);
+  u64 shape = 0;  // sum of splitmix64(kind, exponent) over the ops
+  for (const auto& e : trace::read_rtrace(path).events) {
+    u64 z = (u64{e.kind} << 32 ^ static_cast<u32>(e.exp_min)) + 0x9e3779b97f4a7c15ull;
+    z = (z ^ z >> 30) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ z >> 27) * 0x94d049bb133111ebull;
+    shape += z ^ z >> 31;
+  }
+  std::remove(path.c_str());
+  std::snprintf(line, sizeof line, "shape %016llx", static_cast<unsigned long long>(shape));
+  out.emplace_back(line);
+  return out;
+}
+
+TEST(RealPathPin, BurnCellAtE11M44) {
+  rt::Runtime::instance().reset_all();
+  const std::vector<std::string> expect = {
+      "x 3ff0000000000000 e 0000000000000000 sub 1",
+      "x 3fe66666664b5000 e 4192cb6dd51acc00 sub 1",
+      "x 3fead0028ceebf00 e 436ccbd35913e700 sub 4",
+      "x 3f5c8a92beafaa00 e 4393f20164cbb900 sub 27",
+      "x 3fe3d95ed1300e00 e 435c5215cffdeb00 sub 2",
+      "ops 35 619 1549 471 0 0 0 179 0 0 0 0 0 0 0 0 0 179 0",
+      "shape a280fbf4ff2b8bff"};
+  EXPECT_EQ(burn_pin(BurnParams{}, 11, 44), expect);
+  rt::Runtime::instance().reset_all();
+}
+
+TEST(RealPathPin, BurnCellAtE8M20) {
+  rt::Runtime::instance().reset_all();
+  const std::vector<std::string> expect = {
+      "x 3ff0000000000000 e 0000000000000000 sub 1",
+      "x 3fe6666600000000 e 0000000000000000 sub 1",
+      "x 3fead00100000000 e 436ccbdc00000000 sub 4",
+      "x 3f5c8a7c00000000 e 4393f20200000000 sub 27",
+      "x 3fe3d95c00000000 e 435c523200000000 sub 2",
+      "ops 35 1043 2503 789 0 0 0 285 0 0 0 0 0 0 0 0 0 285 0",
+      "shape ff06c64c97785ee5"};
+  EXPECT_EQ(burn_pin(BurnParams{}, 8, 20), expect);
+  rt::Runtime::instance().reset_all();
 }
 
 TEST_F(BurnTest, CellularBatchFallsBackOutsideOpMode) {

@@ -11,6 +11,7 @@
 #include "runtime/runtime.hpp"
 #include "support/rng.hpp"
 #include "trunc/scope.hpp"
+#include "trunc/span_ops.hpp"
 
 namespace raptor::eos {
 namespace {
@@ -204,10 +205,17 @@ TEST_F(EosTest, BatchedInversionMatchesScalarBitwise) {
     // Batched run on the same inputs.
     EosStats stats_b;
     std::vector<double> temp_b = guess, pres_b(n);
+    const auto lanes = [n](const std::vector<double>& v) {
+      return batch::Vec::gather(static_cast<std::size_t>(n), [&](std::size_t k) { return v[k]; });
+    };
     R.reset_counters();
-    table.invert_energy_batch(rho.data(), e_t.data(), temp_b.data(), pres_b.data(), n, 1e-10, 12,
-                              &stats_b);
+    const auto res_b =
+        table.invert_energy(lanes(rho), lanes(e_t), lanes(temp_b), 1e-10, 12, &stats_b);
     const auto cb = R.counters();
+    for (int k = 0; k < n; ++k) {
+      temp_b[k] = res_b.temp[k];
+      pres_b[k] = res_b.pres[k];
+    }
 
     for (int k = 0; k < n; ++k) {
       EXPECT_EQ(std::bit_cast<u64>(temp_s[k]), std::bit_cast<u64>(temp_b[k])) << k;

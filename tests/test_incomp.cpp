@@ -6,9 +6,11 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "incomp/bubble.hpp"
 #include "io/sfocu.hpp"
@@ -323,6 +325,78 @@ TEST_F(IncompTest, PoissonBatchMatchesScalarBitwiseUnderTruncation) {
     EXPECT_EQ(cs.full_by_kind[i], cb.full_by_kind[i]) << i;
   }
   EXPECT_GT(cs.trunc_flops, 0u);
+}
+
+/// Formatted pin of one PoissonSolver<Real> solve (per-cell path) under
+/// set_truncate_all: iterations, convergence, the residual, a hash and two
+/// cells of p, and the per-OpKind truncated counts. The right-hand side is
+/// a polynomial, and every op runs in the fast kernels or BigFloat, so the
+/// pinned bits hold on any host (see RealPathPin in test_burn).
+std::vector<std::string> poisson_pin(int exp_bits, int man_bits) {
+  const int n = 16;
+  const double h = 1.0 / n;
+  std::vector<double> beta_x(static_cast<std::size_t>(n + 1) * n, 0.0);
+  std::vector<double> beta_y(static_cast<std::size_t>(n) * (n + 1), 0.0);
+  for (int j = 0; j < n; ++j) {
+    for (int i = 1; i < n; ++i) {
+      beta_x[static_cast<std::size_t>(j) * (n + 1) + i] = 1.0 + 0.5 * ((i + j) % 3);
+    }
+  }
+  for (int j = 1; j < n; ++j) {
+    for (int i = 0; i < n; ++i) beta_y[static_cast<std::size_t>(j) * n + i] = 1.0 + 0.5 * (i % 2);
+  }
+  std::vector<double> rhs(static_cast<std::size_t>(n) * n);
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n; ++i) {
+      const double x = (i + 0.5) * h, y = (j + 0.5) * h;
+      rhs[static_cast<std::size_t>(j) * n + i] = (2.0 * x - 1.0) * (y * y - y + 0.1);
+    }
+  }
+  auto& R = rt::Runtime::instance();
+  R.reset_counters();
+  R.set_truncate_all(rt::TruncationSpec::trunc64(exp_bits, man_bits));
+  PoissonSolver<Real> solver(n, n, h, h);
+  solver.set_batch(false);
+  std::vector<Real> p(rhs.size(), Real(0.0));
+  const auto res = solver.solve(p, rhs, beta_x, beta_y, 1e-7, 300);
+  R.clear_truncate_all();
+  const auto cs = R.counters();
+  u64 hash = 14695981039346656037ull;  // FNV-1a over the bits of p
+  for (const Real& v : p) hash = (hash ^ std::bit_cast<u64>(to_double(v))) * 1099511628211ull;
+  char line[200];
+  std::snprintf(line, sizeof line, "it %d conv %d res %016llx p %016llx p0 %016llx pn %016llx",
+                res.iterations, res.converged ? 1 : 0,
+                static_cast<unsigned long long>(std::bit_cast<u64>(res.residual)),
+                static_cast<unsigned long long>(hash),
+                static_cast<unsigned long long>(std::bit_cast<u64>(to_double(p.front()))),
+                static_cast<unsigned long long>(std::bit_cast<u64>(to_double(p.back()))));
+  std::string kinds = "ops";
+  for (int i = 0; i < rt::kNumOpKinds; ++i) {
+    kinds += ' ';
+    kinds += std::to_string(cs.trunc_by_kind[i]);
+  }
+  EXPECT_EQ(cs.full_flops, 0u);
+  return {line, kinds};
+}
+
+TEST(RealPathPin, PoissonSolveAtE11M44) {
+  rt::Runtime::instance().reset_all();
+  const std::vector<std::string> expect = {
+      "it 115 conv 1 res 3e3c707b33000000 p bff52e6c8040fec6 p0 bf634eb98f5b6374 pn "
+      "3f645be30c26978c",
+      "ops 117760 58880 147200 29440 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"};
+  EXPECT_EQ(poisson_pin(11, 44), expect);
+  rt::Runtime::instance().reset_all();
+}
+
+TEST(RealPathPin, PoissonSolveAtE8M20) {
+  rt::Runtime::instance().reset_all();
+  const std::vector<std::string> expect = {
+      "it 300 conv 0 res 3ee499999999a000 p ba2cb873f193b725 p0 bf634ec033100000 pn "
+      "3f645bedccf00000",
+      "ops 307200 153600 384000 76800 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"};
+  EXPECT_EQ(poisson_pin(8, 20), expect);
+  rt::Runtime::instance().reset_all();
 }
 
 TEST_F(IncompTest, PoissonConvergesPromptlyOffTheResidualCadence) {
