@@ -127,9 +127,9 @@ int run(int argc, char** argv) {
   }
 
   std::printf("\nfull precision search (batch dispatch)\n");
-  // trunc% counts flops only; share weighs each searched region by its
-  // flops plus memory words (flop_weighted_trunc_share), so mesh searches
-  // whose regions move bytes rather than flops read honestly.
+  // trunc% counts flops only; share (SearchResult::trunc_share) weighs each
+  // searched region by its flops plus memory words, so mesh searches whose
+  // regions move bytes rather than flops read honestly.
   std::printf("%-16s %12s %12s %12s %14s %10s\n", "workload", "time [s]", "evals", "err",
               "trunc% flops", "share");
   search::WorkloadOptions wopts;
@@ -145,13 +145,12 @@ int run(int argc, char** argv) {
     const search::PrecisionSearch driver(wl_opts);
     Timer t;
     const auto res = driver.run(search::builtin_workload(name, wopts));
-    const double share = search::flop_weighted_trunc_share(res.choices);
     std::printf("%-16s %12.2f %12d %12.3e %13.1f%% %10.3f\n", name, t.seconds(),
-                res.evaluations, res.final_error, 100.0 * res.trunc_fraction, share);
+                res.evaluations, res.final_error, 100.0 * res.trunc_fraction, res.trunc_share);
     csv.row_strings({std::string("search_") + name, std::to_string(t.seconds()),
                      std::to_string(res.evaluations), std::to_string(res.final_error)});
-    search_rows.push_back({name, t.seconds(), res.final_error, res.trunc_fraction, share,
-                           res.evaluations});
+    search_rows.push_back({name, t.seconds(), res.final_error, res.trunc_fraction,
+                           res.trunc_share, res.evaluations});
   }
   R.reset_all();
 

@@ -29,8 +29,8 @@
 // the pre-SIMD per-element loop body, so batch_portable_s / batch_<best>_s
 // is the SIMD speedup — and write the per-path numbers to BENCH_simd.json,
 // next to a batch::Vec lane-control ladder (ns per lane of a plain op, an op
-// with a broadcast, fabs, fmax and a one-op-per-arm branch at 8, 72 and 2016
-// lanes) and a mantissa ladder (ns per element of batch Add/Mul/Div/Sqrt at
+// on exactness-tagged operands, an op with a broadcast, fabs, fmax and a
+// one-op-per-arm branch at 8, 72 and 2016 lanes) and a mantissa ladder (ns per element of batch Add/Mul/Div/Sqrt at
 // Format{11,m}, m from 12 to 52, 4096 lanes, on every path).
 //
 // Options: --level=N, --steps=N, --csv=..., --json=..., --simd-json=...,
@@ -243,13 +243,15 @@ struct VecRow {
   double ns_per_lane = 0.0;
 };
 
-constexpr const char* kVecOps[] = {"plain", "broadcast", "fabs", "fmax", "branch"};
+constexpr const char* kVecOps[] = {"plain", "exact", "broadcast", "fabs", "fmax", "branch"};
 constexpr std::size_t kVecLanes[] = {8, 72, 2016};
 
-/// The Vec ladder at format e8m12 on the default SIMD path: a plain op
-/// (a + b), an op with a broadcast (a * 0.5), fabs, fmax, and branch with
-/// one op per arm (a <= b ? a + b : a - b), each at 8, 72 and 2016 lanes
-/// over operands of random sign. Every row processes the same number of
+/// The Vec ladder at format e8m12 on the default SIMD path: a plain op on
+/// gathered operands (a + b), the same op on two results of ops in the
+/// scope (c + d, whose exactness tags skip both operand rounds), an op with
+/// a broadcast (a * 0.5), fabs, fmax, and branch with one op per arm
+/// (a <= b ? a + b : a - b), each at 8, 72 and 2016 lanes over operands of
+/// random sign. Every row processes the same number of
 /// lanes. The rows of one span length take turns over 15 trials and each
 /// keeps its fastest, so a slow stretch of the host cannot skew one row
 /// against another.
@@ -271,12 +273,14 @@ std::vector<VecRow> bench_vec_ladder() {
     const batch::Vec a = draw(), b = draw();
     const int reps = static_cast<int>(kLanesPerRow / static_cast<double>(n));
     TruncScope sc(rt::TruncationSpec::trunc64(8, 12));
+    const batch::Vec c = a * b, d = a - b;
     const auto once = [&](std::size_t k) {
       switch (k) {
         case 0: return a + b;
-        case 1: return a * batch::Vec(0.5);
-        case 2: return fabs(a);
-        case 3: return fmax(a, b);
+        case 1: return c + d;
+        case 2: return a * batch::Vec(0.5);
+        case 3: return fabs(a);
+        case 4: return fmax(a, b);
         default:
           return batch::branch(
               a <= b, [&](auto pick) { return pick(a) + pick(b); },

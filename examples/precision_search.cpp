@@ -77,9 +77,11 @@ int run_one(const search::Workload& w, const search::SearchOptions& opts, const 
 
   // The emitted text must parse back to the identical recommendation.
   const bool round_trips = rt::parse_profile(text) == result.config;
-  std::printf("verification: err %.3e (tol %.2e), truncated flops %.1f%%, round-trip %s\n",
-              result.final_error, opts.tolerance, 100.0 * result.trunc_fraction,
-              round_trips ? "ok" : "FAILED");
+  std::printf(
+      "verification: err %.3e (tol %.2e), truncated flops %.1f%%, work-weighted share %.3f, "
+      "round-trip %s\n",
+      result.final_error, opts.tolerance, 100.0 * result.trunc_fraction, result.trunc_share,
+      round_trips ? "ok" : "FAILED");
   const bool ok = result.within_tolerance && round_trips;
   std::printf("%s: %s\n\n", w.name.c_str(), ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

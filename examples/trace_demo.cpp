@@ -145,8 +145,9 @@ int run(int argc, char** argv) {
   }
   const search::SearchResult result = search::PrecisionSearch(sopts).run(workload);
   std::printf("\nsearch with exponent hints: err %.3e (tol %.0e), %.1f%% of flops truncated, "
-              "%d evaluations\n",
-              result.final_error, tol, 100.0 * result.trunc_fraction, result.evaluations);
+              "work-weighted share %.3f, %d evaluations\n",
+              result.final_error, tol, 100.0 * result.trunc_fraction, result.trunc_share,
+              result.evaluations);
   for (const auto& c : result.choices) {
     std::printf("  %-16s %s\n", c.region.c_str(),
                 c.truncated ? c.format.to_string().c_str() : "native");

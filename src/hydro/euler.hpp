@@ -107,14 +107,17 @@ T plm_minmod(const T& a, const T& b) {
 
 /// plm_minmod lane by lane: a selection, never counted (the sign test is
 /// the same native product as the scalar form's). Both operands hold lanes
-/// (they are differences of Vecs).
+/// (they are differences of Vecs). Every lane is 0.0 or a copy of an
+/// operand lane, so the result keeps a tag the operands share.
 inline batch::Vec plm_minmod(const batch::Vec& a, const batch::Vec& b) {
   const double* pa = a.data();
   const double* pb = b.data();
-  return batch::Vec::gather(a.size(), [&](std::size_t i) {
+  batch::Vec r = batch::Vec::gather(a.size(), [&](std::size_t i) {
     if (pa[i] * pb[i] <= 0.0) return 0.0;
     return std::fabs(pa[i]) < std::fabs(pb[i]) ? pa[i] : pb[i];
   });
+  if (a.exact() == b.exact()) r.set_exact(a.exact());
+  return r;
 }
 
 /// Minmod-limited (PLM) interface states of a face from the two cells on
@@ -359,7 +362,8 @@ class HydroSolver {
     const std::size_t pencils = leaves.size() * rows;
     // Cell kk of a pencil (kk = k + ng, guards included) of variable var in
     // row `row` of a block sits at data[var_base * var + row_base(row) +
-    // kk * step].
+    // kk * step]. Pencil cells carry no exactness tag: the guard cells come
+    // from untruncated mesh ops.
     const std::size_t sx = static_cast<std::size_t>(g.stride_x());
     const std::size_t var_base = sx * static_cast<std::size_t>(g.stride_y());
     const std::size_t step = xdir ? 1 : sx;
@@ -382,7 +386,7 @@ class HydroSolver {
         load_prim(pencil_cells(DENS, 0, cells), pencil_cells(MOMX, 0, cells),
                   pencil_cells(MOMY, 0, cells), pencil_cells(ENER, 0, cells), xdir, cfg_);
     // The cells at offset `off` from every face (face f of a pencil sits
-    // between its cells f-1 and f).
+    // between its cells f-1 and f), copies that keep their source's tag.
     const auto at_faces = [&](int off) {
       PrimState<Vec> s;
       batch::zip_members(s, w, [&](Vec& out, const Vec& m) {
@@ -391,6 +395,7 @@ class HydroSolver {
         for (std::size_t p = 0; p < pencils; ++p) {
           std::copy_n(src + p * cells, faces, out.data() + p * faces);
         }
+        out.set_exact(m.exact());
       });
       return s;
     };
@@ -423,10 +428,12 @@ class HydroSolver {
       for (int v = 0; v < 4; ++v) {
         // The flux through the face at offset `off` from every interior cell.
         const auto flux_at = [&](std::size_t off) {
+          const Vec& f = fx.f[v];
           Vec out(pencils * nint);
           for (std::size_t p = 0; p < pencils; ++p) {
-            std::copy_n(fx.f[v].data() + p * faces + off, nint, out.data() + p * nint);
+            std::copy_n(f.data() + p * faces + off, nint, out.data() + p * nint);
           }
+          out.set_exact(f.exact());
           return out;
         };
         const Vec out =

@@ -96,6 +96,8 @@ struct Runtime::ThreadState {
   trace::RegionHist* trace_hist = nullptr;
   bool trace_slot_cached = false;
   EmuCell scratch[4];
+  /// Lanes of the broadcast operands of a batch call (one per position).
+  std::vector<double> spread[2];
   Runtime* owner;
 
   void invalidate_trunc_cache() {
@@ -765,6 +767,13 @@ inline double fast2(OpKind k, double a, double b, const sf::Format& f) {
   }
 }
 
+/// `v` in n lanes of `buf` (a broadcast batch operand).
+const double* spread(double v, std::size_t n, std::vector<double>& buf) {
+  if (buf.size() < n) buf.resize(n);
+  std::fill_n(buf.data(), n, v);
+  return buf.data();
+}
+
 inline sf::simd::SpanOp span2_op(OpKind k) {
   switch (k) {
     case OpKind::Add: return sf::simd::SpanOp::Add;
@@ -950,99 +959,120 @@ double Runtime::op3_dispatch(ThreadState& ts, OpKind k, double a, double b, doub
 // Every body is bit-identical to the scalar op loop it replaces; mem-mode
 // delegates to the scalar entry points so handle ownership is unchanged.
 
-void Runtime::op1_batch(OpKind k, const double* a, double* out, std::size_t n, int width) {
-  if (n == 0) return;
+const sf::Format* Runtime::op1_lanes(OpKind k, const double* a, double* out, std::size_t n,
+                                     int width, const sf::Format* exact_a) {
+  if (n == 0) return nullptr;
   ThreadState& ts = tls();
   if (mode_ == Mode::Mem) {
     // Scalar entry points keep handle ownership semantics and trace each
     // element (with deviation buckets) themselves.
     for (std::size_t i = 0; i < n; ++i) out[i] = op1(k, a[i], width);
-    return;
+    return nullptr;
   }
   const sf::Format* f = effective_format(ts, width);
-  op1_batch_op(ts, k, a, out, n, f);
+  const bool exact = op1_batch_op(ts, k, a, out, n, f, exact_a);
   // One sampling-countdown decrement per span; a sampled span records one
   // event plus per-element exponent histogram updates.
   if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
+  return exact ? f : nullptr;
 }
 
-void Runtime::op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out, std::size_t n,
-                           const sf::Format* f) {
+bool Runtime::op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out,
+                           std::size_t n, const sf::Format* f, const sf::Format* exact_a) {
   if (f == nullptr) {
     count_batch(ts, k, false, n);
     for (std::size_t i = 0; i < n; ++i) out[i] = native1(k, a[i]);
-    return;
+    return false;
   }
   count_batch(ts, k, true, n);
   if (hw_fastpath_ && *f == sf::Format::fp64()) {
     for (std::size_t i = 0; i < n; ++i) out[i] = native1(k, a[i]);
-    return;
+    return false;
   }
   if (hw_fastpath_ && *f == sf::Format::fp32()) {
     for (std::size_t i = 0; i < n; ++i) out[i] = native1_f32(k, a[i]);
-    return;
+    return false;
   }
   if (fast1_kind(k) && sf::fast_round_supports(*f)) {
     const sf::RoundSpec fmt(*f);
     sf::simd::span_exec(simd_path_,
                         k == OpKind::Neg ? sf::simd::SpanOp::Neg : sf::simd::SpanOp::Sqrt, a,
-                        nullptr, nullptr, out, n, fmt);
-    return;
+                        nullptr, nullptr, out, n, fmt,
+                        exact_a != nullptr && *exact_a == *f ? 1U : 0U);
+    return true;
   }
   for (std::size_t i = 0; i < n; ++i) out[i] = emulate1(ts, k, a[i], *f);
+  return false;
 }
 
-void Runtime::op2_batch(OpKind k, const double* a, const double* b, double* out, std::size_t n,
-                        int width) {
-  if (n == 0) return;
+const sf::Format* Runtime::op2_lanes(OpKind k, const BatchArg& a, const BatchArg& b,
+                                     double* out, std::size_t n, int width) {
+  if (n == 0) return nullptr;
   ThreadState& ts = tls();
   if (mode_ == Mode::Mem) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = op2(k, a[i], b[i], width);
-    return;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = op2(k, a.lanes != nullptr ? a.lanes[i] : a.value,
+                   b.lanes != nullptr ? b.lanes[i] : b.value, width);
+    }
+    return nullptr;
   }
   const sf::Format* f = effective_format(ts, width);
-  op2_batch_op(ts, k, a, b, out, n, f);
+  const bool exact = op2_batch_op(ts, k, a, b, out, n, f);
   if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
+  return exact ? f : nullptr;
 }
 
-void Runtime::op2_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b,
+bool Runtime::op2_batch_op(ThreadState& ts, OpKind k, const BatchArg& a, const BatchArg& b,
                            double* out, std::size_t n, const sf::Format* f) {
+  const bool hw = f != nullptr && hw_fastpath_ &&
+                  (*f == sf::Format::fp64() || *f == sf::Format::fp32());
+  if (f != nullptr && !hw && fast2_kind(k) && sf::fast_round_supports(*f)) {
+    count_batch(ts, k, true, n);
+    const sf::RoundSpec fmt(*f);  // hoisted format constants for the hot loop
+    // A broadcast is rounded once, not once per lane, and then is exact.
+    const auto exact = [&](const BatchArg& x) {
+      return x.lanes == nullptr || (x.exact != nullptr && *x.exact == *f);
+    };
+    const double* pa =
+        a.lanes != nullptr ? a.lanes : spread(sf::fast_round(a.value, fmt), n, ts.spread[0]);
+    const double* pb =
+        b.lanes != nullptr ? b.lanes : spread(sf::fast_round(b.value, fmt), n, ts.spread[1]);
+    sf::simd::span_exec(simd_path_, span2_op(k), pa, pb, nullptr, out, n, fmt,
+                        (exact(a) ? 1U : 0U) | (exact(b) ? 2U : 0U));
+    return true;
+  }
+  const double* pa = a.lanes != nullptr ? a.lanes : spread(a.value, n, ts.spread[0]);
+  const double* pb = b.lanes != nullptr ? b.lanes : spread(b.value, n, ts.spread[1]);
   if (f == nullptr) {
     count_batch(ts, k, false, n);
     switch (k) {
       case OpKind::Add:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] + pb[i];
         break;
       case OpKind::Sub:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] - pb[i];
         break;
       case OpKind::Mul:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] * pb[i];
         break;
       case OpKind::Div:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] / b[i];
+        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] / pb[i];
         break;
       default:
-        for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, a[i], b[i]);
+        for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, pa[i], pb[i]);
         break;
     }
-    return;
+    return false;
   }
   count_batch(ts, k, true, n);
   if (hw_fastpath_ && *f == sf::Format::fp64()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, a[i], b[i]);
-    return;
+    for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, pa[i], pb[i]);
+  } else if (hw_fastpath_ && *f == sf::Format::fp32()) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = native2_f32(k, pa[i], pb[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out[i] = emulate2(ts, k, pa[i], pb[i], *f);
   }
-  if (hw_fastpath_ && *f == sf::Format::fp32()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native2_f32(k, a[i], b[i]);
-    return;
-  }
-  if (fast2_kind(k) && sf::fast_round_supports(*f)) {
-    const sf::RoundSpec fmt(*f);  // hoisted format constants for the hot loop
-    sf::simd::span_exec(simd_path_, span2_op(k), a, b, nullptr, out, n, fmt);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = emulate2(ts, k, a[i], b[i], *f);
+  return false;
 }
 
 void Runtime::op3_batch(OpKind k, const double* a, const double* b, const double* c, double* out,

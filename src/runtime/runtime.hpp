@@ -217,10 +217,48 @@ class Runtime {
   // (out == a etc.) are allowed; out must not partially overlap an input.
   // In mem-mode these fall back to the per-element scalar path so NaN-boxed
   // handles keep their ownership semantics.
+  //
+  // Exactness tags (DESIGN.md §13): `exact_a`/`exact_b` name a format every
+  // lane of that operand is exactly representable in (nullopt: unknown).
+  // Only the fast-kernel path reads them: an operand tagged with the
+  // effective format (exp_bits and man_bits) skips its operand round,
+  // which is the identity there, and the call returns that format as the
+  // result's tag. The native, hardware-type, BigFloat and mem-mode paths
+  // ignore tags and return nullopt. Values, counts and trace events never
+  // depend on the tags.
 
-  void op1_batch(OpKind k, const double* a, double* out, std::size_t n, int width = 64);
-  void op2_batch(OpKind k, const double* a, const double* b, double* out, std::size_t n,
-                 int width = 64);
+  /// One operand of a batch call: n lanes, or one value standing for every
+  /// lane (a broadcast), with its exactness tag. The fast-kernel path rounds
+  /// a broadcast once per call and uses it as an exact operand; every other
+  /// path spreads the raw value.
+  struct BatchArg {
+    const double* lanes = nullptr;      ///< null: `value` in every lane
+    double value = 0.0;
+    const sf::Format* exact = nullptr;  ///< the exactness tag (null: none)
+  };
+
+  std::optional<sf::Format> op1_batch(OpKind k, const double* a, double* out, std::size_t n,
+                                      int width = 64,
+                                      const std::optional<sf::Format>& exact_a = std::nullopt) {
+    return tag_of(op1_lanes(k, a, out, n, width, exact_a ? &*exact_a : nullptr));
+  }
+  std::optional<sf::Format> op2_batch(OpKind k, const double* a, const double* b, double* out,
+                                      std::size_t n, int width = 64,
+                                      const std::optional<sf::Format>& exact_a = std::nullopt,
+                                      const std::optional<sf::Format>& exact_b = std::nullopt) {
+    return tag_of(op2_lanes(k, BatchArg{a, 0.0, exact_a ? &*exact_a : nullptr},
+                            BatchArg{b, 0.0, exact_b ? &*exact_b : nullptr}, out, n, width));
+  }
+  /// The bodies of op1_batch/op2_batch, which batch::Vec calls directly:
+  /// tags in and out as pointers (null: none). The result is the effective
+  /// format when the fast kernels ran (their lanes are exact in it), else
+  /// null; it aims into the thread-local cache, so copy it before the next
+  /// scope or region change. (A std::optional return here measured ~2.5x
+  /// the per-call cost of the small untagged spans of the AMR guard fill.)
+  const sf::Format* op1_lanes(OpKind k, const double* a, double* out, std::size_t n, int width,
+                              const sf::Format* exact_a);
+  const sf::Format* op2_lanes(OpKind k, const BatchArg& a, const BatchArg& b, double* out,
+                              std::size_t n, int width = 64);
   void op3_batch(OpKind k, const double* a, const double* b, const double* c, double* out,
                  std::size_t n, int width = 64);
   /// Array form of the `_raptor_pre_c` conversion primitive (not counted as
@@ -332,9 +370,14 @@ class Runtime {
   double op1_dispatch(ThreadState& ts, OpKind k, double a, int width);
   double op2_dispatch(ThreadState& ts, OpKind k, double a, double b, int width);
   double op3_dispatch(ThreadState& ts, OpKind k, double a, double b, double c, int width);
-  void op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out, std::size_t n,
-                    const sf::Format* f);
-  void op2_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b, double* out,
+  static std::optional<sf::Format> tag_of(const sf::Format* f) {
+    if (f == nullptr) return std::nullopt;
+    return *f;
+  }
+  /// True when the fast kernels ran, i.e. the result is exact in *f.
+  bool op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out, std::size_t n,
+                    const sf::Format* f, const sf::Format* exact_a);
+  bool op2_batch_op(ThreadState& ts, OpKind k, const BatchArg& a, const BatchArg& b, double* out,
                     std::size_t n, const sf::Format* f);
   void op3_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b, const double* c,
                     double* out, std::size_t n, const sf::Format* f);

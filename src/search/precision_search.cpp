@@ -246,6 +246,7 @@ SearchResult search_groups(const Workload& workload, const SearchOptions& opts,
   out.final_error = metric(ref, final_run);
   out.final_counters = R.counters();
   out.trunc_fraction = out.final_counters.trunc_fraction();
+  out.trunc_share = flop_weighted_trunc_share(out.choices);
   out.within_tolerance = out.final_error <= opts.tolerance;
   R.reset_all();
   return out;

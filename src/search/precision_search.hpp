@@ -102,7 +102,12 @@ struct SearchResult {
   /// Final verification run with `config` applied.
   rt::CounterSnapshot final_counters;
   double final_error = 0.0;
+  /// Share of the final run's flops that were truncated.
   double trunc_fraction = 0.0;
+  /// Work-weighted mantissa savings of `choices`
+  /// (flop_weighted_trunc_share): unlike trunc_fraction it also weighs the
+  /// memory words of copy-dominated regions such as the AMR guard fills.
+  double trunc_share = 0.0;
   bool within_tolerance = false;
   /// Workload evaluations spent on the search (excluding reference+final).
   int evaluations = 0;

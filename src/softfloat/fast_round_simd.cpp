@@ -6,7 +6,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
 
 namespace raptor::sf::simd {
 
@@ -45,6 +47,16 @@ void span_portable(SpanOp op, const double* a, const double* b, const double* c,
       break;
   }
 }
+
+#ifndef NDEBUG
+/// True if rounding x[0, n) into the span's format changes no bit (one
+/// Round span through the portable kernels into scratch).
+bool is_fixed_point(const double* x, std::size_t n, const RoundSpec& spec) {
+  std::vector<double> r(n);
+  span_portable(SpanOp::Round, x, nullptr, nullptr, r.data(), n, spec);
+  return std::memcmp(r.data(), x, n * sizeof(double)) == 0;
+}
+#endif
 
 bool mask_bit(const u64* mask, std::size_t i) { return ((mask[i / 64] >> (i % 64)) & 1) != 0; }
 
@@ -182,18 +194,23 @@ std::optional<Path> parse_path(std::string_view s) {
 }
 
 void span_exec(Path p, SpanOp op, const double* a, const double* b, const double* c, double* out,
-               std::size_t n, const RoundSpec& spec) {
+               std::size_t n, const RoundSpec& spec, unsigned exact) {
   if (n == 0) return;
   if (!path_supported(p)) p = default_path();  // never execute unsupported code
+#ifndef NDEBUG
+  // A flagged operand must be a fixed point of the round the kernel skips.
+  if ((exact & 1U) != 0 && a != nullptr) RAPTOR_ASSERT(is_fixed_point(a, n, spec));
+  if ((exact & 2U) != 0 && b != nullptr) RAPTOR_ASSERT(is_fixed_point(b, n, spec));
+#endif
   switch (p) {
 #if defined(RAPTOR_SIMD_HAVE_AVX2)
     case Path::Avx2:
-      detail::span_avx2(op, a, b, c, out, n, spec);
+      detail::span_avx2(op, a, b, c, out, n, spec, exact);
       return;
 #endif
 #if defined(RAPTOR_SIMD_HAVE_AVX512)
     case Path::Avx512:
-      detail::span_avx512(op, a, b, c, out, n, spec);
+      detail::span_avx512(op, a, b, c, out, n, spec, exact);
       return;
 #endif
     default:

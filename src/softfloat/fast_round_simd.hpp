@@ -38,6 +38,18 @@
 // are masked and recomputed through BigFloat from the operands the kernel
 // loaded, which keeps in-place spans legal.
 //
+// Exact operands: op-mode rounds each operand into the format before the
+// operation, but an operand that a fast-path op just produced in the same
+// format is already a fixed point of that round. span_exec's `exact` mask
+// flags such operands (bit 0: a, bit 1: b); the vector kernels then load
+// them without vround, through one of four compile-time variants of each
+// loop chosen once per span like the kernel family. Results are unchanged
+// because the skipped round is the identity; the exp_bits == 11 guards
+// read the operands as loaded, which are the same values. Round and Fma
+// ignore the mask, and so does the portable path, whose per-element fast_*
+// calls round internally. Builds without NDEBUG check every flagged
+// operand with one Round span and a bitwise compare.
+//
 // Tail strategy: each span kernel streams full vectors and finishes the
 // remaining n % width elements as one more vector — the span's last `width`
 // elements (computed before the full vectors are stored, so in-place spans
@@ -92,9 +104,11 @@ enum class SpanOp : u8 { Round, Add, Sub, Mul, Div, Neg, Sqrt, Fma };
 /// may alias exactly (out == a etc.); partial overlap is undefined, as for
 /// the Runtime batch entry points. Defensive: an unsupported `p` (e.g. a
 /// stale forced value on foreign hardware) silently falls back to
-/// default_path().
+/// default_path(). `exact` bit 0 (1) promises that every element of `a`
+/// (`b`) is a fixed point of the span's rounding, bit for bit, so the
+/// vector paths load it unrounded; see "Exact operands" above.
 void span_exec(Path p, SpanOp op, const double* a, const double* b, const double* c,
-               double* out, std::size_t n, const RoundSpec& spec);
+               double* out, std::size_t n, const RoundSpec& spec, unsigned exact = 0);
 
 // ===========================================================================
 // Lane movement for batch::Vec masks and branches (DESIGN.md §13)
@@ -354,9 +368,13 @@ template <class I, bool kTie>
 /// fast_round across lanes: RNE round of each lane into the format described
 /// by `S`, widened back to double. Bit-identical to sf::fast_round per lane
 /// over the full fast_round_supports envelope (exp <= 11, man <= 52),
-/// including double-subnormal inputs AND outputs.
+/// including double-subnormal inputs AND outputs. Always inlined, like
+/// vround_tie: with four exact-operand variants per kernel family GCC
+/// stopped inlining it on its own, and the out-of-line calls (reloading
+/// `S` per vector) made untagged Add spans 15-50% slower.
 template <class I>
-[[nodiscard]] inline typename I::vf vround(typename I::vf x, const VSpec<I>& S) {
+[[nodiscard, gnu::always_inline]] inline typename I::vf vround(typename I::vf x,
+                                                               const VSpec<I>& S) {
   return round_lanes<I, false>(x, x, S);
 }
 
@@ -364,8 +382,9 @@ template <class I>
 /// value from its hardware result `s` and the error `t` of s (only t's
 /// sign and whether it is zero are read).
 template <class I>
-[[nodiscard]] inline typename I::vf vround_tie(typename I::vf s, typename I::vf t,
-                                               const VSpec<I>& S) {
+[[nodiscard, gnu::always_inline]] inline typename I::vf vround_tie(typename I::vf s,
+                                                                   typename I::vf t,
+                                                                   const VSpec<I>& S) {
   return round_lanes<I, true>(s, t, S);
 }
 
@@ -413,14 +432,27 @@ template <class I>
   return vround<I>(I::cast_f(s2), S);
 }
 
+/// An operand as the op sees it: rounded into the format, unless kExact
+/// says it already is a fixed point of that round.
+template <class I, bool kExact>
+[[gnu::always_inline]] inline typename I::vf operand(typename I::vf x, const VSpec<I>& S) {
+  if constexpr (kExact) {
+    return x;
+  } else {
+    return vround<I>(x, S);
+  }
+}
+
 /// The span ops over whole vectors: n must be a multiple of the lane width.
+/// kExact is span_exec's mask (bit 0: `a` exact, bit 1: `b` exact).
 /// Always inlined into span_impl, so the per-span constants in `S` stay in
 /// registers across the loop (an out-of-line call measured ~25% slower).
-template <class I>
+template <class I, unsigned kExact>
 [[gnu::always_inline]] inline void span_vectors(SpanOp op, const double* a, const double* b,
                                                 const double* c, double* out, std::size_t n,
                                                 const RoundSpec& sp, const VSpec<I>& S) {
   constexpr std::size_t W = I::width;
+  constexpr bool kA = (kExact & 1U) != 0, kB = (kExact & 2U) != 0;
   std::size_t i = 0;
   switch (op) {
     case SpanOp::Round:
@@ -428,15 +460,15 @@ template <class I>
       break;
     case SpanOp::Add:
       for (; i < n; i += W) {
-        I::storeu(out + i, vround<I>(I::addf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
+        I::storeu(out + i, vround<I>(I::addf(operand<I, kA>(I::loadu(a + i), S),
+                                             operand<I, kB>(I::loadu(b + i), S)),
                                      S));
       }
       break;
     case SpanOp::Sub:
       for (; i < n; i += W) {
-        I::storeu(out + i, vround<I>(I::subf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
+        I::storeu(out + i, vround<I>(I::subf(operand<I, kA>(I::loadu(a + i), S),
+                                             operand<I, kB>(I::loadu(b + i), S)),
                                      S));
       }
       break;
@@ -444,12 +476,13 @@ template <class I>
       for (; i < n; i += W) {
         const typename I::vf xa = I::loadu(a + i);
         const typename I::vf xb = I::loadu(b + i);
-        const typename I::vf p = I::mulf(vround<I>(xa, S), vround<I>(xb, S));
+        const typename I::vf p = I::mulf(operand<I, kA>(xa, S), operand<I, kB>(xb, S));
         I::storeu(out + i, vround<I>(p, S));
         if (sp.guard_tiny) {
           // fast_mul's exp_bits == 11 guard as a lane mask: a nonzero
           // product with a zero exponent field is a double subnormal. The
           // operands come from registers, so in-place spans stay legal.
+          // BigFloat rounds them itself, exact or not.
           const typename I::vi pb = I::cast_i(p);
           const typename I::vb hit =
               I::andm(I::eq(I::and_(I::template srl<52>(pb), S.expf), S.zero),
@@ -468,8 +501,8 @@ template <class I>
       break;
     case SpanOp::Div:
       for (; i < n; i += W) {
-        I::storeu(out + i, vround<I>(I::divf(vround<I>(I::loadu(a + i), S),
-                                             vround<I>(I::loadu(b + i), S)),
+        I::storeu(out + i, vround<I>(I::divf(operand<I, kA>(I::loadu(a + i), S),
+                                             operand<I, kB>(I::loadu(b + i), S)),
                                      S));
       }
       break;
@@ -477,13 +510,13 @@ template <class I>
       // Negation is the sign-bit flip (also on NaN), as the scalar kernel's
       // `-fast_round(a)`; the outer round only re-canonicalizes NaN.
       for (; i < n; i += W) {
-        const typename I::vi r = I::cast_i(vround<I>(I::loadu(a + i), S));
+        const typename I::vi r = I::cast_i(operand<I, kA>(I::loadu(a + i), S));
         I::storeu(out + i, vround<I>(I::cast_f(I::xor_(r, S.sign)), S));
       }
       break;
     case SpanOp::Sqrt:
       for (; i < n; i += W) {
-        I::storeu(out + i, vround<I>(I::sqrtf_(vround<I>(I::loadu(a + i), S)), S));
+        I::storeu(out + i, vround<I>(I::sqrtf_(operand<I, kA>(I::loadu(a + i), S)), S));
       }
       break;
     case SpanOp::Fma:
@@ -524,24 +557,25 @@ inline void fix_tiny_lanes(typename I::vf xa, typename I::vf xb, typename I::vf 
 /// sqrt, whose sign times the divisor's is the sign of the error) — lane
 /// for lane the scalar fast_add/sub/mul/div/sqrt. Round, Neg and Fma are
 /// the same kernels at every precision.
-template <class I>
+template <class I, unsigned kExact>
 [[gnu::always_inline]] inline void span_vectors_tie(SpanOp op, const double* a, const double* b,
                                                     const double* c, double* out, std::size_t n,
                                                     const RoundSpec& sp, const VSpec<I>& S) {
   using vf = typename I::vf;
   constexpr std::size_t W = I::width;
+  constexpr bool kA = (kExact & 1U) != 0, kB = (kExact & 2U) != 0;
   std::size_t i = 0;
   switch (op) {
     case SpanOp::Add:
       for (; i < n; i += W) {
-        const vf x = vround<I>(I::loadu(a + i), S), y = vround<I>(I::loadu(b + i), S);
+        const vf x = operand<I, kA>(I::loadu(a + i), S), y = operand<I, kB>(I::loadu(b + i), S);
         const vf s = I::addf(x, y);
         I::storeu(out + i, vround_tie<I>(s, two_sum_err<I>(x, y, s), S));
       }
       break;
     case SpanOp::Sub:
       for (; i < n; i += W) {
-        const vf x = vround<I>(I::loadu(a + i), S), y = vround<I>(I::loadu(b + i), S);
+        const vf x = operand<I, kA>(I::loadu(a + i), S), y = operand<I, kB>(I::loadu(b + i), S);
         const vf s = I::subf(x, y);
         const vf neg_y = I::cast_f(I::xor_(I::cast_i(y), S.sign));
         I::storeu(out + i, vround_tie<I>(s, two_sum_err<I>(x, neg_y, s), S));
@@ -550,7 +584,7 @@ template <class I>
     case SpanOp::Mul:
       for (; i < n; i += W) {
         const vf xa = I::loadu(a + i), xb = I::loadu(b + i);
-        const vf x = vround<I>(xa, S), y = vround<I>(xb, S);
+        const vf x = operand<I, kA>(xa, S), y = operand<I, kB>(xb, S);
         const vf p = I::mulf(x, y);
         I::storeu(out + i, vround_tie<I>(p, I::fmsub(x, y, p), S));
         if (sp.guard_tiny) {
@@ -563,7 +597,7 @@ template <class I>
     case SpanOp::Div:
       for (; i < n; i += W) {
         const vf xa = I::loadu(a + i), xb = I::loadu(b + i);
-        const vf x = vround<I>(xa, S), y = vround<I>(xb, S);
+        const vf x = operand<I, kA>(xa, S), y = operand<I, kB>(xb, S);
         const vf q = I::divf(x, y);
         const typename I::vi rem = I::cast_i(I::fnmadd(q, y, x));
         const vf err = I::cast_f(I::xor_(rem, I::and_(I::cast_i(y), S.sign)));
@@ -578,7 +612,7 @@ template <class I>
     case SpanOp::Sqrt:
       for (; i < n; i += W) {
         const vf xa = I::loadu(a + i);
-        const vf x = vround<I>(xa, S);
+        const vf x = operand<I, kA>(xa, S);
         const vf r = I::sqrtf_(x);
         I::storeu(out + i, vround_tie<I>(r, I::fnmadd(r, r, x), S));
         if (sp.guard_tiny) {
@@ -588,21 +622,23 @@ template <class I>
       }
       break;
     default:
-      span_vectors<I>(op, a, b, c, out, n, sp, S);
+      span_vectors<I, kExact>(op, a, b, c, out, n, sp, S);
       break;
   }
 }
 
 /// One kernel family over whole vectors: span_vectors_tie when kTie, else
-/// span_vectors.
-template <class I, bool kTie>
-[[gnu::always_inline]] inline void vectors(SpanOp op, const double* a, const double* b,
-                                           const double* c, double* out, std::size_t n,
-                                           const RoundSpec& sp, const VSpec<I>& S) {
+/// span_vectors. One out-of-line copy per variant (span_driver calls it up
+/// to twice per span); the per-span constants are built here, so they stay
+/// in registers across the loop.
+template <class I, bool kTie, unsigned kExact>
+[[gnu::noinline]] void vectors(SpanOp op, const double* a, const double* b, const double* c,
+                               double* out, std::size_t n, const RoundSpec& sp) {
+  const VSpec<I> S(sp);
   if constexpr (kTie) {
-    span_vectors_tie<I>(op, a, b, c, out, n, sp, S);
+    span_vectors_tie<I, kExact>(op, a, b, c, out, n, sp, S);
   } else {
-    span_vectors<I>(op, a, b, c, out, n, sp, S);
+    span_vectors<I, kExact>(op, a, b, c, out, n, sp, S);
   }
 }
 
@@ -613,23 +649,22 @@ template <class I, bool kTie>
 /// and kept only for the tail lanes; a shorter span is padded with 1.0 (in
 /// every format's range, so the padding keeps the vector on vround's
 /// common-case branch) through stack buffers.
-template <class I, bool kTie>
+template <class I, bool kTie, unsigned kExact>
 inline void span_driver(SpanOp op, const double* a, const double* b, const double* c,
                         double* out, std::size_t n, const RoundSpec& sp) {
   constexpr std::size_t W = I::width;
-  const VSpec<I> S(sp);
   const std::size_t full = n - n % W;
   if (full == n) {
-    vectors<I, kTie>(op, a, b, c, out, n, sp, S);
+    vectors<I, kTie, kExact>(op, a, b, c, out, n, sp);
     return;
   }
   const std::size_t left = n - full;
   double to[W];
   if (n >= W) {
     const std::size_t at = n - W;
-    vectors<I, kTie>(op, a + at, b != nullptr ? b + at : nullptr,
-                     c != nullptr ? c + at : nullptr, to, W, sp, S);
-    vectors<I, kTie>(op, a, b, c, out, full, sp, S);
+    vectors<I, kTie, kExact>(op, a + at, b != nullptr ? b + at : nullptr,
+                             c != nullptr ? c + at : nullptr, to, W, sp);
+    vectors<I, kTie, kExact>(op, a, b, c, out, full, sp);
     for (std::size_t j = 0; j < left; ++j) out[full + j] = to[W - left + j];
     return;
   }
@@ -639,19 +674,40 @@ inline void span_driver(SpanOp op, const double* a, const double* b, const doubl
     tb[j] = j < n && b != nullptr ? b[j] : 1.0;
     tc[j] = j < n && c != nullptr ? c[j] : 1.0;
   }
-  vectors<I, kTie>(op, ta, tb, tc, to, W, sp, S);
+  vectors<I, kTie, kExact>(op, ta, tb, tc, to, W, sp);
   for (std::size_t j = 0; j < n; ++j) out[j] = to[j];
 }
 
-/// The span entry of the per-ISA translation units: the kernel family is
-/// chosen once per span from the format's precision.
+/// span_driver with the exact-operand mask turned into its compile-time
+/// variant. Round and Fma always round their operands.
+template <class I, bool kTie>
+inline void span_masked(SpanOp op, const double* a, const double* b, const double* c,
+                        double* out, std::size_t n, const RoundSpec& sp, unsigned exact) {
+  switch (op == SpanOp::Round || op == SpanOp::Fma ? 0U : exact & 3U) {
+    case 1:
+      span_driver<I, kTie, 1>(op, a, b, c, out, n, sp);
+      return;
+    case 2:
+      span_driver<I, kTie, 2>(op, a, b, c, out, n, sp);
+      return;
+    case 3:
+      span_driver<I, kTie, 3>(op, a, b, c, out, n, sp);
+      return;
+    default:
+      span_driver<I, kTie, 0>(op, a, b, c, out, n, sp);
+      return;
+  }
+}
+
+/// The span entry of the per-ISA translation units: the kernel family and
+/// the exact-operand variant are chosen once per span.
 template <class I>
 inline void span_impl(SpanOp op, const double* a, const double* b, const double* c,
-                      double* out, std::size_t n, const RoundSpec& sp) {
+                      double* out, std::size_t n, const RoundSpec& sp, unsigned exact) {
   if (sp.tie_break) {
-    span_driver<I, true>(op, a, b, c, out, n, sp);
+    span_masked<I, true>(op, a, b, c, out, n, sp, exact);
   } else {
-    span_driver<I, false>(op, a, b, c, out, n, sp);
+    span_masked<I, false>(op, a, b, c, out, n, sp, exact);
   }
 }
 
@@ -664,9 +720,9 @@ namespace detail {
 // the compiler supports them — see RAPTOR_SIMD_HAVE_AVX2 / _AVX512).
 // Referenced exclusively through span_exec after path_supported() gating.
 void span_avx2(SpanOp op, const double* a, const double* b, const double* c, double* out,
-               std::size_t n, const RoundSpec& spec);
+               std::size_t n, const RoundSpec& spec, unsigned exact);
 void span_avx512(SpanOp op, const double* a, const double* b, const double* c, double* out,
-                 std::size_t n, const RoundSpec& spec);
+                 std::size_t n, const RoundSpec& spec, unsigned exact);
 std::size_t lanes_compare_avx512(LaneCmp op, const double* a, const double* b, std::size_t n,
                                  u64* mask);
 std::size_t lanes_compress_avx512(const double* in, const u64* mask, bool on, std::size_t n,

@@ -79,8 +79,8 @@ struct IsaAvx2 {
 }  // namespace
 
 void span_avx2(SpanOp op, const double* a, const double* b, const double* c, double* out,
-               std::size_t n, const RoundSpec& spec) {
-  lanes::span_impl<IsaAvx2>(op, a, b, c, out, n, spec);
+               std::size_t n, const RoundSpec& spec, unsigned exact) {
+  lanes::span_impl<IsaAvx2>(op, a, b, c, out, n, spec, exact);
 }
 
 }  // namespace raptor::sf::simd::detail

@@ -73,8 +73,8 @@ struct IsaAvx512 {
 }  // namespace
 
 void span_avx512(SpanOp op, const double* a, const double* b, const double* c, double* out,
-                 std::size_t n, const RoundSpec& spec) {
-  lanes::span_impl<IsaAvx512>(op, a, b, c, out, n, spec);
+                 std::size_t n, const RoundSpec& spec, unsigned exact) {
+  lanes::span_impl<IsaAvx512>(op, a, b, c, out, n, spec, exact);
 }
 
 // Lane movement: one mask byte per vector of eight lanes. On x86 the u64

@@ -44,6 +44,25 @@
 //    buffers from a per-thread pool (detail::LanePool), so in steady state
 //    no operator, pick or branch touches the heap (DESIGN.md §13).
 //
+//  * Exactness tags: a Vec may carry the format every one of its lanes is
+//    exactly representable in (exact()). An operand tagged with the format
+//    the fast kernels run in skips its operand round, which is the identity
+//    there; values and counts never depend on tags. A tag comes only from
+//    a format the runtime reported, or from lanes copied out of a Vec that
+//    carried it; when in doubt the tag is left off:
+//      - an operator or math function result takes the tag op*_batch
+//        returned (the fast-kernel path's format, else none);
+//      - compress and Pick keep the source's tag;
+//      - merge, select/blend, fmin/fmax and fabs keep a tag only when every
+//        output lane comes from a source carrying it (a side that gives no
+//        lane does not count);
+//      - gather, native, fresh Vec(n) storage and broadcasts carry none,
+//        and writing lanes through non-const data() drops the tag;
+//      - under another format (a nested TruncScope, a region override, no
+//        truncation) the tag no longer matches, so operands round as ever.
+//    A broadcast operand of an operator goes to the runtime as its one
+//    value, which the fast path rounds once per call, not once per lane.
+//
 // Ownership: raw payloads are plain doubles in op-mode. Vec is op-mode only
 // — its intermediates would leak NaN-boxed shadow entries in mem-mode — so
 // substrates gate on Runtime::mode() == Mode::Op before taking the batch
@@ -54,6 +73,7 @@
 #include <bit>
 #include <cstddef>
 #include <new>
+#include <optional>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -260,9 +280,23 @@ class Vec {
   [[nodiscard]] bool is_scalar() const { return is_scalar_; }
   [[nodiscard]] std::size_t size() const { return is_scalar_ ? 1 : v_.size(); }
   [[nodiscard]] double operator[](std::size_t i) const { return is_scalar_ ? scalar_ : v_[i]; }
-  /// The lanes of a non-broadcast Vec.
-  [[nodiscard]] double* data() { return v_.data(); }
+  /// The lanes of a non-broadcast Vec. Writing through the non-const form
+  /// drops the exactness tag.
+  [[nodiscard]] double* data() {
+    tag_ = kUntagged;
+    return v_.data();
+  }
   [[nodiscard]] const double* data() const { return v_.data(); }
+
+  /// The format every lane is exactly representable in, if known (the
+  /// exactness tag; see the header comment for where tags come from).
+  [[nodiscard]] std::optional<sf::Format> exact() const {
+    if (tag_ == kUntagged) return std::nullopt;
+    return tag_;
+  }
+  /// Tag lanes that were all copied out of Vecs tagged `f` (or are zeros,
+  /// exact in every format).
+  void set_exact(const std::optional<sf::Format>& f) { tag_ = f.value_or(kUntagged); }
 
   friend Vec operator+(const Vec& a, const Vec& b) { return bin(rt::OpKind::Add, a, b); }
   friend Vec operator-(const Vec& a, const Vec& b) { return bin(rt::OpKind::Sub, a, b); }
@@ -285,12 +319,8 @@ class Vec {
   /// over a copy).
   friend Vec fabs(const Vec& a) { return abs(a); }
   /// Real's fmin/fmax lane by lane: selections, never counted.
-  friend Vec fmin(const Vec& a, const Vec& b) {
-    return select(a, b, [](double x, double y) { return x <= y; });
-  }
-  friend Vec fmax(const Vec& a, const Vec& b) {
-    return select(a, b, [](double x, double y) { return x >= y; });
-  }
+  friend Vec fmin(const Vec& a, const Vec& b) { return choose(sf::simd::LaneCmp::Le, a, b); }
+  friend Vec fmax(const Vec& a, const Vec& b) { return choose(sf::simd::LaneCmp::Ge, a, b); }
   /// select(cond, a, b) lane by lane (real.hpp): lane i of a where m is
   /// set, of b where it is not; a blend, never counted.
   friend Vec select(const Mask& m, const Vec& a, const Vec& b) { return blend(m, a, b); }
@@ -301,6 +331,7 @@ class Vec {
     if (is_scalar_) return *this;
     Vec r(count);
     sf::simd::lanes_compress(path(), v_.data(), m.words_.data(), on, m.size(), r.v_.data());
+    r.tag_ = tag_;
     return r;
   }
   /// The inverse of compressing each side of `m`: lane i takes the next
@@ -318,11 +349,23 @@ class Vec {
     Vec r(n);
     sf::simd::lanes_merge(path(), lanes_of(on, n_on, spread_on),
                           lanes_of(off, n - n_on, spread_off), m.words_.data(), n, r.v_.data());
+    r.tag_ = joint_tag(on, n_on > 0, off, n_on < n);
     return r;
   }
 
  private:
   static sf::simd::Path path() { return rt::Runtime::instance().simd_path(); }
+
+  /// The tag of lanes drawn from `a` (if a_used) and `b` (if b_used): kept
+  /// only when every side that gives lanes carries the same one.
+  static sf::Format joint_tag(const Vec& a, bool a_used, const Vec& b, bool b_used) {
+    if (!a_used) return b.tag_;
+    if (!b_used || a.tag_ == b.tag_) return a.tag_;
+    return kUntagged;
+  }
+
+  /// A runtime-reported result format as a tag.
+  static sf::Format tag_of(const sf::Format* f) { return f != nullptr ? *f : kUntagged; }
 
   static Vec abs(const Vec& a) {
     if (a.is_scalar_) return a.scalar_ < 0 ? -a : a;
@@ -333,9 +376,11 @@ class Vec {
     if (k == 0) return a;
     if (k == n) return -a;
     Vec t = a.compress(neg, true, k);
-    rt::Runtime::instance().op1_batch(rt::OpKind::Neg, t.v_.data(), t.v_.data(), k);
+    t.tag_ = tag_of(rt::Runtime::instance().op1_lanes(rt::OpKind::Neg, t.v_.data(), t.v_.data(),
+                                                      k, 64, t.tag_ptr()));
     Vec r = a;
     sf::simd::lanes_merge(path(), t.v_.data(), nullptr, neg.words_.data(), n, r.v_.data());
+    r.tag_ = joint_tag(t, true, a, true);
     return r;
   }
 
@@ -343,7 +388,7 @@ class Vec {
     auto& R = rt::Runtime::instance();
     if (a.is_scalar_) return Vec(R.op1(k, a.scalar_));
     Vec r(a.v_.size());
-    R.op1_batch(k, a.v_.data(), r.v_.data(), a.v_.size());
+    r.tag_ = tag_of(R.op1_lanes(k, a.v_.data(), r.v_.data(), a.v_.size(), 64, a.tag_ptr()));
     return r;
   }
 
@@ -353,10 +398,9 @@ class Vec {
     return n;
   }
 
-  /// Broadcast scratch reused across operator calls (one live broadcast per
-  /// call, so a single thread-local buffer suffices) — the WENO kernels do
-  /// ~20 scalar-times-vector ops per invocation and must not pay an
-  /// allocation for each.
+  /// Broadcast scratch for comparisons and selections (one live broadcast
+  /// per call, so a single thread-local buffer suffices; operators hand a
+  /// broadcast to the runtime as its value instead).
   static const double* broadcast(double scalar, std::size_t n) {
     static thread_local std::vector<double> buf;
     if (buf.size() < n) buf.resize(n);
@@ -380,17 +424,14 @@ class Vec {
     return m;
   }
 
-  /// pred(a, b) ? a : b per lane.
-  template <class Pred>
-  static Vec select(const Vec& a, const Vec& b, Pred pred) {
-    if (a.is_scalar_ && b.is_scalar_) return pred(a.scalar_, b.scalar_) ? a : b;
-    const std::size_t n = common_size(a, b);
-    const double* pa = operand(a, n);
-    const double* pb = operand(b, n);
-    Vec r(n);
-    double* out = r.v_.data();
-    for (std::size_t i = 0; i < n; ++i) out[i] = pred(pa[i], pb[i]) ? pa[i] : pb[i];
-    return r;
+  /// (a op b) ? a : b per lane, op Le (fmin) or Ge (fmax): a blend under
+  /// the comparison's mask, whose lane count also settles the tag.
+  static Vec choose(sf::simd::LaneCmp op, const Vec& a, const Vec& b) {
+    if (a.is_scalar_ && b.is_scalar_) {
+      const bool t = op == sf::simd::LaneCmp::Le ? a.scalar_ <= b.scalar_ : a.scalar_ >= b.scalar_;
+      return t ? a : b;
+    }
+    return blend(cmp(op, a, b), a, b);
   }
 
   static Vec blend(const Mask& m, const Vec& a, const Vec& b) {
@@ -407,6 +448,7 @@ class Vec {
     }
     Vec r(n);
     sf::simd::lanes_blend(path(), m.words_.data(), operand(a, n), pb, n, r.v_.data());
+    r.tag_ = joint_tag(a, m.count() > 0, b, m.count() < n);
     return r;
   }
 
@@ -415,13 +457,26 @@ class Vec {
     if (a.is_scalar_ && b.is_scalar_) return Vec(R.op2(k, a.scalar_, b.scalar_));
     const std::size_t n = common_size(a, b);
     Vec r(n);
-    R.op2_batch(k, operand(a, n), operand(b, n), r.v_.data(), n);
+    r.tag_ = tag_of(R.op2_lanes(k, a.arg(), b.arg(), r.v_.data(), n));
     return r;
   }
+
+  /// The tag as the runtime takes it (null: none).
+  [[nodiscard]] const sf::Format* tag_ptr() const { return tag_ == kUntagged ? nullptr : &tag_; }
+  /// This Vec as a batch operand: its lanes and tag, or its one value.
+  [[nodiscard]] rt::Runtime::BatchArg arg() const {
+    if (is_scalar_) return {nullptr, scalar_, nullptr};
+    return {v_.data(), 0.0, tag_ptr()};
+  }
+
+  /// No tag. A plain Format rather than std::optional: every Vec operator
+  /// writes and copies the tag, and whole-word stores keep that free.
+  static constexpr sf::Format kUntagged{0, 0};
 
   detail::Lanes<double> v_;
   double scalar_ = 0.0;
   bool is_scalar_ = false;
+  sf::Format tag_ = kUntagged;  ///< the exactness tag (kUntagged: none)
 };
 
 // ---------------------------------------------------------------------------

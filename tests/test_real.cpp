@@ -6,11 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
 #include "runtime/runtime.hpp"
+#include "softfloat/fast_round.hpp"
 #include "trunc/capi.hpp"
 #include "trunc/real.hpp"
 #include "trunc/scope.hpp"
@@ -258,6 +260,301 @@ TEST_F(RealTest, BatchVecTranscendentalsNativeAndLoopsMatchRealOnEveryPath) {
       }
       EXPECT_EQ(wr.trunc_by_kind, wv.trunc_by_kind);
       EXPECT_EQ(wr.full_by_kind, wv.full_by_kind);
+    }
+  }
+  R.force_simd_path(std::nullopt);
+}
+
+/// Every lane of a tagged Vec is a fixed point of rounding into its tag's
+/// format (the promise the fast kernels act on).
+::testing::AssertionResult TagHolds(const batch::Vec& v) {
+  if (!v.exact()) return ::testing::AssertionSuccess();
+  const sf::RoundSpec spec(*v.exact());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (std::bit_cast<u64>(sf::fast_round(v[i], spec)) != std::bit_cast<u64>(v[i])) {
+      return ::testing::AssertionFailure() << "lane " << i << " = " << v[i]
+                                           << " is not exact in " << v.exact()->to_string();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_F(RealTest, BatchVecExactnessTags) {
+  // The exactness-tag rules of batch::Vec (span_ops.hpp), each rule on its
+  // own, every tag checked lane by lane; then tagged Vecs reused under
+  // other formats (nested scope, region override, no truncation) against
+  // Real: identical bits and per-OpKind counts.
+  using batch::Mask;
+  using batch::Vec;
+  const sf::Format e11m12{11, 12}, e11m30{11, 30};
+  const auto lanes = [](const std::vector<double>& v) {
+    return Vec::gather(v.size(), [&](std::size_t i) { return v[i]; });
+  };
+  const std::vector<double> av = {1.7, -2.3, 0.1, -0.0, 5.5, -7.25, 1e-3, 3.0, -0.6};
+  const std::vector<double> bv = {0.3, 1.9, -4.1, 2.0, -0.5, 0.7, 6.0, -1.0, 2.2};
+  const std::size_t n = av.size();
+  const Vec a = lanes(av), b = lanes(bv);
+  const Mask none = Mask::of(n, [](std::size_t) { return false; });
+  const Mask all = Mask::of(n, [](std::size_t) { return true; });
+
+  // Sources that carry no tag, in scope or not.
+  EXPECT_FALSE(a.exact());
+  {
+    TruncScope scope(11, 12);
+    EXPECT_FALSE(lanes(av).exact());
+    EXPECT_FALSE(Vec(0.5).exact());
+    EXPECT_FALSE(Vec(n).exact());
+    EXPECT_FALSE(native([](double x) { return x; }, a).exact());
+  }
+
+  {
+    TruncScope scope(11, 12);
+    // Operator and fast-kernel function results: the format op*_batch returned.
+    const Vec x = a + b, y = a * b;
+    const Vec results[] = {x, y, a - 0.1, 0.7 / b, -a, sqrt(y), x * y};
+    for (const Vec& r : results) {
+      EXPECT_EQ(r.exact(), e11m12);
+      EXPECT_TRUE(TagHolds(r));
+    }
+    EXPECT_FALSE(exp(x).exact());  // BigFloat path: no tag
+
+    // compress and Pick keep the source's tag.
+    const Mask pos = x >= Vec(0.0);
+    ASSERT_GT(pos.count(), 0u);
+    ASSERT_LT(pos.count(), n);
+    EXPECT_EQ(x.compress(pos, true, pos.count()).exact(), e11m12);
+    EXPECT_EQ(batch::Pick(pos, false, n - pos.count())(x).exact(), e11m12);
+    EXPECT_FALSE(batch::Pick(pos, true, pos.count())(a).exact());
+
+    // merge: every contributing side must carry the tag.
+    const Vec x_on = x.compress(pos, true, pos.count());
+    const Vec y_off = y.compress(pos, false, n - pos.count());
+    const Vec a_off = a.compress(pos, false, n - pos.count());
+    EXPECT_EQ(Vec::merge(pos, x_on, y_off).exact(), e11m12);
+    EXPECT_TRUE(TagHolds(Vec::merge(pos, x_on, y_off)));
+    EXPECT_FALSE(Vec::merge(pos, x_on, a_off).exact());
+    EXPECT_FALSE(Vec::merge(pos, x_on, Vec(0.1)).exact());
+    EXPECT_EQ(Vec::merge(all, x, Vec(0.1)).exact(), e11m12);  // off side gives no lane
+    EXPECT_EQ(Vec::merge(none, Vec(0.1), y).exact(), e11m12);
+
+    // select / blend.
+    EXPECT_EQ(select(pos, x, y).exact(), e11m12);
+    EXPECT_FALSE(select(pos, x, Vec(0.1)).exact());
+    EXPECT_FALSE(select(pos, Vec(0.1), y).exact());
+    EXPECT_FALSE(select(pos, x, a).exact());
+    EXPECT_EQ(select(all, x, Vec(0.1)).exact(), e11m12);
+    EXPECT_EQ(select(none, Vec(0.1), y).exact(), e11m12);
+
+    // fmin / fmax: a floor no lane hits keeps the tag, one that is hit drops it.
+    EXPECT_EQ(fmax(x, Vec(-1e30)).exact(), e11m12);
+    EXPECT_EQ(fmin(x, Vec(1e30)).exact(), e11m12);
+    EXPECT_FALSE(fmax(x, Vec(0.1)).exact());
+    EXPECT_FALSE(fmin(Vec(0.1), x).exact());
+    EXPECT_EQ(fmin(x, y).exact(), e11m12);
+    EXPECT_FALSE(fmax(x, a).exact());
+
+    // fabs: the negated lanes are Neg results in the same format.
+    EXPECT_EQ(fabs(x).exact(), e11m12);
+    EXPECT_TRUE(TagHolds(fabs(x)));
+    EXPECT_EQ(fabs(fabs(x)).exact(), e11m12);  // no negative lane: x itself
+    EXPECT_FALSE(fabs(a).exact());
+    EXPECT_FALSE(fabs(lanes({0.1, 0.2})).exact());
+
+    // Writing lanes through non-const data() drops the tag.
+    Vec z = x;
+    z.data()[0] = 0.1;
+    EXPECT_FALSE(z.exact());
+  }
+
+  // Paths other than the fast kernels report no tag.
+  EXPECT_FALSE((a + b).exact());  // no truncation
+  {
+    TruncScope scope(12, 20);  // outside the fast-kernel envelope: BigFloat
+    EXPECT_FALSE((a + b).exact());
+    EXPECT_FALSE(sqrt(fabs(a)).exact());
+  }
+  {
+    TruncScope scope(8, 23);
+    EXPECT_EQ((a + b).exact(), (sf::Format{8, 23}));
+    R.set_hw_fastpath(true);  // fp32 on float hardware
+    EXPECT_FALSE((a + b).exact());
+    R.set_hw_fastpath(false);
+  }
+  {
+    R.set_mode(rt::Mode::Mem);
+    TruncScope scope(11, 12);
+    std::vector<double> out(n);
+    EXPECT_FALSE(R.op2_batch(rt::OpKind::Add, av.data(), bv.data(), out.data(), n, 64, e11m12,
+                             e11m12));
+    for (const double h : out) R.mem_release(h);
+    R.set_mode(rt::Mode::Op);
+  }
+
+  // Tagged Vecs reused under other formats sharing exp_bits, under a region
+  // override and with no truncation, against Real lane by lane.
+  R.set_region_format("tags/override", rt::TruncationSpec::trunc64(11, 30));
+  const auto kernel = [](const auto& a, const auto& b) {
+    using T = std::decay_t<decltype(a)>;
+    std::vector<T> out;
+    T x, y, z;
+    {
+      TruncScope outer(11, 12);
+      x = a * b + T(0.1);
+      {
+        TruncScope inner(11, 30);
+        y = x / T(3.0) + b;  // e11m12 lanes under e11m30
+        out.push_back(y);
+      }
+      out.push_back(y * T(0.7) - x);  // e11m30 lanes under e11m12
+      {
+        Region r("tags/override");
+        out.push_back(x * y + T(0.2));
+        z = a / b;
+      }
+      out.push_back(z * T(0.3) + x);  // override lanes under e11m12
+    }
+    out.push_back(x * y - z);  // no truncation
+    return out;
+  };
+  std::vector<std::vector<double>> scalar(5, std::vector<double>(n));
+  R.reset_counters();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto r = kernel(Real(av[i]), Real(bv[i]));
+    for (std::size_t k = 0; k < r.size(); ++k) scalar[k][i] = r[k].raw();
+  }
+  const rt::CounterSnapshot sc = R.counters();
+  R.reset_counters();
+  const auto v = kernel(a, b);
+  const rt::CounterSnapshot vc = R.counters();
+  EXPECT_EQ(v[0].exact(), e11m30);
+  EXPECT_EQ(v[1].exact(), e11m12);
+  EXPECT_EQ(v[2].exact(), e11m30);
+  EXPECT_FALSE(v[4].exact());
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    EXPECT_TRUE(TagHolds(v[k])) << "result " << k;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<u64>(v[k][i]), std::bit_cast<u64>(scalar[k][i]))
+          << "result " << k << " lane " << i;
+    }
+  }
+  EXPECT_EQ(sc.trunc_by_kind, vc.trunc_by_kind);
+  EXPECT_EQ(sc.full_by_kind, vc.full_by_kind);
+}
+
+/// One node of a random lane program: op `kind` on earlier values x and y
+/// and a constant c, run under format `fmt` (0 or 1) of the program's pair.
+struct LaneNode {
+  int kind, x, y, fmt;
+  double c;
+};
+
+/// Run `prog` on inputs in0, in1; returns every value it made. Written
+/// once for Real (one lane) and batch::Vec.
+template <class T>
+std::vector<T> run_lane_program(const std::vector<LaneNode>& prog, const T& in0, const T& in1,
+                                const sf::Format (&fmts)[2]) {
+  using std::fabs;
+  using std::fmax;
+  using std::fmin;
+  using std::sqrt;
+  std::vector<T> v = {in0, in1};
+  for (const LaneNode& nd : prog) {
+    TruncScope scope(fmts[nd.fmt].exp_bits, fmts[nd.fmt].man_bits);
+    const T x = v[static_cast<std::size_t>(nd.x)];
+    const T y = v[static_cast<std::size_t>(nd.y)];
+    const T c(nd.c);
+    switch (nd.kind) {
+      case 0: v.push_back(x + y); break;
+      case 1: v.push_back(x - y); break;
+      case 2: v.push_back(x * y); break;
+      case 3: v.push_back(x / y); break;
+      case 4: v.push_back(x * c); break;
+      case 5: v.push_back(c - x); break;
+      case 6: v.push_back(-x); break;
+      case 7: v.push_back(sqrt(fabs(x))); break;
+      case 8: v.push_back(fabs(x)); break;
+      case 9: v.push_back(fmin(x, y)); break;
+      case 10: v.push_back(fmax(x, c)); break;
+      case 11: v.push_back(select(x < c, x, c)); break;
+      case 12: v.push_back(select(y > x, c, y)); break;
+      case 13:
+        v.push_back(branch(
+            x >= c, [&](auto pick) { return pick(x) * pick(y); },
+            [&](auto pick) { return pick(y) - c; }));
+        break;
+      default:
+        v.push_back(repeat_while(
+            x,
+            [](const T& s) {
+              return native([](double u) { return std::fabs(u) > 4.0 && std::fabs(u) < 1e6; }, s);
+            },
+            [](T s) { return s * T(0.3); }));
+        break;
+    }
+  }
+  return v;
+}
+
+TEST_F(RealTest, RandomVecProgramsAcrossFormatsMatchRealOnEveryPath) {
+  // Seeded random DAGs of Vec ops — fabs, fmin/fmax, selects against
+  // constants the format cannot represent, branch, repeat_while — whose
+  // nodes switch between two formats sharing exp_bits, so tags made under
+  // one format meet ops under the other. Bits and per-OpKind counts
+  // against Real on every SIMD path.
+  const sf::Format pairs[][2] = {
+      {{11, 12}, {11, 30}}, {{8, 7}, {8, 20}}, {{5, 10}, {5, 3}}, {{11, 24}, {11, 52}}};
+  const double consts[] = {0.1, 1.0 / 3.0, 0.7, -1.9, 2.6, 1e-3, -0.0, 4.5};
+  const double specials[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(), 1e-300, -7e4};
+  std::mt19937_64 rng(0x7A6D);
+  for (int trial = 0; trial < 64; ++trial) {
+    const auto& fmts = pairs[trial % 4];
+    const std::size_t n = 1 + rng() % 40;
+    std::vector<double> in[2];
+    for (auto& lanes : in) {
+      for (std::size_t i = 0; i < n; ++i) {
+        lanes.push_back(rng() % 6 == 0 ? specials[rng() % 6]
+                                       : std::ldexp(static_cast<double>(rng() % 20001) - 10000.0,
+                                                    static_cast<int>(rng() % 12) - 14));
+      }
+    }
+    std::vector<LaneNode> prog;
+    for (int k = 0; k < 30; ++k) {
+      const int have = 2 + k;
+      prog.push_back({static_cast<int>(rng() % 15), static_cast<int>(rng() % have),
+                      static_cast<int>(rng() % have), static_cast<int>(rng() % 2),
+                      consts[rng() % 8]});
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " n " << n << " formats "
+                                    << fmts[0].to_string() << "/" << fmts[1].to_string());
+
+    R.reset_counters();
+    std::vector<std::vector<double>> scalar(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const Real& r : run_lane_program(prog, Real(in[0][i]), Real(in[1][i]), fmts)) {
+        scalar[i].push_back(r.raw());
+      }
+    }
+    const rt::CounterSnapshot sc = R.counters();
+    for (const sf::simd::Path p :
+         {sf::simd::Path::Portable, sf::simd::Path::Avx2, sf::simd::Path::Avx512}) {
+      if (!sf::simd::path_supported(p)) continue;
+      R.force_simd_path(p);
+      R.reset_counters();
+      const auto v = run_lane_program(
+          prog, batch::Vec::gather(n, [&](std::size_t i) { return in[0][i]; }),
+          batch::Vec::gather(n, [&](std::size_t i) { return in[1][i]; }), fmts);
+      const rt::CounterSnapshot vc = R.counters();
+      for (std::size_t k = 0; k < v.size(); ++k) {
+        ASSERT_TRUE(TagHolds(v[k])) << sf::simd::path_name(p) << " value " << k;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<u64>(v[k][i]), std::bit_cast<u64>(scalar[i][k]))
+              << sf::simd::path_name(p) << " value " << k << " (node kind "
+              << (k >= 2 ? prog[k - 2].kind : -1) << ") lane " << i;
+        }
+      }
+      EXPECT_EQ(sc.trunc_by_kind, vc.trunc_by_kind) << sf::simd::path_name(p);
+      EXPECT_EQ(sc.full_by_kind, vc.full_by_kind) << sf::simd::path_name(p);
     }
   }
   R.force_simd_path(std::nullopt);

@@ -274,6 +274,8 @@ TEST_F(SearchTest, DriverFindsPerRegionFormats) {
   EXPECT_LE(result.final_error, opts.tolerance);
   // Most flops live in the bulk region, so most flops end up truncated.
   EXPECT_GT(result.trunc_fraction, 0.5);
+  EXPECT_EQ(result.trunc_share, search::flop_weighted_trunc_share(result.choices));
+  EXPECT_GT(result.trunc_share, 0.0);
   EXPECT_GT(result.evaluations, 0);
   // The reference profile saw both regions.
   EXPECT_NE(find_region(result.reference_profile, "bulk"), nullptr);
@@ -403,6 +405,12 @@ TEST_F(SearchTest, PerLevelMeshSearchBeatsFlatAtEqualBudget) {
   const double s_flat = search::flop_weighted_trunc_share(flat.choices);
   EXPECT_GT(s_per, s_flat);
   EXPECT_GT(s_per, 0.0);
+  // Both drivers report that share themselves. The guard regions do their
+  // truncated work in bytes, so the per-level search's flop fraction reads
+  // ~0% while its share does not.
+  EXPECT_EQ(per_level.trunc_share, s_per);
+  EXPECT_EQ(flat.trunc_share, s_flat);
+  EXPECT_LT(per_level.trunc_fraction, 0.01);
 }
 
 TEST(ScaledMaxError, HandlesNaNAndScale) {

@@ -21,6 +21,9 @@
 //    e5..e11 x m1..24 (Round also m52) on every path, in place and out of
 //    place, against scalar fast_* and BigFloat — the vectors that take the
 //    kernel's common-case branch with zero lanes in them.
+//  * Exact operands: span_exec with operands flagged as already rounded
+//    into the format, bit for bit against the unflagged call, for every
+//    mask, e5..e11 x m1..52, specials and e11 guard lanes, on every path.
 //  * Lane movement (the compare / compress / merge / blend behind batch::Vec
 //    masks, branches and selects) against scalar loops on every path,
 //    lengths around the vector width, NaN and -0 lanes.
@@ -654,6 +657,95 @@ TEST(SimdZeroLanes, SignedZerosBesideInRangeLanesEveryFormatEveryPath) {
                   << "zero-lanes in place over operand " << over << " path "
                   << sf::simd::path_name(p) << " fmt " << fmt.to_string() << " kind "
                   << static_cast<int>(kind) << " elem " << i << " lane " << i % lane_width(p);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact operands: the mask skips only rounds that are the identity
+// ---------------------------------------------------------------------------
+
+/// n operands already rounded into `fmt`: random values over its whole
+/// range (subnormals included) mixed with ±0, ±inf, the canonical qNaN,
+/// ±max finite and the extreme subnormals — and at exp_bits 11, values
+/// near 2^-520 and 2^-1000, whose products fall below double's normal
+/// range and whose quotients and roots start below 2^-968 (the kernels'
+/// BigFloat guard lanes).
+std::vector<double> exact_operands(const sf::Format& fmt, std::size_t n, std::mt19937_64& rng) {
+  const sf::RoundSpec spec(fmt);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max_finite = std::ldexp(2.0 - std::ldexp(1.0, -fmt.man_bits), fmt.emax());
+  const double min_sub = std::ldexp(1.0, fmt.emin_subnormal());
+  const double max_sub = std::ldexp(1.0, fmt.emin()) - min_sub;
+  const std::vector<double> specials = {0.0,     -0.0,     inf,     -inf,         std::nan(""),
+                                        max_finite, -max_finite, min_sub, -min_sub, 3 * min_sub,
+                                        max_sub, -max_sub};
+  const auto mantissa = [&] { return 1.0 + static_cast<double>(rng() >> 12) * 0x1p-52; };
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const u64 pick = rng() % 8;
+    if (pick < 2) {
+      x = specials[rng() % specials.size()];
+    } else if (pick < 4 && fmt.exp_bits == 11) {
+      x = std::ldexp(mantissa(), pick == 2 ? -480 - static_cast<int>(rng() % 80)
+                                           : -960 - static_cast<int>(rng() % 60));
+    } else {
+      const int span = fmt.emax() - fmt.emin_subnormal() + 1;
+      x = std::ldexp(mantissa(), fmt.emin_subnormal() + static_cast<int>(rng() % span));
+    }
+    if ((rng() & 1) != 0) x = -x;
+    x = sf::fast_round(x, spec);
+  }
+  return v;
+}
+
+TEST(SimdExactOperands, MaskedSpansMatchUnmaskedEveryFormatEveryPath) {
+  // span_exec with an operand flagged exact against the same call without
+  // the flag, bit for bit: the flag may only skip rounds that change
+  // nothing. Every path, the six masked ops, each mask, e5..e11 at m
+  // spanning both kernel families, lengths 1, width +- 1 and 2016, out of
+  // place and in place.
+  std::mt19937_64 rng(0xE7AC7);
+  constexpr std::size_t kLong = 2016;
+  for (int e = 5; e <= 11; ++e) {
+    for (const int m : {1, 10, 12, 24, 25, 44, 52}) {
+      const sf::Format fmt{e, m};
+      const sf::RoundSpec spec(fmt);
+      const std::vector<double> a = exact_operands(fmt, kLong, rng);
+      const std::vector<double> b = exact_operands(fmt, kLong, rng);
+      // The premise of the mask: each operand is a fixed point of the round.
+      for (std::size_t i = 0; i < kLong; ++i) {
+        ASSERT_EQ(bits_of(sf::fast_round(a[i], spec)), bits_of(a[i])) << fmt.to_string();
+        ASSERT_EQ(bits_of(sf::fast_round(b[i], spec)), bits_of(b[i])) << fmt.to_string();
+      }
+      for (const Path p : available_paths()) {
+        const std::size_t w = lane_width(p);
+        for (const std::size_t n : {std::size_t{1}, w - 1, w, w + 1, kLong}) {
+          if (n == 0) continue;
+          for (const SpanOp op : {SpanOp::Add, SpanOp::Sub, SpanOp::Mul, SpanOp::Div,
+                                  SpanOp::Neg, SpanOp::Sqrt}) {
+            const bool unary = op == SpanOp::Neg || op == SpanOp::Sqrt;
+            for (const unsigned mask : {1U, 2U, 3U}) {
+              if (unary && mask != 1U) continue;
+              for (const bool in_place : {false, true}) {
+                std::vector<double> want(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(n));
+                std::vector<double> got = want;
+                sf::simd::span_exec(p, op, in_place ? want.data() : a.data(), b.data(), nullptr,
+                                    want.data(), n, spec);
+                sf::simd::span_exec(p, op, in_place ? got.data() : a.data(), b.data(), nullptr,
+                                    got.data(), n, spec, mask);
+                for (std::size_t i = 0; i < n; ++i) {
+                  ASSERT_EQ(bits_of(got[i]), bits_of(want[i]))
+                      << sf::simd::path_name(p) << " " << fmt.to_string() << " op "
+                      << static_cast<int>(op) << " mask " << mask << " n " << n
+                      << (in_place ? " in place" : "") << " elem " << i << " a=" << a[i]
+                      << " b=" << b[i];
+                }
+              }
             }
           }
         }
