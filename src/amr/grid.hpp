@@ -35,9 +35,12 @@ namespace raptor::amr {
 enum class BC { Outflow, Reflect, Periodic };
 enum class Side : int { XLo = 0, XHi = 1, YLo = 2, YHi = 3 };
 
+/// Mesh shape, boundaries and refinement criteria. The mesh transfers
+/// have no knobs: op-mode runs them as batch::Vec spans, the double
+/// substrate and mem-mode natively (DESIGN.md §15).
 struct GridConfig {
-  int nxb = 8;  ///< interior cells per block, x
-  int nyb = 8;  ///< interior cells per block, y
+  int nxb = 8;  ///< interior cells per block, x (even: 2:1 cell alignment)
+  int nyb = 8;  ///< interior cells per block, y (even)
   int ng = 2;   ///< guard layers
   int nbx = 1;  ///< root blocks, x
   int nby = 1;  ///< root blocks, y
@@ -56,26 +59,7 @@ struct GridConfig {
   std::vector<int> y_odd_vars{};
   /// Estimator noise filter (Flash-X amr_error_eps analogue).
   double loehner_eps = 0.01;
-  /// Route the instrumented (T = Real, op-mode) mesh kernels — guard-fill
-  /// copies, restriction, slope-limited prolongation, and the regrid
-  /// merge/split transfers — through the array batch dispatch (DESIGN.md
-  /// §15). Bit-identical results and counters versus the scalar per-op
-  /// path; only the dispatch granularity changes. The double substrate and
-  /// mem-mode always take the native path.
-  bool batch = true;
 };
-
-namespace detail {
-/// Reusable raw-payload buffers for the instrumented mesh kernels (one per
-/// thread in fill_guards, one per grid in regrid; resized lazily).
-struct MeshScratch {
-  std::vector<double> src, dst;                // quantize-on-move copies
-  std::vector<double> uc, xlo, xhi, ylo, yhi;  // prolongation stencil gathers
-  std::vector<double> offx, offy, dm, dp, sx, sy, t1, s1, s2;
-  std::vector<signed char> cx, cy;             // slope-select codes
-  std::vector<double> f00, f10, f01, f11, quarter;  // restriction gathers
-};
-}  // namespace detail
 
 template <class T>
 class AmrGrid {
@@ -89,6 +73,8 @@ class AmrGrid {
   explicit AmrGrid(GridConfig cfg) : cfg_(std::move(cfg)) {
     RAPTOR_REQUIRE(cfg_.ng >= 1 && cfg_.nxb >= 2 * cfg_.ng && cfg_.nyb >= 2 * cfg_.ng,
                    "block too small for guard count");
+    // Restriction and the regrid merge average aligned 2x2 cell pairs.
+    RAPTOR_REQUIRE(cfg_.nxb % 2 == 0 && cfg_.nyb % 2 == 0, "block sizes must be even");
     RAPTOR_REQUIRE(cfg_.max_level >= 1 && cfg_.max_level <= 12, "bad max_level");
     for (int iy = 0; iy < cfg_.nby; ++iy) {
       for (int ix = 0; ix < cfg_.nbx; ++ix) {
@@ -220,30 +206,19 @@ class AmrGrid {
   /// neighbors, and physical boundaries. Face guards only (the dimensional
   /// split solvers and the estimator never read corner guards).
   void fill_guards() {
-    // Batched dispatch applies to the instrumented op-mode run only; the
-    // double baseline and mem-mode take the native path (DESIGN.md §15).
-    bool instr = false;
-    if constexpr (std::is_same_v<T, Real>) {
-      instr = rt::Runtime::instance().mode() == rt::Mode::Op;
-    }
     const u64 guard_bytes = static_cast<u64>(cfg_.nvar) * 2 * cfg_.ng *
                             (cfg_.nxb + cfg_.nyb) * 2 * sizeof(double);
-#pragma omp parallel
-    {
-      detail::MeshScratch scratch;
-#pragma omp for schedule(dynamic)
-      for (int n = 0; n < num_leaves(); ++n) {
-        Block& b = leaves_[n];
-        // The label is entered inside the parallel loop so every worker
-        // thread carries it (the PR-4 bubble/poisson fix): exclusions,
-        // overrides, profiles and traces all see amr/L<k>/guard on the
-        // thread doing the work, where k is the destination block's level.
-        Region region(guard_label(b.level));
-        for (int side = 0; side < 4; ++side) {
-          fill_side(b, static_cast<Side>(side), scratch, instr);
-        }
-        rt::Runtime::instance().count_mem(guard_bytes);
-      }
+#pragma omp parallel for schedule(dynamic)
+    for (int n = 0; n < num_leaves(); ++n) {
+      Block& b = leaves_[n];
+      // The label is entered inside the parallel loop so every worker
+      // thread carries it, as in the bubble and Poisson solvers:
+      // exclusions, overrides, profiles and traces all see amr/L<k>/guard
+      // on the thread doing the work, where k is the destination block's
+      // level.
+      Region region(guard_label(b.level));
+      for (int side = 0; side < 4; ++side) fill_side(b, static_cast<Side>(side));
+      rt::Runtime::instance().count_mem(guard_bytes);
     }
   }
 
@@ -353,46 +328,41 @@ class AmrGrid {
     return emax;
   }
 
-  /// `instr` routes the fill through the instrumented runtime kernels
-  /// (T = Real in op-mode); callers compute it once per sweep.
-  void fill_side(Block& b, Side side, detail::MeshScratch& s, bool instr);
-  void fill_physical(Block& b, Side side, detail::MeshScratch& s, bool instr);
+  // -- Mesh transfers (grid_impl.hpp, DESIGN.md §15) ---------------------
+  //
+  // A transfer is a walk over its n targets: one destination cell each, the
+  // K cells its stencil reads and P native parameters of its formula.
+  // walk(emit) calls emit(target) once per target. Each formula is one
+  // template on the scalar type (detail::Restriction, detail::Prolongation).
+  // The double substrate and mem-mode run its double instantiation on each
+  // target as the walk reaches it; op-mode (T = Real) gives each target one
+  // lane of a batch::Vec per operand and runs its Vec instantiation once.
 
-  /// Enumerate one side's physical guard cells in a fixed order together
-  /// with the interior source cell each mirrors (Outflow clamps to the
-  /// boundary cell, Reflect mirrors about the wall). Shared by the native
-  /// and instrumented fills so gather and scatter walk identical orders.
-  template <class F>
-  void for_each_physical_guard(Side side, const F& fn) const {
-    const int ng = cfg_.ng, nxb = cfg_.nxb, nyb = cfg_.nyb;
-    const BC bc = cfg_.bc[static_cast<int>(side)];
-    switch (side) {
-      case Side::XLo:
-        for (int j = 0; j < nyb; ++j) {
-          for (int i = -ng; i < 0; ++i) fn(i, j, bc == BC::Reflect ? -i - 1 : 0, j);
-        }
-        break;
-      case Side::XHi:
-        for (int j = 0; j < nyb; ++j) {
-          for (int i = nxb; i < nxb + ng; ++i) {
-            fn(i, j, bc == BC::Reflect ? 2 * nxb - i - 1 : nxb - 1, j);
-          }
-        }
-        break;
-      case Side::YLo:
-        for (int j = -ng; j < 0; ++j) {
-          for (int i = 0; i < nxb; ++i) fn(i, j, i, bc == BC::Reflect ? -j - 1 : 0);
-        }
-        break;
-      case Side::YHi:
-        for (int j = nyb; j < nyb + ng; ++j) {
-          for (int i = 0; i < nxb; ++i) fn(i, j, i, bc == BC::Reflect ? 2 * nyb - j - 1 : nyb - 1);
-        }
-        break;
-    }
-  }
-  /// minmod-limited slope of coarse cell (cc, cj) used for prolongation.
-  [[nodiscard]] double coarse_slope(const Block& cb, int var, int i, int j, bool xdir) const;
+  template <int K, int P>
+  struct Target {
+    T* dst;
+    std::array<const T*, K> src;
+    std::array<double, P> param;
+  };
+  /// A copy reads one cell; its parameter is the sign it is copied with.
+  using CopyTarget = Target<1, 1>;
+  using ProlongTarget = Target<5, 4>;
+
+  /// Run `formula` over the n targets `walk` emits.
+  template <int K, int P, class Walk, class F>
+  static void transfer(std::size_t n, const Walk& walk, const F& formula);
+  /// Copy each of the n targets' source cell into it: T copies (a mem-mode
+  /// copy shares its source's shadow entry), plain values where the sign
+  /// flips, and in op-mode one quantize-on-move over all of them.
+  template <class Walk>
+  static void copy(std::size_t n, const Walk& walk);
+  /// The prolongation target of `dst` from fine position (fx, fy) of coarse
+  /// block `cb`, in fine cells. With `clamp` the stencil stays in cb's
+  /// interior and keeps the one-sided difference at its edges; otherwise it
+  /// reads cb's guards and always limits with minmod.
+  ProlongTarget prolong_target(T& dst, const Block& cb, int v, int fx, int fy, bool clamp) const;
+
+  void fill_side(Block& b, Side side);
 
   GridConfig cfg_;
   std::vector<Block> leaves_;

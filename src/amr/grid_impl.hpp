@@ -1,9 +1,19 @@
 // Out-of-line template implementations for AmrGrid (included by grid.hpp).
+//
+// The mesh formulas, restriction and slope-limited prolongation, are each
+// written once below, templated on the scalar type. Every transfer (guard
+// copies, guard prolongation and restriction, regrid merge and split)
+// walks its targets once through copy() or transfer(), which run the
+// formula natively on double (the native substrate and mem-mode) or as one
+// batch::Vec instantiation (op-mode, DESIGN.md §15).
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <tuple>
 
 #include "amr/grid.hpp"
+#include "trunc/span_ops.hpp"
 
 namespace raptor::amr {
 
@@ -13,381 +23,227 @@ inline double minmod(double a, double b) {
   return std::fabs(a) < std::fabs(b) ? a : b;
 }
 
-// ---------------------------------------------------------------------------
-// Instrumented mesh kernels (T = Real, op-mode only — callers gate).
-//
-// Each kernel exists in two dispatch shapes chosen by `batch`: a scalar
-// per-element loop through Runtime::op2, and an array sweep through the
-// op2_batch/trunc_array entry points. The batch entry points are pinned
-// bitwise-identical to the scalar op loop (results and per-OpKind counter
-// totals, test_runtime), so the two shapes of every kernel below are too.
-// ---------------------------------------------------------------------------
+/// Which one-sided difference the prolongation limiter keeps (a native
+/// parameter of the formula). A clamped stencil reads the centre cell in
+/// place of a missing neighbour, so the difference on that side is
+/// computed (and counted) but never kept.
+inline constexpr double kSlopeMinmod = 0.0, kSlopeLo = 1.0, kSlopeHi = 2.0;
 
-/// Slope-select codes: which one-sided difference survives the limiter.
-/// Both differences are always computed (the clamped stencil makes the
-/// unused one an exact zero at edges) so scalar/batch op counts agree; the
-/// selection itself is raw logic, not a counted op, exactly like the minmod
-/// in plm_pencil_batch.
-enum : signed char { kSlopeMinmod = 0, kSlopeLo = 1, kSlopeHi = 2 };
-
-inline double select_slope(signed char code, double dm, double dp) {
+inline double select_slope(double code, double dm, double dp) {
   if (code == kSlopeLo) return dm;
   if (code == kSlopeHi) return dp;
   return minmod(dm, dp);
 }
 
-/// Array `_raptor_pre_c` move of n gathered payloads: quantize-on-move into
-/// the effective format at the call site (identity copy when no truncation
-/// applies). Not counted as flops, like mem_make.
-inline void mesh_move(const double* in, double* out, std::size_t n, bool batch) {
-  auto& R = rt::Runtime::instance();
-  if (batch) {
-    R.trunc_array(in, out, n);
-    return;
+/// Conservative 2x2 restriction of fine cells f<i><j>: 3 Adds and 1 Mul.
+struct Restriction {
+  template <class S>
+  S operator()(const S& f00, const S& f10, const S& f01, const S& f11) const {
+    return S(0.25) * ((f00 + f10) + (f01 + f11));
   }
-  for (std::size_t k = 0; k < n; ++k) R.trunc_array(in + k, out + k, 1);
-}
+};
 
-/// Conservative 2x2 restriction over gathered fine payloads:
-///   0.25 * ((f00 + f10) + (f01 + f11))
-/// — 3 Adds + 1 Mul per element, the same association as the native double
-/// path. Writes `out` (may alias a scratch member not used by this kernel).
-inline void mesh_restrict(MeshScratch& s, std::size_t n, bool batch, double* out) {
-  auto& R = rt::Runtime::instance();
-  if (!batch) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double a = R.op2(rt::OpKind::Add, s.f00[k], s.f10[k]);
-      const double b = R.op2(rt::OpKind::Add, s.f01[k], s.f11[k]);
-      out[k] = R.op2(rt::OpKind::Mul, 0.25, R.op2(rt::OpKind::Add, a, b));
-    }
-    return;
+/// Slope-limited prolongation of coarse cell uc to the fine cell at offset
+/// (offx, offy), in coarse cells: 4 Subs, 2 Muls and 2 Adds. The limiter's
+/// choice (codes cx, cy) is an uncounted selection.
+struct Prolongation {
+  template <class S>
+  S operator()(const S& uc, const S& xlo, const S& xhi, const S& ylo, const S& yhi,
+               const S& offx, const S& offy, const S& cx, const S& cy) const {
+    const S sx = native(select_slope, cx, uc - xlo, xhi - uc);
+    const S sy = native(select_slope, cy, uc - ylo, yhi - uc);
+    return (uc + offx * sx) + offy * sy;
   }
-  if (s.quarter.size() < n) s.quarter.assign(n, 0.25);
-  R.op2_batch(rt::OpKind::Add, s.f00.data(), s.f10.data(), s.s1.data(), n);
-  R.op2_batch(rt::OpKind::Add, s.f01.data(), s.f11.data(), s.s2.data(), n);
-  R.op2_batch(rt::OpKind::Add, s.s1.data(), s.s2.data(), s.s1.data(), n);
-  R.op2_batch(rt::OpKind::Mul, s.quarter.data(), s.s1.data(), out, n);
-}
-
-/// Slope-limited prolongation over gathered coarse payloads:
-///   out = (uc + offx * sx) + offy * sy
-/// with sx/sy selected from the one-sided differences by the per-element
-/// codes — 4 Subs + 2 Muls + 2 Adds per element, matching the association
-/// of the native double path.
-inline void mesh_prolong(MeshScratch& s, std::size_t n, bool batch, double* out) {
-  auto& R = rt::Runtime::instance();
-  if (!batch) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const double dxm = R.op2(rt::OpKind::Sub, s.uc[k], s.xlo[k]);
-      const double dxp = R.op2(rt::OpKind::Sub, s.xhi[k], s.uc[k]);
-      const double dym = R.op2(rt::OpKind::Sub, s.uc[k], s.ylo[k]);
-      const double dyp = R.op2(rt::OpKind::Sub, s.yhi[k], s.uc[k]);
-      const double sx = select_slope(s.cx[k], dxm, dxp);
-      const double sy = select_slope(s.cy[k], dym, dyp);
-      const double tx = R.op2(rt::OpKind::Mul, s.offx[k], sx);
-      const double part = R.op2(rt::OpKind::Add, s.uc[k], tx);
-      const double ty = R.op2(rt::OpKind::Mul, s.offy[k], sy);
-      out[k] = R.op2(rt::OpKind::Add, part, ty);
-    }
-    return;
-  }
-  R.op2_batch(rt::OpKind::Sub, s.uc.data(), s.xlo.data(), s.dm.data(), n);
-  R.op2_batch(rt::OpKind::Sub, s.xhi.data(), s.uc.data(), s.dp.data(), n);
-  for (std::size_t k = 0; k < n; ++k) s.sx[k] = select_slope(s.cx[k], s.dm[k], s.dp[k]);
-  R.op2_batch(rt::OpKind::Sub, s.uc.data(), s.ylo.data(), s.dm.data(), n);
-  R.op2_batch(rt::OpKind::Sub, s.yhi.data(), s.uc.data(), s.dp.data(), n);
-  for (std::size_t k = 0; k < n; ++k) s.sy[k] = select_slope(s.cy[k], s.dm[k], s.dp[k]);
-  R.op2_batch(rt::OpKind::Mul, s.offx.data(), s.sx.data(), s.t1.data(), n);
-  R.op2_batch(rt::OpKind::Add, s.uc.data(), s.t1.data(), s.s1.data(), n);
-  R.op2_batch(rt::OpKind::Mul, s.offy.data(), s.sy.data(), s.t1.data(), n);
-  R.op2_batch(rt::OpKind::Add, s.s1.data(), s.t1.data(), out, n);
-}
-
-inline void resize_prolong(MeshScratch& s, std::size_t n) {
-  for (auto* v : {&s.uc, &s.xlo, &s.xhi, &s.ylo, &s.yhi, &s.offx, &s.offy, &s.dm, &s.dp, &s.sx,
-                  &s.sy, &s.t1, &s.s1, &s.dst}) {
-    v->resize(n);
-  }
-  s.cx.resize(n);
-  s.cy.resize(n);
-}
-
-inline void resize_restrict(MeshScratch& s, std::size_t n) {
-  for (auto* v : {&s.f00, &s.f10, &s.f01, &s.f11, &s.s1, &s.s2, &s.dst}) v->resize(n);
-}
+};
 }  // namespace detail
 
 template <class T>
-double AmrGrid<T>::coarse_slope(const Block& cb, int var, int i, int j, bool xdir) const {
-  const auto u = [&](int ii, int jj) { return to_double(at(cb, var, ii, jj)); };
-  const int di = xdir ? 1 : 0;
-  const int dj = xdir ? 0 : 1;
-  // Guards of the source block are valid during prolongation (regrid fills
-  // guards first); fill_side prolongation clamps to the interior instead.
-  const int lo = xdir ? i - di : j - dj;
-  const int hi = xdir ? i + di : j + dj;
-  const int n = xdir ? cfg_.nxb : cfg_.nyb;
-  const bool have_lo = lo >= -cfg_.ng && lo < n + cfg_.ng;
-  const bool have_hi = hi >= -cfg_.ng && hi < n + cfg_.ng;
-  const double uc = u(i, j);
-  const double dm = have_lo ? uc - u(i - di, j - dj) : 0.0;
-  const double dp = have_hi ? u(i + di, j + dj) - uc : 0.0;
-  if (!have_lo) return dp;
-  if (!have_hi) return dm;
-  return detail::minmod(dm, dp);
-}
-
-template <class T>
-void AmrGrid<T>::fill_physical(Block& b, Side side, detail::MeshScratch& s, bool instr) {
-  const BC bc = cfg_.bc[static_cast<int>(side)];
-  RAPTOR_ASSERT(bc != BC::Periodic);
-  const bool xdir = side == Side::XLo || side == Side::XHi;
-  const auto& odd = xdir ? cfg_.x_odd_vars : cfg_.y_odd_vars;
-  const auto is_odd = [&odd](int v) {
-    return std::find(odd.begin(), odd.end(), v) != odd.end();
-  };
-  if (instr) {
-    if constexpr (std::is_same_v<T, Real>) {
-      // Quantize-on-move: gather the mirrored payloads (sign applied raw —
-      // rounding is symmetric, so flip-then-quantize equals the scalar
-      // semantics), stream them through trunc_array, adopt the results.
-      const std::size_t count =
-          static_cast<std::size_t>(cfg_.ng) * (xdir ? cfg_.nyb : cfg_.nxb);
-      s.src.resize(count);
-      s.dst.resize(count);
-      for (int v = 0; v < cfg_.nvar; ++v) {
-        const double sgn = (bc == BC::Reflect && is_odd(v)) ? -1.0 : 1.0;
-        std::size_t idx = 0;
-        const auto gather = [&](int si, int sj) {
-          const double raw = at(b, v, si, sj).raw();
-          s.src[idx++] = sgn == 1.0 ? raw : -raw;
-        };
-        for_each_physical_guard(side, [&](int /*gi*/, int /*gj*/, int si, int sj) {
-          gather(si, sj);
-        });
-        detail::mesh_move(s.src.data(), s.dst.data(), count, cfg_.batch);
-        idx = 0;
-        for_each_physical_guard(side, [&](int gi, int gj, int /*si*/, int /*sj*/) {
-          at(b, v, gi, gj) = Real::adopt_raw(s.dst[idx++]);
-        });
+template <int K, int P, class Walk, class F>
+void AmrGrid<T>::transfer(std::size_t n, const Walk& walk, const F& formula) {
+  using Tgt = Target<K, P>;
+  if constexpr (std::is_same_v<T, Real>) {
+    if (rt::Runtime::instance().mode() == rt::Mode::Op) {
+      // One lane per target: the walk writes every operand's lane and the
+      // destination of target k as it reaches it (destinations in pooled
+      // lane storage, like the Vecs').
+      std::array<batch::Vec, K + P> x;
+      std::array<double*, K + P> lanes{};
+      for (int o = 0; o < K + P; ++o) {
+        x[o] = batch::Vec(n);
+        lanes[o] = x[o].data();
       }
+      batch::detail::Lanes<T*> dst(n);
+      std::size_t k = 0;
+      walk([&](const Tgt& t) {
+        RAPTOR_ASSERT(k < n);
+        for (int o = 0; o < K; ++o) lanes[o][k] = t.src[o]->raw();
+        for (int p = 0; p < P; ++p) lanes[K + p][k] = t.param[p];
+        dst[k++] = t.dst;
+      });
+      RAPTOR_REQUIRE(k == n, "mesh transfer: target count mismatch");
+      const batch::Vec out = std::apply(formula, x);
+      for (k = 0; k < n; ++k) *dst[k] = Real::adopt_raw(out[k]);
       return;
     }
   }
-  for (int v = 0; v < cfg_.nvar; ++v) {
-    const double sgn = (bc == BC::Reflect && is_odd(v)) ? -1.0 : 1.0;
-    for_each_physical_guard(side, [&](int gi, int gj, int si, int sj) {
-      at(b, v, gi, gj) = (sgn == 1.0) ? at(b, v, si, sj) : T(-to_double(at(b, v, si, sj)));
-    });
-  }
+  walk([&](const Tgt& t) {
+    std::array<double, K + P> x{};
+    for (int o = 0; o < K; ++o) x[o] = to_double(*t.src[o]);
+    for (int p = 0; p < P; ++p) x[K + p] = t.param[p];
+    *t.dst = T(std::apply(formula, x));
+  });
 }
 
 template <class T>
-void AmrGrid<T>::fill_side(Block& b, Side side, detail::MeshScratch& s, bool instr) {
+template <class Walk>
+void AmrGrid<T>::copy(std::size_t n, const Walk& walk) {
+  if constexpr (std::is_same_v<T, Real>) {
+    if (rt::Runtime::instance().mode() == rt::Mode::Op) {
+      // Quantize-on-move (the array `_raptor_pre_c`, not a counted op). The
+      // sign flips the raw payload first: rounding is symmetric.
+      batch::Vec x(n);
+      double* lanes = x.data();
+      batch::detail::Lanes<T*> dst(n);
+      std::size_t k = 0;
+      walk([&](const CopyTarget& t) {
+        RAPTOR_ASSERT(k < n);
+        const double raw = t.src[0]->raw();
+        lanes[k] = t.param[0] < 0 ? -raw : raw;
+        dst[k++] = t.dst;
+      });
+      RAPTOR_REQUIRE(k == n, "mesh transfer: target count mismatch");
+      rt::Runtime::instance().trunc_array(lanes, lanes, n);
+      for (k = 0; k < n; ++k) *dst[k] = Real::adopt_raw(lanes[k]);
+      return;
+    }
+  }
+  walk([](const CopyTarget& t) {
+    *t.dst = t.param[0] < 0 ? T(-to_double(*t.src[0])) : *t.src[0];
+  });
+}
+
+template <class T>
+auto AmrGrid<T>::prolong_target(T& dst, const Block& cb, int v, int fx, int fy, bool clamp) const
+    -> ProlongTarget {
+  const int ci = fx >> 1, cj = fy >> 1;
+  // The neighbours of coarse index c in a direction of n cells, and the
+  // limiter code that goes with them.
+  const auto lo = [&](int c) { return clamp ? std::max(c - 1, 0) : c - 1; };
+  const auto hi = [&](int c, int n) { return clamp ? std::min(c + 1, n - 1) : c + 1; };
+  const auto code = [&](int c, int n) -> double {
+    if (!clamp || (c > 0 && c < n - 1)) return detail::kSlopeMinmod;
+    return c > 0 ? detail::kSlopeLo : detail::kSlopeHi;
+  };
+  const auto u = [&](int i, int j) { return &at(cb, v, i, j); };
+  const int nxb = cfg_.nxb, nyb = cfg_.nyb;
+  return {&dst,
+          {u(ci, cj), u(lo(ci), cj), u(hi(ci, nxb), cj), u(ci, lo(cj)), u(ci, hi(cj, nyb))},
+          {(fx & 1) ? 0.25 : -0.25, (fy & 1) ? 0.25 : -0.25, code(ci, nxb), code(cj, nyb)}};
+}
+
+template <class T>
+void AmrGrid<T>::fill_side(Block& b, Side side) {
   const int ng = cfg_.ng, nxb = cfg_.nxb, nyb = cfg_.nyb;
+  // The side's guard cells [i0, i1) x [j0, j1), the neighbour block's
+  // coordinates and the shift (di, dj) from a guard cell to the same cell
+  // in the neighbour's frame.
+  int i0 = 0, i1 = nxb, j0 = 0, j1 = nyb, di = 0, dj = 0;
   int nix = b.ix, niy = b.iy;
   switch (side) {
-    case Side::XLo: --nix; break;
-    case Side::XHi: ++nix; break;
-    case Side::YLo: --niy; break;
-    case Side::YHi: ++niy; break;
+    case Side::XLo: i0 = -ng; i1 = 0; di = nxb; --nix; break;
+    case Side::XHi: i0 = nxb; i1 = nxb + ng; di = -nxb; ++nix; break;
+    case Side::YLo: j0 = -ng; j1 = 0; dj = nyb; --niy; break;
+    case Side::YHi: j0 = nyb; j1 = nyb + ng; dj = -nyb; ++niy; break;
   }
+  const std::size_t count = static_cast<std::size_t>(cfg_.nvar) * (i1 - i0) * (j1 - j0);
+  const auto each_guard = [&](const auto& fn) {
+    for (int v = 0; v < cfg_.nvar; ++v) {
+      for (int j = j0; j < j1; ++j) {
+        for (int i = i0; i < i1; ++i) fn(v, i, j);
+      }
+    }
+  };
+
   const int bx = blocks_x(b.level), by = blocks_y(b.level);
   if (nix < 0 || nix >= bx || niy < 0 || niy >= by) {
-    if (cfg_.bc[static_cast<int>(side)] != BC::Periodic) {
-      fill_physical(b, side, s, instr);
+    const BC bc = cfg_.bc[static_cast<int>(side)];
+    if (bc != BC::Periodic) {
+      // Physical boundary: Outflow copies the edge cell; Reflect mirrors
+      // about the wall and flips the sign of the odd variables.
+      const bool xdir = side == Side::XLo || side == Side::XHi;
+      const bool reflect = bc == BC::Reflect;
+      const auto& odd = xdir ? cfg_.x_odd_vars : cfg_.y_odd_vars;
+      const auto mirror = [&](int k, int n) {
+        if (!reflect) return std::clamp(k, 0, n - 1);
+        return k < 0 ? -k - 1 : 2 * n - k - 1;
+      };
+      copy(count, [&](const auto& emit) {
+        each_guard([&](int v, int i, int j) {
+          const bool flip = reflect && std::find(odd.begin(), odd.end(), v) != odd.end();
+          const T& src = at(b, v, xdir ? mirror(i, nxb) : i, xdir ? j : mirror(j, nyb));
+          emit({&at(b, v, i, j), {&src}, {flip ? -1.0 : 1.0}});
+        });
+      });
       return;
     }
     nix = (nix + bx) % bx;
     niy = (niy + by) % by;
   }
 
-  // Guard index ranges for this side and the neighbor-local mapping.
-  int i0, i1, j0, j1;
-  switch (side) {
-    case Side::XLo: i0 = -ng; i1 = 0; j0 = 0; j1 = nyb; break;
-    case Side::XHi: i0 = nxb; i1 = nxb + ng; j0 = 0; j1 = nyb; break;
-    case Side::YLo: i0 = 0; i1 = nxb; j0 = -ng; j1 = 0; break;
-    default:        i0 = 0; i1 = nxb; j0 = nyb; j1 = nyb + ng; break;
-  }
-  const auto local = [&](int i, int j, int& li, int& lj) {
-    li = i;
-    lj = j;
-    switch (side) {
-      case Side::XLo: li = i + nxb; break;
-      case Side::XHi: li = i - nxb; break;
-      case Side::YLo: lj = j + nyb; break;
-      case Side::YHi: lj = j - nyb; break;
-    }
-  };
-
-  const std::size_t count = static_cast<std::size_t>(i1 - i0) * (j1 - j0);
-
-  // Case 1: same-level neighbor — direct copy of interior cells
-  // (quantize-on-move through trunc_array when instrumented).
+  // Same-level neighbour: copies of its interior cells.
   if (const int nb = find_leaf(b.level, nix, niy); nb >= 0) {
     const Block& src = leaves_[nb];
-    if (instr) {
-      if constexpr (std::is_same_v<T, Real>) {
-        s.src.resize(count);
-        s.dst.resize(count);
-        for (int v = 0; v < cfg_.nvar; ++v) {
-          std::size_t idx = 0;
-          for (int j = j0; j < j1; ++j) {
-            for (int i = i0; i < i1; ++i) {
-              int li, lj;
-              local(i, j, li, lj);
-              s.src[idx++] = at(src, v, li, lj).raw();
-            }
-          }
-          detail::mesh_move(s.src.data(), s.dst.data(), count, cfg_.batch);
-          idx = 0;
-          for (int j = j0; j < j1; ++j) {
-            for (int i = i0; i < i1; ++i) at(b, v, i, j) = Real::adopt_raw(s.dst[idx++]);
-          }
-        }
-        return;
-      }
-    }
-    for (int v = 0; v < cfg_.nvar; ++v) {
-      for (int j = j0; j < j1; ++j) {
-        for (int i = i0; i < i1; ++i) {
-          int li, lj;
-          local(i, j, li, lj);
-          at(b, v, i, j) = at(src, v, li, lj);
-        }
-      }
-    }
+    copy(count, [&](const auto& emit) {
+      each_guard([&](int v, int i, int j) {
+        emit({&at(b, v, i, j), {&at(src, v, i + di, j + dj)}, {1.0}});
+      });
+    });
     return;
   }
 
-  // Case 2: coarser neighbor — slope-limited prolongation (interior-only
-  // slopes: the neighbor's guards may not be valid during this pass; the
-  // instrumented kernel clamps its stencil reads to the interior instead,
-  // which makes the unused one-sided difference an exact zero at edges).
+  // Coarser neighbour: slope-limited prolongation from its interior (its
+  // guards may not be valid during this pass).
   if (const int cb = find_leaf(b.level - 1, nix >> 1, niy >> 1); cb >= 0) {
     const Block& src = leaves_[cb];
-    const auto stencil = [&](int i, int j, int& ci, int& cj, double& offx, double& offy) {
-      int li, lj;
-      local(i, j, li, lj);
-      const int fx = (nix & 1) * nxb + li;  // position within the coarse
-      const int fy = (niy & 1) * nyb + lj;  // neighbor, in fine cells
-      ci = fx >> 1;
-      cj = fy >> 1;
-      offx = (fx & 1) ? 0.25 : -0.25;
-      offy = (fy & 1) ? 0.25 : -0.25;
-    };
-    if (instr) {
-      if constexpr (std::is_same_v<T, Real>) {
-        detail::resize_prolong(s, count);
-        for (int v = 0; v < cfg_.nvar; ++v) {
-          std::size_t idx = 0;
-          for (int j = j0; j < j1; ++j) {
-            for (int i = i0; i < i1; ++i) {
-              int ci, cj;
-              double offx, offy;
-              stencil(i, j, ci, cj, offx, offy);
-              s.uc[idx] = at(src, v, ci, cj).raw();
-              s.xlo[idx] = at(src, v, ci > 0 ? ci - 1 : ci, cj).raw();
-              s.xhi[idx] = at(src, v, ci < nxb - 1 ? ci + 1 : ci, cj).raw();
-              s.ylo[idx] = at(src, v, ci, cj > 0 ? cj - 1 : cj).raw();
-              s.yhi[idx] = at(src, v, ci, cj < nyb - 1 ? cj + 1 : cj).raw();
-              s.offx[idx] = offx;
-              s.offy[idx] = offy;
-              s.cx[idx] = (ci > 0 && ci < nxb - 1) ? detail::kSlopeMinmod
-                          : (ci > 0 ? detail::kSlopeLo : detail::kSlopeHi);
-              s.cy[idx] = (cj > 0 && cj < nyb - 1) ? detail::kSlopeMinmod
-                          : (cj > 0 ? detail::kSlopeLo : detail::kSlopeHi);
-              ++idx;
-            }
-          }
-          detail::mesh_prolong(s, count, cfg_.batch, s.dst.data());
-          idx = 0;
-          for (int j = j0; j < j1; ++j) {
-            for (int i = i0; i < i1; ++i) at(b, v, i, j) = Real::adopt_raw(s.dst[idx++]);
-          }
-        }
-        return;
-      }
-    }
-    for (int v = 0; v < cfg_.nvar; ++v) {
-      for (int j = j0; j < j1; ++j) {
-        for (int i = i0; i < i1; ++i) {
-          int ci, cj;
-          double offx, offy;
-          stencil(i, j, ci, cj, offx, offy);
-          const auto u = [&](int ii, int jj) { return to_double(at(src, v, ii, jj)); };
-          const double uc = u(ci, cj);
-          const double dxm = ci > 0 ? uc - u(ci - 1, cj) : 0.0;
-          const double dxp = ci < nxb - 1 ? u(ci + 1, cj) - uc : 0.0;
-          const double sx = (ci > 0 && ci < nxb - 1) ? detail::minmod(dxm, dxp)
-                                                     : (ci > 0 ? dxm : dxp);
-          const double dym = cj > 0 ? uc - u(ci, cj - 1) : 0.0;
-          const double dyp = cj < nyb - 1 ? u(ci, cj + 1) - uc : 0.0;
-          const double sy = (cj > 0 && cj < nyb - 1) ? detail::minmod(dym, dyp)
-                                                     : (cj > 0 ? dym : dyp);
-          at(b, v, i, j) = T(uc + sx * offx + sy * offy);
-        }
-      }
-    }
+    transfer<5, 4>(
+        count,
+        [&](const auto& emit) {
+          each_guard([&](int v, int i, int j) {
+            emit(prolong_target(at(b, v, i, j), src, v, (nix & 1) * nxb + i + di,
+                                (niy & 1) * nyb + j + dj, /*clamp=*/true));
+          });
+        },
+        detail::Prolongation{});
     return;
   }
 
-  // Case 3: finer neighbors — conservative restriction (average 2x2).
-  const auto fine_cell = [&](int i, int j, const Block*& fb, int& fi, int& fj) {
-    int li, lj;
-    local(i, j, li, lj);
-    const int fli = 2 * li;
-    const int flj = 2 * lj;
-    const int cx = fli >= nxb ? 1 : 0;
-    const int cy = flj >= nyb ? 1 : 0;
-    const int child = find_leaf(b.level + 1, 2 * nix + cx, 2 * niy + cy);
-    RAPTOR_REQUIRE(child >= 0, "guard fill: 2:1 balance violated");
-    fb = &leaves_[child];
-    fi = fli - cx * nxb;
-    fj = flj - cy * nyb;
+  // Finer neighbours: conservative restriction of the 2x2 fine cells under
+  // each guard cell, from the two children along this side.
+  const Block* kids[2][2] = {};
+  const auto kid = [&](int cx, int cy) -> const Block& {
+    const Block*& k = kids[cy][cx];
+    if (k == nullptr) {
+      const int child = find_leaf(b.level + 1, 2 * nix + cx, 2 * niy + cy);
+      RAPTOR_REQUIRE(child >= 0, "guard fill: 2:1 balance violated");
+      k = &leaves_[child];
+    }
+    return *k;
   };
-  if (instr) {
-    if constexpr (std::is_same_v<T, Real>) {
-      detail::resize_restrict(s, count);
-      for (int v = 0; v < cfg_.nvar; ++v) {
-        std::size_t idx = 0;
-        for (int j = j0; j < j1; ++j) {
-          for (int i = i0; i < i1; ++i) {
-            const Block* fb = nullptr;
-            int fi, fj;
-            fine_cell(i, j, fb, fi, fj);
-            s.f00[idx] = at(*fb, v, fi, fj).raw();
-            s.f10[idx] = at(*fb, v, fi + 1, fj).raw();
-            s.f01[idx] = at(*fb, v, fi, fj + 1).raw();
-            s.f11[idx] = at(*fb, v, fi + 1, fj + 1).raw();
-            ++idx;
-          }
-        }
-        detail::mesh_restrict(s, count, cfg_.batch, s.dst.data());
-        idx = 0;
-        for (int j = j0; j < j1; ++j) {
-          for (int i = i0; i < i1; ++i) at(b, v, i, j) = Real::adopt_raw(s.dst[idx++]);
-        }
-      }
-      return;
-    }
-  }
-  for (int v = 0; v < cfg_.nvar; ++v) {
-    for (int j = j0; j < j1; ++j) {
-      for (int i = i0; i < i1; ++i) {
-        const Block* fb = nullptr;
-        int fi, fj;
-        fine_cell(i, j, fb, fi, fj);
-        // Same association as the instrumented kernel so the untruncated
-        // Real run stays bitwise-equal to the double substrate.
-        const double avg =
-            0.25 * ((to_double(at(*fb, v, fi, fj)) + to_double(at(*fb, v, fi + 1, fj))) +
-                    (to_double(at(*fb, v, fi, fj + 1)) + to_double(at(*fb, v, fi + 1, fj + 1))));
-        at(b, v, i, j) = T(avg);
-      }
-    }
-  }
+  transfer<4, 0>(
+      count,
+      [&](const auto& emit) {
+        each_guard([&](int v, int i, int j) {
+          const int fli = 2 * (i + di), flj = 2 * (j + dj);
+          const int cx = fli >= nxb ? 1 : 0, cy = flj >= nyb ? 1 : 0;
+          const Block& fb = kid(cx, cy);
+          const int fi = fli - cx * nxb, fj = flj - cy * nyb;
+          emit({&at(b, v, i, j),
+                {&at(fb, v, fi, fj), &at(fb, v, fi + 1, fj), &at(fb, v, fi, fj + 1),
+                 &at(fb, v, fi + 1, fj + 1)},
+                {}});
+        });
+      },
+      detail::Restriction{});
 }
 
 template <class T>
@@ -400,11 +256,6 @@ int AmrGrid<T>::regrid() {
   // only *reacts* to truncated solution data). Only the data transfers of
   // step 4 — merge restriction and split prolongation — are instrumented,
   // under amr/L<k>/restrict / amr/L<k>/prolong region labels.
-  bool instr = false;
-  if constexpr (std::is_same_v<T, Real>) {
-    instr = rt::Runtime::instance().mode() == rt::Mode::Op;
-  }
-  detail::MeshScratch scratch;
 
   // 1. Desired level per leaf from the Löhner estimator.
   std::vector<int> desired(n);
@@ -431,18 +282,14 @@ int AmrGrid<T>::regrid() {
       for (int dxn = -1; dxn <= 1; ++dxn) {
         if (dxn == 0 && dy == 0) continue;
         int nix = b.ix + dxn, niy = b.iy + dy;
-        bool wrapped = false;
         if (nix < 0 || nix >= bx) {
           if (cfg_.bc[nix < 0 ? 0 : 1] != BC::Periodic) continue;
           nix = (nix + bx) % bx;
-          wrapped = true;
         }
         if (niy < 0 || niy >= by) {
           if (cfg_.bc[niy < 0 ? 2 : 3] != BC::Periodic) continue;
           niy = (niy + by) % by;
-          wrapped = true;
         }
-        (void)wrapped;
         if (const int s = find_leaf(b.level, nix, niy); s >= 0) {
           if (i < s) edges.emplace_back(i, s);
           continue;
@@ -516,7 +363,9 @@ int AmrGrid<T>::regrid() {
   }
 
   // 4. Apply: merge sibling quartets flagged for derefinement, split leaves
-  //    flagged for refinement, keep the rest.
+  //    flagged for refinement, keep the rest. A merged parent and a split
+  //    child each take one value per variable and interior cell.
+  const std::size_t block_cells = static_cast<std::size_t>(cfg_.nvar) * cfg_.nxb * cfg_.nyb;
   std::vector<Block> out;
   out.reserve(leaves_.size());
   std::vector<bool> consumed(n, false);
@@ -544,49 +393,29 @@ int AmrGrid<T>::regrid() {
     parent.iy = piy;
     parent.data.assign(block_elems(), T(0.0));
     Region region(restrict_label(parent.level));
-    for (int cy = 0; cy <= 1; ++cy) {
-      for (int cx = 0; cx <= 1; ++cx) {
-        const Block& ch = leaves_[sib[cy][cx]];
-        consumed[sib[cy][cx]] = true;
-        if (instr) {
-          if constexpr (std::is_same_v<T, Real>) {
-            const std::size_t count =
-                static_cast<std::size_t>(cfg_.nxb / 2) * (cfg_.nyb / 2);
-            detail::resize_restrict(scratch, count);
-            for (int v = 0; v < cfg_.nvar; ++v) {
-              std::size_t idx = 0;
-              for (int j = 0; j < cfg_.nyb; j += 2) {
-                for (int ii = 0; ii < cfg_.nxb; ii += 2) {
-                  scratch.f00[idx] = at(ch, v, ii, j).raw();
-                  scratch.f10[idx] = at(ch, v, ii + 1, j).raw();
-                  scratch.f01[idx] = at(ch, v, ii, j + 1).raw();
-                  scratch.f11[idx] = at(ch, v, ii + 1, j + 1).raw();
-                  ++idx;
-                }
-              }
-              detail::mesh_restrict(scratch, count, cfg_.batch, scratch.dst.data());
-              idx = 0;
-              for (int j = 0; j < cfg_.nyb; j += 2) {
-                for (int ii = 0; ii < cfg_.nxb; ii += 2) {
-                  at(parent, v, cx * (cfg_.nxb / 2) + ii / 2, cy * (cfg_.nyb / 2) + j / 2) =
-                      Real::adopt_raw(scratch.dst[idx++]);
+    const int hx = cfg_.nxb / 2, hy = cfg_.nyb / 2;
+    transfer<4, 0>(
+        block_cells,
+        [&](const auto& emit) {
+          for (int cy = 0; cy <= 1; ++cy) {
+            for (int cx = 0; cx <= 1; ++cx) {
+              const Block& ch = leaves_[sib[cy][cx]];
+              for (int v = 0; v < cfg_.nvar; ++v) {
+                for (int j = 0; j < cfg_.nyb; j += 2) {
+                  for (int ii = 0; ii < cfg_.nxb; ii += 2) {
+                    emit({&at(parent, v, cx * hx + ii / 2, cy * hy + j / 2),
+                          {&at(ch, v, ii, j), &at(ch, v, ii + 1, j), &at(ch, v, ii, j + 1),
+                           &at(ch, v, ii + 1, j + 1)},
+                          {}});
+                  }
                 }
               }
             }
-            continue;
           }
-        }
-        for (int v = 0; v < cfg_.nvar; ++v) {
-          for (int j = 0; j < cfg_.nyb; j += 2) {
-            for (int ii = 0; ii < cfg_.nxb; ii += 2) {
-              const double avg =
-                  0.25 * ((to_double(at(ch, v, ii, j)) + to_double(at(ch, v, ii + 1, j))) +
-                          (to_double(at(ch, v, ii, j + 1)) + to_double(at(ch, v, ii + 1, j + 1))));
-              at(parent, v, cx * (cfg_.nxb / 2) + ii / 2, cy * (cfg_.nyb / 2) + j / 2) = T(avg);
-            }
-          }
-        }
-      }
+        },
+        detail::Restriction{});
+    for (const auto& row : sib) {
+      for (const int s : row) consumed[s] = true;
     }
     out.push_back(std::move(parent));
     ++changes;
@@ -610,60 +439,19 @@ int AmrGrid<T>::regrid() {
         ch.ix = 2 * b.ix + cx;
         ch.iy = 2 * b.iy + cy;
         ch.data.assign(block_elems(), T(0.0));
-        bool filled = false;
-        if (instr) {
-          if constexpr (std::is_same_v<T, Real>) {
-            const std::size_t count = static_cast<std::size_t>(cfg_.nxb) * cfg_.nyb;
-            detail::resize_prolong(scratch, count);
-            for (int v = 0; v < cfg_.nvar; ++v) {
-              std::size_t idx = 0;
-              for (int j = 0; j < cfg_.nyb; ++j) {
-                for (int ii = 0; ii < cfg_.nxb; ++ii) {
-                  const int fx = cx * cfg_.nxb + ii;
-                  const int fy = cy * cfg_.nyb + j;
-                  const int ci = fx >> 1;
-                  const int cj = fy >> 1;
-                  scratch.uc[idx] = at(b, v, ci, cj).raw();
-                  scratch.xlo[idx] = at(b, v, ci - 1, cj).raw();
-                  scratch.xhi[idx] = at(b, v, ci + 1, cj).raw();
-                  scratch.ylo[idx] = at(b, v, ci, cj - 1).raw();
-                  scratch.yhi[idx] = at(b, v, ci, cj + 1).raw();
-                  scratch.offx[idx] = (fx & 1) ? 0.25 : -0.25;
-                  scratch.offy[idx] = (fy & 1) ? 0.25 : -0.25;
-                  scratch.cx[idx] = detail::kSlopeMinmod;
-                  scratch.cy[idx] = detail::kSlopeMinmod;
-                  ++idx;
+        transfer<5, 4>(
+            block_cells,
+            [&](const auto& emit) {
+              for (int v = 0; v < cfg_.nvar; ++v) {
+                for (int j = 0; j < cfg_.nyb; ++j) {
+                  for (int ii = 0; ii < cfg_.nxb; ++ii) {
+                    emit(prolong_target(at(ch, v, ii, j), b, v, cx * cfg_.nxb + ii,
+                                        cy * cfg_.nyb + j, /*clamp=*/false));
+                  }
                 }
               }
-              detail::mesh_prolong(scratch, count, cfg_.batch, scratch.dst.data());
-              idx = 0;
-              for (int j = 0; j < cfg_.nyb; ++j) {
-                for (int ii = 0; ii < cfg_.nxb; ++ii) {
-                  at(ch, v, ii, j) = Real::adopt_raw(scratch.dst[idx++]);
-                }
-              }
-            }
-            filled = true;
-          }
-        }
-        if (!filled) {
-          for (int v = 0; v < cfg_.nvar; ++v) {
-            for (int j = 0; j < cfg_.nyb; ++j) {
-              for (int ii = 0; ii < cfg_.nxb; ++ii) {
-                const int fx = cx * cfg_.nxb + ii;
-                const int fy = cy * cfg_.nyb + j;
-                const int ci = fx >> 1;
-                const int cj = fy >> 1;
-                const double offx = (fx & 1) ? 0.25 : -0.25;
-                const double offy = (fy & 1) ? 0.25 : -0.25;
-                const double uc = to_double(at(b, v, ci, cj));
-                const double sx = coarse_slope(b, v, ci, cj, /*xdir=*/true);
-                const double sy = coarse_slope(b, v, ci, cj, /*xdir=*/false);
-                at(ch, v, ii, j) = T(uc + sx * offx + sy * offy);
-              }
-            }
-          }
-        }
+            },
+            detail::Prolongation{});
         out.push_back(std::move(ch));
       }
     }

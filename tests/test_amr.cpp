@@ -3,9 +3,12 @@
 // conservation, estimator behaviour, and truncation interplay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "amr/grid.hpp"
 #include "runtime/runtime.hpp"
@@ -339,64 +342,231 @@ const rt::RegionProfileEntry* find_profile(const std::vector<rt::RegionProfileEn
   return nullptr;
 }
 
-struct MeshRun {
-  std::vector<u64> bits;
-  rt::CounterSnapshot counters;
-};
+// ---------------------------------------------------------------------------
+// AmrMeshPin: the op-mode mesh held to recorded constants
+// ---------------------------------------------------------------------------
+//
+// Each mesh formula is one template, so there is no second dispatch shape
+// to compare the op-mode mesh against. These cases pin it instead, as
+// RealPathPin does for burn_cell and the Poisson solve: with every
+// amr/L<k>/... region at one format, a build, shift, regrid and guard fill
+// must reproduce a hash of every cell's bits (guards included), the
+// per-OpKind counts, the byte counts and each amr/L<k>/... region-profile
+// row. The constants were recorded while the per-op scalar dispatch was
+// still in the tree, and it produced them too. Every op runs in the fast
+// kernels, so they hold on any host and SIMD path. Format{11, 30} runs the
+// kernels that break ties by the sign of the exact error (m > 24).
 
-/// Build, shift and regrid an instrumented grid with every mesh region
-/// truncated; capture every cell (guards included) plus the counters.
-MeshRun run_instrumented_mesh(bool batch) {
-  auto& R = rt::Runtime::instance();
-  R.reset_all();
-  auto cfg = small_cfg(3);
-  cfg.batch = batch;
-  for (int l = 1; l <= cfg.max_level; ++l) {
-    const std::string base = "amr/L" + std::to_string(l) + "/";
-    R.set_region_format(base + "guard", rt::TruncationSpec::trunc64(8, 14));
-    R.set_region_format(base + "prolong", rt::TruncationSpec::trunc64(8, 14));
-    R.set_region_format(base + "restrict", rt::TruncationSpec::trunc64(8, 14));
-  }
-  AmrGrid<Real> g(cfg);
-  g.build_with_ic(real_ring_ic);
-  // Shift the feature and regrid: exercises split prolongation and merge
-  // restriction on truncated data, then a fresh guard fill.
-  g.init([](double x, double y, std::span<Real> v) { real_ring_ic(x - 0.07, y, v); });
-  g.fill_guards();
-  g.regrid();
-  g.fill_guards();
-  MeshRun out;
-  out.counters = R.counters();
-  const auto& c = g.config();
-  for (int n = 0; n < g.num_leaves(); ++n) {
-    const auto& b = g.leaf(n);
-    out.bits.push_back(static_cast<u64>(b.level));
-    for (int v = 0; v < c.nvar; ++v) {
-      for (int j = -c.ng; j < c.nyb + c.ng; ++j) {
-        for (int i = -c.ng; i < c.nxb + c.ng; ++i) {
-          out.bits.push_back(std::bit_cast<u64>(to_double(g.at(b, v, i, j))));
-        }
-      }
+/// "<name> <kind>=<count>... | <kind>=<count>... | <trunc bytes> <full bytes>":
+/// the truncated, then the full-precision op counts of every kind that ran.
+std::string count_line(const std::string& name, const rt::CounterSnapshot& c) {
+  std::string s = name;
+  for (const auto* by_kind : {&c.trunc_by_kind, &c.full_by_kind}) {
+    if (by_kind == &c.full_by_kind) s += " |";
+    for (int k = 0; k < rt::kNumOpKinds; ++k) {
+      if ((*by_kind)[k] == 0) continue;
+      s += ' ';
+      s += rt::op_name(static_cast<rt::OpKind>(k));
+      s += '=' + std::to_string((*by_kind)[k]);
     }
   }
+  return s + " | " + std::to_string(c.trunc_bytes) + ' ' + std::to_string(c.full_bytes);
+}
+
+/// Build, shift and regrid an instrumented grid with every mesh region at
+/// `fmt`, then fill its guards; returns the pin lines: the leaf count and a
+/// hash of every cell, the run's counts, then each amr/L<k>/... region row.
+std::vector<std::string> mesh_pin(const sf::Format& fmt) {
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  R.set_region_profiling(true);
+  auto cfg = small_cfg(3);
+  const auto spec = rt::TruncationSpec::trunc64(fmt.exp_bits, fmt.man_bits);
+  for (int l = 1; l <= cfg.max_level; ++l) {
+    for (const char* phase : {"guard", "prolong", "restrict"}) {
+      R.set_region_format("amr/L" + std::to_string(l) + "/" + phase, spec);
+    }
+  }
+  std::vector<std::string> out;
+  {
+    AmrGrid<Real> g(cfg);
+    g.build_with_ic(real_ring_ic);
+    // Shift the feature and regrid: exercises split prolongation and merge
+    // restriction on truncated data, then a fresh guard fill.
+    g.init([](double x, double y, std::span<Real> v) { real_ring_ic(x - 0.07, y, v); });
+    g.fill_guards();
+    g.regrid();
+    g.fill_guards();
+    u64 h = 0xcbf29ce484222325ull;  // FNV-1a over each leaf's level and cell bits
+    const auto mix = [&h](u64 w) {
+      for (int s = 0; s < 64; s += 8) h = (h ^ ((w >> s) & 0xff)) * 0x100000001b3ull;
+    };
+    for (int n = 0; n < g.num_leaves(); ++n) {
+      const auto& b = g.leaf(n);
+      mix(static_cast<u64>(b.level));
+      for (const Real& x : b.data) mix(std::bit_cast<u64>(x.raw()));
+    }
+    char line[64];
+    std::snprintf(line, sizeof line, "leaves %d cells %016llx", g.num_leaves(),
+                  static_cast<unsigned long long>(h));
+    out.emplace_back(line);
+  }
+  out.push_back(count_line("all", R.counters()));
+  std::vector<std::string> rows;
+  for (const auto& e : R.region_profiles()) {
+    if (e.label.rfind("amr/L", 0) == 0) rows.push_back(count_line(e.label, e.profile.counters));
+  }
+  std::sort(rows.begin(), rows.end());
+  out.insert(out.end(), rows.begin(), rows.end());
   R.reset_all();
   return out;
 }
 
-TEST(AmrBatchParity, BatchedMeshKernelsBitwiseMatchScalar) {
-  const MeshRun scalar = run_instrumented_mesh(false);
-  const MeshRun batch = run_instrumented_mesh(true);
-  ASSERT_EQ(scalar.bits.size(), batch.bits.size());
-  EXPECT_EQ(scalar.bits, batch.bits);
-  // Counter totals must agree too, per OpKind (the PR-3 batch contract).
-  EXPECT_EQ(scalar.counters.trunc_flops, batch.counters.trunc_flops);
-  EXPECT_EQ(scalar.counters.full_flops, batch.counters.full_flops);
-  EXPECT_EQ(scalar.counters.trunc_bytes, batch.counters.trunc_bytes);
-  EXPECT_EQ(scalar.counters.full_bytes, batch.counters.full_bytes);
-  EXPECT_EQ(scalar.counters.trunc_by_kind, batch.counters.trunc_by_kind);
-  EXPECT_EQ(scalar.counters.full_by_kind, batch.counters.full_by_kind);
-  // The truncating path really engaged (cross-level stencils count flops).
-  EXPECT_GT(scalar.counters.trunc_flops, 0u);
+TEST(AmrMeshPin, OpModeMeshAtE8M14) {
+  const std::vector<std::string> expect = {
+      "leaves 46 cells 6256fe0fd0ed7478",
+      "all fadd=27904 fsub=45056 fmul=24320 | | 708608 0",
+      "amr/L1/guard | | 16384 0",
+      "amr/L2/guard fadd=4608 fmul=1536 | | 118784 0",
+      "amr/L2/prolong fadd=4096 fsub=8192 fmul=4096 | | 0 0",
+      "amr/L2/restrict fadd=768 fmul=256 | | 0 0",
+      "amr/L3/guard fadd=6144 fsub=12288 fmul=6144 | | 573440 0",
+      "amr/L3/prolong fadd=12288 fsub=24576 fmul=12288 | | 0 0"};
+  EXPECT_EQ(mesh_pin(sf::Format{8, 14}), expect);
+}
+
+TEST(AmrMeshPin, OpModeMeshAtE11M30) {
+  const std::vector<std::string> expect = {
+      "leaves 46 cells 0c35cd99e984ae72",
+      "all fadd=27904 fsub=45056 fmul=24320 | | 708608 0",
+      "amr/L1/guard | | 16384 0",
+      "amr/L2/guard fadd=4608 fmul=1536 | | 118784 0",
+      "amr/L2/prolong fadd=4096 fsub=8192 fmul=4096 | | 0 0",
+      "amr/L2/restrict fadd=768 fmul=256 | | 0 0",
+      "amr/L3/guard fadd=6144 fsub=12288 fmul=6144 | | 573440 0",
+      "amr/L3/prolong fadd=12288 fsub=24576 fmul=12288 | | 0 0"};
+  EXPECT_EQ(mesh_pin(sf::Format{11, 30}), expect);
+}
+
+// ---------------------------------------------------------------------------
+// Mem-mode mesh transfers
+// ---------------------------------------------------------------------------
+
+/// The leaf at (level, ix, iy), or -1.
+int find_leaf(const AmrGrid<Real>& g, int level, int ix, int iy) {
+  for (int n = 0; n < g.num_leaves(); ++n) {
+    const auto& b = g.leaf(n);
+    if (b.level == level && b.ix == ix && b.iy == iy) return n;
+  }
+  return -1;
+}
+
+TEST(AmrMemMode, MeshTransfersKeepHandleSemantics) {
+  // Mem-mode runs every mesh transfer natively: nothing is counted, a
+  // same-level or unflipped boundary copy shares its source's shadow entry,
+  // and computed or sign-flipped guard values are plain doubles.
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  R.set_mode(rt::Mode::Mem);
+  R.set_region_profiling(true);
+  for (int l = 1; l <= 3; ++l) {
+    for (const char* phase : {"guard", "prolong", "restrict"}) {
+      R.set_region_format("amr/L" + std::to_string(l) + "/" + phase,
+                          rt::TruncationSpec::trunc64(8, 14));
+    }
+  }
+  const std::size_t live_before = R.mem_live();
+  {
+    auto cfg = small_cfg(3);
+    cfg.bc = {BC::Reflect, BC::Reflect, BC::Outflow, BC::Outflow};
+    cfg.x_odd_vars = {1};
+    AmrGrid<Real> g(cfg);
+    const auto boxed_ic = [&R](double x, double y, std::span<Real> v) {
+      double tmp[2];
+      ring_ic(x, y, std::span<double>(tmp));
+      for (int k = 0; k < 2; ++k) v[k] = Real::adopt_raw(R.mem_make(tmp[k]));
+    };
+    g.build_with_ic(boxed_ic);
+    ASSERT_EQ(g.max_level_present(), 3);
+    const int nxb = cfg.nxb, nyb = cfg.nyb, ng = cfg.ng;
+    int same = 0, prolonged = 0, restricted = 0, reflected = 0;
+    for (int n = 0; n < g.num_leaves(); ++n) {
+      const auto& b = g.leaf(n);
+      for (int side = 0; side < 4; ++side) {
+        const bool xdir = side < 2;
+        const int nix = b.ix + (side == 0 ? -1 : side == 1 ? 1 : 0);
+        const int niy = b.iy + (side == 2 ? -1 : side == 3 ? 1 : 0);
+        const bool physical =
+            nix < 0 || niy < 0 || nix >= g.blocks_x(b.level) || niy >= g.blocks_y(b.level);
+        const int nb = physical ? -1 : find_leaf(g, b.level, nix, niy);
+        const bool coarser = !physical && nb < 0 && find_leaf(g, b.level - 1, nix >> 1, niy >> 1) >= 0;
+        const int i0 = side == 0 ? -ng : side == 1 ? nxb : 0;
+        const int i1 = side == 0 ? 0 : side == 1 ? nxb + ng : nxb;
+        const int j0 = side == 2 ? -ng : side == 3 ? nyb : 0;
+        const int j1 = side == 2 ? 0 : side == 3 ? nyb + ng : nyb;
+        for (int v = 0; v < cfg.nvar; ++v) {
+          for (int j = j0; j < j1; ++j) {
+            for (int i = i0; i < i1; ++i) {
+              const double guard = g.at(b, v, i, j).raw();
+              if (physical) {
+                // Reflect mirrors about the x walls, Outflow clamps in y.
+                const int si = !xdir ? i : i < 0 ? -i - 1 : 2 * nxb - i - 1;
+                const int sj = xdir ? j : std::clamp(j, 0, nyb - 1);
+                const Real& src = g.at(b, v, si, sj);
+                if (xdir && v == 1) {
+                  EXPECT_FALSE(rt::Runtime::is_boxed(guard));
+                  EXPECT_EQ(guard, -src.value());
+                  ++reflected;
+                } else {
+                  EXPECT_EQ(std::bit_cast<u64>(guard), std::bit_cast<u64>(src.raw()));
+                }
+              } else if (nb >= 0) {
+                const Real& src = g.at(g.leaf(nb), v, i - (side == 0 ? -nxb : side == 1 ? nxb : 0),
+                                       j - (side == 2 ? -nyb : side == 3 ? nyb : 0));
+                EXPECT_TRUE(rt::Runtime::is_boxed(guard));
+                EXPECT_EQ(std::bit_cast<u64>(guard), std::bit_cast<u64>(src.raw()));
+                ++same;
+              } else {
+                EXPECT_FALSE(rt::Runtime::is_boxed(guard)) << n << " side " << side;
+                ++(coarser ? prolonged : restricted);
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(same, 0);
+    EXPECT_GT(prolonged, 0);
+    EXPECT_GT(restricted, 0);
+    EXPECT_GT(reflected, 0);
+    // Derefine everything: the merges run under amr/L<k>/restrict.
+    g.set_thresholds(1e9, 1e9);
+    for (int pass = 0; pass < 6 && g.regrid() > 0; ++pass) {
+    }
+    ASSERT_EQ(g.max_level_present(), 1);
+  }
+  EXPECT_EQ(R.mem_live(), live_before);
+  int mesh_rows = 0;
+  for (const auto& e : R.region_profiles()) {
+    if (e.label.rfind("amr/L", 0) != 0) continue;
+    ++mesh_rows;
+    EXPECT_EQ(e.profile.counters.total_flops(), 0u) << e.label;
+  }
+  // Guard fills on three levels, splits to L2 and L3, merges to L1 and L2.
+  EXPECT_EQ(mesh_rows, 7);
+  EXPECT_EQ(R.counters().total_flops(), 0u);
+  R.reset_all();
+}
+
+TEST(AmrGridDeath, RejectsOddBlockSizes) {
+  // Restriction and the regrid merge pair fine cells 2:1, so an odd block
+  // would read guard cells as interior ones.
+  auto cfg = small_cfg(2);
+  cfg.nxb = 5;
+  EXPECT_DEATH(AmrGrid<double>{cfg}, "even");
+  cfg.nxb = 8;
+  cfg.nyb = 7;
+  EXPECT_DEATH(AmrGrid<double>{cfg}, "even");
 }
 
 TEST(AmrBatchParity, UntruncatedRealMeshMatchesDoubleBitwise) {
