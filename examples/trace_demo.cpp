@@ -20,7 +20,8 @@
 // thread drives the server's poll loop — and keeps serving for up to
 // --serve-linger=MS afterwards (GET /stop ends the linger early), so an
 // external scraper can poll a complete capture. --port-file=PATH writes the
-// bound port for scripts. CI curls /metrics and /report against this.
+// bound port for scripts. CI curls /metrics, /profile and /report against
+// this.
 //
 // Run: ./trace_demo [--workload=sod|sedov|bubble|poisson|burn] [--stride=64]
 //                   [--out=trace_demo.rtrace] [--tol=1e-3] [--quick]
@@ -166,10 +167,11 @@ int run(int argc, char** argv) {
   // Keep serving the finished capture so an external scraper has a stable
   // window to poll; GET /stop ends the linger early. The search driver
   // leaves the runtime reset, so replay the workload once under the
-  // verified recommendation first — the linger window then serves the
-  // truncated-run totals instead of zeros.
+  // verified recommendation first, region-profiled — the linger window then
+  // serves the truncated-run totals and region rows instead of zeros.
   if (serving) {
     rt::apply_profile(R, result.config);
+    R.set_region_profiling(true);
     workload.run();
     const int linger_ms = cli.get_int("serve-linger", 0);
     const auto deadline =

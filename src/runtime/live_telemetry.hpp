@@ -21,19 +21,15 @@
 //                and its rotation segments) as trace::report_json — the
 //                same bytes `raptor_trace --json` derives offline
 //
-// Concurrency contract. Callbacks are evaluated at scrape time. The shadow
-// table's and the trace session's figures are atomics or mutex-guarded, but
-// the op, flop and byte series read Runtime::counters(), which takes the
-// thread-list mutex and then sums every live thread's plain u64 counters
-// while their owners keep writing them. That read is a data race in the C++
-// memory model (TSan reports it), not only a stale one: a value may be
-// missed or, on a target without atomic 64-bit stores, torn. So serving
-// /metrics mid-run gives approximate, possibly non-monotonic op series; the
-// numbers are exact only while no instrumented code runs (between runs or at
-// barriers). /profile reads region_profiles(), which is stricter still: it
-// walks other threads' region maps, which their owners insert into, so
-// scrape it only while no instrumented code runs. Both caveats stay until
-// the per-thread counters become single-writer atomic cells (ROADMAP item 1).
+// Concurrency contract: every endpoint is safe at any time, mid-run
+// included. Callbacks are evaluated at scrape time. The op, flop and byte
+// series read Runtime::counters() and /profile reads region_profiles():
+// both load the per-thread single-writer cells under the thread-list lock
+// while their owners keep counting, so each series is exact up to the ops
+// still in flight and never steps back. The shadow table's figures are
+// atomics; the trace series read the tracer's atomic flag or take its
+// mutex, and the cumulative trace totals include the session being
+// stopped. /report reads the capture file, not runtime state.
 //
 // reset() on the registry drops callback registrations (they capture
 // runtime state); call register_runtime_metrics again to re-arm. The call

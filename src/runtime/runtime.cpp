@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <string_view>
 
 #include "softfloat/fast_round.hpp"
 
@@ -70,14 +71,19 @@ struct Runtime::ThreadState {
   std::vector<RegionFrame> regions;
   TruncCache trunc_cache[3];  ///< widths 64 / 32 / 16
   u64 config_epoch = 0;
-  CounterSnapshot counters;
-  /// Per-region aggregation (lazily resolved slot pointer; the map is
-  /// node-based so cached pointers survive growth). `prof_cached` is
+  /// The thread's accumulators (DESIGN.md §7): single-writer cells, which
+  /// counters() and region_profiles() read under threads_mu_ while this
+  /// thread keeps writing them.
+  BasicCounters<Cell> counters;
+  /// Per-region rows. The owner looks a label up without a lock and inserts
+  /// a new one under threads_mu_ (profile_row), the lock every reader of
+  /// the map holds. The slot pointer is resolved lazily; the map is
+  /// node-based so cached pointers survive growth. `prof_cached` is
   /// invalidated together with the truncation cache — every op resolves its
   /// effective format first, which syncs the epoch, so a cleared map can
   /// never be reached through a stale pointer.
-  std::map<std::string, RegionProfile> region_profiles;
-  RegionProfile* region_prof = nullptr;
+  std::map<std::string, ThreadProfile, std::less<>> region_profiles;
+  ThreadProfile* region_prof = nullptr;
   bool prof_cached = false;
   /// Start of the innermost region's current wall-clock interval
   /// (DESIGN.md §16). Zero = no interval open (profiling just enabled, or
@@ -127,11 +133,10 @@ void Runtime::register_thread(ThreadState* ts) {
 
 void Runtime::retire_thread(ThreadState* ts) {
   // Close the thread's open wall-clock interval so a worker dying inside a
-  // region doesn't silently drop that region's tail time. Owner thread, so
-  // touching its own maps is safe (no cached pointer involved).
+  // region doesn't silently drop that region's tail time.
   if (region_profiling_ && ts->region_t0.time_since_epoch().count() != 0) {
     const char* label = ts->regions.empty() ? "<toplevel>" : ts->regions.back().label;
-    ts->region_profiles[label].seconds += std::chrono::duration<double>(
+    profile_row(*ts, label).seconds += std::chrono::duration<double>(
         std::chrono::steady_clock::now() - ts->region_t0).count();
   }
   // Trace flush first: merge the thread's histograms into the tracer's
@@ -381,23 +386,33 @@ void Runtime::accrue_region_time(ThreadState& ts) {
   sync_epoch(ts);
   const auto now = std::chrono::steady_clock::now();
   if (ts.region_t0.time_since_epoch().count() != 0) {
-    if (RegionProfile* rp = region_prof(ts)) {
+    if (ThreadProfile* rp = region_prof(ts)) {
       rp->seconds += std::chrono::duration<double>(now - ts.region_t0).count();
     }
   }
   ts.region_t0 = now;
 }
 
-RegionProfile* Runtime::region_prof(ThreadState& ts) {
+Runtime::ThreadProfile* Runtime::region_prof(ThreadState& ts) {
   if (!ts.prof_cached) {
     ts.region_prof = nullptr;
     if (region_profiling_) {
-      const char* label = ts.regions.empty() ? "<toplevel>" : ts.regions.back().label;
-      ts.region_prof = &ts.region_profiles[label];
+      ts.region_prof =
+          &profile_row(ts, ts.regions.empty() ? "<toplevel>" : ts.regions.back().label);
     }
     ts.prof_cached = true;
   }
   return ts.region_prof;
+}
+
+Runtime::ThreadProfile& Runtime::profile_row(ThreadState& ts, const char* label) {
+  // Only the owner inserts into its map, so its own lookup needs no lock;
+  // the insert takes threads_mu_, which every other reader of the map holds.
+  if (auto it = ts.region_profiles.find(std::string_view(label)); it != ts.region_profiles.end()) {
+    return it->second;
+  }
+  std::lock_guard lock(threads_mu_);
+  return ts.region_profiles.try_emplace(label).first->second;
 }
 
 bool Runtime::truncation_active(int width) { return effective_format(tls(), width) != nullptr; }
@@ -635,9 +650,9 @@ double Runtime::mem_op(ThreadState& ts, OpKind k, const double* args, int n, con
   }
 
   const double dev_r = deviation_of(tr.to_double(), sr);
-  if (RegionProfile* rp = region_prof(ts)) {
+  if (ThreadProfile* rp = region_prof(ts)) {
     if (dev_r > rp->max_deviation) rp->max_deviation = dev_r;
-    if (dev_r > dev_threshold_) ++rp->flagged;
+    if (dev_r > dev_threshold_) rp->flagged += 1;
   }
   if (dev_r > dev_threshold_) {
     bool fresh = true;
@@ -731,7 +746,7 @@ void Runtime::mem_release(double maybe_boxed) {
 void Runtime::count_scalar(ThreadState& ts, OpKind k, bool trunc) {
   if (!counting_) return;
   ts.counters.bump_ops(k, trunc, 1);
-  if (RegionProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, 1);
+  if (ThreadProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, 1);
 }
 
 void Runtime::count_batch(ThreadState& ts, OpKind k, bool trunc, u64 n) {
@@ -742,7 +757,7 @@ void Runtime::count_batch(ThreadState& ts, OpKind k, bool trunc, u64 n) {
   // == elements processed` holds exactly for every lane width. Pinned by
   // test_simd_parity's CounterConservation suite.
   ts.counters.bump_ops(k, trunc, n);
-  if (RegionProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, n);
+  if (ThreadProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, n);
 }
 
 namespace {
@@ -1140,7 +1155,7 @@ void Runtime::count_mem(u64 bytes) {
   if (!counting_) return;
   ThreadState& ts = tls();
   const bool trunc = effective_format(ts, 64) != nullptr;
-  RegionProfile* rp = region_prof(ts);
+  ThreadProfile* rp = region_prof(ts);
   if (trunc) {
     ts.counters.trunc_bytes += bytes;
     if (rp != nullptr) rp->counters.trunc_bytes += bytes;
@@ -1183,7 +1198,7 @@ CounterSnapshot Runtime::counters() const {
 void Runtime::reset_counters() {
   std::lock_guard lock(threads_mu_);
   retired_ = CounterSnapshot{};
-  for (ThreadState* ts : threads_) ts->counters = CounterSnapshot{};
+  for (ThreadState* ts : threads_) ts->counters.clear();
 }
 
 std::vector<FlagRecord> Runtime::flag_report() const {
@@ -1208,30 +1223,21 @@ void Runtime::trace_start(const trace::TraceOptions& opts) {
 
 trace::TraceStats Runtime::trace_stop() {
   trace_on_ = false;
-  trace::TraceStats stats;
+  // Carry the per-region wall-clock totals into the capture as 'T' blocks,
+  // so offline analysis ranks by time without needing the profile dump next
+  // to the trace.
+  std::vector<std::pair<std::string, double>> times;
   if (region_profiling_) {
-    // Carry the per-region wall-clock totals into the capture as 'T'
-    // blocks, so offline analysis ranks by time without needing the
-    // profile dump next to the trace.
-    std::vector<std::pair<std::string, double>> times;
     for (const RegionProfileEntry& e : region_profiles()) {
       if (e.profile.seconds > 0.0) times.emplace_back(e.label, e.profile.seconds);
     }
-    stats = tracer_.stop(times);
-  } else {
-    stats = tracer_.stop();
   }
-  // Fold the closed session into the cumulative telemetry totals: the live
-  // stats_now() accounting zeroes at stop, the counters must not.
-  trace_events_total_.fetch_add(stats.events, std::memory_order_relaxed);
-  trace_dropped_total_.fetch_add(stats.dropped, std::memory_order_relaxed);
-  return stats;
+  return tracer_.stop(times);
 }
 
 void Runtime::reset_all() {
   if (trace_on_) trace_stop();
-  trace_events_total_.store(0, std::memory_order_relaxed);
-  trace_dropped_total_.store(0, std::memory_order_relaxed);
+  tracer_.reset_totals();
   clear_truncate_all();
   clear_exclusions();
   clear_region_formats();

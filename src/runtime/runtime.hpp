@@ -21,7 +21,9 @@
 //    thread-local pad.
 //
 // Thread model (DESIGN.md §7): every mutating per-op structure is
-// thread-local; aggregate views lock a registry. op-mode is safe under
+// thread-local; the per-thread counters and region rows are single-writer
+// atomic cells, which the aggregate views read under the thread-list lock
+// while their owners keep counting. op-mode is safe under
 // OpenMP. mem-mode is also OpenMP-safe: the shadow table is sharded into
 // lock-striped segments (shadow_table.hpp), the table generation is an
 // atomic read, and each mem-mode operation takes exactly one locked section
@@ -124,12 +126,12 @@ class Runtime {
   // steady-state cost is one pointer bump per op) and merged on read, like
   // counters(). Off by default: Table-3 overhead numbers stay comparable.
   //
-  // Quiescence contract (stricter than counters(), whose racy read of a
-  // live thread's totals is merely stale): region_profiles() iterates and
-  // reset_region_profiles() clears the per-thread maps, so BOTH must be
-  // called while no instrumented code is executing — a worker inserting
-  // its first entry for a region label concurrently would mutate the map
-  // under the reader. All in-tree callers read/reset between runs.
+  // region_profiles(), like counters(), is safe at any time: a thread's
+  // rows are single-writer cells, and it inserts a new region label under
+  // the lock the reader holds. Each row a reader sees is whole and never
+  // behind an earlier read. set_region_profiling() and
+  // reset_region_profiles() keep the configuration quiescence contract:
+  // call them while no instrumented code is executing.
 
   void set_region_profiling(bool on);
   [[nodiscard]] bool region_profiling() const { return region_profiling_; }
@@ -160,7 +162,7 @@ class Runtime {
 
   void trace_start(const trace::TraceOptions& opts);
   trace::TraceStats trace_stop();
-  [[nodiscard]] bool trace_active() const { return trace_on_; }
+  [[nodiscard]] bool trace_active() const { return tracer_.active(); }
   /// Merged per-region exponent/deviation histograms of the active session.
   [[nodiscard]] std::vector<trace::RegionHistEntry> trace_histograms() const {
     return tracer_.histograms();
@@ -170,15 +172,12 @@ class Runtime {
   /// free — it is the telemetry scrape path.
   [[nodiscard]] trace::TraceStats trace_stats_now() const { return tracer_.stats_now(); }
   /// Cumulative event/drop totals across every session since the last
-  /// reset_all(): closed sessions' totals plus the active session's live
-  /// counts. Monotonic between resets — the Prometheus-counter view of
-  /// tracing (stats_now() zeroes at stop, these do not).
-  [[nodiscard]] u64 trace_events_total() const {
-    return trace_events_total_.load(std::memory_order_relaxed) + tracer_.stats_now().events;
-  }
-  [[nodiscard]] u64 trace_dropped_total() const {
-    return trace_dropped_total_.load(std::memory_order_relaxed) + tracer_.stats_now().dropped;
-  }
+  /// reset_all(): closed sessions' totals plus the open session's live
+  /// counts. Monotonic between resets, trace_stop() included — the
+  /// Prometheus-counter view of tracing (stats_now() zeroes at stop, these
+  /// do not). Safe at any time.
+  [[nodiscard]] u64 trace_events_total() const { return tracer_.events_total(); }
+  [[nodiscard]] u64 trace_dropped_total() const { return tracer_.dropped_total(); }
   /// Options of the active (or most recent) session; the telemetry /report
   /// endpoint resolves the capture path from here when not given one.
   [[nodiscard]] trace::TraceOptions trace_options() const { return tracer_.options(); }
@@ -321,7 +320,9 @@ class Runtime {
 
   // -- Reports --------------------------------------------------------------
 
+  /// Totals over every thread, live and retired. Safe at any time.
   [[nodiscard]] CounterSnapshot counters() const;
+  /// Configuration quiescence contract.
   void reset_counters();
   /// Mem-mode deviation heatmap, sorted by fresh-deviation count descending.
   [[nodiscard]] std::vector<FlagRecord> flag_report() const;
@@ -338,6 +339,9 @@ class Runtime {
 
   struct ThreadState;
   ThreadState& tls();
+  /// One thread's row of a region profile: the same fields as RegionProfile,
+  /// as cells only that thread writes.
+  using ThreadProfile = BasicRegionProfile<Cell>;
 
   /// Re-validate `ts` against the global config epoch, invalidating the
   /// thread's truncation/profile/trace caches on mismatch. Every path that
@@ -357,7 +361,10 @@ class Runtime {
   /// Profile slot of the innermost region (nullptr when region profiling is
   /// off). Cached per thread; callers must resolve effective_format() first
   /// in the same operation so the epoch is synced (see ThreadState).
-  RegionProfile* region_prof(ThreadState& ts);
+  ThreadProfile* region_prof(ThreadState& ts);
+  /// The calling thread's row for `label`, inserted under threads_mu_ on
+  /// first use.
+  ThreadProfile& profile_row(ThreadState& ts, const char* label);
 
   /// Counter bumps shared by the scalar and batch entry points: thread
   /// totals plus (when region profiling is on) the innermost region's slot.
@@ -436,13 +443,10 @@ class Runtime {
   ShadowTable shadow_;
   std::atomic<u64> mem_leaked_total_{0};
 
-  /// Closed trace sessions' event/drop totals (see trace_events_total()).
-  std::atomic<u64> trace_events_total_{0};
-  std::atomic<u64> trace_dropped_total_{0};
-
   /// Tracing flag mirrored out of tracer_ as a plain bool: written by
   /// trace_start/trace_stop under the quiescence contract, read unprotected
-  /// on every op (like counting_).
+  /// on every op (like counting_). trace_active() reads the tracer's atomic
+  /// flag instead, so a scrape may call it at any time.
   bool trace_on_ = false;
   trace::Tracer tracer_;
 };

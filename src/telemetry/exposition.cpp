@@ -1,9 +1,9 @@
 #include "telemetry/exposition.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
 
 #include "support/escape.hpp"
 
@@ -21,11 +21,9 @@ std::string prom_double(double v) {
   return buf;
 }
 
-/// `{k1="v1",k2="v2"}`, empty string when there are no labels. `extra`
-/// appends one more pair (the histogram `le` label) after the user labels.
-std::string label_block(const Labels& labels, const std::string* extra_key = nullptr,
-                        const std::string* extra_val = nullptr) {
-  if (labels.empty() && extra_key == nullptr) return {};
+/// `{k1="v1",k2="v2"}`, empty string when there are no labels.
+std::string label_block(const Labels& labels) {
+  if (labels.empty()) return {};
   std::string out = "{";
   bool first = true;
   for (const auto& [k, v] : labels) {
@@ -36,13 +34,6 @@ std::string label_block(const Labels& labels, const std::string* extra_key = nul
     out += prom_escape_label(v);
     out += '"';
   }
-  if (extra_key != nullptr) {
-    if (!first) out += ',';
-    out += *extra_key;
-    out += "=\"";
-    out += prom_escape_label(*extra_val);
-    out += '"';
-  }
   out += '}';
   return out;
 }
@@ -51,9 +42,108 @@ const char* kind_name(MetricKind k) {
   switch (k) {
     case MetricKind::Counter: return "counter";
     case MetricKind::Gauge: return "gauge";
-    case MetricKind::Histogram: return "histogram";
   }
   return "untyped";
+}
+
+bool is_blank(char c) { return c == ' ' || c == '\t'; }
+
+/// Metric names may contain ':', label names may not.
+bool is_name_char(char c, bool first, bool colon) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || (colon && c == ':') ||
+         (!first && c >= '0' && c <= '9');
+}
+
+/// Length of the name at the start of `s` (0: none).
+std::size_t name_length(std::string_view s, bool colon) {
+  std::size_t n = 0;
+  while (n < s.size() && is_name_char(s[n], n == 0, colon)) ++n;
+  return n;
+}
+
+/// Wholly an integer (a timestamp).
+bool is_integer(std::string_view t) {
+  long long v = 0;
+  const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+  return ec == std::errc() && end == t.data() + t.size();
+}
+
+/// A sample value: `+Inf`, `-Inf`, `NaN`, or wholly a decimal number.
+bool parse_value(std::string_view t, double& out) {
+  if (t == "+Inf" || t == "-Inf" || t == "NaN") {
+    out = t == "NaN" ? NAN : t.front() == '-' ? -HUGE_VAL : HUGE_VAL;
+    return true;
+  }
+  const bool plus = !t.empty() && t.front() == '+';
+  if (plus) t.remove_prefix(1);  // from_chars reads '-' only
+  // from_chars also reads other spellings of infinity and NaN: a number
+  // starts with a digit or a point after its one sign.
+  const std::size_t lead = !plus && !t.empty() && t.front() == '-' ? 1 : 0;
+  if (lead >= t.size() || !(std::isdigit(static_cast<unsigned char>(t[lead])) || t[lead] == '.')) {
+    return false;
+  }
+  const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+  return ec == std::errc() && end == t.data() + t.size();
+}
+
+/// The label block after a metric name's `{`: `name="value"` pairs with
+/// backslash escapes, commas between them, up to the closing `}`. Advances
+/// `i` past the `}`.
+bool parse_labels(std::string_view line, std::size_t& i, Labels& out) {
+  if (i < line.size() && line[i] == '}') {
+    ++i;
+    return true;
+  }
+  for (;;) {
+    const std::size_t key_len = name_length(line.substr(i), /*colon=*/false);
+    if (key_len == 0) return false;
+    std::string key(line.substr(i, key_len));
+    i += key_len;
+    if (line.substr(i, 2) != "=\"") return false;
+    i += 2;
+    std::string raw;  // escaped bytes, unescaped below
+    for (;; ++i) {
+      if (i >= line.size()) return false;
+      if (line[i] == '"') break;
+      if (line[i] == '\\') {
+        if (i + 1 >= line.size()) return false;
+        raw += line[i++];
+      }
+      raw += line[i];
+    }
+    ++i;  // the closing quote
+    out.emplace_back(std::move(key), prom_unescape_label(raw));
+    if (i < line.size() && line[i] == '}') {
+      ++i;
+      return true;
+    }
+    if (i >= line.size() || line[i] != ',') return false;
+    ++i;
+  }
+}
+
+/// One series line: name, optional label block, blank, value, and an
+/// optional integer timestamp. False on anything else.
+bool parse_series(std::string_view line, ParsedSample& sample) {
+  std::size_t i = name_length(line, /*colon=*/true);
+  if (i == 0) return false;
+  sample.name = std::string(line.substr(0, i));
+  if (i < line.size() && line[i] == '{') {
+    ++i;
+    if (!parse_labels(line, i, sample.labels)) return false;
+  }
+  if (i >= line.size() || !is_blank(line[i])) return false;
+  std::string_view tokens[2];
+  std::size_t n = 0;
+  while (i < line.size()) {
+    while (i < line.size() && is_blank(line[i])) ++i;
+    if (i == line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() && !is_blank(line[i])) ++i;
+    if (n == 2) return false;
+    tokens[n++] = line.substr(start, i - start);
+  }
+  return n > 0 && parse_value(tokens[0], sample.value) && (n == 1 || is_integer(tokens[1]));
 }
 
 }  // namespace
@@ -67,19 +157,7 @@ std::string to_prometheus(const Snapshot& snap) {
       out += "# TYPE " + s.name + ' ' + kind_name(s.kind) + '\n';
       last_header = s.name;
     }
-    if (s.kind == MetricKind::Histogram) {
-      static const std::string kLe = "le";
-      u64 cumulative = 0;
-      for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
-        cumulative += s.bucket_counts[i];
-        const std::string le =
-            i < s.bounds.size() ? prom_double(s.bounds[i]) : std::string("+Inf");
-        out += s.name + "_bucket" + label_block(s.labels, &kLe, &le) + ' ' +
-               std::to_string(cumulative) + '\n';
-      }
-      out += s.name + "_sum" + label_block(s.labels) + ' ' + prom_double(s.sum) + '\n';
-      out += s.name + "_count" + label_block(s.labels) + ' ' + std::to_string(s.count) + '\n';
-    } else if (s.kind == MetricKind::Counter) {
+    if (s.kind == MetricKind::Counter) {
       out += s.name + label_block(s.labels) + ' ' + std::to_string(s.count) + '\n';
     } else {
       out += s.name + label_block(s.labels) + ' ' + prom_double(s.value) + '\n';
@@ -88,111 +166,17 @@ std::string to_prometheus(const Snapshot& snap) {
   return out;
 }
 
-std::string to_json(const Snapshot& snap) {
-  std::ostringstream out;
-  out << "[\n";
-  for (std::size_t i = 0; i < snap.samples.size(); ++i) {
-    const Sample& s = snap.samples[i];
-    out << "  {\"name\": \"" << json_escape(s.name) << "\", \"type\": \"" << kind_name(s.kind)
-        << "\", \"labels\": {";
-    for (std::size_t j = 0; j < s.labels.size(); ++j) {
-      out << (j > 0 ? ", " : "") << '"' << json_escape(s.labels[j].first) << "\": \""
-          << json_escape(s.labels[j].second) << '"';
-    }
-    out << "}";
-    if (s.kind == MetricKind::Histogram) {
-      out << ", \"buckets\": [";
-      for (std::size_t j = 0; j < s.bucket_counts.size(); ++j) {
-        out << (j > 0 ? ", " : "") << s.bucket_counts[j];
-      }
-      out << "], \"bounds\": [";
-      for (std::size_t j = 0; j < s.bounds.size(); ++j) {
-        out << (j > 0 ? ", " : "") << s.bounds[j];
-      }
-      out << "], \"sum\": " << s.sum << ", \"count\": " << s.count;
-    } else if (s.kind == MetricKind::Counter) {
-      out << ", \"value\": " << s.count;
-    } else {
-      if (std::isfinite(s.value)) {
-        out << ", \"value\": " << s.value;
-      } else {
-        out << ", \"value\": \"" << prom_double(s.value) << '"';
-      }
-    }
-    out << "}" << (i + 1 < snap.samples.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  return out.str();
-}
-
 std::vector<ParsedSample> parse_prometheus(std::string_view text) {
   std::vector<ParsedSample> out;
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
+    const std::string_view line = text.substr(pos, eol - pos);
     pos = eol + 1;
-    if (line.empty() || line.front() == '#') continue;
-
+    if (line.find_first_not_of(" \t") == std::string_view::npos || line.front() == '#') continue;
     ParsedSample sample;
-    std::size_t i = 0;
-    // Metric name: up to '{' or space.
-    while (i < line.size() && line[i] != '{' && line[i] != ' ') ++i;
-    if (i == 0 || i == line.size()) continue;
-    sample.name = std::string(line.substr(0, i));
-
-    if (line[i] == '{') {
-      ++i;
-      while (i < line.size() && line[i] != '}') {
-        std::size_t eq = line.find('=', i);
-        if (eq == std::string_view::npos || eq + 1 >= line.size() || line[eq + 1] != '"') break;
-        std::string key(line.substr(i, eq - i));
-        // Value: quoted, with backslash escapes — scan for the closing
-        // quote skipping escaped characters.
-        std::size_t v = eq + 2;
-        std::string raw;
-        bool closed = false;
-        while (v < line.size()) {
-          if (line[v] == '\\' && v + 1 < line.size()) {
-            raw += line[v];
-            raw += line[v + 1];
-            v += 2;
-            continue;
-          }
-          if (line[v] == '"') {
-            closed = true;
-            break;
-          }
-          raw += line[v];
-          ++v;
-        }
-        if (!closed) break;
-        sample.labels.emplace_back(std::move(key), prom_unescape_label(raw));
-        i = v + 1;
-        if (i < line.size() && line[i] == ',') ++i;
-      }
-      std::size_t close = line.find('}', i);
-      if (close == std::string_view::npos) continue;
-      i = close + 1;
-    }
-
-    while (i < line.size() && line[i] == ' ') ++i;
-    if (i >= line.size()) continue;
-    std::string_view val = line.substr(i);
-    if (val == "+Inf") {
-      sample.value = HUGE_VAL;
-    } else if (val == "-Inf") {
-      sample.value = -HUGE_VAL;
-    } else if (val == "NaN") {
-      sample.value = NAN;
-    } else {
-      char* end = nullptr;
-      const std::string val_s(val);
-      sample.value = std::strtod(val_s.c_str(), &end);
-      if (end == val_s.c_str()) continue;  // not a number: drop the line
-    }
-    out.push_back(std::move(sample));
+    if (parse_series(line, sample)) out.push_back(std::move(sample));
   }
   return out;
 }

@@ -1,15 +1,13 @@
 // Serializers for Registry snapshots (DESIGN.md §16):
 //
 //   * to_prometheus(): the Prometheus text exposition format, version
-//     0.0.4 — `# HELP` / `# TYPE` headers, one `name{labels} value` line
-//     per series, histograms expanded to cumulative `_bucket{le=...}` /
-//     `_sum` / `_count`. Label values escape backslash, quote and newline
-//     via the shared helper in support/escape.hpp.
-//   * to_json(): the same snapshot as a JSON array for tool ingestion,
-//     mirroring the io/ profile dump conventions.
+//     0.0.4 — `# HELP` / `# TYPE` headers once per metric name, one
+//     `name{labels} value` line per series. Label values escape
+//     backslash, quote and newline via the shared helper in
+//     support/escape.hpp.
 //   * parse_prometheus(): a minimal exposition-text parser, enough for the
 //     raptor_monitor client and the round-trip tests — series lines only,
-//     comments skipped, labels unescaped.
+//     comments skipped, labels unescaped, malformed lines dropped.
 #pragma once
 
 #include <string>
@@ -21,7 +19,6 @@
 namespace raptor::telemetry {
 
 [[nodiscard]] std::string to_prometheus(const Snapshot& snap);
-[[nodiscard]] std::string to_json(const Snapshot& snap);
 
 /// One parsed exposition-format series line.
 struct ParsedSample {
@@ -31,8 +28,14 @@ struct ParsedSample {
 };
 
 /// Parse exposition text into series samples. Comment (`#`) and blank
-/// lines are skipped; malformed lines are dropped rather than fatal (the
-/// monitor polls a live server and must tolerate torn reads).
+/// lines are skipped. A series line is kept only when it is wholly
+/// `name{label="value",...} value [timestamp]`: a metric name, an optional
+/// label block of `name="value"` pairs (backslash escapes honoured, commas
+/// between pairs, no blanks inside the braces), then blanks, a value that is
+/// wholly a decimal number, `+Inf`, `-Inf` or `NaN`, and optionally an
+/// integer timestamp. Any other line is dropped rather than fatal (the
+/// monitor polls a live server and must tolerate torn reads), so a malformed
+/// line is never counted under the wrong series.
 [[nodiscard]] std::vector<ParsedSample> parse_prometheus(std::string_view text);
 
 }  // namespace raptor::telemetry

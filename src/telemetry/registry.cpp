@@ -1,6 +1,5 @@
 #include "telemetry/registry.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace raptor::telemetry {
@@ -23,68 +22,8 @@ std::string series_key(std::string_view name, const Labels& labels) {
 
 }  // namespace
 
-// -- per-thread cells -------------------------------------------------------
-
-Registry::ThreadCells::ThreadCells(Registry* owner_reg)
-    : cells(new std::atomic<u64>[kCellCapacity]{}), owner(owner_reg) {
-  std::lock_guard<std::mutex> lock(owner->mu_);
-  owner->threads_.push_back(this);
-}
-
-Registry::ThreadCells::~ThreadCells() {
-  if (owner == nullptr) return;  // registry died first and disarmed us
-  std::lock_guard<std::mutex> lock(owner->mu_);
-  // Fold this thread's totals into the retired aggregate so they outlive
-  // the thread, then drop the live reference. Histogram sum cells hold
-  // bit-cast doubles, so "merge by +" would corrupt them — cell-level merge
-  // is resolved per metric kind below.
-  for (const MetricDef& d : owner->defs_) {
-    if (d.cell_count == 0) continue;
-    const u32 nbuckets = d.kind == MetricKind::Histogram ? d.cell_count - 1 : d.cell_count;
-    for (u32 i = 0; i < nbuckets; ++i) {
-      owner->retired_[d.cell_base + i] += cells[d.cell_base + i].load(std::memory_order_relaxed);
-    }
-    if (d.kind == MetricKind::Histogram) {
-      const u32 sum_cell = d.cell_base + d.cell_count - 1;
-      const double mine = std::bit_cast<double>(cells[sum_cell].load(std::memory_order_relaxed));
-      const double prev = std::bit_cast<double>(owner->retired_[sum_cell]);
-      owner->retired_[sum_cell] = std::bit_cast<u64>(prev + mine);
-    }
-  }
-  auto& v = owner->threads_;
-  v.erase(std::remove(v.begin(), v.end(), this), v.end());
-}
-
-std::atomic<u64>* Registry::tls_cells() {
-  // One cell block per (thread, registry). thread_local destructor order
-  // handles retirement; the registry must outlive the thread (instance()
-  // is leaked, and test-local registries must join their threads first).
-  thread_local std::map<Registry*, std::unique_ptr<ThreadCells>> blocks;
-  auto it = blocks.find(this);
-  // A dying registry disarms its blocks (owner = nullptr) but cannot reach
-  // other threads' maps — so a later registry allocated at the same address
-  // can find a stale disarmed block here. Replace it: the stale block's
-  // destructor is a no-op once disarmed.
-  if (it == blocks.end() || it->second->owner != this) {
-    it = blocks.insert_or_assign(this, std::make_unique<ThreadCells>(this)).first;
-  }
-  return it->second->cells.get();
-}
-
-Registry::~Registry() {
-  // Live ThreadCells hold a raw owner pointer; destroying a registry while
-  // threads still reference it is a use-after-free. The process-wide
-  // instance() is leaked for exactly this reason; test-local registries
-  // must join their worker threads first. The main thread's own block is
-  // the unavoidable exception — disarm it so its eventual thread_local
-  // destruction does not touch freed memory.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (ThreadCells* t : threads_) t->owner = nullptr;
-  threads_.clear();
-}
-
 Registry& Registry::instance() {
-  static Registry* reg = new Registry();  // leaked: threads may retire late
+  static Registry* reg = new Registry();  // leaked: immune to shutdown order
   return *reg;
 }
 
@@ -94,35 +33,19 @@ u32 Registry::register_metric(MetricDef def) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::string key = series_key(def.name, def.labels);
   if (auto it = index_.find(key); it != index_.end()) {
-    RAPTOR_REQUIRE(defs_[it->second].kind == def.kind,
+    RAPTOR_REQUIRE(defs_[it->second].kind == def.kind &&
+                       defs_[it->second].is_callback == def.is_callback,
                    "telemetry: series re-registered with a different kind");
     return it->second;
   }
-  if (def.kind == MetricKind::Gauge && !def.is_callback) {
+  if (!def.is_callback) {
     RAPTOR_REQUIRE(next_gauge_ < kGaugeCapacity, "telemetry: gauge capacity exhausted");
     def.gauge_slot = next_gauge_++;
-  } else if (def.cell_count > 0) {
-    RAPTOR_REQUIRE(next_cell_ + def.cell_count <= kCellCapacity,
-                   "telemetry: per-thread cell capacity exhausted");
-    def.cell_base = next_cell_;
-    next_cell_ += def.cell_count;
   }
   const u32 idx = static_cast<u32>(defs_.size());
   defs_.push_back(std::move(def));
   index_.emplace(key, idx);
   return idx;
-}
-
-Counter Registry::counter(std::string_view name, std::string_view help, Labels labels) {
-  MetricDef def;
-  def.kind = MetricKind::Counter;
-  def.name = std::string(name);
-  def.help = std::string(help);
-  def.labels = std::move(labels);
-  def.cell_count = 1;
-  const u32 idx = register_metric(std::move(def));
-  std::lock_guard<std::mutex> lock(mu_);
-  return Counter(this, defs_[idx].cell_base);
 }
 
 Gauge Registry::gauge(std::string_view name, std::string_view help, Labels labels) {
@@ -136,28 +59,8 @@ Gauge Registry::gauge(std::string_view name, std::string_view help, Labels label
   return Gauge(this, defs_[idx].gauge_slot);
 }
 
-Histogram Registry::histogram(std::string_view name, std::vector<double> bounds,
-                              std::string_view help, Labels labels) {
-  RAPTOR_REQUIRE(!bounds.empty(), "telemetry: histogram needs at least one bound");
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    RAPTOR_REQUIRE(bounds[i - 1] < bounds[i], "telemetry: histogram bounds must increase");
-  }
-  MetricDef def;
-  def.kind = MetricKind::Histogram;
-  def.name = std::string(name);
-  def.help = std::string(help);
-  def.labels = std::move(labels);
-  def.bounds = std::move(bounds);
-  // Cells: one per finite bucket, one +inf overflow, one bit-cast sum.
-  def.cell_count = static_cast<u32>(def.bounds.size()) + 2;
-  const u32 idx = register_metric(std::move(def));
-  std::lock_guard<std::mutex> lock(mu_);
-  return Histogram(this, defs_[idx].cell_base, defs_[idx].bounds);
-}
-
 void Registry::callback(MetricKind kind, std::string_view name, std::function<double()> fn,
                         std::string_view help, Labels labels) {
-  RAPTOR_REQUIRE(kind != MetricKind::Histogram, "telemetry: callback histograms unsupported");
   MetricDef def;
   def.kind = kind;
   def.name = std::string(name);
@@ -172,35 +75,11 @@ void Registry::callback(MetricKind kind, std::string_view name, std::function<do
   defs_[idx].fn = std::move(fn);
 }
 
-// -- handle fast paths ------------------------------------------------------
-
-void Counter::add(u64 n) {
-  if (reg_ == nullptr) return;
-  std::atomic<u64>* cells = reg_->tls_cells();
-  // Single writer per cell: plain load+store, no RMW needed.
-  cells[cell_].store(cells[cell_].load(std::memory_order_relaxed) + n,
-                     std::memory_order_relaxed);
-}
-
-u64 Counter::value() const {
-  if (reg_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(reg_->mu_);
-  return reg_->cell_total_locked(cell_);
-}
+// -- gauges -----------------------------------------------------------------
 
 void Gauge::set(double v) {
   if (reg_ == nullptr) return;
   reg_->gauges_[slot_].store(std::bit_cast<u64>(v), std::memory_order_relaxed);
-}
-
-void Gauge::add(double d) {
-  if (reg_ == nullptr) return;
-  // Gauges are multi-writer; CAS keeps concurrent add()s lossless.
-  std::atomic<u64>& slot = reg_->gauges_[slot_];
-  u64 cur = slot.load(std::memory_order_relaxed);
-  while (!slot.compare_exchange_weak(cur, std::bit_cast<u64>(std::bit_cast<double>(cur) + d),
-                                     std::memory_order_relaxed)) {
-  }
 }
 
 double Gauge::value() const {
@@ -208,33 +87,7 @@ double Gauge::value() const {
   return std::bit_cast<double>(reg_->gauges_[slot_].load(std::memory_order_relaxed));
 }
 
-void Histogram::observe(double v) {
-  if (reg_ == nullptr) return;
-  std::atomic<u64>* cells = reg_->tls_cells();
-  const std::size_t nb = bounds_.size();
-  std::size_t bucket = nb;  // +inf overflow by default
-  for (std::size_t i = 0; i < nb; ++i) {  // linear: bucket counts are small
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  std::atomic<u64>& cnt = cells[cell_ + bucket];
-  cnt.store(cnt.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  std::atomic<u64>& sum = cells[cell_ + nb + 1];
-  sum.store(std::bit_cast<u64>(std::bit_cast<double>(sum.load(std::memory_order_relaxed)) + v),
-            std::memory_order_relaxed);
-}
-
 // -- reads ------------------------------------------------------------------
-
-u64 Registry::cell_total_locked(u32 cell) const {
-  u64 total = retired_[cell];
-  for (const ThreadCells* t : threads_) {
-    total += t->cells[cell].load(std::memory_order_relaxed);
-  }
-  return total;
-}
 
 Snapshot Registry::snapshot() const {
   Snapshot snap;
@@ -250,27 +103,8 @@ Snapshot Registry::snapshot() const {
       const double v = d.fn ? d.fn() : 0.0;
       s.value = v;
       s.count = v <= 0 ? 0 : static_cast<u64>(v);
-    } else if (d.kind == MetricKind::Counter) {
-      s.count = cell_total_locked(d.cell_base);
-      s.value = static_cast<double>(s.count);
-    } else if (d.kind == MetricKind::Gauge) {
-      s.value = std::bit_cast<double>(gauges_[d.gauge_slot].load(std::memory_order_relaxed));
     } else {
-      s.bounds = d.bounds;
-      const u32 nbuckets = d.cell_count - 1;  // finite buckets + overflow
-      s.bucket_counts.resize(nbuckets);
-      for (u32 i = 0; i < nbuckets; ++i) {
-        s.bucket_counts[i] = cell_total_locked(d.cell_base + i);
-      }
-      const u32 sum_cell = d.cell_base + d.cell_count - 1;
-      double sum = std::bit_cast<double>(retired_[sum_cell]);
-      for (const ThreadCells* t : threads_) {
-        sum += std::bit_cast<double>(t->cells[sum_cell].load(std::memory_order_relaxed));
-      }
-      s.sum = sum;
-      u64 count = 0;
-      for (const u64 c : s.bucket_counts) count += c;
-      s.count = count;
+      s.value = std::bit_cast<double>(gauges_[d.gauge_slot].load(std::memory_order_relaxed));
     }
     snap.samples.push_back(std::move(s));
   }
@@ -279,10 +113,6 @@ Snapshot Registry::snapshot() const {
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::fill(retired_.begin(), retired_.end(), u64{0});
-  for (ThreadCells* t : threads_) {
-    for (u32 i = 0; i < kCellCapacity; ++i) t->cells[i].store(0, std::memory_order_relaxed);
-  }
   for (u32 i = 0; i < kGaugeCapacity; ++i) gauges_[i].store(0, std::memory_order_relaxed);
   // Drop callbacks: they capture state (often the Runtime) that tests
   // reset independently; wiring code re-registers them.

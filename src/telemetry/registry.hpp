@@ -1,42 +1,28 @@
-// Live metrics registry (DESIGN.md §16): named counters, gauges and
-// histograms aggregating the instrumentation the runtime already pays for,
+// Live metrics registry (DESIGN.md §16): named gauges and callback metrics,
 // exposed over the exposition layer (exposition.hpp) and the poll-based
 // TCP server (server.hpp).
 //
-// Concurrency model — the same live+retired split as the runtime's
-// per-region profiles:
+// The registry keeps no per-thread state: the counts it serves already
+// live elsewhere, mostly in the runtime's per-thread accumulators, and a
+// callback reads them at scrape time.
 //
-//   * Counter and Histogram cells are PER-THREAD: the owning thread is the
-//     only writer and updates its cell with a relaxed atomic load+store
-//     (single-writer, so no RMW is needed); snapshot() reads every thread's
-//     cells with relaxed loads and sums them with the retired aggregate.
-//     An increment is therefore lock-free and race-free (TSan-clean), and
-//     a concurrent snapshot observes each cell either before or after any
-//     given bump — monotonically, never torn.
-//   * A thread's cells are merged into the retired aggregate (under the
-//     registry mutex) when the thread exits, so totals survive thread
-//     churn exactly like Runtime::counters().
-//   * Gauges are process-wide atomic doubles (set/add semantics do not
-//     thread-merge).
+//   * Gauges are process-wide atomic doubles with last-write-wins set().
 //   * Callback metrics hold a std::function evaluated at snapshot time —
-//     the bridge to state the runtime already counts elsewhere (op
-//     counters, shadow-table occupancy, trace drop accounting): the hot
-//     path pays nothing new, the scrape pays one merged read.
+//     the bridge to state the runtime already counts (op counters,
+//     shadow-table occupancy, trace accounting): the hot path pays nothing
+//     new, the scrape pays one read per series. Kind Counter renders a
+//     source that is already a monotonic total as a Prometheus counter.
 //
 // Registration is idempotent: registering the same (name, labels) series
 // again returns a handle to the existing metric, so wiring code can run
 // once per process or once per test without duplicating series.
 //
-// Lifetime: a Registry must outlive every thread that touched its
-// per-thread metrics (the process-wide instance() is leaked, like
-// rt::Runtime). snapshot()/reset() may run concurrently with counter and
-// histogram updates; registration of *new* metrics is mutex-guarded and
-// safe at any time.
+// Concurrency: registration, snapshot() and reset() take the registry
+// mutex; Gauge::set() is one relaxed atomic store. snapshot() is safe at
+// any time, as safe as the callbacks it evaluates.
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,35 +36,17 @@
 
 namespace raptor::telemetry {
 
-enum class MetricKind { Counter, Gauge, Histogram };
+enum class MetricKind { Counter, Gauge };
 
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 class Registry;
-
-/// Handle to a monotonically increasing per-thread counter. Copyable;
-/// add() is lock-free after the calling thread's first touch.
-class Counter {
- public:
-  Counter() = default;
-  void add(u64 n = 1);
-  void inc() { add(1); }
-  /// Merged total (live threads + retired).
-  [[nodiscard]] u64 value() const;
-
- private:
-  friend class Registry;
-  Counter(Registry* reg, u32 cell) : reg_(reg), cell_(cell) {}
-  Registry* reg_ = nullptr;
-  u32 cell_ = 0;
-};
 
 /// Handle to a process-wide gauge (atomic double, last-write-wins set).
 class Gauge {
  public:
   Gauge() = default;
   void set(double v);
-  void add(double d);
   [[nodiscard]] double value() const;
 
  private:
@@ -88,24 +56,7 @@ class Gauge {
   u32 slot_ = 0;
 };
 
-/// Handle to a per-thread histogram with fixed upper-bound buckets. The
-/// handle carries its own copy of the bounds so observe() never touches
-/// the registry lock.
-class Histogram {
- public:
-  Histogram() = default;
-  void observe(double v);
-
- private:
-  friend class Registry;
-  Histogram(Registry* reg, u32 cell, std::vector<double> bounds)
-      : reg_(reg), cell_(cell), bounds_(std::move(bounds)) {}
-  Registry* reg_ = nullptr;
-  u32 cell_ = 0;  ///< first per-thread cell: buckets, then +inf, then sum bits
-  std::vector<double> bounds_;
-};
-
-/// One merged metric in a Snapshot.
+/// One metric in a Snapshot.
 struct Sample {
   MetricKind kind = MetricKind::Counter;
   std::string name;
@@ -113,11 +64,6 @@ struct Sample {
   Labels labels;
   u64 count = 0;      ///< counters
   double value = 0.0; ///< gauges (and callback counters, pre-cast)
-  // Histograms: cumulative Prometheus semantics are applied by the
-  // exposition layer; bucket_counts here are per-bucket (non-cumulative).
-  std::vector<double> bounds;
-  std::vector<u64> bucket_counts; ///< size bounds.size() + 1 (last = +inf overflow)
-  double sum = 0.0;
 };
 
 struct Snapshot {
@@ -127,22 +73,16 @@ struct Snapshot {
 class Registry {
  public:
   Registry() = default;
-  ~Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   /// Process-wide instance (leaked, like rt::Runtime: immune to shutdown
-  /// order, and threads may retire into it at any point).
+  /// order).
   static Registry& instance();
 
   // -- Registration (idempotent per (name, labels) series) ----------------
 
-  Counter counter(std::string_view name, std::string_view help = {}, Labels labels = {});
   Gauge gauge(std::string_view name, std::string_view help = {}, Labels labels = {});
-  /// `bounds` are the finite bucket upper bounds, strictly increasing; an
-  /// implicit +Inf bucket is always present.
-  Histogram histogram(std::string_view name, std::vector<double> bounds,
-                      std::string_view help = {}, Labels labels = {});
   /// Callback metric evaluated at snapshot time. `kind` Counter renders as
   /// a Prometheus counter (for sources that are already monotonic totals,
   /// like the runtime's op counters); Gauge for instantaneous values.
@@ -151,64 +91,37 @@ class Registry {
 
   // -- Reads --------------------------------------------------------------
 
-  /// Merged view of every metric (live + retired cells, callbacks
-  /// evaluated), in registration order.
+  /// Every metric (gauges read, callbacks evaluated), in registration order.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zero every counter/gauge/histogram cell (live and retired) and drop
-  /// all callback registrations. Metric definitions and handles stay
-  /// valid. Quiescence contract like Runtime::reset_counters: call while
-  /// no other thread is updating metrics.
+  /// Zero every gauge and drop all callback registrations. Gauge
+  /// definitions and handles stay valid.
   void reset();
 
   /// Number of registered series (tests).
   [[nodiscard]] std::size_t size() const;
 
  private:
-  friend class Counter;
   friend class Gauge;
-  friend class Histogram;
 
-  /// Fixed per-thread cell capacity: counters take 1 cell, histograms
-  /// bounds+2 (per-bucket counts, +inf overflow, sum as bit-cast double).
-  /// A fixed array keeps cell access lock-free; registration fails loudly
-  /// if a process somehow needs more than this many cells.
-  static constexpr u32 kCellCapacity = 4096;
   /// Process-wide gauge slots (atomic doubles, bit-cast through u64).
   static constexpr u32 kGaugeCapacity = 512;
-
-  struct ThreadCells {
-    explicit ThreadCells(Registry* owner);
-    ~ThreadCells();
-    std::unique_ptr<std::atomic<u64>[]> cells;
-    Registry* owner;
-  };
 
   struct MetricDef {
     MetricKind kind = MetricKind::Counter;
     std::string name;
     std::string help;
     Labels labels;
-    std::vector<double> bounds;       ///< histograms
-    u32 cell_base = 0;                ///< first per-thread cell (counter/histogram)
-    u32 cell_count = 0;               ///< 0 for gauges/callbacks
     u32 gauge_slot = 0;               ///< gauges
-    bool is_callback = false;         ///< true: no cells/slot, fn at snapshot
+    bool is_callback = false;         ///< true: no slot, fn at snapshot
     std::function<double()> fn;       ///< callbacks
   };
 
-  /// The calling thread's cell block for this registry (allocated and
-  /// registered on first use).
-  std::atomic<u64>* tls_cells();
   u32 register_metric(MetricDef def);  ///< returns index; caller holds no lock
-  [[nodiscard]] u64 cell_total_locked(u32 cell) const;  ///< caller holds mu_
 
   mutable std::mutex mu_;
   std::vector<MetricDef> defs_;
   std::map<std::string, u32> index_;  ///< name + serialized labels -> defs_ index
-  std::vector<ThreadCells*> threads_;
-  std::vector<u64> retired_ = std::vector<u64>(kCellCapacity, 0);
-  u32 next_cell_ = 0;
   u32 next_gauge_ = 0;
   std::unique_ptr<std::atomic<u64>[]> gauges_{new std::atomic<u64>[kGaugeCapacity]{}};
 };

@@ -74,8 +74,13 @@ TraceStats Tracer::stop(const std::vector<std::pair<std::string, double>>& regio
   for (const auto& [slot, hist] : merged_hists_locked()) writer_->hist_block(slot, hist);
   for (const auto& [slot, secs] : slot_seconds) writer_->time_block(slot, secs);
   writer_->finish();
-  RAPTOR_REQUIRE(writer_->good(), "trace: writing the .rtrace file failed");
+  const bool good = writer_->good();
+  // Retire the session and fold it into the totals in one locked section:
+  // a null writer_ is what the totals read as "no open session".
   writer_.reset();
+  closed_events_ += stats.events;
+  closed_dropped_ += stats.dropped;
+  RAPTOR_REQUIRE(good, "trace: writing the .rtrace file failed");
   return stats;
 }
 
@@ -88,6 +93,26 @@ TraceStats Tracer::stats_now() const {
   stats.threads = static_cast<u32>(buffers_.size());
   for (const auto& tt : buffers_) stats.dropped += tt->ring.dropped();
   return stats;
+}
+
+u64 Tracer::events_total() const {
+  std::lock_guard lock(mu_);
+  return closed_events_ + (writer_ ? events_written_ : 0);
+}
+
+u64 Tracer::dropped_total() const {
+  std::lock_guard lock(mu_);
+  u64 total = closed_dropped_;
+  if (writer_) {
+    for (const auto& tt : buffers_) total += tt->ring.dropped();
+  }
+  return total;
+}
+
+void Tracer::reset_totals() {
+  std::lock_guard lock(mu_);
+  closed_events_ = 0;
+  closed_dropped_ = 0;
 }
 
 u32 Tracer::intern(const char* label) {

@@ -11,8 +11,8 @@
 //     writer — the per-op hot path takes it only on a region-slot cache
 //     miss (region change), never per event.
 //
-// Quiescence contract (mirrors Runtime::region_profiles): start(), stop()
-// and histograms() must be called while no instrumented code is executing.
+// Quiescence contract: start(), stop() and histograms() must be called
+// while no instrumented code is executing.
 // The ring traffic itself is safe against the live drainer at any time —
 // that is the whole point — but the histogram maps are read unlocked.
 // A straggler thread retiring after stop() is tolerated: buffers of a
@@ -92,6 +92,14 @@ class Tracer {
   /// the registry mutex); unlike stop(), does not require quiescence —
   /// this is the telemetry scrape path. Zeroes when no session is active.
   [[nodiscard]] TraceStats stats_now() const;
+  /// Events written and dropped over every session since the last
+  /// reset_totals(): closed sessions plus the open one. stop() folds its
+  /// session in under the same lock that closes it, so neither total ever
+  /// steps back, not even while stop() drains. Safe at any time.
+  [[nodiscard]] u64 events_total() const;
+  [[nodiscard]] u64 dropped_total() const;
+  /// Zero both totals. Quiescence contract above.
+  void reset_totals();
   /// The active session's options (telemetry labels). Quiescence-free but
   /// only meaningful while active().
   [[nodiscard]] TraceOptions options() const {
@@ -137,6 +145,8 @@ class Tracer {
   std::unique_ptr<RtraceWriter> writer_;
   std::vector<Event> scratch_;  ///< drain staging (drainer/stop only)
   u64 events_written_ = 0;
+  u64 closed_events_ = 0;   ///< closed sessions' totals (events_total())
+  u64 closed_dropped_ = 0;
   u32 segment_index_ = 0;    ///< rotation segment the writer is appending to
   u64 segment_preamble_ = 0; ///< header + re-emitted string table bytes of
                              ///< the current segment; rotation requires

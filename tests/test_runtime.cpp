@@ -282,6 +282,43 @@ TEST_F(RuntimeTest, CounterMergeFoldsEveryField) {
   EXPECT_EQ(ra.flagged, 18u);
 }
 
+TEST_F(RuntimeTest, CellCountersClearAndMergeEveryField) {
+  // The per-thread accumulators are the same template on Cell fields:
+  // merging them into a snapshot must carry every field, and clear() (what
+  // reset_counters runs on a live thread) must zero every field.
+  BasicCounters<Cell> cells;
+  CounterSnapshot plain;
+  for (int i = 0; i < kNumOpKinds; ++i) {
+    const auto k = static_cast<OpKind>(i);
+    cells.bump_ops(k, true, 100 + static_cast<u64>(i));
+    cells.bump_ops(k, false, 200 + static_cast<u64>(i));
+    plain.bump_ops(k, true, 100 + static_cast<u64>(i));
+    plain.bump_ops(k, false, 200 + static_cast<u64>(i));
+  }
+  cells.trunc_bytes += 3;
+  cells.full_bytes += 4;
+  plain.trunc_bytes += 3;
+  plain.full_bytes += 4;
+  CounterSnapshot merged;
+  merged.merge(cells);
+  EXPECT_EQ(merged.trunc_flops, plain.trunc_flops);
+  EXPECT_EQ(merged.full_flops, plain.full_flops);
+  EXPECT_EQ(merged.trunc_bytes, 3u);
+  EXPECT_EQ(merged.full_bytes, 4u);
+  EXPECT_EQ(merged.trunc_by_kind, plain.trunc_by_kind);
+  EXPECT_EQ(merged.full_by_kind, plain.full_by_kind);
+
+  cells.clear();
+  CounterSnapshot zero;
+  zero.merge(cells);
+  EXPECT_EQ(zero.total_flops(), 0u);
+  EXPECT_EQ(zero.total_bytes(), 0u);
+  for (int i = 0; i < kNumOpKinds; ++i) {
+    EXPECT_EQ(zero.trunc_by_kind[i], 0u) << i;
+    EXPECT_EQ(zero.full_by_kind[i], 0u) << i;
+  }
+}
+
 TEST_F(RuntimeTest, RetiredThreadCountersSurviveInRegionProfiles) {
   // A thread's per-region contribution must fold into the merged view when
   // the thread exits (the retire path uses the merge under audit above).

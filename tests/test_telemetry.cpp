@@ -1,23 +1,30 @@
 // Tests for the live telemetry stack (DESIGN.md §16): the metrics registry
-// (per-thread counters with retirement merge, gauges, histograms, callback
-// metrics), the Prometheus/JSON exposition layer, the poll-based HTTP
-// server, and the runtime wiring — /metrics, /profile and /report served
-// from a live traced run, with /report byte-identical to the offline
+// (idempotent registration, gauges, callback metrics), the Prometheus
+// exposition layer and its parser (malformed lines dropped), the poll-based
+// HTTP server, and the runtime wiring — /metrics, /profile and /report
+// served from a live traced run, with /report byte-identical to the offline
 // raptor_trace analyzer, plus the wall-clock dimension the search driver
 // gained (SearchOptions::min_time_share, RegionChoice::seconds).
 //
-// Threading discipline (this suite runs under TSan in CI): scrapes that
-// evaluate runtime callbacks happen only while worker threads are parked at
-// a mutex/condvar barrier, matching the documented quiescence contracts of
-// Runtime::counters() and region_profiles().
+// Threading (this suite runs under TSan in CI): live reads need no barrier.
+// BarrierFreeReadsAreMonotoneAndExact reads counters(), region_profiles(),
+// /metrics and /profile while workers count, start new regions and exit;
+// TraceTotalsNeverStepBackAcrossSessions reads the trace totals while
+// sessions start and stop. The end-to-end traced run still parks its worker
+// at condvar barriers, because it asserts exact per-phase counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -43,52 +50,43 @@ using rt::Runtime;
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(Registry, CounterAccumulatesAndRegistrationIsIdempotent) {
+TEST(Registry, RegistrationIsIdempotentPerSeries) {
   telemetry::Registry reg;
-  telemetry::Counter a = reg.counter("requests_total", "served requests", {{"code", "200"}});
-  a.add(3);
-  a.inc();
+  telemetry::Gauge a = reg.gauge("queue_depth", "queued requests", {{"queue", "in"}});
+  a.set(3.0);
   // Same (name, labels): the existing series, not a duplicate.
-  telemetry::Counter again = reg.counter("requests_total", "", {{"code", "200"}});
-  again.add(6);
-  EXPECT_EQ(a.value(), 10u);
+  telemetry::Gauge again = reg.gauge("queue_depth", "", {{"queue", "in"}});
+  EXPECT_DOUBLE_EQ(again.value(), 3.0);
   EXPECT_EQ(reg.size(), 1u);
-  // A different label set is a distinct series with its own cell.
-  telemetry::Counter other = reg.counter("requests_total", "", {{"code", "500"}});
-  other.inc();
+  // A different label set is a distinct series with its own slot.
+  telemetry::Gauge other = reg.gauge("queue_depth", "", {{"queue", "out"}});
+  other.set(1.0);
   EXPECT_EQ(reg.size(), 2u);
-  EXPECT_EQ(other.value(), 1u);
-  EXPECT_EQ(a.value(), 10u);
+  EXPECT_DOUBLE_EQ(a.value(), 3.0);
+  // A callback series re-registered keeps its one slot and takes the new
+  // callback.
+  reg.callback(telemetry::MetricKind::Counter, "requests_total", [] { return 10.0; }, "",
+               {{"code", "200"}});
+  reg.callback(telemetry::MetricKind::Counter, "requests_total", [] { return 12.0; }, "",
+               {{"code", "200"}});
+  EXPECT_EQ(reg.size(), 3u);
+  const telemetry::Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.samples.size(), 3u);
+  EXPECT_EQ(snap.samples[2].count, 12u);
 }
 
-TEST(Registry, GaugeSetAndAddAreProcessWide) {
+TEST(Registry, GaugeSetIsProcessWide) {
   telemetry::Registry reg;
   telemetry::Gauge g = reg.gauge("depth");
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   g.set(2.5);
-  g.add(-0.5);
+  g.set(2.0);
   EXPECT_DOUBLE_EQ(g.value(), 2.0);
-  // Second handle to the same series observes the same slot.
-  EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 2.0);
-}
-
-TEST(Registry, HistogramBucketsOverflowAndSum) {
-  telemetry::Registry reg;
-  telemetry::Histogram h = reg.histogram("latency", {1.0, 10.0});
-  h.observe(0.5);   // <= 1
-  h.observe(5.0);   // <= 10
-  h.observe(50.0);  // +inf overflow
-  h.observe(5.0);
-  const telemetry::Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.samples.size(), 1u);
-  const telemetry::Sample& s = snap.samples[0];
-  EXPECT_EQ(s.kind, telemetry::MetricKind::Histogram);
-  ASSERT_EQ(s.bucket_counts.size(), 3u);  // per-bucket here; exposition cumulates
-  EXPECT_EQ(s.bucket_counts[0], 1u);
-  EXPECT_EQ(s.bucket_counts[1], 2u);
-  EXPECT_EQ(s.bucket_counts[2], 1u);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.sum, 60.5);
+  // Second handle to the same series observes the same slot, from any thread.
+  double seen = 0.0;
+  std::thread reader([&reg, &seen] { seen = reg.gauge("depth").value(); });
+  reader.join();
+  EXPECT_DOUBLE_EQ(seen, 2.0);
 }
 
 TEST(Registry, CallbackMetricsEvaluateAtSnapshotAndResetDropsThem) {
@@ -102,12 +100,12 @@ TEST(Registry, CallbackMetricsEvaluateAtSnapshotAndResetDropsThem) {
     EXPECT_DOUBLE_EQ(snap.samples[0].value, 9.0);
   }
   // reset() drops callback registrations (they capture external state);
-  // plain metrics keep their definitions with zeroed cells.
-  telemetry::Counter c = reg.counter("kept_total");
-  c.add(5);
+  // gauges keep their definitions, zeroed.
+  telemetry::Gauge g = reg.gauge("kept");
+  g.set(5.0);
   reg.reset();
-  EXPECT_EQ(reg.size(), 1u);  // the callback is gone, the counter def stays
-  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(reg.size(), 1u);  // the callback is gone, the gauge def stays
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
   // Wiring code re-arms by re-registering; the series comes back live.
   reg.callback(telemetry::MetricKind::Gauge, "live_value", [&source] { return source; });
   source = 11.0;
@@ -121,30 +119,6 @@ TEST(Registry, CallbackMetricsEvaluateAtSnapshotAndResetDropsThem) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-TEST(Registry, ConcurrentAddsMergeExactlyAcrossThreadRetirement) {
-  telemetry::Registry reg;
-  telemetry::Counter c = reg.counter("spins_total");
-  constexpr int kThreads = 4;
-  constexpr int kIters = 20000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([c]() mutable {
-      for (int i = 0; i < kIters; ++i) c.inc();
-    });
-  }
-  // Concurrent reads see a monotone, never-torn total.
-  u64 last = 0;
-  for (int i = 0; i < 64; ++i) {
-    const u64 now = c.value();
-    EXPECT_GE(now, last);
-    last = now;
-  }
-  for (std::thread& w : workers) w.join();
-  // Every thread retired its cells into the aggregate: the total is exact.
-  EXPECT_EQ(c.value(), static_cast<u64>(kThreads) * kIters);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +146,8 @@ double metric_sum(const std::vector<telemetry::ParsedSample>& samples, std::stri
 TEST(Exposition, PrometheusRoundTripSurvivesHostileLabels) {
   telemetry::Registry reg;
   const std::string evil = "mod \"quoted\"\\back\nline2";
-  reg.counter("evil_total", "h", {{"label", evil}}).add(5);
+  reg.callback(telemetry::MetricKind::Counter, "evil_total", [] { return 5.0; }, "h",
+               {{"label", evil}});
   reg.gauge("temperature", "", {{"unit", "C"}}).set(-2.25);
   const std::string text = telemetry::to_prometheus(reg.snapshot());
   // On the wire the label value is one escaped line, newline included.
@@ -191,27 +166,74 @@ TEST(Exposition, PrometheusRoundTripSurvivesHostileLabels) {
   EXPECT_DOUBLE_EQ(metric_sum(parsed, "temperature", {{"unit", "C"}}), -2.25);
 }
 
-TEST(Exposition, HistogramRendersCumulativeBucketsAndHeadersOnce) {
+TEST(Exposition, HeadersAppearOncePerMetricName) {
   telemetry::Registry reg;
-  telemetry::Histogram h = reg.histogram("lat_seconds", {1.0, 10.0});
-  h.observe(0.5);
-  h.observe(5.0);
-  h.observe(50.0);
   // Two series of one name: HELP/TYPE must appear once, before both.
-  reg.counter("dup_total", "once", {{"a", "1"}}).inc();
-  reg.counter("dup_total", "once", {{"a", "2"}}).inc();
+  reg.callback(telemetry::MetricKind::Counter, "dup_total", [] { return 1.0; }, "once",
+               {{"a", "1"}});
+  reg.callback(telemetry::MetricKind::Counter, "dup_total", [] { return 2.0; }, "once",
+               {{"a", "2"}});
+  reg.gauge("temperature").set(0.5);
   const std::string text = telemetry::to_prometheus(reg.snapshot());
-  EXPECT_NE(text.find("# TYPE lat_seconds histogram"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"1\"} 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"10\"} 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat_seconds_sum 55.5"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat_seconds_count 3"), std::string::npos) << text;
   const std::size_t first = text.find("# TYPE dup_total counter");
-  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(first, std::string::npos) << text;
   EXPECT_EQ(text.find("# TYPE dup_total counter", first + 1), std::string::npos)
       << "HELP/TYPE repeated for labelled series of one name:\n"
       << text;
+  EXPECT_EQ(text.find("# HELP dup_total", text.find("# HELP dup_total") + 1), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dup_total{a=\"1\"} 1\ndup_total{a=\"2\"} 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("# TYPE temperature gauge\ntemperature 0.5\n"), std::string::npos) << text;
+}
+
+TEST(Exposition, MalformedLinesAreDropped) {
+  // Each `m` line breaks the format in one place; none may be counted,
+  // under `m` or under any other series.
+  const std::string text =
+      "# HELP m a metric\n"
+      "m{a=1} 5\n"                  // unquoted label value
+      "m{a=\"1\",b} 2\n"            // label without a value
+      "m{a=\"1\"} 12abc\n"          // value not wholly a number
+      "m{a=\"1\"} 0x10\n"           // hexadecimal value
+      "m{a=\"1\"b=\"2\"} 3\n"       // no comma between pairs
+      "m{a=\"1\",} 3\n"             // comma after the last pair
+      "m{a=\"1\" } 3\n"             // blank inside the braces
+      "m{a=\"1} 4\n"                // unterminated value
+      "m{a=\"1\"\n"                 // unterminated block
+      "m{a=\"1\"}\n"                // no value
+      "m{a=\"1\"}7\n"               // no blank before the value
+      "m 1 2 3\n"                   // a token after the timestamp
+      "m 1 1.5\n"                   // timestamp not an integer
+      "m 1e\n"                      // exponent without digits
+      "m .\n"                       // no digits at all
+      "m inf\n"                     // non-finite spelled otherwise than +Inf
+      "m +-5\n"                     // two signs
+      "1m 4\n"                      // metric name starting with a digit
+      "{a=\"1\"} 4\n"               // no metric name
+      "good{a=\"1\",b=\"q\\\"}x\"} 6 1700000000000\n"
+      "up_inf{a=\"\"} +Inf\n"
+      "down_inf -Inf\n"
+      "not_a_number NaN\n"
+      "small -2.5e-3\n"
+      "frac .5\n"
+      "bare 7\n";
+  const std::vector<telemetry::ParsedSample> parsed = telemetry::parse_prometheus(text);
+  std::vector<std::string> names;
+  for (const telemetry::ParsedSample& s : parsed) names.push_back(s.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"good", "up_inf", "down_inf", "not_a_number",
+                                              "small", "frac", "bare"}));
+  ASSERT_EQ(parsed.size(), 7u);
+  // Escapes are honoured: the quoted `}` and `\"` belong to the value.
+  EXPECT_EQ(parsed[0].labels,
+            (telemetry::Labels{{"a", "1"}, {"b", "q\"}x"}}));
+  EXPECT_DOUBLE_EQ(parsed[0].value, 6.0);
+  EXPECT_EQ(parsed[1].labels, (telemetry::Labels{{"a", ""}}));
+  EXPECT_TRUE(std::isinf(parsed[1].value) && parsed[1].value > 0);
+  EXPECT_TRUE(std::isinf(parsed[2].value) && parsed[2].value < 0);
+  EXPECT_TRUE(std::isnan(parsed[3].value));
+  EXPECT_DOUBLE_EQ(parsed[4].value, -2.5e-3);
+  EXPECT_DOUBLE_EQ(parsed[5].value, 0.5);
+  EXPECT_DOUBLE_EQ(parsed[6].value, 7.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,8 +241,8 @@ TEST(Exposition, HistogramRendersCumulativeBucketsAndHeadersOnce) {
 // ---------------------------------------------------------------------------
 
 /// GET `path` against `server` from a client thread while this thread pumps
-/// the poll loop — handlers therefore run on the calling (test) thread,
-/// which is what keeps runtime scrapes ordered against worker barriers.
+/// the poll loop — handlers therefore run on the calling (test) thread, so
+/// a scrape lands at a known point of the test's worker barriers.
 std::optional<std::string> pump_get(telemetry::Server& server, const std::string& path) {
   std::promise<std::optional<std::string>> result;
   std::future<std::optional<std::string>> fut = result.get_future();
@@ -338,8 +360,8 @@ TEST_F(LiveTelemetryTest, EndToEndTracedRunServesAdvancingMetricsAndParityReport
   R.trace_start(topts);
 
   // Two-phase worker parked at a condvar between phases; every scrape below
-  // happens while the worker is parked (or joined), so the callback reads
-  // are ordered after its counter writes by the barrier mutex.
+  // happens while the worker is parked (or joined), so each phase's counts
+  // are exact when scraped.
   std::mutex m;
   std::condition_variable cv;
   int ready = 0;
@@ -413,8 +435,7 @@ TEST_F(LiveTelemetryTest, EndToEndTracedRunServesAdvancingMetricsAndParityReport
   // The region carries its wall-clock self-time into the report.
   EXPECT_NE(report->find("\"seconds\":"), std::string::npos);
 
-  // /profile (quiescent here: worker joined) serves the profile dump with
-  // the seconds column.
+  // /profile serves the profile dump with the seconds column.
   const std::optional<std::string> profile = pump_get(server, "/profile");
   ASSERT_TRUE(profile.has_value());
   EXPECT_NE(profile->find("telemetry/live"), std::string::npos);
@@ -422,6 +443,228 @@ TEST_F(LiveTelemetryTest, EndToEndTracedRunServesAdvancingMetricsAndParityReport
 
   server.stop();
   std::remove(path.c_str());
+}
+
+/// Last value seen per series name; counts every read that stepped back.
+struct MonotoneSeries {
+  std::map<std::string, double> last;
+  u64 steps_back = 0;
+  std::string first_step_back;
+
+  /// `slack` absorbs the last-ulp differences a floating-point sum may show
+  /// when a retiring thread changes its summation order (seconds only).
+  void see(const std::string& series, double v, double slack = 0.0) {
+    auto [it, fresh] = last.try_emplace(series, v);
+    if (!fresh && v < it->second - slack * it->second) {
+      if (steps_back++ == 0) {
+        first_step_back = series + ": " + std::to_string(it->second) + " -> " + std::to_string(v);
+      }
+    }
+    if (v > it->second) it->second = v;
+  }
+};
+
+/// `"key": <number>` from one /profile row (counts below 2^53 are exact).
+double json_number(const std::string& row, const std::string& key) {
+  const std::size_t at = row.find("\"" + key + "\": ");
+  if (at == std::string::npos) return 0.0;
+  return std::stod(row.substr(at + key.size() + 4));
+}
+
+// The live reads need no barrier (DESIGN.md §7). Four workers count scalar
+// ops, batch ops and memory traffic in four regions, two of which first
+// appear mid-run, and two workers exit mid-run. Meanwhile this thread calls
+// counters() and region_profiles() and GETs /metrics and /profile in a loop
+// that synchronizes with nothing the workers do (the round counter they
+// poll is relaxed). Every series read must be non-decreasing, and after the
+// join the thread totals, the region rows and /metrics all hold the exact op
+// count. Under TSan (CI) any unsynchronized access fails the suite.
+TEST_F(LiveTelemetryTest, BarrierFreeReadsAreMonotoneAndExact) {
+  rt::register_runtime_metrics();
+  telemetry::Server server;
+  rt::add_runtime_endpoints(server);
+  ASSERT_TRUE(server.listen(0)) << server.error();
+  std::atomic<bool> stop_pump{false};
+  std::thread pump([&] {
+    while (!stop_pump.load(std::memory_order_relaxed)) server.poll(2);
+  });
+
+  constexpr int kWorkers = 4;
+  constexpr std::size_t kLanes = 37;
+  constexpr u64 kScalarBytes = 24;
+  R.set_region_profiling(true);
+  std::atomic<int> rounds{0};  // reader rounds completed
+  std::atomic<int> running{kWorkers};
+  std::vector<u64> iters(kWorkers, 0);  // each worker's own slot, read after join
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      Runtime& rt = Runtime::instance();
+      const std::vector<double> a(kLanes, 1.5);
+      const std::vector<double> b(kLanes, 2.0);
+      std::vector<double> out(kLanes);
+      const int last_round = w < 2 ? 2 : 5;  // workers 0 and 1 exit mid-run
+      u64 n = 0;
+      for (bool last = false; !last; ++n) {
+        const int round = rounds.load(std::memory_order_relaxed);
+        last = n >= 50 && round >= last_round;
+        {
+          Region r("live/scalar");
+          TruncScope scope(8, 12);
+          (void)rt.op2(rt::OpKind::Add, 1.0, 2.0);
+          (void)rt.op1(rt::OpKind::Sqrt, 2.0);
+          rt.count_mem(kScalarBytes);
+        }
+        // Labels the reader's first round cannot have seen; every worker's
+        // last iteration uses one.
+        const bool late = n >= 25 && round >= 1;
+        Region r(!late ? "live/batch" : w % 2 == 0 ? "live/late/even" : "live/late/odd");
+        (void)rt.op2_batch(rt::OpKind::Mul, a.data(), b.data(), out.data(), kLanes);
+        rt.count_mem(kLanes * sizeof(double));
+      }
+      iters[static_cast<std::size_t>(w)] = n;
+      running.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+
+  MonotoneSeries seen;
+  const std::uint16_t port = server.port();
+  const auto read_all = [&] {
+    const rt::CounterSnapshot c = R.counters();
+    seen.see("counters.trunc_flops", static_cast<double>(c.trunc_flops));
+    seen.see("counters.full_flops", static_cast<double>(c.full_flops));
+    seen.see("counters.trunc_bytes", static_cast<double>(c.trunc_bytes));
+    seen.see("counters.full_bytes", static_cast<double>(c.full_bytes));
+    for (int k = 0; k < rt::kNumOpKinds; ++k) {
+      seen.see("counters.trunc." + std::to_string(k), static_cast<double>(c.trunc_by_kind[k]));
+      seen.see("counters.full." + std::to_string(k), static_cast<double>(c.full_by_kind[k]));
+    }
+    for (const rt::RegionProfileEntry& e : R.region_profiles()) {
+      const rt::CounterSnapshot& p = e.profile.counters;
+      seen.see("profiles." + e.label + ".flops", static_cast<double>(p.total_flops()));
+      seen.see("profiles." + e.label + ".bytes", static_cast<double>(p.total_bytes()));
+      seen.see("profiles." + e.label + ".seconds", e.profile.seconds, 1e-12);
+    }
+    if (const std::optional<std::string> body = telemetry::http_get(port, "/metrics")) {
+      for (const telemetry::ParsedSample& s : telemetry::parse_prometheus(*body)) {
+        std::string series = "metrics." + s.name;
+        for (const auto& [k, v] : s.labels) series += "," + k + "=" + v;
+        seen.see(series, s.value);
+      }
+    } else {
+      ADD_FAILURE() << "GET /metrics failed";
+    }
+    if (const std::optional<std::string> body = telemetry::http_get(port, "/profile")) {
+      std::istringstream rows(*body);
+      for (std::string row; std::getline(rows, row);) {
+        const std::size_t at = row.find("\"region\": \"");
+        if (at == std::string::npos) continue;
+        const std::string label = row.substr(at + 11, row.find('"', at + 11) - (at + 11));
+        for (const char* key : {"trunc_flops", "full_flops", "trunc_bytes", "full_bytes"}) {
+          seen.see("profile." + label + "." + key, json_number(row, key));
+        }
+        // The dump prints six significant digits, so a sum rounded there
+        // may show the summation-order ulp as one step in the last digit.
+        seen.see("profile." + label + ".seconds", json_number(row, "seconds"), 1e-5);
+      }
+    } else {
+      ADD_FAILURE() << "GET /profile failed";
+    }
+  };
+  while (running.load(std::memory_order_relaxed) > 0) {
+    read_all();
+    rounds.store(rounds.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  for (std::thread& t : workers) t.join();
+  read_all();  // every worker has retired: the totals are final
+  stop_pump.store(true, std::memory_order_relaxed);
+  pump.join();
+  server.stop();
+  R.set_region_profiling(false);
+
+  EXPECT_EQ(seen.steps_back, 0u) << "first step back: " << seen.first_step_back;
+  EXPECT_GE(rounds.load(), 5);
+
+  u64 total_iters = 0;
+  for (const u64 n : iters) total_iters += n;
+  const u64 expect_flops = total_iters * (2 + kLanes);
+  const rt::CounterSnapshot c = R.counters();
+  EXPECT_EQ(c.total_flops(), expect_flops);
+  EXPECT_EQ(c.trunc_flops, 2 * total_iters);
+  EXPECT_EQ(c.trunc_by_kind[static_cast<int>(rt::OpKind::Add)], total_iters);
+  EXPECT_EQ(c.trunc_by_kind[static_cast<int>(rt::OpKind::Sqrt)], total_iters);
+  EXPECT_EQ(c.full_by_kind[static_cast<int>(rt::OpKind::Mul)], total_iters * kLanes);
+  EXPECT_EQ(c.trunc_bytes, total_iters * kScalarBytes);
+  EXPECT_EQ(c.full_bytes, total_iters * kLanes * sizeof(double));
+
+  u64 region_flops = 0;
+  std::vector<std::string> labels;
+  for (const rt::RegionProfileEntry& e : R.region_profiles()) {
+    region_flops += e.profile.counters.total_flops();
+    labels.push_back(e.label);
+  }
+  EXPECT_EQ(region_flops, expect_flops);
+  std::sort(labels.begin(), labels.end());
+  // <toplevel> holds the time between the two regions of an iteration.
+  EXPECT_EQ(labels, (std::vector<std::string>{"<toplevel>", "live/batch", "live/late/even",
+                                              "live/late/odd", "live/scalar"}));
+  // The last read above ran after the join, so /metrics holds the totals.
+  double ops_sum = 0.0;
+  for (const auto& [series, v] : seen.last) {
+    if (series.rfind("metrics.raptor_ops_total,", 0) == 0) ops_sum += v;
+  }
+  EXPECT_DOUBLE_EQ(ops_sum, static_cast<double>(expect_flops));
+}
+
+// raptor_trace_{events,dropped}_total are Prometheus counters, so the
+// runtime totals behind them may never step back — not even while
+// trace_stop() joins the drainer and drains the rings. A reader loops over
+// both while this thread cycles sessions; small rings make drops happen.
+TEST_F(LiveTelemetryTest, TraceTotalsNeverStepBackAcrossSessions) {
+  constexpr int kSessions = 40;
+  constexpr int kOps = 2000;
+  const std::string path = "test_telemetry_totals.rtrace";
+  std::atomic<bool> done{false};
+  u64 steps_back = 0;
+  u64 reads = 0;
+  std::thread reader([&] {
+    u64 last_events = 0;
+    u64 last_dropped = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      const u64 events = R.trace_events_total();
+      const u64 dropped = R.trace_dropped_total();
+      steps_back += static_cast<u64>(events < last_events) + static_cast<u64>(dropped < last_dropped);
+      last_events = std::max(last_events, events);
+      last_dropped = std::max(last_dropped, dropped);
+      ++reads;
+    }
+  });
+  trace::TraceOptions topts;
+  topts.path = path;
+  topts.sample_stride = 1;
+  topts.ring_capacity = 512;
+  u64 events = 0;
+  u64 dropped = 0;
+  for (int s = 0; s < kSessions; ++s) {
+    R.trace_start(topts);
+    for (int i = 0; i < kOps; ++i) (void)R.op2(rt::OpKind::Add, 1.0, 2.0);
+    const trace::TraceStats stats = R.trace_stop();
+    events += stats.events;
+    dropped += stats.dropped;
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  std::remove(path.c_str());
+
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(steps_back, 0u) << "over " << reads << " reads";
+  EXPECT_EQ(events + dropped, static_cast<u64>(kSessions) * kOps);
+  EXPECT_EQ(R.trace_events_total(), events);
+  EXPECT_EQ(R.trace_dropped_total(), dropped);
+  R.reset_all();
+  EXPECT_EQ(R.trace_events_total(), 0u);
+  EXPECT_EQ(R.trace_dropped_total(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -211,9 +211,9 @@ int selftest() {
 
   // Client round trip against an in-process server.
   telemetry::Registry& reg = telemetry::Registry::instance();
-  telemetry::Counter flops =
-      reg.counter("raptor_flops_total", "selftest", {{"path", "trunc"}});
-  flops.add(42);
+  reg.callback(
+      telemetry::MetricKind::Counter, "raptor_flops_total", [] { return 42.0; }, "selftest",
+      {{"path", "trunc"}});
   telemetry::Server server;
   server.handle("/metrics", [&reg](const telemetry::HttpRequest&) {
     telemetry::HttpResponse resp;
