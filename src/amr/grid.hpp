@@ -15,11 +15,18 @@
 //
 // The grid is templated on the scalar type T: double gives the
 // uninstrumented native substrate, raptor::Real the RAPTOR-profiled one.
+//
+// Guard fills run from a per-mesh plan (DESIGN.md §15): when the leaf set
+// changes, the grid lists every face guard cell of every level once, as a
+// copy, prolongation or restriction target held by leaf index and element
+// offset, so a fill does no neighbour search and a copied or moved grid
+// fills its own blocks.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -76,6 +83,8 @@ class AmrGrid {
     // Restriction and the regrid merge average aligned 2x2 cell pairs.
     RAPTOR_REQUIRE(cfg_.nxb % 2 == 0 && cfg_.nyb % 2 == 0, "block sizes must be even");
     RAPTOR_REQUIRE(cfg_.max_level >= 1 && cfg_.max_level <= 12, "bad max_level");
+    // The guard-fill plan holds element offsets as u32.
+    RAPTOR_REQUIRE(block_elems() <= std::numeric_limits<u32>::max(), "block too large");
     for (int iy = 0; iy < cfg_.nby; ++iy) {
       for (int ix = 0; ix < cfg_.nbx; ++ix) {
         Block b;
@@ -131,13 +140,7 @@ class AmrGrid {
   [[nodiscard]] const Block& leaf(int n) const { return leaves_[n]; }
 
   /// Cell accessor; i in [-ng, nxb+ng), j in [-ng, nyb+ng).
-  [[nodiscard]] T& at(Block& b, int var, int i, int j) const {
-    RAPTOR_ASSERT(var >= 0 && var < cfg_.nvar);
-    RAPTOR_ASSERT(i >= -cfg_.ng && i < cfg_.nxb + cfg_.ng);
-    RAPTOR_ASSERT(j >= -cfg_.ng && j < cfg_.nyb + cfg_.ng);
-    return b.data[(static_cast<std::size_t>(var) * stride_y() + (j + cfg_.ng)) * stride_x() +
-                  (i + cfg_.ng)];
-  }
+  [[nodiscard]] T& at(Block& b, int var, int i, int j) const { return b.data[index(var, i, j)]; }
   [[nodiscard]] const T& at(const Block& b, int var, int i, int j) const {
     return at(const_cast<Block&>(b), var, i, j);
   }
@@ -201,26 +204,13 @@ class AmrGrid {
 
   // -- Guard fill -------------------------------------------------------------
 
-  /// Fill all guard layers of all leaves: same-level copies, restriction
-  /// from finer neighbors, slope-limited prolongation from coarser
-  /// neighbors, and physical boundaries. Face guards only (the dimensional
-  /// split solvers and the estimator never read corner guards).
-  void fill_guards() {
-    const u64 guard_bytes = static_cast<u64>(cfg_.nvar) * 2 * cfg_.ng *
-                            (cfg_.nxb + cfg_.nyb) * 2 * sizeof(double);
-#pragma omp parallel for schedule(dynamic)
-    for (int n = 0; n < num_leaves(); ++n) {
-      Block& b = leaves_[n];
-      // The label is entered inside the parallel loop so every worker
-      // thread carries it, as in the bubble and Poisson solvers:
-      // exclusions, overrides, profiles and traces all see amr/L<k>/guard
-      // on the thread doing the work, where k is the destination block's
-      // level.
-      Region region(guard_label(b.level));
-      for (int side = 0; side < 4; ++side) fill_side(b, static_cast<Side>(side));
-      rt::Runtime::instance().count_mem(guard_bytes);
-    }
-  }
+  /// Fill all guard layers of all leaves from the guard-fill plan:
+  /// same-level copies, restriction from finer neighbors, slope-limited
+  /// prolongation from coarser neighbors, and physical boundaries. Face
+  /// guards only (the dimensional split solvers and the estimator never
+  /// read corner guards). Each thread of the team runs its contiguous share
+  /// of every level's three lists as one copy and two transfer spans.
+  void fill_guards();
 
   // -- Refinement -------------------------------------------------------------
 
@@ -293,12 +283,24 @@ class AmrGrid {
            static_cast<u64>(ix);
   }
 
+  /// Element offset of cell (var, i, j) in a block's data.
+  [[nodiscard]] std::size_t index(int var, int i, int j) const {
+    RAPTOR_ASSERT(var >= 0 && var < cfg_.nvar);
+    RAPTOR_ASSERT(i >= -cfg_.ng && i < cfg_.nxb + cfg_.ng);
+    RAPTOR_ASSERT(j >= -cfg_.ng && j < cfg_.nyb + cfg_.ng);
+    return (static_cast<std::size_t>(var) * stride_y() + (j + cfg_.ng)) * stride_x() +
+           (i + cfg_.ng);
+  }
+
+  /// Index the leaves and rebuild the guard-fill plan: runs whenever the
+  /// leaf set changes, and only then.
   void rebuild_map() {
     map_.clear();
     map_.reserve(leaves_.size() * 2);
     for (std::size_t n = 0; n < leaves_.size(); ++n) {
       map_[key_of(leaves_[n].level, leaves_[n].ix, leaves_[n].iy)] = static_cast<int>(n);
     }
+    rebuild_plan();
   }
 
   [[nodiscard]] int find_leaf(int level, int ix, int iy) const {
@@ -331,22 +333,32 @@ class AmrGrid {
   // -- Mesh transfers (grid_impl.hpp, DESIGN.md §15) ---------------------
   //
   // A transfer is a walk over its n targets: one destination cell each, the
-  // K cells its stencil reads and P native parameters of its formula.
-  // walk(emit) calls emit(target) once per target. Each formula is one
-  // template on the scalar type (detail::Restriction, detail::Prolongation).
-  // The double substrate and mem-mode run its double instantiation on each
-  // target as the walk reaches it; op-mode (T = Real) gives each target one
-  // lane of a batch::Vec per operand and runs its Vec instantiation once.
+  // K cells its stencil reads (all in one block) and P native parameters of
+  // its formula. walk(emit) calls emit(target) once per target. Each
+  // formula is one template on the scalar type (detail::Restriction,
+  // detail::Prolongation). The double substrate and mem-mode run its double
+  // instantiation on each target as the walk reaches it; op-mode (T = Real)
+  // gives each target one lane of a batch::Vec per operand and runs its Vec
+  // instantiation once.
 
+  /// What a target reads: the element offsets of its K stencil cells in
+  /// one block's data, and the P native parameters of its formula. A copy
+  /// reads one cell; its parameter is the sign it is copied with. Every
+  /// parameter (a sign, a +-1/4 offset, a limiter code) is exact in float,
+  /// which keeps the plan small.
+  template <int K, int P>
+  struct Stencil {
+    std::array<u32, K> at;
+    std::array<float, P> param;
+  };
+  /// A target as a walk emits it: the destination cell and the data of the
+  /// block its stencil reads.
   template <int K, int P>
   struct Target {
     T* dst;
-    std::array<const T*, K> src;
-    std::array<double, P> param;
+    const T* src;
+    Stencil<K, P> st;
   };
-  /// A copy reads one cell; its parameter is the sign it is copied with.
-  using CopyTarget = Target<1, 1>;
-  using ProlongTarget = Target<5, 4>;
 
   /// Run `formula` over the n targets `walk` emits.
   template <int K, int P, class Walk, class F>
@@ -356,17 +368,44 @@ class AmrGrid {
   /// flips, and in op-mode one quantize-on-move over all of them.
   template <class Walk>
   static void copy(std::size_t n, const Walk& walk);
-  /// The prolongation target of `dst` from fine position (fx, fy) of coarse
-  /// block `cb`, in fine cells. With `clamp` the stencil stays in cb's
+  /// The prolongation stencil of fine position (fx, fy), in fine cells, of
+  /// variable v in a coarse block. With `clamp` it stays in the coarse
   /// interior and keeps the one-sided difference at its edges; otherwise it
-  /// reads cb's guards and always limits with minmod.
-  ProlongTarget prolong_target(T& dst, const Block& cb, int v, int fx, int fy, bool clamp) const;
+  /// reads the coarse block's guards and always limits with minmod.
+  [[nodiscard]] Stencil<5, 4> prolong_stencil(int v, int fx, int fy, bool clamp) const;
+  /// The restriction stencil of the 2x2 fine cells from (fi, fj) up.
+  [[nodiscard]] Stencil<4, 0> restrict_stencil(int v, int fi, int fj) const;
 
-  void fill_side(Block& b, Side side);
+  // -- Guard-fill plan ------------------------------------------------------
+  //
+  // Every face guard cell of every leaf is one target of one list of its
+  // level: a copy (same-level neighbour, or the block itself across a
+  // physical boundary), a prolongation from a coarser neighbour or a
+  // restriction from finer ones. Targets name blocks by leaf index, so the
+  // plan holds for any grid with the same leaves in the same order: copies
+  // and moves of the grid, and the grid after a regrid that changes nothing.
+
+  /// A Target held by leaf index and element offset instead of pointers.
+  template <int K, int P>
+  struct PlanTarget {
+    u32 dst_leaf, dst, src_leaf;
+    Stencil<K, P> st;
+  };
+  struct LevelPlan {
+    std::vector<PlanTarget<1, 1>> copies;
+    std::vector<PlanTarget<5, 4>> prolongs;
+    std::vector<PlanTarget<4, 0>> restricts;
+  };
+
+  /// Classify every leaf side, then write each level's lists at their exact
+  /// size (their capacity is kept across rebuilds).
+  void rebuild_plan();
 
   GridConfig cfg_;
   std::vector<Block> leaves_;
   std::unordered_map<u64, int> map_;
+  /// The guard-fill plan, index level - 1.
+  std::vector<LevelPlan> plan_;
   /// Cached per-level labels {guard, prolong, restrict}, index level - 1.
   std::vector<std::array<std::string, 3>> labels_;
 };

@@ -6,11 +6,21 @@
 // walks its targets once through copy() or transfer(), which run the
 // formula natively on double (the native substrate and mem-mode) or as one
 // batch::Vec instantiation (op-mode, DESIGN.md §15).
+//
+// The guard fill walks the plan rebuild_plan() writes when the leaf set
+// changes: per level and thread, one copy, one prolongation and one
+// restriction call. A regrid collects its merge and split targets afresh
+// and runs one restriction and one prolongation call per level.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <tuple>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "amr/grid.hpp"
 #include "trunc/span_ops.hpp"
@@ -27,7 +37,7 @@ inline double minmod(double a, double b) {
 /// parameter of the formula). A clamped stencil reads the centre cell in
 /// place of a missing neighbour, so the difference on that side is
 /// computed (and counted) but never kept.
-inline constexpr double kSlopeMinmod = 0.0, kSlopeLo = 1.0, kSlopeHi = 2.0;
+inline constexpr float kSlopeMinmod = 0.0F, kSlopeLo = 1.0F, kSlopeHi = 2.0F;
 
 inline double select_slope(double code, double dm, double dp) {
   if (code == kSlopeLo) return dm;
@@ -61,6 +71,7 @@ template <class T>
 template <int K, int P, class Walk, class F>
 void AmrGrid<T>::transfer(std::size_t n, const Walk& walk, const F& formula) {
   using Tgt = Target<K, P>;
+  if (n == 0) return;
   if constexpr (std::is_same_v<T, Real>) {
     if (rt::Runtime::instance().mode() == rt::Mode::Op) {
       // One lane per target: the walk writes every operand's lane and the
@@ -76,8 +87,8 @@ void AmrGrid<T>::transfer(std::size_t n, const Walk& walk, const F& formula) {
       std::size_t k = 0;
       walk([&](const Tgt& t) {
         RAPTOR_ASSERT(k < n);
-        for (int o = 0; o < K; ++o) lanes[o][k] = t.src[o]->raw();
-        for (int p = 0; p < P; ++p) lanes[K + p][k] = t.param[p];
+        for (int o = 0; o < K; ++o) lanes[o][k] = t.src[t.st.at[o]].raw();
+        for (int p = 0; p < P; ++p) lanes[K + p][k] = t.st.param[p];
         dst[k++] = t.dst;
       });
       RAPTOR_REQUIRE(k == n, "mesh transfer: target count mismatch");
@@ -88,8 +99,8 @@ void AmrGrid<T>::transfer(std::size_t n, const Walk& walk, const F& formula) {
   }
   walk([&](const Tgt& t) {
     std::array<double, K + P> x{};
-    for (int o = 0; o < K; ++o) x[o] = to_double(*t.src[o]);
-    for (int p = 0; p < P; ++p) x[K + p] = t.param[p];
+    for (int o = 0; o < K; ++o) x[o] = to_double(t.src[t.st.at[o]]);
+    for (int p = 0; p < P; ++p) x[K + p] = t.st.param[p];
     *t.dst = T(std::apply(formula, x));
   });
 }
@@ -97,6 +108,8 @@ void AmrGrid<T>::transfer(std::size_t n, const Walk& walk, const F& formula) {
 template <class T>
 template <class Walk>
 void AmrGrid<T>::copy(std::size_t n, const Walk& walk) {
+  using Tgt = Target<1, 1>;
+  if (n == 0) return;
   if constexpr (std::is_same_v<T, Real>) {
     if (rt::Runtime::instance().mode() == rt::Mode::Op) {
       // Quantize-on-move (the array `_raptor_pre_c`, not a counted op). The
@@ -105,10 +118,10 @@ void AmrGrid<T>::copy(std::size_t n, const Walk& walk) {
       double* lanes = x.data();
       batch::detail::Lanes<T*> dst(n);
       std::size_t k = 0;
-      walk([&](const CopyTarget& t) {
+      walk([&](const Tgt& t) {
         RAPTOR_ASSERT(k < n);
-        const double raw = t.src[0]->raw();
-        lanes[k] = t.param[0] < 0 ? -raw : raw;
+        const double raw = t.src[t.st.at[0]].raw();
+        lanes[k] = t.st.param[0] < 0 ? -raw : raw;
         dst[k++] = t.dst;
       });
       RAPTOR_REQUIRE(k == n, "mesh transfer: target count mismatch");
@@ -117,133 +130,221 @@ void AmrGrid<T>::copy(std::size_t n, const Walk& walk) {
       return;
     }
   }
-  walk([](const CopyTarget& t) {
-    *t.dst = t.param[0] < 0 ? T(-to_double(*t.src[0])) : *t.src[0];
+  walk([](const Tgt& t) {
+    const T& src = t.src[t.st.at[0]];
+    *t.dst = t.st.param[0] < 0 ? T(-to_double(src)) : src;
   });
 }
 
 template <class T>
-auto AmrGrid<T>::prolong_target(T& dst, const Block& cb, int v, int fx, int fy, bool clamp) const
-    -> ProlongTarget {
-  const int ci = fx >> 1, cj = fy >> 1;
-  // The neighbours of coarse index c in a direction of n cells, and the
-  // limiter code that goes with them.
-  const auto lo = [&](int c) { return clamp ? std::max(c - 1, 0) : c - 1; };
-  const auto hi = [&](int c, int n) { return clamp ? std::min(c + 1, n - 1) : c + 1; };
-  const auto code = [&](int c, int n) -> double {
+auto AmrGrid<T>::prolong_stencil(int v, int fx, int fy, bool clamp) const -> Stencil<5, 4> {
+  const int ci = fx >> 1, cj = fy >> 1, nxb = cfg_.nxb, nyb = cfg_.nyb;
+  // The limiter code of coarse index c in a direction of n cells: a clamped
+  // stencil reads the centre in place of a missing neighbour.
+  const auto code = [&](int c, int n) {
     if (!clamp || (c > 0 && c < n - 1)) return detail::kSlopeMinmod;
     return c > 0 ? detail::kSlopeLo : detail::kSlopeHi;
   };
-  const auto u = [&](int i, int j) { return &at(cb, v, i, j); };
-  const int nxb = cfg_.nxb, nyb = cfg_.nyb;
-  return {&dst,
-          {u(ci, cj), u(lo(ci), cj), u(hi(ci, nxb), cj), u(ci, lo(cj)), u(ci, hi(cj, nyb))},
-          {(fx & 1) ? 0.25 : -0.25, (fy & 1) ? 0.25 : -0.25, code(ci, nxb), code(cj, nyb)}};
+  const auto c = static_cast<u32>(index(v, ci, cj));
+  const auto sx = static_cast<u32>(stride_x());
+  return {{c, clamp && ci == 0 ? c : c - 1, clamp && ci == nxb - 1 ? c : c + 1,
+           clamp && cj == 0 ? c : c - sx, clamp && cj == nyb - 1 ? c : c + sx},
+          {(fx & 1) ? 0.25F : -0.25F, (fy & 1) ? 0.25F : -0.25F, code(ci, nxb), code(cj, nyb)}};
 }
 
 template <class T>
-void AmrGrid<T>::fill_side(Block& b, Side side) {
-  const int ng = cfg_.ng, nxb = cfg_.nxb, nyb = cfg_.nyb;
-  // The side's guard cells [i0, i1) x [j0, j1), the neighbour block's
-  // coordinates and the shift (di, dj) from a guard cell to the same cell
-  // in the neighbour's frame.
-  int i0 = 0, i1 = nxb, j0 = 0, j1 = nyb, di = 0, dj = 0;
-  int nix = b.ix, niy = b.iy;
-  switch (side) {
-    case Side::XLo: i0 = -ng; i1 = 0; di = nxb; --nix; break;
-    case Side::XHi: i0 = nxb; i1 = nxb + ng; di = -nxb; ++nix; break;
-    case Side::YLo: j0 = -ng; j1 = 0; dj = nyb; --niy; break;
-    case Side::YHi: j0 = nyb; j1 = nyb + ng; dj = -nyb; ++niy; break;
+auto AmrGrid<T>::restrict_stencil(int v, int fi, int fj) const -> Stencil<4, 0> {
+  const auto f00 = static_cast<u32>(index(v, fi, fj));
+  const auto sx = static_cast<u32>(stride_x());
+  return {{f00, f00 + 1, f00 + sx, f00 + sx + 1}, {}};
+}
+
+template <class T>
+void AmrGrid<T>::fill_guards() {
+  // A guard cell is read from its source once and written once.
+  constexpr u64 kBytesPerGuard = 2 * sizeof(double);
+#pragma omp parallel
+  {
+#ifdef _OPENMP
+    const auto t = static_cast<std::size_t>(omp_get_thread_num());
+    const auto nt = static_cast<std::size_t>(omp_get_num_threads());
+#else
+    const std::size_t t = 0, nt = 1;
+#endif
+    // This thread's contiguous share of a plan list.
+    const auto share = [&](const auto& list) {
+      const std::size_t n = list.size(), b = n * t / nt;
+      return std::span(list).subspan(b, n * (t + 1) / nt - b);
+    };
+    // The walk over plan entries, resolved against this grid's leaves.
+    const auto walk = [this](auto entries) {
+      return [this, entries](const auto& emit) {
+        for (const auto& pt : entries) {
+          emit({leaves_[pt.dst_leaf].data.data() + pt.dst, leaves_[pt.src_leaf].data.data(),
+                pt.st});
+        }
+      };
+    };
+    for (std::size_t l = 0; l < plan_.size(); ++l) {
+      const auto copies = share(plan_[l].copies);
+      const auto prolongs = share(plan_[l].prolongs);
+      const auto restricts = share(plan_[l].restricts);
+      const std::size_t cells = copies.size() + prolongs.size() + restricts.size();
+      if (cells == 0) continue;
+      // The label is entered on every thread with a share, as in the bubble
+      // and Poisson solvers: exclusions, overrides, profiles and traces all
+      // see amr/L<k>/guard on the thread doing the work, where k is the
+      // destination blocks' level.
+      Region region(guard_label(static_cast<int>(l) + 1));
+      copy(copies.size(), walk(copies));
+      transfer<5, 4>(prolongs.size(), walk(prolongs), detail::Prolongation{});
+      transfer<4, 0>(restricts.size(), walk(restricts), detail::Restriction{});
+      rt::Runtime::instance().count_mem(cells * kBytesPerGuard);
+    }
   }
-  const std::size_t count = static_cast<std::size_t>(cfg_.nvar) * (i1 - i0) * (j1 - j0);
-  const auto each_guard = [&](const auto& fn) {
-    for (int v = 0; v < cfg_.nvar; ++v) {
-      for (int j = j0; j < j1; ++j) {
-        for (int i = i0; i < i1; ++i) fn(v, i, j);
+}
+
+template <class T>
+void AmrGrid<T>::rebuild_plan() {
+  const int ng = cfg_.ng, nxb = cfg_.nxb, nyb = cfg_.nyb;
+  enum class Source { Physical, Same, Coarser, Finer };
+  // One leaf side: its guard cells [i0, i1) x [j0, j1), the shift (di, dj)
+  // from a guard cell to the same cell in the neighbour's frame, the
+  // neighbour's coordinates (nix, niy), periodic wrap applied, the leaves
+  // its values come from (the leaf itself across a physical boundary, the
+  // same-level or coarser neighbour, or the two finer children along the
+  // side) and its first entry in its level's list.
+  struct SideLink {
+    Source from;
+    int src[2];
+    int i0, i1, j0, j1, di, dj, nix, niy;
+    std::size_t first;
+  };
+  std::vector<SideLink> links(4 * leaves_.size());
+  std::vector<std::array<std::size_t, 3>> sizes(static_cast<std::size_t>(cfg_.max_level));
+
+  // Pass 1: every lookup of the fill, once per mesh, in leaf order.
+  for (std::size_t n = 0; n < leaves_.size(); ++n) {
+    const Block& b = leaves_[n];
+    for (int side = 0; side < 4; ++side) {
+      const auto sd = static_cast<Side>(side);
+      SideLink& s = links[4 * n + side];
+      s = {Source::Physical, {static_cast<int>(n), -1}, 0, nxb, 0, nyb, 0, 0, b.ix, b.iy, 0};
+      switch (sd) {
+        case Side::XLo: s.i0 = -ng; s.i1 = 0; s.di = nxb; --s.nix; break;
+        case Side::XHi: s.i0 = nxb; s.i1 = nxb + ng; s.di = -nxb; ++s.nix; break;
+        case Side::YLo: s.j0 = -ng; s.j1 = 0; s.dj = nyb; --s.niy; break;
+        case Side::YHi: s.j0 = nyb; s.j1 = nyb + ng; s.dj = -nyb; ++s.niy; break;
+      }
+      const int bx = blocks_x(b.level), by = blocks_y(b.level);
+      const bool physical = (s.nix < 0 || s.nix >= bx || s.niy < 0 || s.niy >= by) &&
+                            cfg_.bc[side] != BC::Periodic;
+      if (!physical) {
+        // Periodic wrap (a no-op inside the domain).
+        s.nix = (s.nix + bx) % bx;
+        s.niy = (s.niy + by) % by;
+        if (const int nb = find_leaf(b.level, s.nix, s.niy); nb >= 0) {
+          s.from = Source::Same;
+          s.src[0] = nb;
+        } else if (const int cb = find_leaf(b.level - 1, s.nix >> 1, s.niy >> 1); cb >= 0) {
+          s.from = Source::Coarser;
+          s.src[0] = cb;
+        } else {
+          // The two children along the side: fixed in the side's normal
+          // direction, both halves along it.
+          s.from = Source::Finer;
+          for (int k = 0; k < 2; ++k) {
+            const int cx = sd == Side::XLo ? 1 : sd == Side::XHi ? 0 : k;
+            const int cy = sd == Side::YLo ? 1 : sd == Side::YHi ? 0 : k;
+            s.src[k] = find_leaf(b.level + 1, 2 * s.nix + cx, 2 * s.niy + cy);
+            RAPTOR_REQUIRE(s.src[k] >= 0, "guard fill plan: 2:1 balance violated");
+          }
+        }
+      }
+      const int kind = s.from == Source::Coarser ? 1 : s.from == Source::Finer ? 2 : 0;
+      std::size_t& size = sizes[b.level - 1][kind];
+      s.first = size;
+      size += static_cast<std::size_t>(cfg_.nvar) * (s.i1 - s.i0) * (s.j1 - s.j0);
+    }
+  }
+
+  plan_.resize(sizes.size());
+  for (std::size_t l = 0; l < sizes.size(); ++l) {
+    plan_[l].copies.resize(sizes[l][0]);
+    plan_[l].prolongs.resize(sizes[l][1]);
+    plan_[l].restricts.resize(sizes[l][2]);
+  }
+
+  // Pass 2: write each side's targets, variable-major, from its first entry.
+  const auto sx = static_cast<u32>(stride_x());
+  const int num = num_leaves();
+#pragma omp parallel for schedule(static)
+  for (int n = 0; n < num; ++n) {
+    const auto leaf = static_cast<u32>(n);
+    LevelPlan& lp = plan_[leaves_[n].level - 1];
+    for (int side = 0; side < 4; ++side) {
+      const SideLink& s = links[4 * n + side];
+      const bool xdir = side < 2;  // Side::XLo or Side::XHi
+      const auto src = static_cast<u32>(s.src[0]);
+      // Writes fn(v, i, j, dst) for every guard cell (v, i, j) of the side,
+      // dst its element offset, into `list` from the side's first entry.
+      const auto each_guard = [&](auto& list, const auto& fn) {
+        auto* out = list.data() + s.first;
+        for (int v = 0; v < cfg_.nvar; ++v) {
+          for (int j = s.j0; j < s.j1; ++j) {
+            const auto row = static_cast<u32>(index(v, 0, j));
+            for (int i = s.i0; i < s.i1; ++i) *out++ = fn(v, i, j, row + i);
+          }
+        }
+      };
+      switch (s.from) {
+        case Source::Physical: {
+          // Outflow copies the edge cell; Reflect mirrors about the wall
+          // and flips the sign of the odd variables.
+          const bool reflect = cfg_.bc[side] == BC::Reflect;
+          const auto& odd = xdir ? cfg_.x_odd_vars : cfg_.y_odd_vars;
+          const auto mirror = [&](int k, int m) {
+            if (!reflect) return std::clamp(k, 0, m - 1);
+            return k < 0 ? -k - 1 : 2 * m - k - 1;
+          };
+          each_guard(lp.copies, [&](int v, int i, int j, u32 dst) {
+            const bool flip = reflect && std::find(odd.begin(), odd.end(), v) != odd.end();
+            const std::size_t from =
+                xdir ? index(v, mirror(i, nxb), j) : index(v, i, mirror(j, nyb));
+            return PlanTarget<1, 1>{leaf, dst, leaf,
+                                    {{static_cast<u32>(from)}, {flip ? -1.0F : 1.0F}}};
+          });
+          break;
+        }
+        case Source::Same: {
+          const u32 shift = s.di + s.dj * sx;
+          each_guard(lp.copies, [&](int, int, int, u32 dst) {
+            return PlanTarget<1, 1>{leaf, dst, src, {{dst + shift}, {1.0F}}};
+          });
+          break;
+        }
+        case Source::Coarser:
+          // Slope-limited prolongation from the coarse interior (its guards
+          // may not be valid during a fill).
+          each_guard(lp.prolongs, [&](int v, int i, int j, u32 dst) {
+            return PlanTarget<5, 4>{leaf, dst, src,
+                                    prolong_stencil(v, (s.nix & 1) * nxb + i + s.di,
+                                                    (s.niy & 1) * nyb + j + s.dj, /*clamp=*/true)};
+          });
+          break;
+        case Source::Finer:
+          // Conservative restriction of the 2x2 fine cells under the guard
+          // cell, from the child along the side that holds them.
+          each_guard(lp.restricts, [&](int v, int i, int j, u32 dst) {
+            const int fli = 2 * (i + s.di), flj = 2 * (j + s.dj);
+            const int cx = fli >= nxb ? 1 : 0, cy = flj >= nyb ? 1 : 0;
+            return PlanTarget<4, 0>{leaf, dst, static_cast<u32>(s.src[xdir ? cy : cx]),
+                                    restrict_stencil(v, fli - cx * nxb, flj - cy * nyb)};
+          });
+          break;
       }
     }
-  };
-
-  const int bx = blocks_x(b.level), by = blocks_y(b.level);
-  if (nix < 0 || nix >= bx || niy < 0 || niy >= by) {
-    const BC bc = cfg_.bc[static_cast<int>(side)];
-    if (bc != BC::Periodic) {
-      // Physical boundary: Outflow copies the edge cell; Reflect mirrors
-      // about the wall and flips the sign of the odd variables.
-      const bool xdir = side == Side::XLo || side == Side::XHi;
-      const bool reflect = bc == BC::Reflect;
-      const auto& odd = xdir ? cfg_.x_odd_vars : cfg_.y_odd_vars;
-      const auto mirror = [&](int k, int n) {
-        if (!reflect) return std::clamp(k, 0, n - 1);
-        return k < 0 ? -k - 1 : 2 * n - k - 1;
-      };
-      copy(count, [&](const auto& emit) {
-        each_guard([&](int v, int i, int j) {
-          const bool flip = reflect && std::find(odd.begin(), odd.end(), v) != odd.end();
-          const T& src = at(b, v, xdir ? mirror(i, nxb) : i, xdir ? j : mirror(j, nyb));
-          emit({&at(b, v, i, j), {&src}, {flip ? -1.0 : 1.0}});
-        });
-      });
-      return;
-    }
-    nix = (nix + bx) % bx;
-    niy = (niy + by) % by;
   }
-
-  // Same-level neighbour: copies of its interior cells.
-  if (const int nb = find_leaf(b.level, nix, niy); nb >= 0) {
-    const Block& src = leaves_[nb];
-    copy(count, [&](const auto& emit) {
-      each_guard([&](int v, int i, int j) {
-        emit({&at(b, v, i, j), {&at(src, v, i + di, j + dj)}, {1.0}});
-      });
-    });
-    return;
-  }
-
-  // Coarser neighbour: slope-limited prolongation from its interior (its
-  // guards may not be valid during this pass).
-  if (const int cb = find_leaf(b.level - 1, nix >> 1, niy >> 1); cb >= 0) {
-    const Block& src = leaves_[cb];
-    transfer<5, 4>(
-        count,
-        [&](const auto& emit) {
-          each_guard([&](int v, int i, int j) {
-            emit(prolong_target(at(b, v, i, j), src, v, (nix & 1) * nxb + i + di,
-                                (niy & 1) * nyb + j + dj, /*clamp=*/true));
-          });
-        },
-        detail::Prolongation{});
-    return;
-  }
-
-  // Finer neighbours: conservative restriction of the 2x2 fine cells under
-  // each guard cell, from the two children along this side.
-  const Block* kids[2][2] = {};
-  const auto kid = [&](int cx, int cy) -> const Block& {
-    const Block*& k = kids[cy][cx];
-    if (k == nullptr) {
-      const int child = find_leaf(b.level + 1, 2 * nix + cx, 2 * niy + cy);
-      RAPTOR_REQUIRE(child >= 0, "guard fill: 2:1 balance violated");
-      k = &leaves_[child];
-    }
-    return *k;
-  };
-  transfer<4, 0>(
-      count,
-      [&](const auto& emit) {
-        each_guard([&](int v, int i, int j) {
-          const int fli = 2 * (i + di), flj = 2 * (j + dj);
-          const int cx = fli >= nxb ? 1 : 0, cy = flj >= nyb ? 1 : 0;
-          const Block& fb = kid(cx, cy);
-          const int fi = fli - cx * nxb, fj = flj - cy * nyb;
-          emit({&at(b, v, i, j),
-                {&at(fb, v, fi, fj), &at(fb, v, fi + 1, fj), &at(fb, v, fi, fj + 1),
-                 &at(fb, v, fi + 1, fj + 1)},
-                {}});
-        });
-      },
-      detail::Restriction{});
 }
 
 template <class T>
@@ -363,13 +464,37 @@ int AmrGrid<T>::regrid() {
   }
 
   // 4. Apply: merge sibling quartets flagged for derefinement, split leaves
-  //    flagged for refinement, keep the rest. A merged parent and a split
-  //    child each take one value per variable and interior cell.
+  //    flagged for refinement, keep the rest. The new leaves are laid out
+  //    first, merged parents ahead of the kept and split leaves in leaf
+  //    order; then the merges producing level-k parents run as one
+  //    restriction span under amr/L<k>/restrict and the splits creating
+  //    level-k children as one prolongation span under amr/L<k>/prolong. A
+  //    merged parent and a split child each take one value per variable and
+  //    interior cell.
   const std::size_t block_cells = static_cast<std::size_t>(cfg_.nvar) * cfg_.nxb * cfg_.nyb;
+  struct Merge {
+    int parent;      ///< in out
+    int kids[2][2];  ///< in leaves_, [cy][cx]
+  };
+  struct Split {
+    int parent;  ///< in leaves_
+    int kids;    ///< the first of its four children in out, cy-major
+  };
   std::vector<Block> out;
   out.reserve(leaves_.size());
   std::vector<bool> consumed(n, false);
+  // By the level of the blocks they write, index level - 1.
+  std::vector<std::vector<Merge>> merges(static_cast<std::size_t>(cfg_.max_level));
+  std::vector<std::vector<Split>> splits(static_cast<std::size_t>(cfg_.max_level));
   int changes = 0;
+  const auto new_block = [&](int level, int ix, int iy) {
+    Block nb;
+    nb.level = level;
+    nb.ix = ix;
+    nb.iy = iy;
+    nb.data.assign(block_elems(), T(0.0));
+    out.push_back(std::move(nb));
+  };
 
   for (int i = 0; i < n; ++i) {
     if (consumed[i]) continue;
@@ -377,47 +502,21 @@ int AmrGrid<T>::regrid() {
     if (desired[i] >= b.level) continue;
     // Candidate merge: locate all four siblings.
     const int pix = b.ix >> 1, piy = b.iy >> 1;
-    int sib[2][2];
+    Merge m{static_cast<int>(out.size()), {}};
     bool ok = true;
     for (int cy = 0; cy <= 1 && ok; ++cy) {
       for (int cx = 0; cx <= 1 && ok; ++cx) {
         const int s = find_leaf(b.level, 2 * pix + cx, 2 * piy + cy);
         ok = s >= 0 && !consumed[s] && desired[s] < leaves_[s].level;
-        sib[cy][cx] = s;
+        m.kids[cy][cx] = s;
       }
     }
     if (!ok) continue;
-    Block parent;
-    parent.level = b.level - 1;
-    parent.ix = pix;
-    parent.iy = piy;
-    parent.data.assign(block_elems(), T(0.0));
-    Region region(restrict_label(parent.level));
-    const int hx = cfg_.nxb / 2, hy = cfg_.nyb / 2;
-    transfer<4, 0>(
-        block_cells,
-        [&](const auto& emit) {
-          for (int cy = 0; cy <= 1; ++cy) {
-            for (int cx = 0; cx <= 1; ++cx) {
-              const Block& ch = leaves_[sib[cy][cx]];
-              for (int v = 0; v < cfg_.nvar; ++v) {
-                for (int j = 0; j < cfg_.nyb; j += 2) {
-                  for (int ii = 0; ii < cfg_.nxb; ii += 2) {
-                    emit({&at(parent, v, cx * hx + ii / 2, cy * hy + j / 2),
-                          {&at(ch, v, ii, j), &at(ch, v, ii + 1, j), &at(ch, v, ii, j + 1),
-                           &at(ch, v, ii + 1, j + 1)},
-                          {}});
-                  }
-                }
-              }
-            }
-          }
-        },
-        detail::Restriction{});
-    for (const auto& row : sib) {
+    for (const auto& row : m.kids) {
       for (const int s : row) consumed[s] = true;
     }
-    out.push_back(std::move(parent));
+    merges[b.level - 2].push_back(m);
+    new_block(b.level - 1, pix, piy);
     ++changes;
   }
 
@@ -428,40 +527,73 @@ int AmrGrid<T>::regrid() {
       out.push_back(std::move(b));
       continue;
     }
-    // Split into four children with slope-limited prolongation (guards of b
-    // are valid: regrid filled them above, so the stencil always has both
-    // neighbors and the limiter is always the two-sided minmod).
-    Region region(prolong_label(b.level + 1));
+    splits[b.level].push_back({i, static_cast<int>(out.size())});
     for (int cy = 0; cy <= 1; ++cy) {
-      for (int cx = 0; cx <= 1; ++cx) {
-        Block ch;
-        ch.level = b.level + 1;
-        ch.ix = 2 * b.ix + cx;
-        ch.iy = 2 * b.iy + cy;
-        ch.data.assign(block_elems(), T(0.0));
-        transfer<5, 4>(
-            block_cells,
-            [&](const auto& emit) {
-              for (int v = 0; v < cfg_.nvar; ++v) {
-                for (int j = 0; j < cfg_.nyb; ++j) {
-                  for (int ii = 0; ii < cfg_.nxb; ++ii) {
-                    emit(prolong_target(at(ch, v, ii, j), b, v, cx * cfg_.nxb + ii,
-                                        cy * cfg_.nyb + j, /*clamp=*/false));
-                  }
-                }
-              }
-            },
-            detail::Prolongation{});
-        out.push_back(std::move(ch));
-      }
+      for (int cx = 0; cx <= 1; ++cx) new_block(b.level + 1, 2 * b.ix + cx, 2 * b.iy + cy);
     }
     ++changes;
   }
 
+  const int nxb = cfg_.nxb, nyb = cfg_.nyb, hx = nxb / 2, hy = nyb / 2;
+  for (int l = 1; l <= cfg_.max_level; ++l) {
+    if (const auto& level_merges = merges[l - 1]; !level_merges.empty()) {
+      Region region(restrict_label(l));
+      transfer<4, 0>(
+          level_merges.size() * block_cells,
+          [&](const auto& emit) {
+            for (const Merge& m : level_merges) {
+              Block& parent = out[m.parent];
+              for (int cy = 0; cy <= 1; ++cy) {
+                for (int cx = 0; cx <= 1; ++cx) {
+                  const T* ch = leaves_[m.kids[cy][cx]].data.data();
+                  for (int v = 0; v < cfg_.nvar; ++v) {
+                    for (int j = 0; j < nyb; j += 2) {
+                      for (int ii = 0; ii < nxb; ii += 2) {
+                        emit({&at(parent, v, cx * hx + ii / 2, cy * hy + j / 2), ch,
+                              restrict_stencil(v, ii, j)});
+                      }
+                    }
+                  }
+                }
+              }
+            }
+          },
+          detail::Restriction{});
+    }
+    // Split prolongation reads the parent's guards (regrid filled them
+    // above), so its stencil always has both neighbours and the limiter is
+    // always the two-sided minmod.
+    if (const auto& level_splits = splits[l - 1]; !level_splits.empty()) {
+      Region region(prolong_label(l));
+      transfer<5, 4>(
+          4 * level_splits.size() * block_cells,
+          [&](const auto& emit) {
+            for (const Split& s : level_splits) {
+              const Block& b = leaves_[s.parent];
+              for (int cy = 0; cy <= 1; ++cy) {
+                for (int cx = 0; cx <= 1; ++cx) {
+                  Block& ch = out[s.kids + 2 * cy + cx];
+                  for (int v = 0; v < cfg_.nvar; ++v) {
+                    for (int j = 0; j < nyb; ++j) {
+                      for (int ii = 0; ii < nxb; ++ii) {
+                        emit({&at(ch, v, ii, j), b.data.data(),
+                              prolong_stencil(v, cx * nxb + ii, cy * nyb + j, /*clamp=*/false)});
+                      }
+                    }
+                  }
+                }
+              }
+            }
+          },
+          detail::Prolongation{});
+    }
+  }
+
   // Kept blocks were moved into `out` regardless of whether anything
-  // changed, so the swap is unconditional.
+  // changed, so the swap is unconditional. When nothing changed, `out`
+  // holds the same blocks in the same order, and the plan still holds.
   leaves_ = std::move(out);
-  rebuild_map();
+  if (changes > 0) rebuild_map();
   return changes;
 }
 

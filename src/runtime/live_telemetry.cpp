@@ -37,32 +37,44 @@ void register_runtime_metrics(telemetry::Registry& reg) {
   Runtime& R = Runtime::instance();
   using telemetry::MetricKind;
 
+  // One counters() merge per snapshot, taken by the hook: every op, flop
+  // and byte series of a render reads the same instant. A flop total is
+  // rendered as the sum of that instant's per-kind counts, because a worker
+  // bumps its total and its kind's count in two stores and the merge may
+  // land between them.
+  auto counts = std::make_shared<CounterSnapshot>();
+  reg.snapshot_hook("raptor_counters", [&R, counts] { *counts = R.counters(); });
+  const auto sum = [](const auto& by_kind) {
+    u64 total = 0;
+    for (const u64 n : by_kind) total += n;
+    return u2d(total);
+  };
   for (int k = 0; k < kNumOpKinds; ++k) {
     const char* kind = op_name(static_cast<OpKind>(k));
+    const auto i = static_cast<std::size_t>(k);
     reg.callback(
         MetricKind::Counter, "raptor_ops_total",
-        [&R, k] { return u2d(R.counters().trunc_by_kind[static_cast<std::size_t>(k)]); },
+        [counts, i] { return u2d(counts->trunc_by_kind[i]); },
         "Instrumented FP operations by op kind", {{"kind", kind}, {"path", "trunc"}});
     reg.callback(
         MetricKind::Counter, "raptor_ops_total",
-        [&R, k] { return u2d(R.counters().full_by_kind[static_cast<std::size_t>(k)]); },
+        [counts, i] { return u2d(counts->full_by_kind[i]); },
         "Instrumented FP operations by op kind", {{"kind", kind}, {"path", "full"}});
   }
   reg.callback(
       MetricKind::Counter, "raptor_flops_total",
-      [&R] { return u2d(R.counters().trunc_flops); },
+      [counts, sum] { return sum(counts->trunc_by_kind); },
       "Instrumented FP operations (paper §3.4 counters)", {{"path", "trunc"}});
   reg.callback(
-      MetricKind::Counter, "raptor_flops_total", [&R] { return u2d(R.counters().full_flops); },
+      MetricKind::Counter, "raptor_flops_total",
+      [counts, sum] { return sum(counts->full_by_kind); },
       "Instrumented FP operations (paper §3.4 counters)", {{"path", "full"}});
   reg.callback(
-      MetricKind::Counter, "raptor_mem_bytes_total",
-      [&R] { return u2d(R.counters().trunc_bytes); }, "Counted memory traffic in bytes",
-      {{"path", "trunc"}});
+      MetricKind::Counter, "raptor_mem_bytes_total", [counts] { return u2d(counts->trunc_bytes); },
+      "Counted memory traffic in bytes", {{"path", "trunc"}});
   reg.callback(
-      MetricKind::Counter, "raptor_mem_bytes_total",
-      [&R] { return u2d(R.counters().full_bytes); }, "Counted memory traffic in bytes",
-      {{"path", "full"}});
+      MetricKind::Counter, "raptor_mem_bytes_total", [counts] { return u2d(counts->full_bytes); },
+      "Counted memory traffic in bytes", {{"path", "full"}});
 
   reg.callback(
       MetricKind::Gauge, "raptor_mem_live", [&R] { return u2d(R.mem_live()); },

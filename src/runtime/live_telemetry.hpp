@@ -7,7 +7,8 @@
 //
 //   register_runtime_metrics(reg)  one callback series per existing counter:
 //     raptor_ops_total{kind,path}      per-OpKind op counts (trunc/full)
-//     raptor_flops_total{path}         flop totals          (trunc/full)
+//     raptor_flops_total{path}         flop totals          (trunc/full,
+//                                      the sum of the op kinds' counts)
 //     raptor_mem_bytes_total{path}     memory traffic       (trunc/full)
 //     raptor_mem_live                  shadow-table live entries
 //     raptor_mem_leaked_total          handles found live across mem_clear()
@@ -23,17 +24,20 @@
 //
 // Concurrency contract: every endpoint is safe at any time, mid-run
 // included. Callbacks are evaluated at scrape time. The op, flop and byte
-// series read Runtime::counters() and /profile reads region_profiles():
-// both load the per-thread single-writer cells under the thread-list lock
-// while their owners keep counting, so each series is exact up to the ops
-// still in flight and never steps back. The shadow table's figures are
-// atomics; the trace series read the tracer's atomic flag or take its
-// mutex, and the cumulative trace totals include the session being
-// stopped. /report reads the capture file, not runtime state.
+// series of one snapshot read one Runtime::counters() merge, which a
+// registry snapshot hook takes before the callbacks run, so a /metrics
+// render costs one merge and its flop totals equal its op sums. That merge
+// and /profile's region_profiles() load the per-thread single-writer cells
+// under the thread-list lock while their owners keep counting, so each
+// series is exact up to the ops still in flight and never steps back. The
+// shadow table's figures are atomics; the trace series read the tracer's
+// atomic flag or take its mutex, and the cumulative trace totals include
+// the session being stopped. /report reads the capture file, not runtime
+// state.
 //
-// reset() on the registry drops callback registrations (they capture
-// runtime state); call register_runtime_metrics again to re-arm. The call
-// is idempotent.
+// reset() on the registry drops callback registrations and the hook (they
+// capture runtime state); call register_runtime_metrics again to re-arm.
+// The call is idempotent.
 #pragma once
 
 #include <string>

@@ -1237,7 +1237,7 @@ trace::TraceStats Runtime::trace_stop() {
 
 void Runtime::reset_all() {
   if (trace_on_) trace_stop();
-  tracer_.reset_totals();
+  tracer_.reset();
   clear_truncate_all();
   clear_exclusions();
   clear_region_formats();

@@ -180,6 +180,7 @@ class Runtime {
   [[nodiscard]] u64 trace_dropped_total() const { return tracer_.dropped_total(); }
   /// Options of the active (or most recent) session; the telemetry /report
   /// endpoint resolves the capture path from here when not given one.
+  /// reset_all() forgets the path, so a reset runtime names no capture.
   [[nodiscard]] trace::TraceOptions trace_options() const { return tracer_.options(); }
 
   // -- Thread-local scoping (used via trunc/scope.hpp RAII) ---------------

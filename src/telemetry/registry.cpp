@@ -75,6 +75,17 @@ void Registry::callback(MetricKind kind, std::string_view name, std::function<do
   defs_[idx].fn = std::move(fn);
 }
 
+void Registry::snapshot_hook(std::string_view key, std::function<void()> fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [k, hook] : hooks_) {
+    if (k == key) {
+      hook = std::move(fn);
+      return;
+    }
+  }
+  hooks_.emplace_back(std::string(key), std::move(fn));
+}
+
 // -- gauges -----------------------------------------------------------------
 
 void Gauge::set(double v) {
@@ -92,6 +103,7 @@ double Gauge::value() const {
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, hook] : hooks_) hook();
   snap.samples.reserve(defs_.size());
   for (const MetricDef& d : defs_) {
     Sample s;
@@ -126,6 +138,7 @@ void Registry::reset() {
   }
   defs_ = std::move(kept);
   index_ = std::move(index);
+  hooks_.clear();
 }
 
 std::size_t Registry::size() const {

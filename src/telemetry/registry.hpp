@@ -12,14 +12,19 @@
 //     shadow-table occupancy, trace accounting): the hot path pays nothing
 //     new, the scrape pays one read per series. Kind Counter renders a
 //     source that is already a monotonic total as a Prometheus counter.
+//   * Snapshot hooks run once at the start of every snapshot(), before
+//     the callbacks: series that share one costly read (the runtime's
+//     counter merge) take it there, so a snapshot reads it once and its
+//     series come from one instant.
 //
 // Registration is idempotent: registering the same (name, labels) series
-// again returns a handle to the existing metric, so wiring code can run
-// once per process or once per test without duplicating series.
+// again returns a handle to the existing metric, and a hook under the same
+// key replaces the old one, so wiring code can run once per process or
+// once per test without duplicating series or reads.
 //
 // Concurrency: registration, snapshot() and reset() take the registry
 // mutex; Gauge::set() is one relaxed atomic store. snapshot() is safe at
-// any time, as safe as the callbacks it evaluates.
+// any time, as safe as the hooks and callbacks it runs.
 #pragma once
 
 #include <atomic>
@@ -88,14 +93,19 @@ class Registry {
   /// like the runtime's op counters); Gauge for instantaneous values.
   void callback(MetricKind kind, std::string_view name, std::function<double()> fn,
                 std::string_view help = {}, Labels labels = {});
+  /// Hook run at the start of every snapshot(), before any callback, under
+  /// the registry mutex (so callbacks may read what it stores without a
+  /// lock of their own). Re-registering `key` replaces the hook.
+  void snapshot_hook(std::string_view key, std::function<void()> fn);
 
   // -- Reads --------------------------------------------------------------
 
-  /// Every metric (gauges read, callbacks evaluated), in registration order.
+  /// Every metric (hooks run, then gauges read and callbacks evaluated), in
+  /// registration order.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zero every gauge and drop all callback registrations. Gauge
-  /// definitions and handles stay valid.
+  /// Zero every gauge and drop all callback registrations and snapshot
+  /// hooks. Gauge definitions and handles stay valid.
   void reset();
 
   /// Number of registered series (tests).
@@ -122,6 +132,7 @@ class Registry {
   mutable std::mutex mu_;
   std::vector<MetricDef> defs_;
   std::map<std::string, u32> index_;  ///< name + serialized labels -> defs_ index
+  std::vector<std::pair<std::string, std::function<void()>>> hooks_;  ///< key, hook
   u32 next_gauge_ = 0;
   std::unique_ptr<std::atomic<u64>[]> gauges_{new std::atomic<u64>[kGaugeCapacity]{}};
 };

@@ -109,10 +109,11 @@ u64 Tracer::dropped_total() const {
   return total;
 }
 
-void Tracer::reset_totals() {
+void Tracer::reset() {
   std::lock_guard lock(mu_);
   closed_events_ = 0;
   closed_dropped_ = 0;
+  opts_.path.clear();
 }
 
 u32 Tracer::intern(const char* label) {

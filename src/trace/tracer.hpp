@@ -93,15 +93,17 @@ class Tracer {
   /// this is the telemetry scrape path. Zeroes when no session is active.
   [[nodiscard]] TraceStats stats_now() const;
   /// Events written and dropped over every session since the last
-  /// reset_totals(): closed sessions plus the open one. stop() folds its
+  /// reset(): closed sessions plus the open one. stop() folds its
   /// session in under the same lock that closes it, so neither total ever
   /// steps back, not even while stop() drains. Safe at any time.
   [[nodiscard]] u64 events_total() const;
   [[nodiscard]] u64 dropped_total() const;
-  /// Zero both totals. Quiescence contract above.
-  void reset_totals();
-  /// The active session's options (telemetry labels). Quiescence-free but
-  /// only meaningful while active().
+  /// Zero both totals and forget the last session's path, as in a fresh
+  /// process: options() names no capture until the next start().
+  /// Quiescence contract above.
+  void reset();
+  /// The active (or most recent) session's options (telemetry labels).
+  /// Quiescence-free.
   [[nodiscard]] TraceOptions options() const {
     std::lock_guard lock(mu_);
     return opts_;

@@ -1,9 +1,11 @@
 // AMR substrate tests: geometry, guard fill in all adjacency cases,
 // refinement/derefinement, 2:1 balance, prolongation/restriction
-// conservation, estimator behaviour, and truncation interplay.
+// conservation, estimator behaviour, truncation interplay, and the
+// guard-fill plan across team sizes, grid copies and regrids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -12,6 +14,7 @@
 
 #include "amr/grid.hpp"
 #include "runtime/runtime.hpp"
+#include "tests/team_size.hpp"
 #include "trunc/scope.hpp"
 
 namespace raptor::amr {
@@ -355,7 +358,9 @@ const rt::RegionProfileEntry* find_profile(const std::vector<rt::RegionProfileEn
 // row. The constants were recorded while the per-op scalar dispatch was
 // still in the tree, and it produced them too. Every op runs in the fast
 // kernels, so they hold on any host and SIMD path. Format{11, 30} runs the
-// kernels that break ties by the sign of the exact error (m > 24).
+// kernels that break ties by the sign of the exact error (m > 24). Each
+// case runs at OpenMP team sizes 1, 2 and 3: a thread's share of a level's
+// guard lists (uneven on a team of 3) must not change a value or a count.
 
 /// "<name> <kind>=<count>... | <kind>=<count>... | <trunc bytes> <full bytes>":
 /// the truncated, then the full-precision op counts of every kind that ran.
@@ -432,7 +437,10 @@ TEST(AmrMeshPin, OpModeMeshAtE8M14) {
       "amr/L2/restrict fadd=768 fmul=256 | | 0 0",
       "amr/L3/guard fadd=6144 fsub=12288 fmul=6144 | | 573440 0",
       "amr/L3/prolong fadd=12288 fsub=24576 fmul=12288 | | 0 0"};
-  EXPECT_EQ(mesh_pin(sf::Format{8, 14}), expect);
+  for (const int threads : {1, 2, 3}) {
+    const testing_support::TeamSize team(threads);
+    EXPECT_EQ(mesh_pin(sf::Format{8, 14}), expect) << threads << " threads";
+  }
 }
 
 TEST(AmrMeshPin, OpModeMeshAtE11M30) {
@@ -445,7 +453,100 @@ TEST(AmrMeshPin, OpModeMeshAtE11M30) {
       "amr/L2/restrict fadd=768 fmul=256 | | 0 0",
       "amr/L3/guard fadd=6144 fsub=12288 fmul=6144 | | 573440 0",
       "amr/L3/prolong fadd=12288 fsub=24576 fmul=12288 | | 0 0"};
-  EXPECT_EQ(mesh_pin(sf::Format{11, 30}), expect);
+  for (const int threads : {1, 2, 3}) {
+    const testing_support::TeamSize team(threads);
+    EXPECT_EQ(mesh_pin(sf::Format{11, 30}), expect) << threads << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AmrPlan: the guard-fill plan is built when the leaf set changes
+// ---------------------------------------------------------------------------
+
+/// Every cell's bits, guards included, leaf after leaf.
+template <class T>
+std::vector<u64> cell_bits(const AmrGrid<T>& g) {
+  std::vector<u64> out;
+  for (int n = 0; n < g.num_leaves(); ++n) {
+    for (const T& x : g.leaf(n).data) out.push_back(std::bit_cast<u64>(to_double(x)));
+  }
+  return out;
+}
+
+/// (level, ix, iy) of every leaf, in leaf order.
+template <class T>
+std::vector<std::array<int, 3>> layout(const AmrGrid<T>& g) {
+  std::vector<std::array<int, 3>> out;
+  for (int n = 0; n < g.num_leaves(); ++n) {
+    const auto& b = g.leaf(n);
+    out.push_back({b.level, b.ix, b.iy});
+  }
+  return out;
+}
+
+void shifted_ring_ic(double x, double y, std::span<double> v) { ring_ic(x - 0.07, y + 0.03, v); }
+
+TEST(AmrPlan, CopiedGridFillsItsOwnGuards) {
+  // A plan that kept pointers into the grid it was built for would fill the
+  // source's guards from the source's interior when the copy fills.
+  auto cfg = small_cfg(3);
+  cfg.bc = {BC::Reflect, BC::Reflect, BC::Periodic, BC::Periodic};
+  cfg.x_odd_vars = {1};
+  AmrGrid<double> src(cfg);
+  src.build_with_ic(ring_ic);
+  ASSERT_EQ(src.max_level_present(), 3);
+  const std::vector<u64> src_bits = cell_bits(src);
+
+  AmrGrid<double> copy = src;
+  copy.init(shifted_ring_ic);
+  copy.fill_guards();
+  EXPECT_EQ(cell_bits(src), src_bits);
+
+  // The same leaves and interior, built directly.
+  AmrGrid<double> direct(cfg);
+  direct.build_with_ic(ring_ic);
+  ASSERT_EQ(layout(direct), layout(copy));
+  direct.init(shifted_ring_ic);
+  direct.fill_guards();
+  EXPECT_EQ(cell_bits(copy), cell_bits(direct));
+
+  // A moved grid fills its own blocks too.
+  AmrGrid<double> moved = std::move(copy);
+  moved.init(ring_ic);
+  moved.fill_guards();
+  EXPECT_EQ(cell_bits(moved), src_bits);
+}
+
+TEST(AmrPlan, NoChangeRegridKeepsAPlanEqualToAFreshOne) {
+  // After a regrid that changes nothing the grid keeps its plan. Its fill
+  // must match, bit for bit, the fill of a grid whose last regrid changed
+  // the mesh, so that its plan was built for exactly these leaves.
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  for (int l = 1; l <= 3; ++l) {
+    R.set_region_format("amr/L" + std::to_string(l) + "/guard",
+                        rt::TruncationSpec::trunc64(8, 14));
+  }
+  const auto shifted = [](double x, double y, std::span<Real> v) {
+    real_ring_ic(x - 0.07, y + 0.03, v);
+  };
+  AmrGrid<Real> kept(small_cfg(3));
+  kept.build_with_ic(real_ring_ic);
+  ASSERT_EQ(kept.max_level_present(), 3);
+  for (int k = 0; k < 3; ++k) ASSERT_EQ(kept.regrid(), 0);
+
+  AmrGrid<Real> fresh(small_cfg(3));
+  while (layout(fresh) != layout(kept)) {
+    fresh.init(real_ring_ic);
+    fresh.fill_guards();
+    ASSERT_GT(fresh.regrid(), 0);
+  }
+  for (AmrGrid<Real>* g : {&kept, &fresh}) {
+    g->init(shifted);
+    g->fill_guards();
+  }
+  EXPECT_EQ(cell_bits(kept), cell_bits(fresh));
+  R.reset_all();
 }
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <iterator>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -299,8 +301,8 @@ class LiveTelemetryTest : public ::testing::Test {
 };
 
 TEST_F(LiveTelemetryTest, ReportEndpointIs404WithoutATraceSession) {
-  // Must run before any test starts a trace: the tracer retains its last
-  // session's path, and /report falls back to it.
+  // SetUp's reset_all() forgets any earlier session's path, so /report has
+  // no capture to fall back to, as in a fresh process.
   telemetry::Server server;
   rt::add_runtime_endpoints(server);
   ASSERT_TRUE(server.listen(0)) << server.error();
@@ -311,7 +313,21 @@ TEST_F(LiveTelemetryTest, ReportEndpointIs404WithoutATraceSession) {
 }
 
 TEST_F(LiveTelemetryTest, RuntimeMetricsMirrorCountersAndRearmAfterReset) {
+  // Gauge definitions outlive Registry::reset() by design, so another test
+  // may have left some: the runtime's series are the ones registering adds.
+  const auto names = [] {
+    std::set<std::string> out;
+    for (const telemetry::Sample& s : telemetry::Registry::instance().snapshot().samples) {
+      out.insert(s.name);
+    }
+    return out;
+  };
+  const std::set<std::string> before = names();
   rt::register_runtime_metrics();
+  std::set<std::string> runtime_series;
+  std::ranges::set_difference(names(), before,
+                              std::inserter(runtime_series, runtime_series.end()));
+  EXPECT_TRUE(runtime_series.count("raptor_ops_total") && runtime_series.count("raptor_mem_live"));
   {
     Region r("wired");
     for (int i = 0; i < 8; ++i) (void)(Real(1.0) + Real(1.0));
@@ -333,10 +349,15 @@ TEST_F(LiveTelemetryTest, RuntimeMetricsMirrorCountersAndRearmAfterReset) {
     EXPECT_GE(metric_sum(samples, "raptor_config_epoch"), 1.0);
     EXPECT_DOUBLE_EQ(metric_sum(samples, "raptor_trace_active"), 0.0);
   }
-  // Registry::reset() drops the runtime callbacks; re-registering re-arms
-  // every series against the (independently reset or not) runtime.
+  // Registry::reset() drops the runtime callbacks, and every sample left is
+  // a zeroed gauge; re-registering re-arms every series against the
+  // (independently reset or not) runtime.
   telemetry::Registry::instance().reset();
-  EXPECT_TRUE(telemetry::Registry::instance().snapshot().samples.empty());
+  for (const telemetry::Sample& s : telemetry::Registry::instance().snapshot().samples) {
+    EXPECT_EQ(runtime_series.count(s.name), 0u) << s.name << " survived reset()";
+    EXPECT_EQ(s.kind, telemetry::MetricKind::Gauge) << s.name;
+    EXPECT_EQ(s.value, 0.0) << s.name;
+  }
   rt::register_runtime_metrics();
   const std::vector<telemetry::ParsedSample> samples = scrape();
   EXPECT_DOUBLE_EQ(metric_sum(samples, "raptor_flops_total", {{"path", "full"}}), 8.0);
@@ -615,6 +636,54 @@ TEST_F(LiveTelemetryTest, BarrierFreeReadsAreMonotoneAndExact) {
     if (series.rfind("metrics.raptor_ops_total,", 0) == 0) ops_sum += v;
   }
   EXPECT_DOUBLE_EQ(ops_sum, static_cast<double>(expect_flops));
+}
+
+// A /metrics render reads one counters() snapshot, so its series agree
+// with each other while workers count: in every render each path's flop
+// total equals the sum of its per-kind op counts.
+TEST_F(LiveTelemetryTest, MetricsRenderReadsOneCounterSnapshot) {
+  rt::register_runtime_metrics();
+  constexpr int kWorkers = 2;
+  constexpr int kRenders = 400;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      Runtime& rt = Runtime::instance();
+      const std::vector<double> a(16, 1.5);
+      std::vector<double> out(a.size());
+      started.fetch_add(1, std::memory_order_relaxed);
+      while (!stop.load(std::memory_order_relaxed)) {
+        (void)rt.op2(rt::OpKind::Add, 1.0, 2.0);
+        (void)rt.op2_batch(rt::OpKind::Mul, a.data(), a.data(), out.data(), a.size());
+        TruncScope scope(8, 12);
+        (void)rt.op2(w == 0 ? rt::OpKind::Sub : rt::OpKind::Div, 1.0, 2.0);
+        (void)rt.op1(rt::OpKind::Sqrt, 2.0);
+      }
+    });
+  }
+  while (started.load(std::memory_order_relaxed) < kWorkers) std::this_thread::yield();
+  int mismatches = 0;
+  std::string first;
+  double last_flops = 0.0;
+  for (int r = 0; r < kRenders; ++r) {
+    const std::vector<telemetry::ParsedSample> samples = telemetry::parse_prometheus(
+        telemetry::to_prometheus(telemetry::Registry::instance().snapshot()));
+    for (const char* path : {"trunc", "full"}) {
+      const double flops = metric_sum(samples, "raptor_flops_total", {{"path", path}});
+      const double ops = metric_sum(samples, "raptor_ops_total", {{"path", path}});
+      if (flops != ops && mismatches++ == 0) {
+        first = "render " + std::to_string(r) + " path " + path + ": flops " +
+                std::to_string(flops) + " != ops " + std::to_string(ops);
+      }
+    }
+    last_flops = metric_sum(samples, "raptor_flops_total");
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(mismatches, 0) << first;
+  EXPECT_GT(last_flops, 0.0);
 }
 
 // raptor_trace_{events,dropped}_total are Prometheus counters, so the
