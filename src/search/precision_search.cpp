@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "telemetry/registry.hpp"
@@ -30,6 +31,13 @@ namespace {
 
 void log_line(const SearchOptions& opts, const std::string& msg) {
   if (opts.log) opts.log(msg);
+}
+
+/// Bit-for-bit equality of two observables: unlike ==, NaN payloads and
+/// signed zeros count.
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Live search progress for the telemetry layer (DESIGN.md §16): how many
@@ -131,10 +139,22 @@ SearchResult search_groups(const Workload& workload, const SearchOptions& opts,
       if (c.truncated) R.set_region_format(c.region, spec_of(c.format));
     }
   };
+  // One evaluation: its error and the observable the inert-group rule
+  // compares with `base`.
+  struct Probe {
+    double err = 0.0;
+    std::vector<double> obs;
+  };
   const auto evaluate = [&]() {
     ++out.evaluations;
-    return metric(ref, workload.run());
+    Probe p;
+    p.obs = workload.run();
+    p.err = metric(ref, p.obs);
+    return p;
   };
+  // The observable of the configuration the next group's probes start from:
+  // the reference run's, then the accepting run's of each truncated group.
+  std::vector<double> base = ref;
 
   for (const auto& group : groups) {
     // One choice per label with its reference profile; commit() records
@@ -186,30 +206,62 @@ SearchResult search_groups(const Workload& workload, const SearchOptions& opts,
     }
     int lo = opts.min_man;
     int hi = opts.max_man;
-    double err_at_hi = 0.0;
-    bool feasible = top_is_identity;
-    if (!feasible) {
-      set_group(sf::Format{ebits, hi});
-      err_at_hi = evaluate();
-      feasible = err_at_hi <= opts.tolerance;
-    }
-    if (!feasible) {
-      // Even the widest candidate format breaks tolerance: leave native.
-      reapply_choices();
-      log_line(opts, "  region " + name + ": left native (err " + std::to_string(err_at_hi) +
-                         " at m=" + std::to_string(hi) + ")");
-      commit();
-      continue;
+    // Every evaluation of the group logs its format, its error and why it
+    // was chosen: "top" (the hinted family's widest format), "bisect" or
+    // "inert-bottom".
+    const auto probe = [&](int m, const char* why) {
+      set_group(sf::Format{ebits, m});
+      Probe p = evaluate();
+      log_line(opts, "  region " + name + ": m=" + std::to_string(m) + " err " +
+                         std::to_string(p.err) +
+                         (p.err <= opts.tolerance ? " ok" : " too coarse") + " [" + why + "]");
+      return p;
+    };
+    // Inert-group rule (DESIGN.md §10): the first accepted probe whose
+    // observable is bit-identical to `base` sends the next probe to the
+    // bracket's bottom, which is the answer if it passes (it is min_man, or
+    // lo - 1 already failed); if it fails, the bisection goes on as before
+    // and reuses that result should a midpoint land on it.
+    Probe at_hi;  // the evaluation that accepted hi (none while hi is the free identity)
+    int bottom = 0;  // m of the inert-bottom probe once made (0: not yet)
+    double bottom_err = 0.0;
+    const auto accept = [&](int m, Probe p) {
+      hi = m;
+      const bool inert = bottom == 0 && lo < hi && same_bytes(p.obs, base);
+      at_hi = std::move(p);
+      if (!inert) return;
+      bottom = lo;
+      Probe b = probe(lo, "inert-bottom");
+      bottom_err = b.err;
+      if (b.err <= opts.tolerance) {
+        hi = lo;
+        at_hi = std::move(b);
+      }
+    };
+    if (!top_is_identity) {
+      Probe top = probe(hi, "top");
+      if (top.err > opts.tolerance) {
+        // Even the widest candidate format breaks tolerance: leave native.
+        reapply_choices();
+        log_line(opts, "  region " + name + ": left native (err " + std::to_string(top.err) +
+                           " at m=" + std::to_string(hi) + ")");
+        commit();
+        continue;
+      }
+      accept(hi, std::move(top));
     }
     while (lo < hi) {
       const int mid = lo + (hi - lo) / 2;
-      set_group(sf::Format{ebits, mid});
-      const double err = evaluate();
-      log_line(opts, "  region " + name + ": m=" + std::to_string(mid) + " err " +
-                         std::to_string(err) + (err <= opts.tolerance ? " ok" : " too coarse"));
-      if (err <= opts.tolerance) {
-        hi = mid;
-        err_at_hi = err;
+      if (mid == bottom) {  // the inert-bottom probe, which failed
+        log_line(opts, "  region " + name + ": m=" + std::to_string(mid) +
+                           " too coarse (its inert-bottom probe read err " +
+                           std::to_string(bottom_err) + ")");
+        lo = mid + 1;
+        continue;
+      }
+      Probe p = probe(mid, "bisect");
+      if (p.err <= opts.tolerance) {
+        accept(mid, std::move(p));
       } else {
         lo = mid + 1;
       }
@@ -222,9 +274,10 @@ SearchResult search_groups(const Workload& workload, const SearchOptions& opts,
       for (RegionChoice& c : picks) {
         c.truncated = true;
         c.format = sf::Format{ebits, hi};
-        c.error = err_at_hi;
+        c.error = at_hi.err;
       }
       set_group(picks.front().format);
+      base = std::move(at_hi.obs);
       log_line(opts, "  region " + name + ": chose " + picks.front().format.to_string());
     }
     commit();

@@ -4,10 +4,19 @@
 //
 //   1. reference run at native precision with region profiling on — yields
 //      the observable vector and the per-region flop ranking;
-//   2. greedy per-region search, biggest region first: bisect the mantissa
-//      width (at fixed exponent width) to the narrowest format whose
-//      workload error stays under tolerance, keeping already-chosen region
-//      formats applied while searching the next region;
+//   2. greedy per-region search, one region after another in the order of
+//      Workload::regions (by reference flops, descending, when that list is
+//      empty): bisect the mantissa width (at fixed exponent width) to the
+//      narrowest format whose workload error stays under tolerance, keeping
+//      already-chosen region formats applied while searching the next
+//      region. Inert-group rule: the first accepted probe of a region whose
+//      observable is bit-identical to that of the configuration the
+//      region's probes start from (the reference run, or the accepting run
+//      of the last truncated region) sends the next probe to the bottom of
+//      the bracket; if that passes it is the answer, otherwise the
+//      bisection goes on unchanged. So every answer is plain bisection's,
+//      reached by the same probes plus one, or the bracket's bottom
+//      measured within tolerance;
 //   3. emit the recommendation as a rt::ProfileConfig of `region`
 //      directives — consumable by parse_profile/apply_profile — and verify
 //      it with a final run, reporting the achieved error and truncated-flop
@@ -32,7 +41,7 @@ namespace raptor::search {
 /// A profiled application the driver can re-run under candidate formats.
 struct Workload {
   std::string name;
-  /// Regions to search, in priority order. Empty: every region observed in
+  /// Regions to search, in the order given. Empty: every region observed in
   /// the reference profile, ranked by flop count descending.
   std::vector<std::string> regions;
   /// Run under the current runtime configuration; returns the observable
@@ -77,6 +86,8 @@ struct SearchOptions {
   /// Metric override (default: scaled_max_error).
   ErrorMetric metric;
   /// Progress callback (e.g. [](const std::string& s) { puts(s.c_str()); }).
+  /// Each evaluation logs one line "  region <name>: m=<m> err <e> ok|too
+  /// coarse [<why>]", where why is top, bisect or inert-bottom.
   std::function<void(const std::string&)> log;
 };
 
@@ -126,13 +137,13 @@ class PrecisionSearch {
 /// Best *flat* single-format configuration at the same tolerance: the
 /// search above with one search unit, the group of all the workload's
 /// regions, so one mantissa bisection in the Format{opts.exp_bits, m}
-/// family applies to every region simultaneously. The baseline the
-/// per-region (e.g. per-AMR-level) search must beat — a flat format is
-/// forced to the width of the most sensitive region, while the per-region
-/// search narrows each region independently (DESIGN.md §15). Ignores
-/// min_flop_share, min_time_share and exp_hints; the result carries one
-/// RegionChoice per region, all with the same format (or all untruncated
-/// when even the widest candidate misses tolerance).
+/// family (inert-group rule included) applies to every region
+/// simultaneously. The baseline the per-region (e.g. per-AMR-level) search
+/// must beat — a flat format is forced to the width of the most sensitive
+/// region, while the per-region search narrows each region independently
+/// (DESIGN.md §15). Ignores min_flop_share, min_time_share and exp_hints;
+/// the result carries one RegionChoice per region, all with the same format
+/// (or all untruncated when even the widest candidate misses tolerance).
 [[nodiscard]] SearchResult flat_format_search(const Workload& workload,
                                               const SearchOptions& opts = {});
 

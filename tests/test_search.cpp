@@ -2,7 +2,10 @@
 // overrides, and the automated precision-search driver (DESIGN.md §10).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "runtime/profile_config.hpp"
 #include "search/precision_search.hpp"
@@ -412,6 +415,210 @@ TEST_F(SearchTest, PerLevelMeshSearchBeatsFlatAtEqualBudget) {
   EXPECT_EQ(flat.trunc_share, s_flat);
   EXPECT_LT(per_level.trunc_fraction, 0.01);
 }
+
+// ---------------------------------------------------------------------------
+// The inert-group rule (DESIGN.md §10)
+// ---------------------------------------------------------------------------
+
+/// Options whose log callback appends each line to `log`.
+search::SearchOptions logging_to(std::vector<std::string>& log, search::SearchOptions opts = {}) {
+  opts.log = [&log](const std::string& line) { log.push_back(line); };
+  return opts;
+}
+
+/// The mantissa width of every evaluation of `region`, in order, read from
+/// the driver's log lines "  region <region>: m=<m> err ..." (a reused
+/// result logs no err).
+std::vector<int> probes_of(const std::vector<std::string>& log, const std::string& region) {
+  std::vector<int> out;
+  const std::string head = "  region " + region + ": m=";
+  for (const auto& line : log) {
+    if (line.rfind(head, 0) != 0) continue;
+    const std::size_t end = line.find(' ', head.size());
+    if (end == std::string::npos || line.compare(end, 5, " err ") != 0) continue;
+    out.push_back(std::stoi(line.substr(head.size(), end - head.size())));
+  }
+  return out;
+}
+
+/// The log line of the evaluation of `region` at m (empty if none).
+std::string probe_line(const std::vector<std::string>& log, const std::string& region, int m) {
+  const std::string head = "  region " + region + ": m=" + std::to_string(m) + " err ";
+  for (const auto& line : log) {
+    if (line.rfind(head, 0) == 0) return line;
+  }
+  return {};
+}
+
+/// Harmonic sum of n terms under `label`.
+Real harmonic(const char* label, int n) {
+  Region r(label);
+  Real acc(0.0);
+  for (int i = 1; i <= n; ++i) acc += Real(1.0) / Real(i);
+  return acc;
+}
+
+TEST_F(SearchTest, InertGroupIsDecidedAtItsBottomInTwoEvaluations) {
+  // "dead" does as much work as "bulk" but its result never reaches the
+  // observable: its first probe leaves the accepting run of "bulk" bit for
+  // bit unchanged, so the next probe is min_man, which passes.
+  search::Workload w;
+  w.name = "inert";
+  w.regions = {"bulk", "dead"};
+  w.run = [] {
+    const Real bulk = harmonic("bulk", 300);
+    (void)harmonic("dead", 300);
+    return std::vector<double>{bulk.value()};
+  };
+  std::vector<std::string> log;
+  search::SearchOptions opts = logging_to(log);
+  opts.min_flop_share = 0.0;
+  const auto result = search::PrecisionSearch(opts).run(w);
+  ASSERT_EQ(result.choices.size(), 2u);
+  // "bulk" moves the output at every probe, so it bisects as before.
+  const std::vector<int> bulk = probes_of(log, "bulk");
+  EXPECT_EQ(bulk, (std::vector<int>{28, 16, 10, 13, 12, 11}));
+  EXPECT_EQ(result.choices[0].format.man_bits, 11);
+  EXPECT_EQ(probes_of(log, "dead"), (std::vector<int>{28, 4}));
+  EXPECT_NE(probe_line(log, "dead", 4).find("[inert-bottom]"), std::string::npos);
+  EXPECT_EQ(result.evaluations, static_cast<int>(bulk.size()) + 2);
+  ASSERT_TRUE(result.choices[1].truncated);
+  EXPECT_EQ(result.choices[1].format.man_bits, opts.min_man);
+  // Measured, not assumed: the bottom's run reads the error "bulk" left.
+  EXPECT_EQ(result.choices[1].error, result.choices[0].error);
+  EXPECT_EQ(result.final_error, result.choices[0].error);
+
+  // The flat search is one group under the same rule.
+  w.regions = {"dead"};
+  log.clear();
+  const auto flat = search::flat_format_search(w, opts);
+  EXPECT_EQ(probes_of(log, "dead"), (std::vector<int>{28, 4}));
+  EXPECT_EQ(flat.evaluations, 2);
+  ASSERT_TRUE(flat.choices[0].truncated);
+  EXPECT_EQ(flat.choices[0].format.man_bits, opts.min_man);
+
+  // An exponent-hinted group pays a feasibility probe at the top of its
+  // family; an inert top sends the next probe to the bottom as well.
+  log.clear();
+  opts.exp_hints = {{"dead", 8}};
+  const auto hinted = search::PrecisionSearch(opts).run(w);
+  EXPECT_EQ(probes_of(log, "dead"), (std::vector<int>{52, 4}));
+  EXPECT_NE(probe_line(log, "dead", 52).find("ok [top]"), std::string::npos);
+  EXPECT_EQ(hinted.evaluations, 2);
+  ASSERT_TRUE(hinted.choices[0].truncated);
+  EXPECT_EQ(hinted.choices[0].format, (sf::Format{8, opts.min_man}));
+}
+
+TEST_F(SearchTest, QuantizedGroupKeepsPlainBisectionsAnswer) {
+  // The harmonic sum reaches the output through a native quantizer (round
+  // to 1/scale): a truncation either leaves the output bit-identical or
+  // moves it by at least 1/scale, over the tolerance. Every accepted probe
+  // is inert, the bottom probe fails, and the answer and the probes are
+  // plain bisection's (recorded with the rule absent) plus that one probe,
+  // whose result a midpoint at the bottom reuses.
+  struct Case {
+    int terms;
+    double scale;
+    std::vector<int> plain_probes;  // plain bisection, m = 28 first
+    int answer;
+  };
+  // In the second case plain bisection ends by probing min_man below an
+  // accepted min_man + 1: the bottom probe's result stands in for it.
+  for (const Case& c : {Case{300, 64.0, {28, 16, 10, 13, 12, 11}, 11},
+                        Case{8, 4.0, {28, 16, 10, 7, 5, 4}, 5}}) {
+    SCOPED_TRACE(c.terms);
+    search::Workload w;
+    w.name = "quantized";
+    w.regions = {"coarse"};
+    w.run = [c] {
+      const double h = harmonic("coarse", c.terms).value();
+      return std::vector<double>{std::nearbyint(h * c.scale) / c.scale};
+    };
+    std::vector<std::string> log;
+    search::SearchOptions opts = logging_to(log);
+    opts.min_flop_share = 0.0;
+    const auto result = search::PrecisionSearch(opts).run(w);
+    ASSERT_EQ(result.choices.size(), 1u);
+    ASSERT_TRUE(result.choices[0].truncated);
+    EXPECT_EQ(result.choices[0].format.man_bits, c.answer);
+    EXPECT_EQ(result.final_error, 0.0);
+    // Plain bisection's probes with the bottom probe after the first; a
+    // plain probe of the bottom is not made again.
+    std::vector<int> expected = {c.plain_probes.front(), opts.min_man};
+    for (std::size_t k = 1; k < c.plain_probes.size(); ++k) {
+      if (c.plain_probes[k] != opts.min_man) expected.push_back(c.plain_probes[k]);
+    }
+    EXPECT_EQ(probes_of(log, "coarse"), expected);
+    EXPECT_EQ(result.evaluations, static_cast<int>(expected.size()));
+    EXPECT_NE(probe_line(log, "coarse", opts.min_man).find("too coarse [inert-bottom]"),
+              std::string::npos);
+  }
+}
+
+/// One searched region's probe sequence and answer in a quick builtin.
+struct ProbePin {
+  const char* region;
+  std::vector<int> probes;
+  int answer;
+};
+
+struct PinCase {
+  const char* workload;
+  double min_flop_share;
+  std::vector<ProbePin> pins;
+};
+
+void PrintTo(const PinCase& c, std::ostream* os) { *os << c.workload; }
+
+class SearchProbePins : public ::testing::TestWithParam<PinCase> {
+ protected:
+  void TearDown() override { Runtime::instance().reset_all(); }
+};
+
+TEST_P(SearchProbePins, ProbeSequencesAndAnswersHold) {
+  const PinCase& pc = GetParam();
+  search::WorkloadOptions quick;
+  quick.quick = true;
+  std::vector<std::string> log;
+  search::SearchOptions opts = logging_to(log);
+  opts.min_flop_share = pc.min_flop_share;
+  const auto result = search::PrecisionSearch(opts).run(search::builtin_workload(pc.workload, quick));
+  EXPECT_TRUE(result.within_tolerance);
+  std::size_t evaluations = 0;
+  for (const ProbePin& pin : pc.pins) {
+    SCOPED_TRACE(pin.region);
+    EXPECT_EQ(probes_of(log, pin.region), pin.probes);
+    evaluations += pin.probes.size();
+    const auto choice = std::find_if(result.choices.begin(), result.choices.end(),
+                                     [&](const auto& c) { return c.region == pin.region; });
+    ASSERT_NE(choice, result.choices.end());
+    ASSERT_TRUE(choice->truncated);
+    EXPECT_EQ(choice->format.man_bits, pin.answer);
+  }
+  EXPECT_EQ(result.evaluations, static_cast<int>(evaluations));
+}
+
+// bubble's diffuse and sod_amr's L1 guard are inert (their m = 28 output is
+// bit-identical to the run they start from); burn's hydro and burn and
+// rayleigh_taylor's gravity reproduce the previous acceptance's error at
+// m = 28 with a different output, so they keep every probe.
+INSTANTIATE_TEST_SUITE_P(
+    QuickBuiltins, SearchProbePins,
+    ::testing::Values(
+        PinCase{"bubble", 0.01,
+                {{"incomp/advect", {28, 16, 10, 7, 9, 8}, 9}, {"incomp/diffuse", {28, 4}, 4}}},
+        PinCase{"sod_amr", 0.0,
+                {{"amr/L1/guard", {28, 4}, 4}, {"amr/L2/guard", {28, 16, 10, 7, 5, 6}, 7}}},
+        PinCase{"burn", 0.01,
+                {{"eos", {28, 16, 10, 13, 15}, 16},
+                 {"hydro", {28, 16, 10, 13, 12}, 13},
+                 {"burn", {28, 16, 10, 13, 12}, 13}}},
+        PinCase{"rayleigh_taylor", 0.01,
+                {{"hydro/recon", {28, 16, 10, 13, 12, 11}, 11},
+                 {"hydro/riemann", {28, 16, 10, 13, 12, 11}, 12},
+                 {"hydro/update", {28, 16, 10, 13, 12, 11}, 12},
+                 {"hydro/gravity", {28, 16, 22, 19, 18}, 19}}}),
+    [](const ::testing::TestParamInfo<PinCase>& info) { return std::string(info.param.workload); });
 
 TEST(ScaledMaxError, HandlesNaNAndScale) {
   using search::scaled_max_error;
