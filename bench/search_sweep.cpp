@@ -13,14 +13,16 @@
 //      search (sod_amr) — reporting wall time and evaluations spent.
 //
 // Everything is written to search_sweep.csv (next to the binary unless
-// --csv overrides) and, for the recorded perf
-// trajectory, BENCH_search_sweep.json.
+// --csv overrides) and, for the recorded perf trajectory, to
+// BENCH_search_sweep.json (bench/report.hpp's layout; its "search" table
+// is the answer CI pins).
 //
 // Options: --quick, --tol=1e-3, --csv=PATH, --json=PATH.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "burn/cellular.hpp"
 #include "incomp/poisson.hpp"
 #include "io/csv.hpp"
@@ -83,17 +85,17 @@ int run(int argc, char** argv) {
                                            : default_csv.substr(0, slash + 1) + "search_sweep.csv";
   io::CsvWriter csv(cli.get("csv", default_csv),
                     {"case", "scalar_s", "batch_s", "speedup"});
-  struct DispatchRow {
-    std::string name;
-    double scalar_s = 0.0, batch_s = 0.0;
+  // -- BENCH_search_sweep.json: the recorded perf trajectory -------------
+  bench::Report report("search_sweep");
+  const auto dispatch_row = [&](const char* name, double ts, double tb) {
+    std::printf("%-12s %12.3f %12.3f %9.1fx\n", name, ts, tb, ts / tb);
+    csv.row_strings({name, std::to_string(ts), std::to_string(tb), std::to_string(ts / tb)});
+    report.row("dispatch")
+        .set("case", name)
+        .set("scalar_s", ts)
+        .set("batch_s", tb)
+        .set("speedup", ts / tb);
   };
-  struct SearchRow {
-    std::string name;
-    double time_s = 0.0, err = 0.0, trunc_frac = 0.0, trunc_share = 0.0;
-    int evals = 0;
-  };
-  std::vector<DispatchRow> dispatch_rows;
-  std::vector<SearchRow> search_rows;
 
   std::printf("search sweep dispatch cost (one truncated run each)\n");
   std::printf("%-12s %12s %12s %10s\n", "case", "scalar [s]", "batch [s]", "speedup");
@@ -107,11 +109,7 @@ int run(int argc, char** argv) {
     R.set_region_format("poisson", spec);
     const int n = quick ? 32 : 64;
     const double ts = time_poisson(n, /*batch=*/false);
-    const double tb = time_poisson(n, /*batch=*/true);
-    std::printf("%-12s %12.3f %12.3f %9.1fx\n", "poisson", ts, tb, ts / tb);
-    csv.row_strings({"poisson", std::to_string(ts), std::to_string(tb),
-                     std::to_string(ts / tb)});
-    dispatch_rows.push_back({"poisson", ts, tb});
+    dispatch_row("poisson", ts, time_poisson(n, /*batch=*/true));
   }
   {
     R.reset_all();
@@ -119,11 +117,7 @@ int run(int argc, char** argv) {
     const int n = quick ? 48 : 128;
     const int steps = quick ? 8 : 25;
     const double ts = time_cellular(n, steps, /*batch=*/false);
-    const double tb = time_cellular(n, steps, /*batch=*/true);
-    std::printf("%-12s %12.3f %12.3f %9.1fx\n", "cellular", ts, tb, ts / tb);
-    csv.row_strings({"cellular", std::to_string(ts), std::to_string(tb),
-                     std::to_string(ts / tb)});
-    dispatch_rows.push_back({"cellular", ts, tb});
+    dispatch_row("cellular", ts, time_cellular(n, steps, /*batch=*/true));
   }
 
   std::printf("\nfull precision search (batch dispatch)\n");
@@ -136,6 +130,7 @@ int run(int argc, char** argv) {
   wopts.quick = quick;
   search::SearchOptions sopts;
   sopts.tolerance = cli.get_double("tol", 1e-3);
+  report.params.set("quick", quick).set("tol", sopts.tolerance);
   for (const char* name :
        {"poisson", "burn", "dmr", "rayleigh_taylor", "shock_bubble", "sod_amr"}) {
     search::SearchOptions wl_opts = sopts;
@@ -145,42 +140,23 @@ int run(int argc, char** argv) {
     const search::PrecisionSearch driver(wl_opts);
     Timer t;
     const auto res = driver.run(search::builtin_workload(name, wopts));
-    std::printf("%-16s %12.2f %12d %12.3e %13.1f%% %10.3f\n", name, t.seconds(),
-                res.evaluations, res.final_error, 100.0 * res.trunc_fraction, res.trunc_share);
-    csv.row_strings({std::string("search_") + name, std::to_string(t.seconds()),
+    const double secs = t.seconds();
+    std::printf("%-16s %12.2f %12d %12.3e %13.1f%% %10.3f\n", name, secs, res.evaluations,
+                res.final_error, 100.0 * res.trunc_fraction, res.trunc_share);
+    csv.row_strings({std::string("search_") + name, std::to_string(secs),
                      std::to_string(res.evaluations), std::to_string(res.final_error)});
-    search_rows.push_back({name, t.seconds(), res.final_error, res.trunc_fraction,
-                           res.trunc_share, res.evaluations});
+    report.row("search")
+        .set("workload", name)
+        .set("time_s", secs)
+        .set("evaluations", res.evaluations)
+        .set("final_error", res.final_error)
+        .set("trunc_fraction_flops", res.trunc_fraction)
+        .set("trunc_share", res.trunc_share);
   }
   R.reset_all();
 
-  // -- BENCH_search_sweep.json: the recorded perf trajectory -------------
   const std::string json_path = cli.get("json", "BENCH_search_sweep.json");
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"search_sweep\", \"quick\": %s,\n",
-                 quick ? "true" : "false");
-    std::fprintf(f, "  \"dispatch\": [\n");
-    for (std::size_t i = 0; i < dispatch_rows.size(); ++i) {
-      const auto& r = dispatch_rows[i];
-      std::fprintf(f,
-                   "    {\"case\": \"%s\", \"scalar_s\": %.6g, \"batch_s\": %.6g, "
-                   "\"speedup\": %.3f}%s\n",
-                   r.name.c_str(), r.scalar_s, r.batch_s, r.scalar_s / r.batch_s,
-                   i + 1 < dispatch_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"search\": [\n");
-    for (std::size_t i = 0; i < search_rows.size(); ++i) {
-      const auto& r = search_rows[i];
-      std::fprintf(f,
-                   "    {\"workload\": \"%s\", \"time_s\": %.6g, \"evaluations\": %d, "
-                   "\"final_error\": %.6g, \"trunc_fraction_flops\": %.4f, "
-                   "\"trunc_share\": %.4f}%s\n",
-                   r.name.c_str(), r.time_s, r.evals, r.err, r.trunc_frac, r.trunc_share,
-                   i + 1 < search_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-  }
+  if (report.write(json_path)) std::printf("\nwrote %s\n", json_path.c_str());
   return 0;
 }
 

@@ -18,7 +18,8 @@
 //     overhead_ratio = (t_scalar - t_native) / (t_batch - t_native)
 // for the non-hardware format e8m12, plus an end-to-end Sedov comparison
 // with hc.batch on/off. Everything is written to table3_overhead.csv and,
-// for the recorded perf trajectory, BENCH_table3.json.
+// for the recorded perf trajectory, BENCH_table3.json (bench/report.hpp's
+// layout, like BENCH_simd.json below).
 //
 // Expected shape: overhead tracks the truncated-op share; scratch beats
 // naive by 2-3x; counting adds measurable cost; mem-mode is the most
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/report.hpp"
 #include "incomp/weno.hpp"
 #include "io/csv.hpp"
 #include "support/cli.hpp"
@@ -58,12 +60,6 @@ namespace {
 struct Measurement {
   double seconds = 0.0;
   double trunc_frac = 0.0;
-};
-
-struct Row {
-  std::string mode;
-  int cutoff = 0;
-  double naive_s = 0.0, opt_s = 0.0, naive_x = 0.0, opt_x = 0.0, trunc_frac = -1.0;
 };
 
 constexpr sf::simd::Path kAllPaths[3] = {sf::simd::Path::Portable, sf::simd::Path::Avx2,
@@ -381,24 +377,6 @@ double vec_ns(const std::vector<VecRow>& rows, std::string_view op, std::size_t 
   return 0.0;
 }
 
-void json_loop(std::FILE* f, const char* name, const LoopBench& lb, bool trailing_comma) {
-  std::fprintf(f,
-               "    \"%s\": {\"native_s\": %.6g, \"scalar_s\": %.6g, \"batch_s\": %.6g, "
-               "\"overhead_ratio\": %.3f}%s\n",
-               name, lb.native_s, lb.scalar_s, lb.batch_s, lb.overhead_ratio(),
-               trailing_comma ? "," : "");
-}
-
-void json_simd_loop(std::FILE* f, const char* name, const LoopBench& lb, bool trailing_comma) {
-  std::fprintf(f, "    \"%s\": {\"native_s\": %.6g, \"scalar_s\": %.6g", name, lb.native_s,
-               lb.scalar_s);
-  for (const sf::simd::Path p : kAllPaths) {
-    const double s = lb.batch_path_s[static_cast<int>(p)];
-    if (s >= 0.0) std::fprintf(f, ", \"batch_%s_s\": %.6g", sf::simd::path_name(p), s);
-  }
-  std::fprintf(f, ", \"simd_speedup\": %.3f}%s\n", lb.simd_speedup(), trailing_comma ? "," : "");
-}
-
 /// Per-path loop-bench measurement + BENCH_simd.json + the CI speedup gate.
 /// Returns nonzero when gating is requested and the best SIMD path is not at
 /// least `gate_simd` times the portable path on both loops (skipped — with a
@@ -448,38 +426,35 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
   const bool vector_paths = sf::simd::best_path() != sf::simd::Path::Portable;
   const bool pass = !vector_paths || std::min(weno.simd_speedup(), plm.simd_speedup()) >=
                                          static_cast<double>(gate_simd);
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"simd_batch_kernels\",\n  \"format\": \"e8m12\",\n");
-    std::fprintf(f, "  \"default_path\": \"%s\",\n", sf::simd::path_name(sf::simd::default_path()));
-    std::fprintf(f, "  \"loops\": {\n");
-    json_simd_loop(f, "weno_row", weno, true);
-    json_simd_loop(f, "plm_pencil", plm, false);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"vec_ladder\": [\n");
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-      const VecRow& r = ladder[i];
-      std::fprintf(f,
-                   "    {\"op\": \"%s\", \"lanes\": %zu, \"ns_per_lane\": %.4g, "
-                   "\"x_plain\": %.3f}%s\n",
-                   r.op, r.lanes, r.ns_per_lane, r.ns_per_lane / vec_ns(ladder, "plain", r.lanes),
-                   i + 1 < ladder.size() ? "," : "");
+  bench::Report report("simd_batch_kernels");
+  report.params.set("format", "e8m12");
+  report.gates.set("min_speedup", gate_simd).set("pass", pass);
+  for (const auto& [name, lb] : {std::pair<const char*, const LoopBench&>{"weno_row", weno},
+                                 {"plm_pencil", plm}}) {
+    bench::Row& row = report.row("loops");
+    row.set("loop", name).set("native_s", lb.native_s).set("scalar_s", lb.scalar_s);
+    for (const sf::simd::Path p : kAllPaths) {
+      const double s = lb.batch_path_s[static_cast<int>(p)];
+      if (s >= 0.0) row.set(std::string("batch_") + sf::simd::path_name(p) + "_s", s);
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"mantissa_ladder\": [\n");
-    for (std::size_t i = 0; i < man_ladder.size(); ++i) {
-      const ManRow& r = man_ladder[i];
-      std::fprintf(f,
-                   "    {\"op\": \"%s\", \"format\": \"e11m%d\", \"lanes\": 4096, "
-                   "\"path\": \"%s\", \"ns_per_el\": %.4g}%s\n",
-                   r.op, r.man, sf::simd::path_name(r.path), r.ns_per_el,
-                   i + 1 < man_ladder.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"gate\": {\"min_speedup\": %d, \"pass\": %s}\n}\n", gate_simd,
-                 pass ? "true" : "false");
-    std::fclose(f);
-    std::printf("# wrote %s\n", path.c_str());
+    row.set("simd_speedup", lb.simd_speedup());
   }
+  for (const VecRow& r : ladder) {
+    report.row("vec_ladder")
+        .set("op", r.op)
+        .set("lanes", r.lanes)
+        .set("ns_per_lane", r.ns_per_lane)
+        .set("x_plain", r.ns_per_lane / vec_ns(ladder, "plain", r.lanes));
+  }
+  for (const ManRow& r : man_ladder) {
+    report.row("mantissa_ladder")
+        .set("op", r.op)
+        .set("format", "e11m" + std::to_string(r.man))
+        .set("lanes", 4096)
+        .set("path", sf::simd::path_name(r.path))
+        .set("ns_per_el", r.ns_per_el);
+  }
+  if (report.write(path)) std::printf("# wrote %s\n", path.c_str());
   if (gate_simd <= 0) return 0;
   if (!vector_paths) {
     std::printf("# gate-simd skipped: only the portable path is supported here\n");
@@ -583,7 +558,25 @@ int run(int argc, char** argv) {
 
   io::CsvWriter csv(cli.get("csv", "table3_overhead.csv"),
                     {"mode", "cutoff_l", "naive_s", "opt_s", "naive_x", "opt_x", "trunc_frac"});
-  std::vector<Row> rows;
+  bench::Report report("table3_overhead");
+  report.params.set("level", max_level)
+      .set("steps", steps)
+      .set("mantissa", mantissa)
+      .set("batch_format", "e8m12");
+  // One Table 3 row: naive- and scratch-allocation seconds (0: not run),
+  // their slowdowns against native, and the truncated flop share (-1: not
+  // counted).
+  const auto table_row = [&](const char* mode, int cutoff, double naive_s, double opt_s,
+                             double trunc_frac) {
+    report.row("rows")
+        .set("mode", mode)
+        .set("cutoff_l", cutoff)
+        .set("naive_s", naive_s)
+        .set("opt_s", opt_s)
+        .set("naive_x", naive_s / base)
+        .set("opt_x", opt_s / base)
+        .set("trunc_frac", trunc_frac);
+  };
 
   const auto block = [&](const char* name, bool counting) {
     for (const int cutoff : {0, 1, 2, 3}) {
@@ -597,8 +590,7 @@ int run(int argc, char** argv) {
                        std::to_string(opt.seconds), std::to_string(naive.seconds / base),
                        std::to_string(opt.seconds / base),
                        std::to_string(counting ? opt.trunc_frac : -1.0)});
-      rows.push_back({name, cutoff, naive.seconds, opt.seconds, naive.seconds / base,
-                      opt.seconds / base, counting ? opt.trunc_frac : -1.0});
+      table_row(name, cutoff, naive.seconds, opt.seconds, counting ? opt.trunc_frac : -1.0);
     }
   };
   block("op-mode", false);
@@ -609,8 +601,7 @@ int run(int argc, char** argv) {
         run_instrumented(0, rt::Mode::Op, rt::AllocStrategy::Scratch, false, true, 23, false);
     std::printf("%-34s M-%-6d %-12s %-12.3f %-10s %-10.1f\n",
                 "op-mode hw fast path (fp32)", 0, "-", hw.seconds, "-", hw.seconds / base);
-    rows.push_back({"op-mode hw fast path (fp32)", 0, 0.0, hw.seconds, 0.0, hw.seconds / base,
-                    -1.0});
+    table_row("op-mode hw fast path (fp32)", 0, 0.0, hw.seconds, -1.0);
   }
 
   // Batched vs scalar end-to-end: with batch on, every hydro stage of a
@@ -626,9 +617,8 @@ int run(int argc, char** argv) {
     std::printf("%-34s M-%-6d %-12.3f %-12.3f %-10.1f %-10.1f\n",
                 "op-mode batched (all hydro stages)", 0, sedov_scalar.seconds,
                 sedov_batch.seconds, sedov_scalar.seconds / base, sedov_batch.seconds / base);
-    rows.push_back({"op-mode batched (all hydro stages)", 0, sedov_scalar.seconds,
-                    sedov_batch.seconds, sedov_scalar.seconds / base,
-                    sedov_batch.seconds / base, -1.0});
+    table_row("op-mode batched (all hydro stages)", 0, sedov_scalar.seconds, sedov_batch.seconds,
+              -1.0);
   }
 
   // Mem-mode rows (paper: "Truncate Hydro" vs "Exclude Recon" — comparable
@@ -657,41 +647,29 @@ int run(int argc, char** argv) {
     std::printf("%-34s M-%-6d %-12s %-12.3f %-10s %-10.1f  (trunc %.1f%%)\n",
                 exclude_recon ? "mem-mode, exclude Recon" : "mem-mode, truncate hydro", 0, "-",
                 secs, "-", secs / base, 100.0 * frac);
-    rows.push_back({exclude_recon ? "mem-mode, exclude Recon" : "mem-mode, truncate hydro", 0,
-                    0.0, secs, 0.0, secs / base, frac});
+    table_row(exclude_recon ? "mem-mode, exclude Recon" : "mem-mode, truncate hydro", 0, 0.0, secs,
+              frac);
     R.reset_all();
   }
 
   // -- BENCH_table3.json: the recorded perf trajectory ---------------------
-  const std::string json_path = cli.get("json", "BENCH_table3.json");
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"table3_overhead\",\n");
-    std::fprintf(f, "  \"level\": %d, \"steps\": %d, \"mantissa\": %d,\n", max_level, steps,
-                 mantissa);
-    std::fprintf(f, "  \"native_baseline_s\": %.6g,\n", base);
-    std::fprintf(f, "  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(f,
-                   "    {\"mode\": \"%s\", \"cutoff_l\": %d, \"naive_s\": %.6g, \"opt_s\": %.6g, "
-                   "\"naive_x\": %.3f, \"opt_x\": %.3f, \"trunc_frac\": %.4f}%s\n",
-                   r.mode.c_str(), r.cutoff, r.naive_s, r.opt_s, r.naive_x, r.opt_x,
-                   r.trunc_frac, i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"batch_dispatch\": {\n    \"format\": \"e8m12\",\n");
-    std::fprintf(f, "    \"simd_path\": \"%s\",\n",
-                 sf::simd::path_name(sf::simd::default_path()));
-    json_loop(f, "weno_row", weno, true);
-    json_loop(f, "plm_pencil", plm, true);
-    std::fprintf(f,
-                 "    \"sedov_end_to_end\": {\"scalar_s\": %.6g, \"batch_s\": %.6g, "
-                 "\"speedup\": %.3f}\n  }\n}\n",
-                 sedov_scalar.seconds, sedov_batch.seconds,
-                 sedov_batch.seconds > 0.0 ? sedov_scalar.seconds / sedov_batch.seconds : 0.0);
-    std::fclose(f);
-    std::printf("# wrote %s\n", json_path.c_str());
+  for (const auto& [name, lb] : {std::pair<const char*, const LoopBench&>{"weno_row", weno},
+                                 {"plm_pencil", plm}}) {
+    report.row("batch_dispatch")
+        .set("case", name)
+        .set("native_s", lb.native_s)
+        .set("scalar_s", lb.scalar_s)
+        .set("batch_s", lb.batch_s)
+        .set("overhead_ratio", lb.overhead_ratio());
   }
+  report.row("batch_dispatch")
+      .set("case", "sedov_end_to_end")
+      .set("native_s", base)
+      .set("scalar_s", sedov_scalar.seconds)
+      .set("batch_s", sedov_batch.seconds)
+      .set("speedup", sedov_batch.seconds > 0.0 ? sedov_scalar.seconds / sedov_batch.seconds : 0.0);
+  const std::string json_path = cli.get("json", "BENCH_table3.json");
+  if (report.write(json_path)) std::printf("# wrote %s\n", json_path.c_str());
   return gate_rc;
 }
 

@@ -126,7 +126,6 @@ class CellularSim {
   }
 
   [[nodiscard]] const eos::EosStats& eos_stats() const { return eos_stats_; }
-  void reset_eos_stats() { eos_stats_ = eos::EosStats{}; }
   [[nodiscard]] const CellularConfig& config() const { return cfg_; }
   [[nodiscard]] int cells() const { return cfg_.n; }
   [[nodiscard]] double temperature(int i) const { return to_double(temp_[i]); }

@@ -121,9 +121,7 @@ class BubbleSim {
 
   [[nodiscard]] const BubbleConfig& config() const { return cfg_; }
   [[nodiscard]] double time() const { return time_; }
-  [[nodiscard]] int steps_taken() const { return steps_; }
   [[nodiscard]] double last_divergence() const { return last_div_; }
-  [[nodiscard]] int max_vlevel_present() const { return cfg_.max_vlevel; }
 
   /// Level-set snapshot (native doubles) for diagnostics and comparison.
   [[nodiscard]] ScalarField phi_field() const {
@@ -163,9 +161,6 @@ class BubbleSim {
     return rho_of(to_double(phi_[pidx(i, j)]));
   }
   [[nodiscard]] int vlevel_at(int i, int j) const { return vlevel_[pidx(i, j)]; }
-  [[nodiscard]] bool cell_truncated(int i, int j) const {
-    return vlevel_[pidx(i, j)] <= cfg_.max_vlevel - cfg_.cutoff_l;
-  }
   [[nodiscard]] double velocity_u(int i, int j) const { return to_double(u_[uidx(i, j)]); }
   [[nodiscard]] double velocity_v(int i, int j) const { return to_double(v_[vidx(i, j)]); }
 

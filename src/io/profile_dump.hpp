@@ -7,37 +7,25 @@
 // Region labels are user-controlled strings, so both writers escape them
 // via the shared helpers in support/escape.hpp (JSON per RFC 8259, CSV per
 // RFC 4180 — the same implementations the telemetry exposition layer uses,
-// so a label round-trips identically through every serializer). Non-finite
-// numbers have no JSON literal — mem-mode max_deviation can legitimately be
-// +inf (one-sided NaN divergence) — so they are emitted as the strings
-// "inf" / "-inf" / "nan".
+// so a label round-trips identically through every serializer). The JSON
+// dump is the /profile body; it streams through support/json.hpp, which
+// spells the non-finite numbers JSON lacks (mem-mode max_deviation can
+// legitimately be +inf) as the strings "inf" / "-inf" / "nan".
 #pragma once
 
-#include <cmath>
+#include <fstream>
 #include <ostream>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "io/csv.hpp"
 #include "runtime/counters.hpp"
 #include "support/escape.hpp"
+#include "support/json.hpp"
 
 namespace raptor::io {
 
 using raptor::csv_field;
-using raptor::json_escape;
-
-/// JSON representation of a double: the numeric literal when finite, a
-/// quoted string otherwise (JSON has no inf/nan literals).
-[[nodiscard]] inline std::string json_number(double v) {
-  if (std::isnan(v)) return "\"nan\"";
-  if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
 
 inline void write_region_profiles_csv(const std::string& path,
                                       const std::vector<rt::RegionProfileEntry>& entries) {
@@ -56,19 +44,23 @@ inline void write_region_profiles_csv(const std::string& path,
 
 inline void write_region_profiles_json(std::ostream& out,
                                        const std::vector<rt::RegionProfileEntry>& entries) {
-  out << "[\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& e = entries[i];
+  json::Writer w(out);
+  w.begin_array();
+  for (const auto& e : entries) {
     const rt::CounterSnapshot& c = e.profile.counters;
-    out << "  {\"region\": \"" << json_escape(e.label) << "\", \"trunc_flops\": " << c.trunc_flops
-        << ", \"full_flops\": " << c.full_flops << ", \"trunc_bytes\": " << c.trunc_bytes
-        << ", \"full_bytes\": " << c.full_bytes << ", \"trunc_fraction\": " << c.trunc_fraction()
-        << ", \"seconds\": " << json_number(e.profile.seconds)
-        << ", \"max_deviation\": " << json_number(e.profile.max_deviation)
-        << ", \"flagged\": " << e.profile.flagged << "}";
-    out << (i + 1 < entries.size() ? ",\n" : "\n");
+    w.begin_object()
+        .field("region", e.label)
+        .field("trunc_flops", c.trunc_flops)
+        .field("full_flops", c.full_flops)
+        .field("trunc_bytes", c.trunc_bytes)
+        .field("full_bytes", c.full_bytes)
+        .field("trunc_fraction", c.trunc_fraction())
+        .field("seconds", e.profile.seconds)
+        .field("max_deviation", e.profile.max_deviation)
+        .field("flagged", e.profile.flagged)
+        .end_object();
   }
-  out << "]\n";
+  w.end_array();
 }
 
 inline void write_region_profiles_json(const std::string& path,

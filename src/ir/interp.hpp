@@ -30,7 +30,6 @@ class Interpreter {
   double call(std::string_view name, const std::vector<double>& args);
 
   [[nodiscard]] const ExecStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = ExecStats{}; }
 
  private:
   double exec(const Function& f, std::vector<double> regs, int depth);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -31,6 +32,14 @@ namespace {
 
 void log_line(const SearchOptions& opts, const std::string& msg) {
   if (opts.log) opts.log(msg);
+}
+
+/// An error as the log prints it: %.17g, so a tiny error reads nonzero and
+/// the text parses back to the exact double.
+std::string exact(double err) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", err);
+  return buf;
 }
 
 /// Bit-for-bit equality of two observables: unlike ==, NaN payloads and
@@ -212,8 +221,7 @@ SearchResult search_groups(const Workload& workload, const SearchOptions& opts,
     const auto probe = [&](int m, const char* why) {
       set_group(sf::Format{ebits, m});
       Probe p = evaluate();
-      log_line(opts, "  region " + name + ": m=" + std::to_string(m) + " err " +
-                         std::to_string(p.err) +
+      log_line(opts, "  region " + name + ": m=" + std::to_string(m) + " err " + exact(p.err) +
                          (p.err <= opts.tolerance ? " ok" : " too coarse") + " [" + why + "]");
       return p;
     };
@@ -243,7 +251,7 @@ SearchResult search_groups(const Workload& workload, const SearchOptions& opts,
       if (top.err > opts.tolerance) {
         // Even the widest candidate format breaks tolerance: leave native.
         reapply_choices();
-        log_line(opts, "  region " + name + ": left native (err " + std::to_string(top.err) +
+        log_line(opts, "  region " + name + ": left native (err " + exact(top.err) +
                            " at m=" + std::to_string(hi) + ")");
         commit();
         continue;
@@ -254,8 +262,8 @@ SearchResult search_groups(const Workload& workload, const SearchOptions& opts,
       const int mid = lo + (hi - lo) / 2;
       if (mid == bottom) {  // the inert-bottom probe, which failed
         log_line(opts, "  region " + name + ": m=" + std::to_string(mid) +
-                           " too coarse (its inert-bottom probe read err " +
-                           std::to_string(bottom_err) + ")");
+                           " too coarse (its inert-bottom probe read err " + exact(bottom_err) +
+                           ")");
         lo = mid + 1;
         continue;
       }

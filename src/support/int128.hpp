@@ -21,18 +21,6 @@ inline int clz128(u128 x) {
   return 64 + __builtin_clzll(static_cast<u64>(x));
 }
 
-/// Shift left that tolerates shift counts >= 128 (result 0).
-inline u128 shl128(u128 x, int s) {
-  if (s >= 128) return 0;
-  return x << s;
-}
-
-/// Shift right that tolerates shift counts >= 128 (result 0).
-inline u128 shr128(u128 x, int s) {
-  if (s >= 128) return 0;
-  return x >> s;
-}
-
 /// Three-limb little-endian unsigned integer: value = w2:w1:w0 (192 bits).
 struct U192 {
   u64 w0 = 0, w1 = 0, w2 = 0;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "support/escape.hpp"
+#include "support/json.hpp"
 
 namespace raptor::trace {
 
@@ -167,48 +167,42 @@ std::string recommendations_to_profile(const std::vector<Recommendation>& recs) 
   return out;
 }
 
-namespace {
-
-/// JSON double literal (JSON has no inf/nan literals; mirror io::json_number
-/// so /report and the profile dumps agree on the spelling).
-std::string jnum(double v) {
-  if (std::isnan(v)) return "\"nan\"";
-  if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 std::string report_json(const TraceData& td, const std::vector<RegionReport>& reports) {
   std::ostringstream out;
-  out << "{\"sample_stride\": " << td.sample_stride << ", \"dropped\": " << td.total_dropped()
-      << ", \"regions\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const RegionReport& r = reports[i];
-    out << "  {\"region\": \"" << json_escape(r.label) << "\", \"events\": " << r.events
-        << ", \"sampled_ops\": " << r.ops << ", \"trunc_ops\": " << r.trunc_ops
-        << ", \"mem_ops\": " << r.mem_ops;
-    if (r.exp.has_range()) {
-      out << ", \"exp_min\": " << r.exp.min_exp << ", \"exp_max\": " << r.exp.max_exp;
-    }
-    out << ", \"zero\": " << r.exp.zero << ", \"subnormal\": " << r.exp.subnormal
-        << ", \"inf\": " << r.exp.inf << ", \"nan\": " << r.exp.nan
-        << ", \"seconds\": " << jnum(r.seconds)
-        << ", \"dev_p99\": " << jnum(r.dev.quantile(0.99))
-        << ", \"dev_max\": " << jnum(r.dev.max_bound()) << "}"
-        << (i + 1 < reports.size() ? ",\n" : "\n");
+  json::Writer w(out);
+  w.begin_object()
+      .field("sample_stride", td.sample_stride)
+      .field("dropped", td.total_dropped())
+      .key("regions")
+      .begin_array();
+  for (const RegionReport& r : reports) {
+    w.begin_object()
+        .field("region", r.label)
+        .field("events", r.events)
+        .field("sampled_ops", r.ops)
+        .field("trunc_ops", r.trunc_ops)
+        .field("mem_ops", r.mem_ops);
+    if (r.exp.has_range()) w.field("exp_min", r.exp.min_exp).field("exp_max", r.exp.max_exp);
+    w.field("zero", r.exp.zero)
+        .field("subnormal", r.exp.subnormal)
+        .field("inf", r.exp.inf)
+        .field("nan", r.exp.nan)
+        .field("seconds", r.seconds)
+        .field("dev_p99", r.dev.quantile(0.99))
+        .field("dev_max", r.dev.max_bound())
+        .end_object();
   }
-  out << "], \"recommendations\": [\n";
-  const std::vector<Recommendation> recs = recommend(td);
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const Recommendation& r = recs[i];
-    out << "  {\"region\": \"" << json_escape(r.label) << "\", \"exp_bits\": " << r.exp_bits
-        << ", \"man_bits\": " << r.man_bits << ", \"min_exp\": " << r.min_exp
-        << ", \"max_exp\": " << r.max_exp << "}" << (i + 1 < recs.size() ? ",\n" : "\n");
+  w.end_array().key("recommendations").begin_array();
+  for (const Recommendation& r : recommend(td)) {
+    w.begin_object()
+        .field("region", r.label)
+        .field("exp_bits", r.exp_bits)
+        .field("man_bits", r.man_bits)
+        .field("min_exp", r.min_exp)
+        .field("max_exp", r.max_exp)
+        .end_object();
   }
-  out << "]}\n";
+  w.end_array().end_object();
   return out.str();
 }
 

@@ -170,8 +170,6 @@ class RtraceStream {
   [[nodiscard]] const TraceData& data() const { return data_; }
   /// True once the `X` end marker has been decoded.
   [[nodiscard]] bool finished() const { return finished_; }
-  /// True once the 16-byte header has been validated.
-  [[nodiscard]] bool header_ok() const { return header_parsed_; }
   /// Byte offset of the last fully decoded block (resume point).
   [[nodiscard]] u64 offset() const { return file_offset_ - pending_.size(); }
 

@@ -62,12 +62,6 @@ class Real {
   }
   /// Raw payload (tests / C API interop).
   [[nodiscard]] double raw() const { return v_; }
-  static Real from_raw(double payload) {
-    Real r;
-    r.v_ = payload;
-    r.retain();
-    return r;
-  }
   /// Adopt a payload that already owns a reference (runtime op results).
   static Real adopt_raw(double payload) {
     Real r;

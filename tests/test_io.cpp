@@ -1,5 +1,6 @@
 // I/O tests: sfocu-style comparison (norms, cross-hierarchy sampling), PPM
-// writer, CSV writer, and the region-profile dump escaping round trip.
+// writer, CSV writer, the region-profile dump escaping round trip, and the
+// golden bytes of the /profile and /report JSON documents.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "io/ppm.hpp"
 #include "io/profile_dump.hpp"
 #include "io/sfocu.hpp"
+#include "trace/analysis.hpp"
 
 namespace raptor::io {
 namespace {
@@ -300,6 +302,89 @@ TEST(Escape, SharedCoreAgreesAcrossFormats) {
   EXPECT_EQ(json_escape(trio), "q\\\"b\\\\n\\n");
   EXPECT_EQ(json_escape("bell\x07tab\t"), "bell\\u0007tab\\t");
   EXPECT_EQ(prom_escape_label("bell\x07tab\t"), "bell\x07tab\t");
+}
+
+// -- Golden bytes of the two src JSON documents ------------------------------
+//
+// /profile and /report (and raptor_trace --json) are read by the monitor,
+// the CI smoke steps and perfbench's checks, so their bytes are pinned on
+// fixed inputs: a label with every JSON escape class, +inf and NaN values,
+// empty lists, and a region with no exponent range.
+
+namespace {
+
+/// Quote, backslash, the five mnemonic controls, two \u00xx controls and a
+/// UTF-8 byte pair, which passes through.
+const std::string kEveryEscape = "q\"b\\n\nb\bf\fr\rt\tu\x01v\x1fw/\xc3\xa9";
+
+std::vector<rt::RegionProfileEntry> golden_profiles() {
+  rt::RegionProfileEntry a = make_entry(kEveryEscape, std::numeric_limits<double>::infinity());
+  a.profile.counters.trunc_bytes = 123456789012345ULL;
+  a.profile.counters.full_bytes = 7;
+  a.profile.seconds = 0.125;
+  rt::RegionProfileEntry b = make_entry("hydro/riemann", std::nan(""));
+  b.profile.counters.trunc_flops = 0;
+  b.profile.counters.full_flops = 3;
+  b.profile.seconds = 1.0 / 3.0;
+  b.profile.flagged = 0;
+  return {a, b};
+}
+
+/// A capture whose first region has an exponent range and a deviation of
+/// 2 (dev_max +inf); the second region is labelled with every escape class.
+trace::TraceData golden_trace() {
+  trace::TraceData td;
+  td.sample_stride = 64;
+  td.drops = {{0, 3}, {1, 4}};
+  td.regions = {"hydro/recon", kEveryEscape};
+  trace::RegionHist h;
+  for (const double v : {1.5, -0.25e-3, 0.0, 6.0e10}) h.exp.add(v);
+  h.dev.add(1e-5);
+  h.dev.add(2.0);
+  td.histograms = {{0, h}};
+  return td;
+}
+
+/// Two report rows: one from golden_trace's histogram, with NaN seconds, and
+/// one with no exponent range.
+std::vector<trace::RegionReport> golden_reports() {
+  std::vector<trace::RegionReport> reports = trace::build_reports(golden_trace());
+  reports.front().seconds = std::nan("");
+  reports.front().events = 9;
+  reports.front().ops = 576;
+  reports.front().trunc_ops = 512;
+  trace::RegionReport& bare = reports.emplace_back();
+  bare.label = kEveryEscape;
+  bare.mem_ops = 2;
+  bare.seconds = 2.5e-7;
+  return reports;
+}
+
+}  // namespace
+
+TEST(GoldenJson, RegionProfilesBytesArePinned) {
+  std::ostringstream os;
+  write_region_profiles_json(os, golden_profiles());
+  EXPECT_EQ(os.str(), R"json([
+  {"region": "q\"b\\n\nb\bf\fr\rt\tu\u0001v\u001fw/é", "trunc_flops": 10, "full_flops": 5, "trunc_bytes": 123456789012345, "full_bytes": 7, "trunc_fraction": 0.666667, "seconds": 0.125, "max_deviation": "inf", "flagged": 2},
+  {"region": "hydro/riemann", "trunc_flops": 0, "full_flops": 3, "trunc_bytes": 0, "full_bytes": 0, "trunc_fraction": 0, "seconds": 0.333333, "max_deviation": "nan", "flagged": 0}
+]
+)json");
+  std::ostringstream empty;
+  write_region_profiles_json(empty, {});
+  EXPECT_EQ(empty.str(), "[\n]\n");
+}
+
+TEST(GoldenJson, TraceReportBytesArePinned) {
+  EXPECT_EQ(trace::report_json(golden_trace(), golden_reports()), R"json({"sample_stride": 64, "dropped": 7, "regions": [
+  {"region": "hydro/recon", "events": 9, "sampled_ops": 576, "trunc_ops": 512, "mem_ops": 0, "exp_min": -12, "exp_max": 35, "zero": 1, "subnormal": 0, "inf": 0, "nan": 0, "seconds": "nan", "dev_p99": "inf", "dev_max": "inf"},
+  {"region": "q\"b\\n\nb\bf\fr\rt\tu\u0001v\u001fw/é", "events": 0, "sampled_ops": 0, "trunc_ops": 0, "mem_ops": 2, "zero": 0, "subnormal": 0, "inf": 0, "nan": 0, "seconds": 2.5e-07, "dev_p99": 0, "dev_max": 0}
+], "recommendations": [
+  {"region": "hydro/recon", "exp_bits": 7, "man_bits": 52, "min_exp": -12, "max_exp": 35}
+]}
+)json");
+  EXPECT_EQ(trace::report_json(trace::TraceData{}, {}),
+            "{\"sample_stride\": 0, \"dropped\": 0, \"regions\": [\n], \"recommendations\": [\n]}\n");
 }
 
 }  // namespace

@@ -509,6 +509,37 @@ TEST_F(SearchTest, InertGroupIsDecidedAtItsBottomInTwoEvaluations) {
   EXPECT_EQ(hinted.choices[0].format, (sf::Format{8, opts.min_man}));
 }
 
+TEST_F(SearchTest, LogPrintsEveryProbeErrorExactly) {
+  // At m = 28 a harmonic sum is off by ~1e-8, which six fixed decimals
+  // print as 0.000000. The log prints %.17g: nonzero, and parsed back it is
+  // exactly the error of that evaluation, which the metric records.
+  search::Workload w;
+  w.name = "fine";
+  w.regions = {"sum"};
+  w.run = [] { return std::vector<double>{harmonic("sum", 300).value()}; };
+  std::vector<std::string> log;
+  search::SearchOptions opts = logging_to(log);
+  opts.min_flop_share = 0.0;
+  std::vector<double> errors;  // one per metric call, in evaluation order
+  opts.metric = [&errors](const std::vector<double>& ref, const std::vector<double>& cand) {
+    errors.push_back(search::scaled_max_error(ref, cand));
+    return errors.back();
+  };
+  (void)search::PrecisionSearch(opts).run(w);
+  ASSERT_FALSE(errors.empty());
+  ASSERT_EQ(probes_of(log, "sum").front(), 28);
+  ASSERT_GT(errors.front(), 0.0);
+  ASSERT_LT(errors.front(), 5e-7);
+  const std::string line = probe_line(log, "sum", 28);
+  const std::string head = "  region sum: m=28 err ";
+  const std::size_t end = line.find(' ', head.size());
+  ASSERT_NE(end, std::string::npos) << line;
+  const double logged = std::stod(line.substr(head.size(), end - head.size()));
+  EXPECT_NE(logged, 0.0) << line;
+  EXPECT_EQ(logged, errors.front()) << line;
+  EXPECT_NE(line.find(" ok [bisect]"), std::string::npos) << line;
+}
+
 TEST_F(SearchTest, QuantizedGroupKeepsPlainBisectionsAnswer) {
   // The harmonic sum reaches the output through a native quantizer (round
   // to 1/scale): a truncation either leaves the output bit-identical or

@@ -1,7 +1,12 @@
-// Unit tests for support utilities: U192 arithmetic, RNG determinism, CLI.
+// Unit tests for support utilities: U192 arithmetic, RNG determinism, CLI,
+// timers and the JSON writer.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+
 #include "support/cli.hpp"
+#include "support/json.hpp"
 #include "support/int128.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -231,6 +236,70 @@ TEST(Timer, ScopedTimerAccruesOnDestructionOnly) {
     EXPECT_GE(acc.seconds(), before);
   }
   EXPECT_GE(acc.seconds(), once);
+}
+
+// -- JSON writer -----------------------------------------------------------
+
+/// The document `fill` writes.
+template <class F>
+std::string json_of(F fill) {
+  std::ostringstream os;
+  json::Writer w(os);
+  fill(w);
+  return os.str();
+}
+
+TEST(JsonWriter, ObjectsInlineArraysOneElementPerLine) {
+  const std::string doc = json_of([](json::Writer& w) {
+    w.begin_object().field("name", "x").field("n", 3).key("rows").begin_array();
+    w.begin_object().field("a", 1).key("inner").begin_array().value(1).value(2).end_array();
+    w.end_object();
+    w.begin_object().key("empty").begin_object().end_object().end_object();
+    w.end_array().field("ok", true).end_object();
+  });
+  EXPECT_EQ(doc,
+            "{\"name\": \"x\", \"n\": 3, \"rows\": [\n"
+            "  {\"a\": 1, \"inner\": [\n    1,\n    2\n  ]},\n"
+            "  {\"empty\": {}}\n"
+            "], \"ok\": true}\n");
+}
+
+TEST(JsonWriter, EmptyArraysKeepTheirLineBreak) {
+  EXPECT_EQ(json_of([](json::Writer& w) { w.begin_array().end_array(); }), "[\n]\n");
+  EXPECT_EQ(json_of([](json::Writer& w) {
+              w.begin_object().key("a").begin_array().end_array().field("b", false).end_object();
+            }),
+            "{\"a\": [\n], \"b\": false}\n");
+}
+
+TEST(JsonWriter, NonFiniteDoublesAreStrings) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string doc = json_of([&](json::Writer& w) {
+    w.begin_array().value(inf).value(-inf).value(std::numeric_limits<double>::quiet_NaN());
+    w.value(0.1).value(-0.0).value(1e-300).value(123456789.0).end_array();
+  });
+  EXPECT_EQ(doc,
+            "[\n  \"inf\",\n  \"-inf\",\n  \"nan\",\n  0.1,\n  -0,\n  1e-300,\n  1.23457e+08\n]\n");
+}
+
+TEST(JsonWriter, IntegersAreExact) {
+  const std::string doc = json_of([](json::Writer& w) {
+    w.begin_object()
+        .field("u64_max", std::numeric_limits<u64>::max())
+        .field("i64_min", std::numeric_limits<i64>::min())
+        .field("i32", i32{-12})
+        .end_object();
+  });
+  EXPECT_EQ(doc,
+            "{\"u64_max\": 18446744073709551615, \"i64_min\": -9223372036854775808, "
+            "\"i32\": -12}\n");
+}
+
+TEST(JsonWriter, KeysAndStringsAreEscaped) {
+  EXPECT_EQ(json_of([](json::Writer& w) {
+              w.begin_object().field("k\"\n", std::string("a\\b\x01")).end_object();
+            }),
+            "{\"k\\\"\\n\": \"a\\\\b\\u0001\"}\n");
 }
 
 }  // namespace
