@@ -7,7 +7,12 @@
 //      solve and the cellular detonation — each kernel written once, run
 //      per cell on Real or as batch::Vec spans — the speedup is the factor
 //      the whole sweep inherits;
-//   2. a full precision search on each of the registered workloads —
+//   2. thread scaling: the native bubble of perfbench's search_bubble
+//      (20x40 cells, 15 steps, 300 sweeps per pressure solve) and the
+//      truncated batched Poisson solve of step 1, each at OpenMP team sizes
+//      1, 2 and 4, best of 5 — CI fails if the bubble at 4 threads (or the
+//      runner's core count) takes over 2x its 1-thread time;
+//   3. a full precision search on each of the registered workloads —
 //      Poisson, cellular burn, the broadened hydro corpus (double Mach
 //      reflection, Rayleigh–Taylor, shock–bubble) and the per-level mesh
 //      search (sod_amr) — reporting wall time and evaluations spent.
@@ -15,20 +20,24 @@
 // Everything is written to search_sweep.csv (next to the binary unless
 // --csv overrides) and, for the recorded perf trajectory, to
 // BENCH_search_sweep.json (bench/report.hpp's layout; its "search" table
-// is the answer CI pins).
+// is the answer CI pins, its "threads" table the scaling CI checks).
 //
 // Options: --quick, --tol=1e-3, --csv=PATH, --json=PATH.
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/report.hpp"
 #include "burn/cellular.hpp"
+#include "incomp/bubble.hpp"
 #include "incomp/poisson.hpp"
 #include "io/csv.hpp"
 #include "search/workloads.hpp"
 #include "support/cli.hpp"
 #include "support/timer.hpp"
+#include "tests/team_size.hpp"
 
 using namespace raptor;
 
@@ -57,6 +66,19 @@ double time_poisson(int n, bool batch) {
   std::vector<Real> p(rhs.size(), Real(0.0));
   Timer t;
   solver.solve(p, rhs, beta_x, beta_y, 1e-8, 2000);
+  return t.seconds();
+}
+
+/// perfbench's search_bubble problem on plain double: set-up and 15 steps
+/// of the 20x40 bubble, 300 sweeps per pressure solve; returns seconds.
+double time_native_bubble() {
+  incomp::BubbleConfig bc;
+  bc.nx = 20;
+  bc.ny = 40;
+  bc.poisson_max_iter = 300;
+  Timer t;
+  incomp::BubbleSim<double> sim(bc);
+  for (int s = 0; s < 15; ++s) sim.step();
   return t.seconds();
 }
 
@@ -118,6 +140,32 @@ int run(int argc, char** argv) {
     const int steps = quick ? 8 : 25;
     const double ts = time_cellular(n, steps, /*batch=*/false);
     dispatch_row("cellular", ts, time_cellular(n, steps, /*batch=*/true));
+  }
+
+  std::printf("\nthread scaling (best of 5 per OpenMP team size)\n");
+  std::printf("%-16s %8s %12s %10s\n", "case", "threads", "time [s]", "vs 1");
+  {
+    const int poisson_n = quick ? 32 : 64;
+    const std::pair<const char*, double (*)(int)> cases[] = {
+        {"bubble_native", [](int) { return time_native_bubble(); }},
+        {"poisson_trunc", [](int n) { return time_poisson(n, /*batch=*/true); }}};
+    for (const auto& [name, time_one] : cases) {
+      double one_thread = 0.0;
+      for (const int threads : {1, 2, 4}) {
+        const testing_support::TeamSize team(threads);
+        R.reset_all();
+        R.set_region_format("poisson", spec);
+        double best = time_one(poisson_n);
+        for (int rep = 1; rep < 5; ++rep) best = std::min(best, time_one(poisson_n));
+        if (threads == 1) one_thread = best;
+        std::printf("%-16s %8d %12.4f %9.2fx\n", name, threads, best, best / one_thread);
+        report.row("threads")
+            .set("case", name)
+            .set("threads", threads)
+            .set("time_s", best)
+            .set("vs_1_thread", best / one_thread);
+      }
+    }
   }
 
   std::printf("\nfull precision search (batch dispatch)\n");

@@ -549,10 +549,14 @@ int run(int argc, char** argv) {
     return m;
   };
 
-  const double base = run_native();
+  // The native baseline is the best of 3 runs: a run lasts a few
+  // milliseconds, so one sample is at the mercy of the host, and every x
+  // column divides by it.
+  double base = run_native();
+  for (int rep = 1; rep < 3; ++rep) base = std::min(base, run_native());
   std::printf("# Table 3: slowdown of RAPTOR in practice (Sedov, %d-bit mantissa, %d steps)\n",
               mantissa, steps);
-  std::printf("# native baseline: %.3f s\n\n", base);
+  std::printf("# native baseline (best of 3): %.4f s\n\n", base);
   std::printf("%-34s %-8s %-12s %-12s %-10s %-10s\n", "configuration", "cutoff", "naive(s)",
               "opt(s)", "naive(x)", "opt(x)");
 

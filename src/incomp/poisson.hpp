@@ -11,12 +11,30 @@
 //     face coefficients, convergence control and Neumann null-space pinning
 //     stay native bookkeeping, mirroring how AMR/EOS treat mesh metadata.
 //
+// Stencil plan: each solve first lists every colour's active (diag > 0)
+// cells in row-major order, each with its own index, its four clamped
+// neighbour indices (a cell on a wall reads itself there, against a zero
+// face coefficient), its four face coefficients, its rhs and its diagonal.
+// Every sweep then runs from the plan, so the coefficients are computed once
+// per solve instead of twice per cell and sweep.
+//
 // The SOR cell update is written once (sor_update) for double, Real and
-// batch::Vec. With S = Real in op-mode the red-black sweep runs its Vec
-// instantiation (DESIGN.md §8): cells of one color never read each other,
-// so each thread gathers its share of a color's cells into one span, one
-// lane per cell — bit-identical results and counter totals to the
-// cell-by-cell loop.
+// batch::Vec. The double and Real loops call it per plan cell. With S = Real
+// in op-mode the batch path runs its Vec instantiation as one span per
+// colour: cells of one colour never read each other, so all of a colour's
+// cells are one span, one lane per cell, whose coefficient, rhs and diagonal
+// lanes are gathered once per solve — bit-identical results and counter
+// totals to the cell-by-cell loop.
+//
+// Thread model: the whole solve runs on the calling thread, inside one
+// "poisson" region. Measured against a 4-thread OpenMP team per colour and
+// sweep (ns per cell update of a 300-sweep solve; 4-core AVX-512 Xeon,
+// gcc 12.2): with passive waits, the policy ctest and perfbench set, the
+// team loses up to 64x128 cells (5.7 against 2.9 here) and wins from about
+// 32K cells (128x256: 2.1 against 3.3); with libgomp's default spinning
+// waits it loses at 32x64 (5.6 against 3.2) and wins from about 8K cells
+// (64x128: 1.9 against 2.9). The search's bubble solves 20x40 cells; the
+// largest grid any workload, test or bench solves is 64x128.
 //
 // Convergence control: the (expensive) residual is recomputed every 10
 // sweeps, but a cheap per-sweep update norm triggers an early residual
@@ -29,6 +47,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -81,24 +100,28 @@ class PoissonSolver {
   PoissonResult solve(std::vector<S>& p, const std::vector<double>& rhs,
                       const std::vector<double>& beta_x, const std::vector<double>& beta_y,
                       double tol = 1e-8, int max_iter = 2000, double omega = 1.7) const {
-    RAPTOR_REQUIRE(p.size() == static_cast<std::size_t>(nx_) * ny_, "poisson: bad p size");
+    Region region("poisson");
+    const Plan plan = make_plan(p.size(), rhs, beta_x, beta_y);
     PoissonResult out;
 
     double rhs_norm = 0.0;
     for (const double r : rhs) rhs_norm = std::max(rhs_norm, std::fabs(r));
     if (rhs_norm < 1e-300) rhs_norm = 1.0;
-
     // Largest diagonal, scaling the cheap update norm to residual units.
-    double diag_max = 0.0;
-    for (int j = 0; j < ny_; ++j) {
-      for (int i = 0; i < nx_; ++i) diag_max = std::max(diag_max, diag_at(beta_x, beta_y, i, j));
-    }
-    if (diag_max <= 0.0) diag_max = 1.0;
+    const double diag_max = plan.diag_max > 0.0 ? plan.diag_max : 1.0;
 
-    bool use_batch = false;
+    std::vector<SpanLanes> spans;
     if constexpr (std::is_same_v<S, Real>) {
-      use_batch = batch_ && rt::Runtime::instance().mode() == rt::Mode::Op;
+      if (batch_ && rt::Runtime::instance().mode() == rt::Mode::Op) {
+        for (const auto& cells : plan.colours) spans.push_back(span_lanes(cells));
+      }
     }
+    const auto sweep = [&](int colour) {
+      if constexpr (std::is_same_v<S, Real>) {
+        if (!spans.empty()) return sweep_span(p, plan.colours[colour], spans[colour], omega);
+      }
+      return sweep_cells(p, plan.colours[colour], omega);
+    };
 
     // A failed early check suppresses further early checks until the next
     // regular cadence point, so a stalled (e.g. heavily truncated) solve
@@ -106,48 +129,8 @@ class PoissonSolver {
     bool early_check_armed = true;
     for (int it = 1; it <= max_iter; ++it) {
       out.iterations = it;
-      double max_update = 0.0;
-      for (int color = 0; color < 2; ++color) {
-#pragma omp parallel reduction(max : max_update)
-        {
-          // Region entry per executing thread: worker threads must carry the
-          // label too, or per-region profiles/overrides would miss them.
-          Region region("poisson");
-          if (use_batch) {
-            if constexpr (std::is_same_v<S, Real>) {
-              std::vector<Cell> share;
-#pragma omp for schedule(static) nowait
-              for (int j = 0; j < ny_; ++j) {
-                for (int i = (j + color) & 1; i < nx_; i += 2) {
-                  if (diag_at(beta_x, beta_y, i, j) > 0.0) share.push_back({i, j});
-                }
-              }
-              if (!share.empty()) {
-                max_update =
-                    std::max(max_update, sweep_span(p, rhs, beta_x, beta_y, share, omega));
-              }
-            }
-          } else {
-#pragma omp for schedule(static)
-            for (int j = 0; j < ny_; ++j) {
-              for (int i = (j + color) & 1; i < nx_; i += 2) {
-                const double diag = diag_at(beta_x, beta_y, i, j);
-                if (diag <= 0.0) continue;
-                // Neumann walls: the face coefficient is zero there, so the
-                // clamped neighbour reads contribute exactly nothing while
-                // every cell executes the same operation sequence.
-                const auto [ble, bri, bbo, bto] = faces(beta_x, beta_y, i, j);
-                const SorUpdate<S> u =
-                    sor_update(S(ble), p_c(p, i - 1, j), S(bri), p_c(p, i + 1, j), S(bbo),
-                               p_c(p, i, j - 1), S(bto), p_c(p, i, j + 1), S(rhs[idx(i, j)]),
-                               S(diag), S(omega), p[idx(i, j)]);
-                p[idx(i, j)] = u.p;
-                max_update = std::max(max_update, std::fabs(to_double(u.upd)));
-              }
-            }
-          }
-        }
-      }
+      const double red = sweep(0);
+      const double max_update = std::max(red, sweep(1));
       // Convergence control (native): the residual is recomputed on the
       // usual every-10 cadence, at the iteration budget, and as soon as the
       // scaled update norm suggests convergence — so detection is prompt on
@@ -177,8 +160,8 @@ class PoissonSolver {
   [[nodiscard]] double residual_norm(const std::vector<S>& p, const std::vector<double>& rhs,
                                      const std::vector<double>& beta_x,
                                      const std::vector<double>& beta_y) const {
+    require_sizes(p.size(), rhs, beta_x, beta_y);
     double worst = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : worst)
     for (int j = 0; j < ny_; ++j) {
       for (int i = 0; i < nx_; ++i) {
         const auto [ble, bri, bbo, bto] = faces(beta_x, beta_y, i, j);
@@ -195,6 +178,22 @@ class PoissonSolver {
   }
 
  private:
+  /// One active cell of the stencil plan: its index c, its clamped left,
+  /// right, bottom and top neighbours, and its coefficients.
+  struct PlanCell {
+    u32 c, l, r, b, t;
+    double bl, br, bb, bt, rhs, diag;
+  };
+  struct Plan {
+    std::array<std::vector<PlanCell>, 2> colours;  ///< (i + j) even, odd; row-major
+    double diag_max = 0.0;                         ///< over every cell, 0 if none is positive
+  };
+  /// A colour's lanes that stay fixed over a solve (the batch path).
+  struct SpanLanes {
+    batch::Vec bl, br, bb, bt, rhs, diag;
+  };
+
+  [[nodiscard]] std::size_t cells() const { return static_cast<std::size_t>(nx_) * ny_; }
   [[nodiscard]] std::size_t idx(int i, int j) const {
     return static_cast<std::size_t>(j) * nx_ + i;
   }
@@ -212,49 +211,81 @@ class PoissonSolver {
     return {i > 0 ? bx(beta_x, i, j) * hx2_ : 0.0, i < nx_ - 1 ? bx(beta_x, i + 1, j) * hx2_ : 0.0,
             j > 0 ? by(beta_y, i, j) * hy2_ : 0.0, j < ny_ - 1 ? by(beta_y, i, j + 1) * hy2_ : 0.0};
   }
-  [[nodiscard]] double diag_at(const std::vector<double>& beta_x,
-                               const std::vector<double>& beta_y, int i, int j) const {
-    const auto [ble, bri, bbo, bto] = faces(beta_x, beta_y, i, j);
-    return ble + bri + bbo + bto;
-  }
-  /// Clamped cell read; out-of-domain neighbours pair with a zero face
-  /// coefficient so their value never contributes.
-  [[nodiscard]] const S& p_c(const std::vector<S>& p, int i, int j) const {
-    i = std::clamp(i, 0, nx_ - 1);
-    j = std::clamp(j, 0, ny_ - 1);
-    return p[idx(i, j)];
+
+  /// p, rhs and the face coefficients are read at computed indices, so a
+  /// size that does not match the grid is fatal.
+  void require_sizes(std::size_t p_size, const std::vector<double>& rhs,
+                     const std::vector<double>& beta_x, const std::vector<double>& beta_y) const {
+    RAPTOR_REQUIRE(p_size == cells(), "poisson: bad p size");
+    RAPTOR_REQUIRE(rhs.size() == cells(), "poisson: bad rhs size");
+    RAPTOR_REQUIRE(beta_x.size() == static_cast<std::size_t>(nx_ + 1) * ny_,
+                   "poisson: bad beta_x size");
+    RAPTOR_REQUIRE(beta_y.size() == static_cast<std::size_t>(nx_) * (ny_ + 1),
+                   "poisson: bad beta_y size");
   }
 
-  struct Cell {
-    int i, j;
-  };
+  [[nodiscard]] Plan make_plan(std::size_t p_size, const std::vector<double>& rhs,
+                               const std::vector<double>& beta_x,
+                               const std::vector<double>& beta_y) const {
+    require_sizes(p_size, rhs, beta_x, beta_y);
+    RAPTOR_REQUIRE(cells() <= std::numeric_limits<u32>::max(), "poisson: grid too large");
+    const auto at = [&](int i, int j) {
+      return static_cast<u32>(idx(std::clamp(i, 0, nx_ - 1), std::clamp(j, 0, ny_ - 1)));
+    };
+    Plan plan;
+    for (int j = 0; j < ny_; ++j) {
+      for (int i = 0; i < nx_; ++i) {
+        const auto [bl, br, bb, bt] = faces(beta_x, beta_y, i, j);
+        const double diag = bl + br + bb + bt;
+        plan.diag_max = std::max(plan.diag_max, diag);
+        if (!(diag > 0.0)) continue;
+        plan.colours[(i + j) & 1].push_back({at(i, j), at(i - 1, j), at(i + 1, j), at(i, j - 1),
+                                             at(i, j + 1), bl, br, bb, bt, rhs[idx(i, j)], diag});
+      }
+    }
+    return plan;
+  }
 
-  /// sor_update's batch::Vec instantiation over `cells` (one color, so no
-  /// cell reads another), one lane per cell (S = Real, op-mode: lanes carry
-  /// raw payloads). Returns the cells' max |update| (native).
-  double sweep_span(std::vector<S>& p, const std::vector<double>& rhs,
-                    const std::vector<double>& beta_x, const std::vector<double>& beta_y,
-                    const std::vector<Cell>& cells, double omega) const
+  /// sor_update per cell of one colour. Returns the cells' max |update|
+  /// (native).
+  static double sweep_cells(std::vector<S>& p, const std::vector<PlanCell>& cells, double omega) {
+    double max_update = 0.0;
+    for (const PlanCell& c : cells) {
+      const SorUpdate<S> u = sor_update(S(c.bl), p[c.l], S(c.br), p[c.r], S(c.bb), p[c.b],
+                                        S(c.bt), p[c.t], S(c.rhs), S(c.diag), S(omega), p[c.c]);
+      p[c.c] = u.p;
+      max_update = std::max(max_update, std::fabs(to_double(u.upd)));
+    }
+    return max_update;
+  }
+
+  static SpanLanes span_lanes(const std::vector<PlanCell>& cells) {
+    const auto lanes = [&](double PlanCell::*field) {
+      return batch::Vec::gather(cells.size(), [&](std::size_t k) { return cells[k].*field; });
+    };
+    return {lanes(&PlanCell::bl),  lanes(&PlanCell::br),  lanes(&PlanCell::bb),
+            lanes(&PlanCell::bt),  lanes(&PlanCell::rhs), lanes(&PlanCell::diag)};
+  }
+
+  /// sor_update's batch::Vec instantiation over one colour's cells, one
+  /// lane per cell (S = Real, op-mode: lanes carry raw payloads). Returns
+  /// the cells' max |update| (native).
+  static double sweep_span(std::vector<S>& p, const std::vector<PlanCell>& cells,
+                           const SpanLanes& k, double omega)
     requires std::is_same_v<S, Real>
   {
+    if (cells.empty()) return 0.0;
     using batch::Vec;
-    const auto lanes = [&](const auto& fn) {
-      return Vec::gather(cells.size(), [&](std::size_t k) { return fn(cells[k].i, cells[k].j); });
+    const auto at = [&](u32 PlanCell::*cell) {
+      return Vec::gather(cells.size(), [&](std::size_t n) { return p[cells[n].*cell].raw(); });
     };
-    const auto face = [&](int side) {
-      return lanes([&](int i, int j) { return faces(beta_x, beta_y, i, j)[side]; });
-    };
-    const auto at = [&](int di, int dj) {
-      return lanes([&](int i, int j) { return p_c(p, i + di, j + dj).raw(); });
-    };
-    const SorUpdate<Vec> u = sor_update<Vec>(
-        face(0), at(-1, 0), face(1), at(1, 0), face(2), at(0, -1), face(3), at(0, 1),
-        lanes([&](int i, int j) { return rhs[idx(i, j)]; }),
-        lanes([&](int i, int j) { return diag_at(beta_x, beta_y, i, j); }), Vec(omega), at(0, 0));
+    const SorUpdate<Vec> u =
+        sor_update<Vec>(k.bl, at(&PlanCell::l), k.br, at(&PlanCell::r), k.bb, at(&PlanCell::b),
+                        k.bt, at(&PlanCell::t), k.rhs, k.diag, Vec(omega), at(&PlanCell::c));
     double max_update = 0.0;
-    for (std::size_t k = 0; k < cells.size(); ++k) {
-      p[idx(cells[k].i, cells[k].j)] = Real::adopt_raw(u.p[k]);
-      max_update = std::max(max_update, std::fabs(u.upd[k]));
+    for (std::size_t n = 0; n < cells.size(); ++n) {
+      p[cells[n].c] = Real::adopt_raw(u.p[n]);
+      max_update = std::max(max_update, std::fabs(u.upd[n]));
     }
     return max_update;
   }

@@ -4,12 +4,15 @@
 // sensitivity of the interface (the Fig. 1 mechanism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "incomp/bubble.hpp"
@@ -311,20 +314,60 @@ TEST_F(IncompTest, PoissonBatchMatchesScalarBitwiseUnderTruncation) {
     out.push_back(res.residual);
     return out;
   };
-  rt::CounterSnapshot cs, cb;
-  const auto scalar = run(false, cs);
-  const auto batch = run(true, cb);
-  ASSERT_EQ(scalar.size(), batch.size());
-  for (std::size_t k = 0; k < scalar.size(); ++k) {
-    EXPECT_EQ(std::bit_cast<u64>(scalar[k]), std::bit_cast<u64>(batch[k])) << k;
+  for (const int threads : {1, 2, 3}) {
+    const testing_support::TeamSize team(threads);
+    rt::CounterSnapshot cs, cb;
+    const auto scalar = run(false, cs);
+    const auto batch = run(true, cb);
+    ASSERT_EQ(scalar.size(), batch.size());
+    for (std::size_t k = 0; k < scalar.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<u64>(scalar[k]), std::bit_cast<u64>(batch[k]))
+          << k << ", " << threads << " threads";
+    }
+    EXPECT_EQ(cs.trunc_flops, cb.trunc_flops) << threads;
+    EXPECT_EQ(cs.full_flops, cb.full_flops) << threads;
+    for (int i = 0; i < rt::kNumOpKinds; ++i) {
+      EXPECT_EQ(cs.trunc_by_kind[i], cb.trunc_by_kind[i]) << i << ", " << threads << " threads";
+      EXPECT_EQ(cs.full_by_kind[i], cb.full_by_kind[i]) << i << ", " << threads << " threads";
+    }
+    EXPECT_GT(cs.trunc_flops, 0u);
   }
-  EXPECT_EQ(cs.trunc_flops, cb.trunc_flops);
-  EXPECT_EQ(cs.full_flops, cb.full_flops);
-  for (int i = 0; i < rt::kNumOpKinds; ++i) {
-    EXPECT_EQ(cs.trunc_by_kind[i], cb.trunc_by_kind[i]) << i;
-    EXPECT_EQ(cs.full_by_kind[i], cb.full_by_kind[i]) << i;
+}
+
+/// The pins' problem: a 16x16 grid with Neumann walls, face coefficients
+/// that vary per face and a polynomial right-hand side.
+struct PinProblem {
+  int n = 16;
+  double h = 1.0 / 16;
+  std::vector<double> beta_x, beta_y, rhs;
+
+  PinProblem() {
+    beta_x.assign(static_cast<std::size_t>(n + 1) * n, 0.0);
+    beta_y.assign(static_cast<std::size_t>(n) * (n + 1), 0.0);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 1; i < n; ++i) {
+        beta_x[static_cast<std::size_t>(j) * (n + 1) + i] = 1.0 + 0.5 * ((i + j) % 3);
+      }
+    }
+    for (int j = 1; j < n; ++j) {
+      for (int i = 0; i < n; ++i) beta_y[static_cast<std::size_t>(j) * n + i] = 1.0 + 0.5 * (i % 2);
+    }
+    rhs.resize(static_cast<std::size_t>(n) * n);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < n; ++i) {
+        const double x = (i + 0.5) * h, y = (j + 0.5) * h;
+        rhs[static_cast<std::size_t>(j) * n + i] = (2.0 * x - 1.0) * (y * y - y + 0.1);
+      }
+    }
   }
-  EXPECT_GT(cs.trunc_flops, 0u);
+};
+
+/// FNV-1a over the bits of p.
+template <class S>
+u64 hash_bits(const std::vector<S>& p) {
+  u64 hash = 14695981039346656037ull;
+  for (const S& v : p) hash = (hash ^ std::bit_cast<u64>(to_double(v))) * 1099511628211ull;
+  return hash;
 }
 
 /// Formatted pin of one PoissonSolver<Real> solve (per-cell path) under
@@ -333,36 +376,17 @@ TEST_F(IncompTest, PoissonBatchMatchesScalarBitwiseUnderTruncation) {
 /// a polynomial, and every op runs in the fast kernels or BigFloat, so the
 /// pinned bits hold on any host (see RealPathPin in test_burn).
 std::vector<std::string> poisson_pin(int exp_bits, int man_bits) {
-  const int n = 16;
-  const double h = 1.0 / n;
-  std::vector<double> beta_x(static_cast<std::size_t>(n + 1) * n, 0.0);
-  std::vector<double> beta_y(static_cast<std::size_t>(n) * (n + 1), 0.0);
-  for (int j = 0; j < n; ++j) {
-    for (int i = 1; i < n; ++i) {
-      beta_x[static_cast<std::size_t>(j) * (n + 1) + i] = 1.0 + 0.5 * ((i + j) % 3);
-    }
-  }
-  for (int j = 1; j < n; ++j) {
-    for (int i = 0; i < n; ++i) beta_y[static_cast<std::size_t>(j) * n + i] = 1.0 + 0.5 * (i % 2);
-  }
-  std::vector<double> rhs(static_cast<std::size_t>(n) * n);
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) {
-      const double x = (i + 0.5) * h, y = (j + 0.5) * h;
-      rhs[static_cast<std::size_t>(j) * n + i] = (2.0 * x - 1.0) * (y * y - y + 0.1);
-    }
-  }
+  const PinProblem pb;
   auto& R = rt::Runtime::instance();
   R.reset_counters();
   R.set_truncate_all(rt::TruncationSpec::trunc64(exp_bits, man_bits));
-  PoissonSolver<Real> solver(n, n, h, h);
+  PoissonSolver<Real> solver(pb.n, pb.n, pb.h, pb.h);
   solver.set_batch(false);
-  std::vector<Real> p(rhs.size(), Real(0.0));
-  const auto res = solver.solve(p, rhs, beta_x, beta_y, 1e-7, 300);
+  std::vector<Real> p(pb.rhs.size(), Real(0.0));
+  const auto res = solver.solve(p, pb.rhs, pb.beta_x, pb.beta_y, 1e-7, 300);
   R.clear_truncate_all();
   const auto cs = R.counters();
-  u64 hash = 14695981039346656037ull;  // FNV-1a over the bits of p
-  for (const Real& v : p) hash = (hash ^ std::bit_cast<u64>(to_double(v))) * 1099511628211ull;
+  const u64 hash = hash_bits(p);
   char line[200];
   std::snprintf(line, sizeof line, "it %d conv %d res %016llx p %016llx p0 %016llx pn %016llx",
                 res.iterations, res.converged ? 1 : 0,
@@ -385,7 +409,10 @@ TEST(RealPathPin, PoissonSolveAtE11M44) {
       "it 115 conv 1 res 3e3c707b33000000 p bff52e6c8040fec6 p0 bf634eb98f5b6374 pn "
       "3f645be30c26978c",
       "ops 117760 58880 147200 29440 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"};
-  EXPECT_EQ(poisson_pin(11, 44), expect);
+  for (const int threads : {1, 2, 3}) {
+    const testing_support::TeamSize team(threads);
+    EXPECT_EQ(poisson_pin(11, 44), expect) << threads << " threads";
+  }
   rt::Runtime::instance().reset_all();
 }
 
@@ -395,8 +422,255 @@ TEST(RealPathPin, PoissonSolveAtE8M20) {
       "it 300 conv 0 res 3ee499999999a000 p ba2cb873f193b725 p0 bf634ec033100000 pn "
       "3f645bedccf00000",
       "ops 307200 153600 384000 76800 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"};
-  EXPECT_EQ(poisson_pin(8, 20), expect);
+  for (const int threads : {1, 2, 3}) {
+    const testing_support::TeamSize team(threads);
+    EXPECT_EQ(poisson_pin(8, 20), expect) << threads << " threads";
+  }
   rt::Runtime::instance().reset_all();
+}
+
+/// Formatted pin of one PoissonSolver<double> solve of the pins' problem
+/// (the bubble projection's path): iterations, convergence, the residual's
+/// bits and a hash of p. Only +, -, *, / and fabs run, so the pinned bits
+/// hold on any host.
+std::string native_poisson_pin(double tol, int max_iter) {
+  const PinProblem pb;
+  const PoissonSolver<double> solver(pb.n, pb.n, pb.h, pb.h);
+  std::vector<double> p(pb.rhs.size(), 0.0);
+  const auto res = solver.solve(p, pb.rhs, pb.beta_x, pb.beta_y, tol, max_iter);
+  char line[120];
+  std::snprintf(line, sizeof line, "it %d conv %d res %016llx p %016llx", res.iterations,
+                res.converged ? 1 : 0,
+                static_cast<unsigned long long>(std::bit_cast<u64>(res.residual)),
+                static_cast<unsigned long long>(hash_bits(p)));
+  return line;
+}
+
+TEST(NativePathPin, PoissonSolve) {
+  for (const int threads : {1, 2, 3}) {
+    const testing_support::TeamSize team(threads);
+    // The bubble's budget: 300 sweeps, stopped short of the tolerance.
+    EXPECT_EQ(native_poisson_pin(1e-16, 300),
+              "it 300 conv 0 res 3ce5600000000000 p e95bb2e84cae3921")
+        << threads << " threads";
+    EXPECT_EQ(native_poisson_pin(1e-7, 2000),
+              "it 115 conv 1 res 3e3c705043000000 p d3bc61771510fe4d")
+        << threads << " threads";
+  }
+}
+
+/// The solve as a cell loop, written out: each sweep visits one colour's
+/// cells in row-major order, computes each cell's face coefficients and
+/// diagonal from beta, skips cells whose diagonal is not positive, and
+/// reads the neighbours clamped to the grid (a wall's zero face coefficient
+/// cancels the clamped read). Convergence control and the null-space
+/// pinning are PoissonSolver::solve's; instrumented ops run in the
+/// "poisson" region. The stencil plan must reproduce it bit for bit.
+template <class S>
+PoissonResult cell_loop_solve(int nx, int ny, double hx, double hy, std::vector<S>& p,
+                              const std::vector<double>& rhs, const std::vector<double>& beta_x,
+                              const std::vector<double>& beta_y, double tol, int max_iter,
+                              double omega = 1.7) {
+  Region region("poisson");
+  const double hx2 = 1.0 / (hx * hx), hy2 = 1.0 / (hy * hy);
+  const auto idx = [&](int i, int j) { return static_cast<std::size_t>(j) * nx + i; };
+  const auto faces = [&](int i, int j) {
+    const auto bx = [&](int fi) { return beta_x[static_cast<std::size_t>(j) * (nx + 1) + fi]; };
+    const auto by = [&](int fj) { return beta_y[static_cast<std::size_t>(fj) * nx + i]; };
+    return std::array<double, 4>{i > 0 ? bx(i) * hx2 : 0.0, i < nx - 1 ? bx(i + 1) * hx2 : 0.0,
+                                 j > 0 ? by(j) * hy2 : 0.0, j < ny - 1 ? by(j + 1) * hy2 : 0.0};
+  };
+  const auto at = [&](int i, int j) -> const S& {
+    return p[idx(std::clamp(i, 0, nx - 1), std::clamp(j, 0, ny - 1))];
+  };
+  const auto residual = [&] {
+    double worst = 0.0;
+    for (int j = 0; j < ny; ++j) {
+      for (int i = 0; i < nx; ++i) {
+        const auto [ble, bri, bbo, bto] = faces(i, j);
+        const double pc = to_double(p[idx(i, j)]);
+        const double lap = (i > 0 ? ble * (to_double(p[idx(i - 1, j)]) - pc) : 0.0) +
+                           (i < nx - 1 ? bri * (to_double(p[idx(i + 1, j)]) - pc) : 0.0) +
+                           (j > 0 ? bbo * (to_double(p[idx(i, j - 1)]) - pc) : 0.0) +
+                           (j < ny - 1 ? bto * (to_double(p[idx(i, j + 1)]) - pc) : 0.0);
+        worst = std::max(worst, std::fabs(lap - rhs[idx(i, j)]));
+      }
+    }
+    return worst;
+  };
+  double rhs_norm = 0.0;
+  for (const double r : rhs) rhs_norm = std::max(rhs_norm, std::fabs(r));
+  if (rhs_norm < 1e-300) rhs_norm = 1.0;
+  double diag_max = 0.0;
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const auto f = faces(i, j);
+      diag_max = std::max(diag_max, f[0] + f[1] + f[2] + f[3]);
+    }
+  }
+  if (diag_max <= 0.0) diag_max = 1.0;
+
+  PoissonResult out;
+  bool early_check_armed = true;
+  for (int it = 1; it <= max_iter; ++it) {
+    out.iterations = it;
+    double max_update = 0.0;
+    for (int color = 0; color < 2; ++color) {
+      for (int j = 0; j < ny; ++j) {
+        for (int i = (j + color) & 1; i < nx; i += 2) {
+          const auto [ble, bri, bbo, bto] = faces(i, j);
+          const double diag = ble + bri + bbo + bto;
+          if (diag <= 0.0) continue;
+          const SorUpdate<S> u = sor_update(S(ble), at(i - 1, j), S(bri), at(i + 1, j), S(bbo),
+                                            at(i, j - 1), S(bto), at(i, j + 1), S(rhs[idx(i, j)]),
+                                            S(diag), S(omega), p[idx(i, j)]);
+          p[idx(i, j)] = u.p;
+          max_update = std::max(max_update, std::fabs(to_double(u.upd)));
+        }
+      }
+    }
+    const bool cadence = it % 10 == 0 || it == max_iter;
+    const bool plausibly_converged = early_check_armed && max_update * diag_max < tol * rhs_norm;
+    if (cadence) early_check_armed = true;
+    if (cadence || plausibly_converged) {
+      out.residual = residual();
+      if (out.residual < tol * rhs_norm) {
+        out.converged = true;
+        break;
+      }
+      if (plausibly_converged && !cadence) early_check_armed = false;
+    }
+  }
+  double mean = 0.0;
+  for (const S& v : p) mean += to_double(v);
+  mean /= static_cast<double>(p.size());
+  for (S& v : p) v = S(to_double(v) - mean);
+  return out;
+}
+
+/// A grid for the plan-against-cell-loop tests. Its problem has Neumann
+/// walls, face coefficients that vary per face and a right-hand side of
+/// both signs; `isolated` zeroes all four faces of two cells, so their
+/// diagonal is 0 and no sweep updates them.
+struct PlanGrid {
+  const char* name = "";
+  int nx = 1, ny = 1;
+  bool isolated = false;
+};
+
+class PoissonPlan : public ::testing::TestWithParam<PlanGrid> {};
+
+TEST_P(PoissonPlan, SolveMatchesCellLoopBitwise) {
+  const PlanGrid g = GetParam();
+  const double hx = 1.0 / g.nx, hy = 2.0 / (g.ny + 1);
+  std::vector<double> beta_x(static_cast<std::size_t>(g.nx + 1) * g.ny, 0.0);
+  std::vector<double> beta_y(static_cast<std::size_t>(g.nx) * (g.ny + 1), 0.0);
+  for (int j = 0; j < g.ny; ++j) {
+    for (int i = 1; i < g.nx; ++i) {
+      beta_x[static_cast<std::size_t>(j) * (g.nx + 1) + i] = 1.0 + 0.25 * ((3 * i + j) % 5);
+    }
+  }
+  for (int j = 1; j < g.ny; ++j) {
+    for (int i = 0; i < g.nx; ++i) {
+      beta_y[static_cast<std::size_t>(j) * g.nx + i] = 0.5 + 0.75 * ((i + 2 * j) % 3);
+    }
+  }
+  if (g.isolated) {
+    for (const auto& [i, j] : {std::pair{2, 2}, std::pair{5, 3}}) {
+      beta_x[static_cast<std::size_t>(j) * (g.nx + 1) + i] = 0.0;
+      beta_x[static_cast<std::size_t>(j) * (g.nx + 1) + i + 1] = 0.0;
+      beta_y[static_cast<std::size_t>(j) * g.nx + i] = 0.0;
+      beta_y[static_cast<std::size_t>(j + 1) * g.nx + i] = 0.0;
+    }
+  }
+  std::vector<double> rhs(static_cast<std::size_t>(g.nx) * g.ny);
+  for (std::size_t k = 0; k < rhs.size(); ++k) {
+    rhs[k] = std::sin(0.7 * static_cast<double>(k) + 0.3) - 0.1;
+  }
+
+  auto& R = rt::Runtime::instance();
+  struct Record {
+    std::vector<u64> p;
+    PoissonResult res;
+    rt::CounterSnapshot counters;
+  };
+  const auto record = [&](auto& p, const PoissonResult& res) {
+    Record r{{}, res, R.counters()};
+    for (const auto& v : p) r.p.push_back(std::bit_cast<u64>(to_double(v)));
+    return r;
+  };
+  const auto expect_same = [&](const Record& got, const Record& want, const std::string& what) {
+    EXPECT_EQ(got.p, want.p) << what;
+    EXPECT_EQ(got.res.iterations, want.res.iterations) << what;
+    EXPECT_EQ(got.res.converged, want.res.converged) << what;
+    EXPECT_EQ(std::bit_cast<u64>(got.res.residual), std::bit_cast<u64>(want.res.residual)) << what;
+    EXPECT_EQ(got.counters.trunc_by_kind, want.counters.trunc_by_kind) << what;
+    EXPECT_EQ(got.counters.full_by_kind, want.counters.full_by_kind) << what;
+  };
+  // A tolerance the truncated solves never reach and the native ones reach
+  // on some grids, so both exits run.
+  const double tol = 1e-9;
+  const int max_iter = 150;
+  for (const int threads : {1, 2, 3}) {
+    const testing_support::TeamSize team(threads);
+    const std::string at = std::string(g.name) + ", " + std::to_string(threads) + " threads";
+    R.reset_all();
+    {
+      std::vector<double> p(rhs.size(), 0.0);
+      const auto want =
+          record(p, cell_loop_solve(g.nx, g.ny, hx, hy, p, rhs, beta_x, beta_y, tol, max_iter));
+      const PoissonSolver<double> solver(g.nx, g.ny, hx, hy);
+      std::vector<double> q(rhs.size(), 0.0);
+      expect_same(record(q, solver.solve(q, rhs, beta_x, beta_y, tol, max_iter)), want,
+                  "double, " + at);
+    }
+    // Real under a region override, the way the search truncates the solve.
+    R.set_region_format("poisson", rt::TruncationSpec::trunc64(11, 20));
+    R.reset_counters();
+    std::vector<Real> p(rhs.size(), Real(0.0));
+    const auto want =
+        record(p, cell_loop_solve(g.nx, g.ny, hx, hy, p, rhs, beta_x, beta_y, tol, max_iter));
+    if (g.nx * g.ny > 2) {
+      EXPECT_GT(want.counters.trunc_flops, 0u) << at;
+    }
+    for (const bool batch : {false, true}) {
+      R.reset_counters();
+      PoissonSolver<Real> solver(g.nx, g.ny, hx, hy);
+      solver.set_batch(batch);
+      std::vector<Real> q(rhs.size(), Real(0.0));
+      expect_same(record(q, solver.solve(q, rhs, beta_x, beta_y, tol, max_iter)), want,
+                  std::string(batch ? "Real batched, " : "Real per cell, ") + at);
+    }
+    R.reset_all();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, PoissonPlan,
+    ::testing::Values(PlanGrid{.name = "walls_8x6", .nx = 8, .ny = 6},
+                      PlanGrid{.name = "odd_7x5", .nx = 7, .ny = 5},
+                      PlanGrid{.name = "odd_9x11", .nx = 9, .ny = 11},
+                      PlanGrid{.name = "row_1x9", .nx = 1, .ny = 9},
+                      PlanGrid{.name = "column_9x1", .nx = 9, .ny = 1},
+                      PlanGrid{.name = "single_1x1", .nx = 1, .ny = 1},
+                      PlanGrid{.name = "isolated_8x6", .nx = 8, .ny = 6, .isolated = true}),
+    [](const ::testing::TestParamInfo<PlanGrid>& info) { return std::string(info.param.name); });
+
+TEST(PoissonDeath, RejectsMismatchedCoefficientSizes) {
+  // The solve reads rhs, beta_x and beta_y at indices computed from the
+  // grid, so an input of the wrong size would be read out of bounds.
+  // The statement runs in a fresh process: a forked copy of this one may
+  // hold an OpenMP pool it cannot use.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const int nx = 6, ny = 4;
+  const PoissonSolver<double> solver(nx, ny, 0.25, 0.25);
+  const std::vector<double> beta_x((nx + 1) * ny, 1.0), beta_y(nx * (ny + 1), 1.0);
+  const std::vector<double> rhs(nx * ny, 0.0), short_rhs(nx * ny - 1, 0.0);
+  const std::vector<double> cell_sized(nx * ny, 1.0);
+  std::vector<double> p(nx * ny, 0.0);
+  EXPECT_DEATH(solver.solve(p, short_rhs, beta_x, beta_y), "bad rhs size");
+  EXPECT_DEATH(solver.solve(p, rhs, cell_sized, beta_y), "bad beta_x size");
+  EXPECT_DEATH(solver.solve(p, rhs, beta_x, cell_sized), "bad beta_y size");
 }
 
 TEST_F(IncompTest, PoissonConvergesPromptlyOffTheResidualCadence) {
