@@ -10,13 +10,23 @@
 // and cache state, so each row is measured three times, the rows
 // interleaved so slow drift hits all alike, and keeps its best trial.
 // Sampled tracing (plain and rotating) is gated at 2x counting-only and the
-// metrics plus region timing at 1.2x; the other rows are context. Writes
-// BENCH_overhead.json (bench/report.hpp's layout) and exits nonzero when a
-// bound fails, unless --no-check.
+// metrics plus region timing at 1.2x; the other rows are context.
+//
+// The `paths` table prices each execution path of the dispatch, counting
+// only, in the same harness: the scalar op2 add loop and op2_batch add at 8,
+// 72 and 4096 lanes, each with no scope (native), on the fp64 and fp32
+// hardware types, on the fast kernels at (8, 12) (the scalar loop under
+// hw_fastpath, the batch once per SIMD path the CPU has) and in BigFloat
+// (the scalar loop at (8, 12) without hw_fastpath, the batch at (12, 12),
+// outside the fast envelope). Its rows are ungated.
+//
+// Writes BENCH_overhead.json (bench/report.hpp's layout) and exits nonzero
+// when a bound fails, unless --no-check.
 //
 // Options: --quick (200 reps instead of 2000), --json=PATH, --no-check.
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,21 +79,42 @@ std::vector<double> make_data(u64 seed) {
 
 constexpr const char* kShapes[] = {"batch_add", "batch_fma", "scalar_add"};
 
+const std::vector<double>& data(std::size_t i) {
+  static const std::vector<double> d[] = {make_data(1), make_data(2), make_data(3)};
+  return d[i];
+}
+
+/// One pass of op2 add over the first whole spans of `span` lanes in
+/// kLanes (span 0: a scalar op2 loop over all kLanes); returns the number
+/// of elements added.
+std::size_t add_pass(std::size_t span, double* out) {
+  auto& R = rt::Runtime::instance();
+  const double* a = data(0).data();
+  const double* b = data(1).data();
+  if (span == 0) {
+    for (std::size_t i = 0; i < kLanes; ++i) out[i] = R.op2(rt::OpKind::Add, a[i], b[i], 64);
+    return kLanes;
+  }
+  std::size_t i = 0;
+  for (; i + span <= kLanes; i += span) {
+    R.op2_batch(rt::OpKind::Add, a + i, b + i, out + i, span, 64);
+  }
+  return i;
+}
+
 /// Runs `reps` repetitions of shape `k` over kLanes elements, rendering a
 /// full Prometheus scrape every `scrape_every` reps (0: never); returns
 /// seconds.
 double run_shape(std::size_t k, int reps, int scrape_every) {
   auto& R = rt::Runtime::instance();
-  static const std::vector<double> a = make_data(1), b = make_data(2), c = make_data(3);
   std::vector<double> out(kLanes);
   Timer t;
   for (int r = 0; r < reps; ++r) {
-    if (k == 0) {
-      R.op2_batch(rt::OpKind::Add, a.data(), b.data(), out.data(), kLanes, 64);
-    } else if (k == 1) {
-      R.op3_batch(rt::OpKind::Fma, a.data(), b.data(), c.data(), out.data(), kLanes, 64);
+    if (k == 1) {
+      R.op3_batch(rt::OpKind::Fma, data(0).data(), data(1).data(), data(2).data(), out.data(),
+                  kLanes, 64);
     } else {
-      for (std::size_t i = 0; i < kLanes; ++i) out[i] = R.op2(rt::OpKind::Add, a[i], b[i], 64);
+      add_pass(k == 0 ? kLanes : 0, out.data());
     }
     if (scrape_every > 0 && r % scrape_every == 0) {
       const std::string text =
@@ -126,6 +157,58 @@ double measure(std::size_t k, const Config& c, int reps) {
   R.reset_all();
   registry.reset();
   return 1e9 * sec / (static_cast<double>(kLanes) * reps);
+}
+
+/// A row of the paths table: the settings that put op2 add on one path.
+struct PathRow {
+  std::string name;
+  std::optional<sf::Format> fmt;  ///< the scope's format; none: native
+  bool hw = false;                ///< hw_fastpath
+  std::optional<sf::simd::Path> simd;
+};
+
+/// The paths table's rows for the scalar loop (span 0) or a batch span.
+std::vector<PathRow> path_rows(std::size_t span) {
+  const sf::Format e8m12{8, 12};
+  std::vector<PathRow> rows = {
+      {"native", std::nullopt, false, std::nullopt},
+      {"hw_fp64", sf::Format::fp64(), true, std::nullopt},
+      {"hw_fp32", sf::Format::fp32(), true, std::nullopt},
+  };
+  if (span == 0) {
+    rows.push_back({"fast", e8m12, true, std::nullopt});
+    rows.push_back({"bigfloat", e8m12, false, std::nullopt});
+    return rows;
+  }
+  for (const auto p : {sf::simd::Path::Portable, sf::simd::Path::Avx2, sf::simd::Path::Avx512}) {
+    if (sf::simd::path_supported(p)) {
+      rows.push_back({std::string("fast_") + sf::simd::path_name(p), e8m12, false, p});
+    }
+  }
+  rows.push_back({"bigfloat", sf::Format{12, 12}, false, std::nullopt});
+  return rows;
+}
+
+/// ns per element of op2 add in spans of `span` lanes on the path of `row`,
+/// counting only, from a clean runtime.
+double measure_path(std::size_t span, const PathRow& row, int reps) {
+  auto& R = rt::Runtime::instance();
+  R.reset_all();
+  R.set_hw_fastpath(row.hw);
+  R.force_simd_path(row.simd);
+  std::vector<double> out(kLanes);
+  double sec = 0.0;
+  std::size_t elements = 0;
+  {
+    std::optional<TruncScope> scope;
+    if (row.fmt) scope.emplace(row.fmt->exp_bits, row.fmt->man_bits);
+    for (int r = 0; r < reps / 4; ++r) add_pass(span, out.data());  // warm-up
+    Timer t;
+    for (int r = 0; r < reps; ++r) elements += add_pass(span, out.data());
+    sec = t.seconds();
+  }
+  R.reset_all();
+  return 1e9 * sec / static_cast<double>(elements);
 }
 
 }  // namespace
@@ -174,6 +257,31 @@ int run(int argc, char** argv) {
   }
   std::remove(kTracePath);
   for (u32 i = 1; std::remove(trace::segment_path(kTracePath, i).c_str()) == 0; ++i) {
+  }
+
+  std::printf("\nexecution paths of op2 add, counting only (ns/el, best of %d interleaved "
+              "trials)\n\n",
+              kTrials);
+  std::printf("%-12s %6s %-14s %10s\n", "shape", "lanes", "path", "ns/el");
+  for (const std::size_t span : {std::size_t{0}, std::size_t{8}, std::size_t{72}, kLanes}) {
+    const std::vector<PathRow> rows = path_rows(span);
+    std::vector<double> best(rows.size());
+    for (int trial = 0; trial < kTrials; ++trial) {
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const double ns = measure_path(span, rows[i], reps);
+        best[i] = trial == 0 ? ns : std::min(best[i], ns);
+      }
+    }
+    const char* shape = span == 0 ? "scalar_add" : "batch_add";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      report.row("paths")
+          .set("shape", shape)
+          .set("lanes", std::max<std::size_t>(span, 1))
+          .set("path", rows[i].name)
+          .set("ns_per_el", best[i]);
+      std::printf("%-12s %6zu %-14s %10.2f\n", shape, std::max<std::size_t>(span, 1),
+                  rows[i].name.c_str(), best[i]);
+    }
   }
 
   report.gates.set("traced_max_x", kMaxTraceX)

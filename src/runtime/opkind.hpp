@@ -57,4 +57,32 @@ constexpr const char* op_name(OpKind k) {
   return "?";
 }
 
+/// Operand count of `k` (0 for the sentinel): the runtime's entry points for
+/// N operands accept exactly the kinds of arity N.
+constexpr int op_arity(OpKind k) {
+  switch (k) {
+    case OpKind::Add:
+    case OpKind::Sub:
+    case OpKind::Mul:
+    case OpKind::Div:
+    case OpKind::Atan2:
+    case OpKind::Pow: return 2;
+    case OpKind::Fma: return 3;
+    case OpKind::Sqrt:
+    case OpKind::Neg:
+    case OpKind::Exp:
+    case OpKind::Log:
+    case OpKind::Log2:
+    case OpKind::Log10:
+    case OpKind::Sin:
+    case OpKind::Cos:
+    case OpKind::Tan:
+    case OpKind::Atan:
+    case OpKind::Tanh:
+    case OpKind::Cbrt: return 1;
+    case OpKind::Count: return 0;
+  }
+  return 0;
+}
+
 }  // namespace raptor::rt

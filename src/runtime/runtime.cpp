@@ -12,13 +12,6 @@ namespace raptor::rt {
 
 namespace {
 
-/// Emulation cell: stands in for an MPFR variable. Naive allocation strategy
-/// news/deletes these per operation (the cost profile of mpfr_init2 /
-/// mpfr_clear in Fig. 5a); scratch mode reuses a thread-local pad (Fig. 4b).
-struct EmuCell {
-  sf::BigFloat v;
-};
-
 double deviation_of(double t, double s) {
   const bool t_nan = std::isnan(t);
   const bool s_nan = std::isnan(s);
@@ -101,9 +94,11 @@ struct Runtime::ThreadState {
   u32 trace_slot = 0;
   trace::RegionHist* trace_hist = nullptr;
   bool trace_slot_cached = false;
-  EmuCell scratch[4];
+  /// The scratch pad of emulation cells (Fig. 4b): each stands in for an
+  /// MPFR variable, reused by every emulated op of the thread.
+  sf::BigFloat scratch[4];
   /// Lanes of the broadcast operands of a batch call (one per position).
-  std::vector<double> spread[2];
+  std::vector<double> spread[3];
   Runtime* owner;
 
   void invalidate_trunc_cache() {
@@ -424,11 +419,29 @@ std::optional<sf::Format> Runtime::active_format(int width) {
 }
 
 // ---------------------------------------------------------------------------
-// Native execution paths
+// Execution kernels: each written once for every operand count
 // ---------------------------------------------------------------------------
+//
+// Every kernel reads its operands from x[0..op_arity(k)); the entry points
+// check the arity before any of them runs.
 
-double Runtime::native1(OpKind k, double a) const {
+namespace {
+
+/// `k` in F arithmetic, widened back to double: untruncated execution
+/// (F = double) and the hardware types under hw_fastpath (fp64: double,
+/// fp32: float).
+template <class F>
+double native(OpKind k, const double* x) {
+  const F a = static_cast<F>(x[0]);
   switch (k) {
+    case OpKind::Add: return a + static_cast<F>(x[1]);
+    case OpKind::Sub: return a - static_cast<F>(x[1]);
+    case OpKind::Mul: return a * static_cast<F>(x[1]);
+    case OpKind::Div: return a / static_cast<F>(x[1]);
+    case OpKind::Pow: return std::pow(a, static_cast<F>(x[1]));
+    case OpKind::Atan2: return std::atan2(a, static_cast<F>(x[1]));
+    // One rounding in F, matching the BigFloat fused semantics.
+    case OpKind::Fma: return std::fma(a, static_cast<F>(x[1]), static_cast<F>(x[2]));
     case OpKind::Neg: return -a;
     case OpKind::Sqrt: return std::sqrt(a);
     case OpKind::Exp: return std::exp(a);
@@ -441,63 +454,53 @@ double Runtime::native1(OpKind k, double a) const {
     case OpKind::Atan: return std::atan(a);
     case OpKind::Tanh: return std::tanh(a);
     case OpKind::Cbrt: return std::cbrt(a);
-    default: RAPTOR_REQUIRE(false, "bad unary op"); return 0;
+    default: RAPTOR_REQUIRE(false, "bad op kind"); return 0;
   }
 }
 
-double Runtime::native2(OpKind k, double a, double b) const {
-  switch (k) {
-    case OpKind::Add: return a + b;
-    case OpKind::Sub: return a - b;
-    case OpKind::Mul: return a * b;
-    case OpKind::Div: return a / b;
-    case OpKind::Pow: return std::pow(a, b);
-    case OpKind::Atan2: return std::atan2(a, b);
-    default: RAPTOR_REQUIRE(false, "bad binary op"); return 0;
+/// native<F> over n lanes of the operand spans p[0..N). The four arithmetic
+/// kinds have loops of their own, which the compiler vectorizes.
+template <class F, int N>
+void native_lanes(OpKind k, const double* const* p, double* out, std::size_t n) {
+  if constexpr (N == 2) {
+    const double* a = p[0];
+    const double* b = p[1];
+    switch (k) {
+      case OpKind::Add:
+        for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<F>(a[i]) + static_cast<F>(b[i]);
+        return;
+      case OpKind::Sub:
+        for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<F>(a[i]) - static_cast<F>(b[i]);
+        return;
+      case OpKind::Mul:
+        for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<F>(a[i]) * static_cast<F>(b[i]);
+        return;
+      case OpKind::Div:
+        for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<F>(a[i]) / static_cast<F>(b[i]);
+        return;
+      default: break;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    double v[N];
+    for (int j = 0; j < N; ++j) v[j] = p[j][i];
+    out[i] = native<F>(k, v);
   }
 }
 
-double Runtime::native1_f32(OpKind k, double a) const {
-  const float x = static_cast<float>(a);
+/// `k` over the cells *x[0..op_arity(k)) in BigFloat, correctly rounded into `f`
+/// (the elementary functions faithfully, DESIGN.md §6): op-mode emulation
+/// and mem-mode's truncated value.
+sf::BigFloat bf_op(OpKind k, const sf::BigFloat* const* x, const sf::Format& f) {
+  const sf::BigFloat& a = *x[0];
   switch (k) {
-    case OpKind::Neg: return -x;
-    case OpKind::Sqrt: return std::sqrt(x);
-    case OpKind::Exp: return std::exp(x);
-    case OpKind::Log: return std::log(x);
-    case OpKind::Log2: return std::log2(x);
-    case OpKind::Log10: return std::log10(x);
-    case OpKind::Sin: return std::sin(x);
-    case OpKind::Cos: return std::cos(x);
-    case OpKind::Tan: return std::tan(x);
-    case OpKind::Atan: return std::atan(x);
-    case OpKind::Tanh: return std::tanh(x);
-    case OpKind::Cbrt: return std::cbrt(x);
-    default: RAPTOR_REQUIRE(false, "bad unary op"); return 0;
-  }
-}
-
-double Runtime::native2_f32(OpKind k, double a, double b) const {
-  const float x = static_cast<float>(a);
-  const float y = static_cast<float>(b);
-  switch (k) {
-    case OpKind::Add: return x + y;
-    case OpKind::Sub: return x - y;
-    case OpKind::Mul: return x * y;
-    case OpKind::Div: return x / y;
-    case OpKind::Pow: return std::pow(x, y);
-    case OpKind::Atan2: return std::atan2(x, y);
-    default: RAPTOR_REQUIRE(false, "bad binary op"); return 0;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Emulated execution (op-mode, Fig. 5a semantics)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-sf::BigFloat bf_op1(OpKind k, const sf::BigFloat& a, const sf::Format& f) {
-  switch (k) {
+    case OpKind::Add: return sf::BigFloat::add(a, *x[1], f);
+    case OpKind::Sub: return sf::BigFloat::sub(a, *x[1], f);
+    case OpKind::Mul: return sf::BigFloat::mul(a, *x[1], f);
+    case OpKind::Div: return sf::BigFloat::div(a, *x[1], f);
+    case OpKind::Pow: return sf::bf_pow(a, *x[1], f);
+    case OpKind::Atan2: return sf::bf_atan2(a, *x[1], f);
+    case OpKind::Fma: return sf::BigFloat::fma(a, *x[1], *x[2], f);
     case OpKind::Neg: return a.negated();
     case OpKind::Sqrt: return sf::BigFloat::sqrt(a, f);
     case OpKind::Exp: return sf::bf_exp(a, f);
@@ -510,95 +513,79 @@ sf::BigFloat bf_op1(OpKind k, const sf::BigFloat& a, const sf::Format& f) {
     case OpKind::Atan: return sf::bf_atan(a, f);
     case OpKind::Tanh: return sf::bf_tanh(a, f);
     case OpKind::Cbrt: return sf::bf_cbrt(a, f);
-    default: RAPTOR_REQUIRE(false, "bad unary op"); return {};
+    default: RAPTOR_REQUIRE(false, "bad op kind"); return {};
   }
 }
 
-sf::BigFloat bf_op2(OpKind k, const sf::BigFloat& a, const sf::BigFloat& b, const sf::Format& f) {
+/// True when the fast kernels compute `k` in `f` bit-identically to the
+/// BigFloat reference (fast_round.hpp): Add/Sub/Mul/Div/Neg/Sqrt inside
+/// the fast_round envelope, Fma inside the narrower fast_fma one.
+bool fast_ok(OpKind k, const sf::Format& f) {
   switch (k) {
-    case OpKind::Add: return sf::BigFloat::add(a, b, f);
-    case OpKind::Sub: return sf::BigFloat::sub(a, b, f);
-    case OpKind::Mul: return sf::BigFloat::mul(a, b, f);
-    case OpKind::Div: return sf::BigFloat::div(a, b, f);
-    case OpKind::Pow: return sf::bf_pow(a, b, f);
-    case OpKind::Atan2: return sf::bf_atan2(a, b, f);
-    default: RAPTOR_REQUIRE(false, "bad binary op"); return {};
+    case OpKind::Add:
+    case OpKind::Sub:
+    case OpKind::Mul:
+    case OpKind::Div:
+    case OpKind::Neg:
+    case OpKind::Sqrt: return sf::fast_round_supports(f);
+    case OpKind::Fma: return sf::fast_fma_supports(f);
+    default: return false;
   }
 }
 
-double native3(OpKind k, double a, double b, double c) {
-  RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
-  return std::fma(a, b, c);
+/// The scalar fast kernel of `k` (fast_ok holds).
+double fast(OpKind k, const double* x, const sf::Format& f) {
+  const sf::RoundSpec s(f);
+  switch (k) {
+    case OpKind::Add: return sf::fast_add(x[0], x[1], s);
+    case OpKind::Sub: return sf::fast_sub(x[0], x[1], s);
+    case OpKind::Mul: return sf::fast_mul(x[0], x[1], s);
+    case OpKind::Div: return sf::fast_div(x[0], x[1], s);
+    case OpKind::Neg: return sf::fast_neg(x[0], s);
+    case OpKind::Sqrt: return sf::fast_sqrt(x[0], s);
+    default: return sf::fast_fma(x[0], x[1], x[2], s);
+  }
 }
 
-double native3_f32(OpKind k, double a, double b, double c) {
-  RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
-  // Single-rounding fp32 FMA, matching the BigFloat fused semantics.
-  return std::fmaf(static_cast<float>(a), static_cast<float>(b), static_cast<float>(c));
+/// The span kernel of `k` (fast_ok holds).
+sf::simd::SpanOp span_op(OpKind k) {
+  switch (k) {
+    case OpKind::Add: return sf::simd::SpanOp::Add;
+    case OpKind::Sub: return sf::simd::SpanOp::Sub;
+    case OpKind::Mul: return sf::simd::SpanOp::Mul;
+    case OpKind::Div: return sf::simd::SpanOp::Div;
+    case OpKind::Neg: return sf::simd::SpanOp::Neg;
+    case OpKind::Sqrt: return sf::simd::SpanOp::Sqrt;
+    default: return sf::simd::SpanOp::Fma;
+  }
+}
+
+/// `v` in n lanes of `buf` (a broadcast batch operand).
+const double* spread(double v, std::size_t n, std::vector<double>& buf) {
+  if (buf.size() < n) buf.resize(n);
+  std::fill_n(buf.data(), n, v);
+  return buf.data();
 }
 
 }  // namespace
 
-double Runtime::emulate1(ThreadState& ts, OpKind k, double a, const sf::Format& f) {
-  const auto compute = [&](EmuCell& ma, EmuCell& mc) {
-    ma.v = sf::BigFloat::from_double_rounded(a, f);  // mpfr_set
-    mc.v = bf_op1(k, ma.v, f);
-    return mc.v.to_double();  // mpfr_get
+template <int N>
+double Runtime::emulate(ThreadState& ts, OpKind k, const double* x, const sf::Format& f) {
+  // Cells 0..N-1 take the rounded operands (mpfr_set), cell N the result.
+  const auto run = [&](sf::BigFloat* const* c) {
+    for (int i = 0; i < N; ++i) *c[i] = sf::BigFloat::from_double_rounded(x[i], f);
+    *c[N] = bf_op(k, c, f);
+    return c[N]->to_double();  // mpfr_get
   };
+  sf::BigFloat* c[N + 1];
   if (alloc_ == AllocStrategy::Naive) {
-    auto* ma = new EmuCell;  // mpfr_init2 per op
-    auto* mc = new EmuCell;
-    const double r = compute(*ma, *mc);
-    delete ma;  // mpfr_clear per op
-    delete mc;
+    for (sf::BigFloat*& cell : c) cell = new sf::BigFloat;  // mpfr_init2 per op
+    const double r = run(c);
+    for (sf::BigFloat* cell : c) delete cell;  // mpfr_clear per op
     return r;
   }
-  return compute(ts.scratch[0], ts.scratch[2]);
-}
-
-double Runtime::emulate2(ThreadState& ts, OpKind k, double a, double b, const sf::Format& f) {
-  const auto compute = [&](EmuCell& ma, EmuCell& mb, EmuCell& mc) {
-    ma.v = sf::BigFloat::from_double_rounded(a, f);
-    mb.v = sf::BigFloat::from_double_rounded(b, f);
-    mc.v = bf_op2(k, ma.v, mb.v, f);
-    return mc.v.to_double();
-  };
-  if (alloc_ == AllocStrategy::Naive) {
-    auto* ma = new EmuCell;
-    auto* mb = new EmuCell;
-    auto* mc = new EmuCell;
-    const double r = compute(*ma, *mb, *mc);
-    delete ma;
-    delete mb;
-    delete mc;
-    return r;
-  }
-  return compute(ts.scratch[0], ts.scratch[1], ts.scratch[2]);
-}
-
-double Runtime::emulate3(ThreadState& ts, OpKind k, double a, double b, double c,
-                         const sf::Format& f) {
-  RAPTOR_REQUIRE(k == OpKind::Fma, "bad ternary op");
-  const auto compute = [&](EmuCell& ma, EmuCell& mb, EmuCell& mc, EmuCell& md) {
-    ma.v = sf::BigFloat::from_double_rounded(a, f);
-    mb.v = sf::BigFloat::from_double_rounded(b, f);
-    mc.v = sf::BigFloat::from_double_rounded(c, f);
-    md.v = sf::BigFloat::fma(ma.v, mb.v, mc.v, f);
-    return md.v.to_double();
-  };
-  if (alloc_ == AllocStrategy::Naive) {
-    auto* ma = new EmuCell;
-    auto* mb = new EmuCell;
-    auto* mc = new EmuCell;
-    auto* md = new EmuCell;
-    const double r = compute(*ma, *mb, *mc, *md);
-    delete ma;
-    delete mb;
-    delete mc;
-    delete md;
-    return r;
-  }
-  return compute(ts.scratch[0], ts.scratch[1], ts.scratch[2], ts.scratch[3]);
+  for (int i = 0; i <= N; ++i) c[i] = &ts.scratch[i];
+  return run(c);
 }
 
 // ---------------------------------------------------------------------------
@@ -632,22 +619,9 @@ double Runtime::mem_op(ThreadState& ts, OpKind k, const double* args, int n, con
     }
   }
 
-  sf::BigFloat tr;
-  double sr;
-  switch (n) {
-    case 1:
-      tr = bf_op1(k, t[0], f);
-      sr = native1(k, s[0]);
-      break;
-    case 2:
-      tr = bf_op2(k, t[0], t[1], f);
-      sr = native2(k, s[0], s[1]);
-      break;
-    default:
-      tr = sf::BigFloat::fma(t[0], t[1], t[2], f);
-      sr = native3(k, s[0], s[1], s[2]);
-      break;
-  }
+  const sf::BigFloat* const cells[3] = {&t[0], &t[1], &t[2]};
+  const sf::BigFloat tr = bf_op(k, cells, f);
+  const double sr = native<double>(k, s);
 
   const double dev_r = deviation_of(tr.to_double(), sr);
   if (ThreadProfile* rp = region_prof(ts)) {
@@ -743,61 +717,16 @@ void Runtime::mem_release(double maybe_boxed) {
 // Instrumented entry points
 // ---------------------------------------------------------------------------
 
-void Runtime::count_scalar(ThreadState& ts, OpKind k, bool trunc) {
+inline void Runtime::count(ThreadState& ts, OpKind k, bool trunc, u64 n) {
   if (!counting_) return;
-  ts.counters.bump_ops(k, trunc, 1);
-  if (ThreadProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, 1);
-}
-
-void Runtime::count_batch(ThreadState& ts, OpKind k, bool trunc, u64 n) {
-  if (!counting_) return;
-  // Per-vector bulk-bump audit (DESIGN.md §13): bump_ops takes the element
-  // count directly, so one call here accounts the whole span regardless of
-  // how the loop body chops it into vectors and scalar tail — `ops counted
-  // == elements processed` holds exactly for every lane width. Pinned by
+  // Per-vector bulk-bump audit (DESIGN.md §13): a batch call bumps once for
+  // the whole span, before its loop body runs, so however that body chops
+  // the span into vectors and scalar tail, `ops counted == elements
+  // processed` holds exactly for every lane width. Pinned by
   // test_simd_parity's CounterConservation suite.
   ts.counters.bump_ops(k, trunc, n);
   if (ThreadProfile* rp = region_prof(ts)) rp->counters.bump_ops(k, trunc, n);
 }
-
-namespace {
-/// Fast-kernel eligibility per arity (see fast_round.hpp): arithmetic kinds
-/// whose one-hardware-op-plus-fast_round execution is bit-identical to the
-/// BigFloat reference inside the format envelope.
-inline bool fast1_kind(OpKind k) { return k == OpKind::Neg || k == OpKind::Sqrt; }
-inline bool fast2_kind(OpKind k) {
-  return k == OpKind::Add || k == OpKind::Sub || k == OpKind::Mul || k == OpKind::Div;
-}
-
-inline double fast1(OpKind k, double a, const sf::Format& f) {
-  return k == OpKind::Neg ? sf::fast_neg(a, f) : sf::fast_sqrt(a, f);
-}
-
-inline double fast2(OpKind k, double a, double b, const sf::Format& f) {
-  switch (k) {
-    case OpKind::Add: return sf::fast_add(a, b, f);
-    case OpKind::Sub: return sf::fast_sub(a, b, f);
-    case OpKind::Mul: return sf::fast_mul(a, b, f);
-    default: return sf::fast_div(a, b, f);
-  }
-}
-
-/// `v` in n lanes of `buf` (a broadcast batch operand).
-const double* spread(double v, std::size_t n, std::vector<double>& buf) {
-  if (buf.size() < n) buf.resize(n);
-  std::fill_n(buf.data(), n, v);
-  return buf.data();
-}
-
-inline sf::simd::SpanOp span2_op(OpKind k) {
-  switch (k) {
-    case OpKind::Add: return sf::simd::SpanOp::Add;
-    case OpKind::Sub: return sf::simd::SpanOp::Sub;
-    case OpKind::Mul: return sf::simd::SpanOp::Mul;
-    default: return sf::simd::SpanOp::Div;
-  }
-}
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Trace capture (DESIGN.md §12)
@@ -859,272 +788,127 @@ void Runtime::trace_event(ThreadState& ts, OpKind k, const double* vals, std::si
   ts.trace_buf->ring.try_push(ev);
 }
 
-double Runtime::op1(OpKind k, double a, int width) {
+template <int N>
+double Runtime::op(OpKind k, const double (&x)[N], int width) {
+  RAPTOR_REQUIRE(op_arity(k) == N, "op kind does not match its operand count");
   ThreadState& ts = tls();
-  const double r = op1_dispatch(ts, k, a, width);
-  // Mem-mode results are NaN-boxed handles and were already traced (with
-  // their deviation bucket) inside mem_op; everything else is traced here,
-  // re-reading the effective format from the (hot) thread-local cache.
-  if (trace_on_ && !boxing::is_boxed(r)) {
-    trace_event(ts, k, &r, 1, effective_format(ts, width), false, false, trace::kDevNone);
-  }
-  return r;
-}
-
-double Runtime::op2(OpKind k, double a, double b, int width) {
-  ThreadState& ts = tls();
-  const double r = op2_dispatch(ts, k, a, b, width);
-  if (trace_on_ && !boxing::is_boxed(r)) {
-    trace_event(ts, k, &r, 1, effective_format(ts, width), false, false, trace::kDevNone);
-  }
-  return r;
-}
-
-double Runtime::op3(OpKind k, double a, double b, double c, int width) {
-  ThreadState& ts = tls();
-  const double r = op3_dispatch(ts, k, a, b, c, width);
-  if (trace_on_ && !boxing::is_boxed(r)) {
-    trace_event(ts, k, &r, 1, effective_format(ts, width), false, false, trace::kDevNone);
-  }
-  return r;
-}
-
-double Runtime::op1_dispatch(ThreadState& ts, OpKind k, double a, int width) {
   const sf::Format* f = effective_format(ts, width);
-  if (f == nullptr) {
-    if (mode_ == Mode::Mem && boxing::is_boxed(a)) {
-      count_scalar(ts, k, false);
-      return mem_op(ts, k, &a, 1, sf::Format::fp64(), /*truncated=*/false);
-    }
-    count_scalar(ts, k, false);
-    return native1(k, a);
+  count(ts, k, f != nullptr, 1);
+  if (mode_ == Mode::Mem &&
+      (f != nullptr || std::any_of(std::begin(x), std::end(x), boxing::is_boxed))) {
+    // A NaN-boxed handle, traced with its deviation bucket inside mem_op.
+    return mem_op(ts, k, x, N, f != nullptr ? *f : sf::Format::fp64(), f != nullptr);
   }
-  count_scalar(ts, k, true);
-  if (mode_ == Mode::Mem) return mem_op(ts, k, &a, 1, *f, true);
-  if (hw_fastpath_) {
-    if (*f == sf::Format::fp64()) return native1(k, a);
-    if (*f == sf::Format::fp32()) return native1_f32(k, a);
+  double r;
+  if (f == nullptr || (hw_fastpath_ && *f == sf::Format::fp64())) {
+    r = native<double>(k, x);
+  } else if (hw_fastpath_ && *f == sf::Format::fp32()) {
+    r = native<float>(k, x);
+  } else if (hw_fastpath_ && fast_ok(k, *f)) {
     // Narrower formats execute on fp64 hardware + fast_round, never through
     // fp32 hardware: widening through fp32 double-rounds for man_bits > 11
     // (DESIGN.md §8; pinned by DoubleRoundingWitness in test_runtime).
-    if (fast1_kind(k) && sf::fast_round_supports(*f)) return fast1(k, a, *f);
+    r = fast(k, x, *f);
+  } else {
+    r = emulate<N>(ts, k, x, *f);
   }
-  return emulate1(ts, k, a, *f);
+  if (trace_on_ && !boxing::is_boxed(r)) {
+    trace_event(ts, k, &r, 1, f, /*span=*/false, /*mem=*/false, trace::kDevNone);
+  }
+  return r;
 }
 
-double Runtime::op2_dispatch(ThreadState& ts, OpKind k, double a, double b, int width) {
-  const sf::Format* f = effective_format(ts, width);
-  if (f == nullptr) {
-    if (mode_ == Mode::Mem && (boxing::is_boxed(a) || boxing::is_boxed(b))) {
-      count_scalar(ts, k, false);
-      const double args[2] = {a, b};
-      return mem_op(ts, k, args, 2, sf::Format::fp64(), /*truncated=*/false);
-    }
-    count_scalar(ts, k, false);
-    return native2(k, a, b);
-  }
-  count_scalar(ts, k, true);
-  if (mode_ == Mode::Mem) {
-    const double args[2] = {a, b};
-    return mem_op(ts, k, args, 2, *f, true);
-  }
-  if (hw_fastpath_) {
-    if (*f == sf::Format::fp64()) return native2(k, a, b);
-    if (*f == sf::Format::fp32()) return native2_f32(k, a, b);
-    if (fast2_kind(k) && sf::fast_round_supports(*f)) return fast2(k, a, b, *f);
-  }
-  return emulate2(ts, k, a, b, *f);
-}
+double Runtime::op1(OpKind k, double a, int width) { return op<1>(k, {a}, width); }
 
-double Runtime::op3_dispatch(ThreadState& ts, OpKind k, double a, double b, double c, int width) {
-  const sf::Format* f = effective_format(ts, width);
-  if (f == nullptr) {
-    if (mode_ == Mode::Mem &&
-        (boxing::is_boxed(a) || boxing::is_boxed(b) || boxing::is_boxed(c))) {
-      count_scalar(ts, k, false);
-      const double args[3] = {a, b, c};
-      return mem_op(ts, k, args, 3, sf::Format::fp64(), /*truncated=*/false);
-    }
-    count_scalar(ts, k, false);
-    return native3(k, a, b, c);
-  }
-  count_scalar(ts, k, true);
-  if (mode_ == Mode::Mem) {
-    const double args[3] = {a, b, c};
-    return mem_op(ts, k, args, 3, *f, true);
-  }
-  if (hw_fastpath_) {
-    if (*f == sf::Format::fp64()) return native3(k, a, b, c);
-    if (*f == sf::Format::fp32()) return native3_f32(k, a, b, c);
-    if (sf::fast_fma_supports(*f)) return sf::fast_fma(a, b, c, *f);
-  }
-  return emulate3(ts, k, a, b, c, *f);
+double Runtime::op2(OpKind k, double a, double b, int width) { return op<2>(k, {a, b}, width); }
+
+double Runtime::op3(OpKind k, double a, double b, double c, int width) {
+  return op<3>(k, {a, b, c}, width);
 }
 
 // ---------------------------------------------------------------------------
 // Batched op-mode dispatch (DESIGN.md §8)
 // ---------------------------------------------------------------------------
 //
-// Shared structure: resolve the thread state, mode and effective format once,
-// bump the counters with a single bulk add, then stream one of four loop
-// bodies over the span — native (no truncation), hardware (fp64/fp32 under
-// the fast-path flag), the fast_round kernels (every format with
-// exp_bits <= 11; fma: exp_bits <= 9, man_bits <= 24), or per-element
-// BigFloat emulation.
+// Resolve the thread state, mode and effective format once, bump the
+// counters with a single bulk add, then stream one of three loop bodies over
+// the span: the fast_round kernels (every format with exp_bits <= 11; fma:
+// exp_bits <= 9, man_bits <= 24) unless the hardware types apply, a native
+// loop in double (no truncation, or fp64 under hw_fastpath) or float (fp32
+// under hw_fastpath), or per-element BigFloat emulation.
 // Every body is bit-identical to the scalar op loop it replaces; mem-mode
-// delegates to the scalar entry points so handle ownership is unchanged.
+// delegates to the scalar entry point so handle ownership is unchanged.
+
+template <int N>
+const sf::Format* Runtime::lanes(OpKind k, const BatchArg* const (&x)[N], double* out,
+                                 std::size_t n, int width) {
+  RAPTOR_REQUIRE(op_arity(k) == N, "op kind does not match its operand count");
+  if (n == 0) return nullptr;
+  if (mode_ == Mode::Mem) {
+    // The scalar entry point keeps handle ownership semantics and traces
+    // each element (with its deviation bucket) itself.
+    for (std::size_t i = 0; i < n; ++i) {
+      double v[N];
+      for (int j = 0; j < N; ++j) v[j] = x[j]->lanes != nullptr ? x[j]->lanes[i] : x[j]->value;
+      out[i] = op<N>(k, v, width);
+    }
+    return nullptr;
+  }
+  ThreadState& ts = tls();
+  const sf::Format* f = effective_format(ts, width);
+  count(ts, k, f != nullptr, n);
+  const bool hw = f != nullptr && hw_fastpath_ &&
+                  (*f == sf::Format::fp64() || *f == sf::Format::fp32());
+  const bool fast = f != nullptr && !hw && fast_ok(k, *f);
+  const double* p[3] = {};
+  if (fast) {
+    const sf::RoundSpec spec(*f);  // hoisted format constants for the hot loop
+    unsigned exact = 0;
+    for (int j = 0; j < N; ++j) {
+      // A broadcast is rounded once, not once per lane, and then is exact.
+      const BatchArg& arg = *x[j];
+      p[j] = arg.lanes != nullptr ? arg.lanes
+                                  : spread(sf::fast_round(arg.value, spec), n, ts.spread[j]);
+      if (arg.lanes == nullptr || (arg.exact != nullptr && *arg.exact == *f)) exact |= 1U << j;
+    }
+    sf::simd::span_exec(simd_path_, span_op(k), p[0], p[1], p[2], out, n, spec, exact);
+  } else {
+    for (int j = 0; j < N; ++j) {
+      p[j] = x[j]->lanes != nullptr ? x[j]->lanes : spread(x[j]->value, n, ts.spread[j]);
+    }
+    if (f == nullptr || (hw && *f == sf::Format::fp64())) {
+      native_lanes<double, N>(k, p, out, n);
+    } else if (hw) {
+      native_lanes<float, N>(k, p, out, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        double v[N];
+        for (int j = 0; j < N; ++j) v[j] = p[j][i];
+        out[i] = emulate<N>(ts, k, v, *f);
+      }
+    }
+  }
+  // One sampling-countdown decrement per span; a sampled span records one
+  // event plus per-element exponent histogram updates.
+  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, /*mem=*/false, trace::kDevNone);
+  return fast ? f : nullptr;
+}
 
 const sf::Format* Runtime::op1_lanes(OpKind k, const double* a, double* out, std::size_t n,
                                      int width, const sf::Format* exact_a) {
-  if (n == 0) return nullptr;
-  ThreadState& ts = tls();
-  if (mode_ == Mode::Mem) {
-    // Scalar entry points keep handle ownership semantics and trace each
-    // element (with deviation buckets) themselves.
-    for (std::size_t i = 0; i < n; ++i) out[i] = op1(k, a[i], width);
-    return nullptr;
-  }
-  const sf::Format* f = effective_format(ts, width);
-  const bool exact = op1_batch_op(ts, k, a, out, n, f, exact_a);
-  // One sampling-countdown decrement per span; a sampled span records one
-  // event plus per-element exponent histogram updates.
-  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
-  return exact ? f : nullptr;
-}
-
-bool Runtime::op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out,
-                           std::size_t n, const sf::Format* f, const sf::Format* exact_a) {
-  if (f == nullptr) {
-    count_batch(ts, k, false, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = native1(k, a[i]);
-    return false;
-  }
-  count_batch(ts, k, true, n);
-  if (hw_fastpath_ && *f == sf::Format::fp64()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native1(k, a[i]);
-    return false;
-  }
-  if (hw_fastpath_ && *f == sf::Format::fp32()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native1_f32(k, a[i]);
-    return false;
-  }
-  if (fast1_kind(k) && sf::fast_round_supports(*f)) {
-    const sf::RoundSpec fmt(*f);
-    sf::simd::span_exec(simd_path_,
-                        k == OpKind::Neg ? sf::simd::SpanOp::Neg : sf::simd::SpanOp::Sqrt, a,
-                        nullptr, nullptr, out, n, fmt,
-                        exact_a != nullptr && *exact_a == *f ? 1U : 0U);
-    return true;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = emulate1(ts, k, a[i], *f);
-  return false;
+  const BatchArg arg{a, 0.0, exact_a};
+  return lanes<1>(k, {&arg}, out, n, width);
 }
 
 const sf::Format* Runtime::op2_lanes(OpKind k, const BatchArg& a, const BatchArg& b,
                                      double* out, std::size_t n, int width) {
-  if (n == 0) return nullptr;
-  ThreadState& ts = tls();
-  if (mode_ == Mode::Mem) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = op2(k, a.lanes != nullptr ? a.lanes[i] : a.value,
-                   b.lanes != nullptr ? b.lanes[i] : b.value, width);
-    }
-    return nullptr;
-  }
-  const sf::Format* f = effective_format(ts, width);
-  const bool exact = op2_batch_op(ts, k, a, b, out, n, f);
-  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
-  return exact ? f : nullptr;
-}
-
-bool Runtime::op2_batch_op(ThreadState& ts, OpKind k, const BatchArg& a, const BatchArg& b,
-                           double* out, std::size_t n, const sf::Format* f) {
-  const bool hw = f != nullptr && hw_fastpath_ &&
-                  (*f == sf::Format::fp64() || *f == sf::Format::fp32());
-  if (f != nullptr && !hw && fast2_kind(k) && sf::fast_round_supports(*f)) {
-    count_batch(ts, k, true, n);
-    const sf::RoundSpec fmt(*f);  // hoisted format constants for the hot loop
-    // A broadcast is rounded once, not once per lane, and then is exact.
-    const auto exact = [&](const BatchArg& x) {
-      return x.lanes == nullptr || (x.exact != nullptr && *x.exact == *f);
-    };
-    const double* pa =
-        a.lanes != nullptr ? a.lanes : spread(sf::fast_round(a.value, fmt), n, ts.spread[0]);
-    const double* pb =
-        b.lanes != nullptr ? b.lanes : spread(sf::fast_round(b.value, fmt), n, ts.spread[1]);
-    sf::simd::span_exec(simd_path_, span2_op(k), pa, pb, nullptr, out, n, fmt,
-                        (exact(a) ? 1U : 0U) | (exact(b) ? 2U : 0U));
-    return true;
-  }
-  const double* pa = a.lanes != nullptr ? a.lanes : spread(a.value, n, ts.spread[0]);
-  const double* pb = b.lanes != nullptr ? b.lanes : spread(b.value, n, ts.spread[1]);
-  if (f == nullptr) {
-    count_batch(ts, k, false, n);
-    switch (k) {
-      case OpKind::Add:
-        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] + pb[i];
-        break;
-      case OpKind::Sub:
-        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] - pb[i];
-        break;
-      case OpKind::Mul:
-        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] * pb[i];
-        break;
-      case OpKind::Div:
-        for (std::size_t i = 0; i < n; ++i) out[i] = pa[i] / pb[i];
-        break;
-      default:
-        for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, pa[i], pb[i]);
-        break;
-    }
-    return false;
-  }
-  count_batch(ts, k, true, n);
-  if (hw_fastpath_ && *f == sf::Format::fp64()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native2(k, pa[i], pb[i]);
-  } else if (hw_fastpath_ && *f == sf::Format::fp32()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native2_f32(k, pa[i], pb[i]);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = emulate2(ts, k, pa[i], pb[i], *f);
-  }
-  return false;
+  return lanes<2>(k, {&a, &b}, out, n, width);
 }
 
 void Runtime::op3_batch(OpKind k, const double* a, const double* b, const double* c, double* out,
                         std::size_t n, int width) {
-  if (n == 0) return;
-  ThreadState& ts = tls();
-  if (mode_ == Mode::Mem) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = op3(k, a[i], b[i], c[i], width);
-    return;
-  }
-  const sf::Format* f = effective_format(ts, width);
-  op3_batch_op(ts, k, a, b, c, out, n, f);
-  if (trace_on_) trace_event(ts, k, out, n, f, /*span=*/true, false, trace::kDevNone);
-}
-
-void Runtime::op3_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b,
-                           const double* c, double* out, std::size_t n, const sf::Format* f) {
-  if (f == nullptr) {
-    count_batch(ts, k, false, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = native3(k, a[i], b[i], c[i]);
-    return;
-  }
-  count_batch(ts, k, true, n);
-  if (hw_fastpath_ && *f == sf::Format::fp64()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native3(k, a[i], b[i], c[i]);
-    return;
-  }
-  if (hw_fastpath_ && *f == sf::Format::fp32()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = native3_f32(k, a[i], b[i], c[i]);
-    return;
-  }
-  if (sf::fast_fma_supports(*f)) {
-    const sf::RoundSpec fmt(*f);
-    sf::simd::span_exec(simd_path_, sf::simd::SpanOp::Fma, a, b, c, out, n, fmt);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = emulate3(ts, k, a[i], b[i], c[i], *f);
+  const BatchArg args[3] = {{a}, {b}, {c}};
+  lanes<3>(k, {&args[0], &args[1], &args[2]}, out, n, width);
 }
 
 void Runtime::trunc_array(const double* in, double* out, std::size_t n, int width) {

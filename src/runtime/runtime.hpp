@@ -16,9 +16,9 @@
 //    a thread-local stack of named regions supporting dynamic exclusion
 //    (Table 2's "excluded modules");
 //  * the naive-vs-scratch allocation ablation (Fig. 4b): naive mode heap-
-//    allocates the three intermediate emulation cells per operation (the
-//    cost profile of mpfr_init2/mpfr_clear); scratch mode reuses a
-//    thread-local pad.
+//    allocates the N + 1 emulation cells of an N-operand operation per
+//    operation (the cost profile of mpfr_init2/mpfr_clear); scratch mode
+//    reuses a thread-local pad.
 //
 // Thread model (DESIGN.md §7): every mutating per-op structure is
 // thread-local; the per-thread counters and region rows are single-writer
@@ -196,6 +196,10 @@ class Runtime {
   [[nodiscard]] std::optional<sf::Format> active_format(int width = 64);
 
   // -- Instrumented operations (inserted by the pass / Real<> frontend) ---
+  //
+  // `k` must take as many operands as the call passes (op_arity): op1 takes
+  // the unary kinds, op2 Add/Sub/Mul/Div/Pow/Atan2, op3 Fma; any other kind
+  // aborts. The fast kernels run here only under hw_fastpath (DESIGN.md §5).
 
   double op2(OpKind k, double a, double b, int width = 64);
   double op1(OpKind k, double a, int width = 64);
@@ -216,7 +220,8 @@ class Runtime {
   // the scalar entry points (see bench/table3_overhead.cpp). In-place calls
   // (out == a etc.) are allowed; out must not partially overlap an input.
   // In mem-mode these fall back to the per-element scalar path so NaN-boxed
-  // handles keep their ownership semantics.
+  // handles keep their ownership semantics. As for the scalar entry points,
+  // `k` must take as many operands as the call passes.
   //
   // Exactness tags (DESIGN.md §13): `exact_a`/`exact_b` name a format every
   // lane of that operand is exactly representable in (nullopt: unknown).
@@ -367,28 +372,31 @@ class Runtime {
   /// first use.
   ThreadProfile& profile_row(ThreadState& ts, const char* label);
 
-  /// Counter bumps shared by the scalar and batch entry points: thread
-  /// totals plus (when region profiling is on) the innermost region's slot.
-  void count_scalar(ThreadState& ts, OpKind k, bool trunc);
-  void count_batch(ThreadState& ts, OpKind k, bool trunc, u64 n);
+  /// The one counter bump of every entry point: `n` ops of kind `k` to the
+  /// thread totals plus (when region profiling is on) the innermost
+  /// region's slot.
+  void count(ThreadState& ts, OpKind k, bool trunc, u64 n);
 
-  // Dispatch bodies behind the public op entry points: the public wrappers
-  // add the trace hook around them (the result value is needed for the
-  // event's exponent class, so the hook sits after dispatch).
-  double op1_dispatch(ThreadState& ts, OpKind k, double a, int width);
-  double op2_dispatch(ThreadState& ts, OpKind k, double a, double b, int width);
-  double op3_dispatch(ThreadState& ts, OpKind k, double a, double b, double c, int width);
   static std::optional<sf::Format> tag_of(const sf::Format* f) {
     if (f == nullptr) return std::nullopt;
     return *f;
   }
-  /// True when the fast kernels ran, i.e. the result is exact in *f.
-  bool op1_batch_op(ThreadState& ts, OpKind k, const double* a, double* out, std::size_t n,
-                    const sf::Format* f, const sf::Format* exact_a);
-  bool op2_batch_op(ThreadState& ts, OpKind k, const BatchArg& a, const BatchArg& b, double* out,
-                    std::size_t n, const sf::Format* f);
-  void op3_batch_op(ThreadState& ts, OpKind k, const double* a, const double* b, const double* c,
-                    double* out, std::size_t n, const sf::Format* f);
+
+  /// The scalar entry point for N operands behind op1/op2/op3: arity check,
+  /// count, mem-mode hand-off, native or truncated execution, trace.
+  template <int N>
+  double op(OpKind k, const double (&x)[N], int width);
+  /// The batch entry point for N operands behind op1_lanes/op2_lanes/
+  /// op3_batch: arity check, one effective-format resolution and one bulk
+  /// count, then the fast-kernel span, a native loop in double or float, or
+  /// per-element BigFloat; one trace event. Returns the result's tag.
+  template <int N>
+  const sf::Format* lanes(OpKind k, const BatchArg* const (&x)[N], double* out, std::size_t n,
+                          int width);
+  /// Op-mode BigFloat emulation of one N-operand op in `f` (Fig. 5a) over
+  /// N + 1 cells: heap-allocated per op (Naive) or the thread's pad.
+  template <int N>
+  double emulate(ThreadState& ts, OpKind k, const double* x, const sf::Format& f);
 
   /// Trace capture (called only when trace_on_): re-syncs the thread with
   /// the tracer session, pays the sampling countdown, and on-sample records
@@ -396,15 +404,6 @@ class Runtime {
   /// updates. `f` is the resolved target format (nullptr = untruncated).
   void trace_event(ThreadState& ts, OpKind k, const double* vals, std::size_t n,
                    const sf::Format* f, bool span, bool mem, u8 dev_bucket);
-
-  double native1(OpKind k, double a) const;
-  double native2(OpKind k, double a, double b) const;
-  double native2_f32(OpKind k, double a, double b) const;
-  double native1_f32(OpKind k, double a) const;
-
-  double emulate1(ThreadState& ts, OpKind k, double a, const sf::Format& f);
-  double emulate2(ThreadState& ts, OpKind k, double a, double b, const sf::Format& f);
-  double emulate3(ThreadState& ts, OpKind k, double a, double b, double c, const sf::Format& f);
 
   double mem_op(ThreadState& ts, OpKind k, const double* args, int n, const sf::Format& f,
                 bool truncated);

@@ -1,7 +1,10 @@
 #include "trunc/capi.hpp"
 
+#include <optional>
+
 #include "runtime/runtime.hpp"
 #include "softfloat/bigfloat.hpp"
+#include "trunc/scope.hpp"
 
 namespace raptor::capi {
 
@@ -17,28 +20,25 @@ sf::Format fmt_of(int to_e, int to_m) {
   return f;
 }
 
-double run2(rt::OpKind k, double a, double b, int to_e, int to_m, const char* loc) {
-  auto& R = rt::Runtime::instance();
+/// Runs `call` on the runtime with 64-bit ops in (to_e, to_m), inside
+/// region `loc` unless it is null; the region and scope unwind when `call`
+/// returns or throws.
+template <class Call>
+auto scoped(int to_e, int to_m, const char* loc, const Call& call) {
   rt::TruncationSpec spec;
   spec.for64 = fmt_of(to_e, to_m);
-  R.push_scope(spec, true);
-  if (loc != nullptr) R.push_region(loc);
-  const double r = R.op2(k, a, b, 64);
-  if (loc != nullptr) R.pop_region();
-  R.pop_scope();
-  return r;
+  const TruncScope scope(spec);
+  std::optional<Region> region;
+  if (loc != nullptr) region.emplace(loc);
+  return call(rt::Runtime::instance());
+}
+
+double run2(rt::OpKind k, double a, double b, int to_e, int to_m, const char* loc) {
+  return scoped(to_e, to_m, loc, [&](rt::Runtime& R) { return R.op2(k, a, b, 64); });
 }
 
 double run1(rt::OpKind k, double a, int to_e, int to_m, const char* loc) {
-  auto& R = rt::Runtime::instance();
-  rt::TruncationSpec spec;
-  spec.for64 = fmt_of(to_e, to_m);
-  R.push_scope(spec, true);
-  if (loc != nullptr) R.push_region(loc);
-  const double r = R.op1(k, a, 64);
-  if (loc != nullptr) R.pop_region();
-  R.pop_scope();
-  return r;
+  return scoped(to_e, to_m, loc, [&](rt::Runtime& R) { return R.op1(k, a, 64); });
 }
 
 }  // namespace
@@ -77,15 +77,7 @@ double _raptor_pow_f64(double a, double b, int e, int m, const char* loc) {
   return run2(rt::OpKind::Pow, a, b, e, m, loc);
 }
 double _raptor_fma_f64(double a, double b, double c, int e, int m, const char* loc) {
-  auto& R = rt::Runtime::instance();
-  rt::TruncationSpec spec;
-  spec.for64 = fmt_of(e, m);
-  R.push_scope(spec, true);
-  if (loc != nullptr) R.push_region(loc);
-  const double r = R.op3(rt::OpKind::Fma, a, b, c, 64);
-  if (loc != nullptr) R.pop_region();
-  R.pop_scope();
-  return r;
+  return scoped(e, m, loc, [&](rt::Runtime& R) { return R.op3(rt::OpKind::Fma, a, b, c, 64); });
 }
 
 float _raptor_add_f32(float a, float b, int e, int m, const char* loc) {
@@ -108,14 +100,9 @@ namespace {
 
 void run2_batch(rt::OpKind k, const double* a, const double* b, double* out, u64 n, int to_e,
                 int to_m, const char* loc) {
-  auto& R = rt::Runtime::instance();
-  rt::TruncationSpec spec;
-  spec.for64 = fmt_of(to_e, to_m);
-  R.push_scope(spec, true);
-  if (loc != nullptr) R.push_region(loc);
-  R.op2_batch(k, a, b, out, static_cast<std::size_t>(n), 64);
-  if (loc != nullptr) R.pop_region();
-  R.pop_scope();
+  scoped(to_e, to_m, loc, [&](rt::Runtime& R) {
+    R.op2_batch(k, a, b, out, static_cast<std::size_t>(n), 64);
+  });
 }
 
 }  // namespace
@@ -138,33 +125,19 @@ void _raptor_div_f64_batch(const double* a, const double* b, double* out, u64 n,
 }
 void _raptor_fma_f64_batch(const double* a, const double* b, const double* c, double* out, u64 n,
                            int e, int m, const char* loc) {
-  auto& R = rt::Runtime::instance();
-  rt::TruncationSpec spec;
-  spec.for64 = fmt_of(e, m);
-  R.push_scope(spec, true);
-  if (loc != nullptr) R.push_region(loc);
-  R.op3_batch(rt::OpKind::Fma, a, b, c, out, static_cast<std::size_t>(n), 64);
-  if (loc != nullptr) R.pop_region();
-  R.pop_scope();
+  scoped(e, m, loc, [&](rt::Runtime& R) {
+    R.op3_batch(rt::OpKind::Fma, a, b, c, out, static_cast<std::size_t>(n), 64);
+  });
 }
 
 void _raptor_trunc_f64_batch(const double* in, double* out, u64 n, int to_e, int to_m) {
-  auto& R = rt::Runtime::instance();
-  rt::TruncationSpec spec;
-  spec.for64 = fmt_of(to_e, to_m);
-  R.push_scope(spec, true);
-  R.trunc_array(in, out, static_cast<std::size_t>(n), 64);
-  R.pop_scope();
+  scoped(to_e, to_m, nullptr, [&](rt::Runtime& R) {
+    R.trunc_array(in, out, static_cast<std::size_t>(n), 64);
+  });
 }
 
 double _raptor_pre_c(double v, int to_e, int to_m) {
-  auto& R = rt::Runtime::instance();
-  rt::TruncationSpec spec;
-  spec.for64 = fmt_of(to_e, to_m);
-  R.push_scope(spec, true);
-  const double boxed = R.mem_make(v, 64);
-  R.pop_scope();
-  return boxed;
+  return scoped(to_e, to_m, nullptr, [&](rt::Runtime& R) { return R.mem_make(v, 64); });
 }
 
 double _raptor_post_c(double v, int /*to_e*/, int /*to_m*/) {

@@ -1,12 +1,17 @@
 // Runtime tests: truncation spec parsing, scoping, op-mode dispatch,
-// counters, exclusions, allocation strategies, OpenMP thread safety, and
-// batch/scalar dispatch parity (DESIGN.md §8).
+// counters, exclusions, allocation strategies, OpenMP thread safety,
+// batch/scalar dispatch parity (DESIGN.md §8), the dispatch matrix against
+// independent references, and the operand-count check.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -690,26 +695,323 @@ TEST_F(RuntimeTest, DoubleRoundingWitnessNeverTakesAnFp32Path) {
 }
 
 // ---------------------------------------------------------------------------
+// The dispatch matrix: every kind through every entry point on every path,
+// against references computed here (DESIGN.md §5, §8)
+// ---------------------------------------------------------------------------
+
+namespace matrix {
+
+/// Every kind with its operand count.
+constexpr std::pair<OpKind, int> kKinds[] = {
+    {OpKind::Add, 2},  {OpKind::Sub, 2},   {OpKind::Mul, 2},  {OpKind::Div, 2},
+    {OpKind::Sqrt, 1}, {OpKind::Fma, 3},   {OpKind::Neg, 1},  {OpKind::Exp, 1},
+    {OpKind::Log, 1},  {OpKind::Log2, 1},  {OpKind::Log10, 1}, {OpKind::Sin, 1},
+    {OpKind::Cos, 1},  {OpKind::Tan, 1},   {OpKind::Atan, 1}, {OpKind::Atan2, 2},
+    {OpKind::Tanh, 1}, {OpKind::Cbrt, 1},  {OpKind::Pow, 2}};
+static_assert(std::size(kKinds) == kNumOpKinds);
+
+/// Operands for format `f`: normals, subnormals of the format and of
+/// double, ±0, ±inf, NaN, and values at and next to the format's overflow
+/// (double's, for formats wider than double).
+std::vector<double> values(const sf::Format& f) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = f.emax() <= 1023 ? std::ldexp(2.0 - std::ldexp(1.0, -f.man_bits), f.emax())
+                                      : std::numeric_limits<double>::max();
+  const double min_sub = std::ldexp(1.0, std::max(f.emin_subnormal(), -1074));
+  std::vector<double> v = {
+      0.0,     -0.0,         inf,            -inf,      std::nan(""),
+      1.0,     -2.5,         1.0 / 3.0,      0.1,       100.0,       -7.25, 1e-3,
+      max,     -max,         max / 2,        std::sqrt(max) * 1.5,  // products overflow
+      min_sub, -3 * min_sub, 0.75 * min_sub, 0x1p-1074, -1e-310};
+  if (f.man_bits <= 50 && f.emax() <= 1023) {
+    v.push_back(max + std::ldexp(1.0, f.emax() - f.man_bits - 2));  // rounds to max
+    v.push_back(-(max + std::ldexp(1.0, f.emax() - f.man_bits - 1)));  // the tie: -inf
+  }
+  std::mt19937_64 rng(f.exp_bits * 64 + f.man_bits);
+  for (int i = 0; i < 12; ++i) {
+    const double m = 1.0 + static_cast<double>(rng() % 4096) / 4096.0;
+    v.push_back((i % 2 == 0 ? 1.0 : -1.0) * std::ldexp(m, static_cast<int>(rng() % 41) - 20));
+  }
+  return v;
+}
+
+/// Operand lanes of an `arity`-operand kind over `v`: every value once per
+/// position, paired with others at several strides.
+std::array<std::vector<double>, 3> operands(const std::vector<double>& v, int arity) {
+  std::array<std::vector<double>, 3> x;
+  const std::size_t n = v.size();
+  for (const std::size_t s : {0, 1, 3, 7, 12, 19}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      x[0].push_back(v[i]);
+      x[1].push_back(v[(i + s) % n]);
+      x[2].push_back(v[(i + 2 * s + 1) % n]);
+    }
+    if (arity == 1) break;
+  }
+  return x;
+}
+
+/// `k` in F arithmetic: the std:: function on double or float.
+template <class F>
+double hw_ref(OpKind k, const double* x) {
+  const F a = static_cast<F>(x[0]);
+  const F b = static_cast<F>(x[1]);
+  switch (k) {
+    case OpKind::Add: return a + b;
+    case OpKind::Sub: return a - b;
+    case OpKind::Mul: return a * b;
+    case OpKind::Div: return a / b;
+    case OpKind::Pow: return std::pow(a, b);
+    case OpKind::Atan2: return std::atan2(a, b);
+    case OpKind::Fma: return std::fma(a, b, static_cast<F>(x[2]));
+    case OpKind::Neg: return -a;
+    case OpKind::Sqrt: return std::sqrt(a);
+    case OpKind::Exp: return std::exp(a);
+    case OpKind::Log: return std::log(a);
+    case OpKind::Log2: return std::log2(a);
+    case OpKind::Log10: return std::log10(a);
+    case OpKind::Sin: return std::sin(a);
+    case OpKind::Cos: return std::cos(a);
+    case OpKind::Tan: return std::tan(a);
+    case OpKind::Atan: return std::atan(a);
+    case OpKind::Tanh: return std::tanh(a);
+    default: return std::cbrt(a);
+  }
+}
+
+/// `k` over the operands rounded into `f`, in sf::BigFloat.
+double bf_ref(OpKind k, const double* x, const sf::Format& f) {
+  using sf::BigFloat;
+  const BigFloat a = BigFloat::from_double_rounded(x[0], f);
+  const BigFloat b = BigFloat::from_double_rounded(x[1], f);
+  BigFloat r;
+  switch (k) {
+    case OpKind::Add: r = BigFloat::add(a, b, f); break;
+    case OpKind::Sub: r = BigFloat::sub(a, b, f); break;
+    case OpKind::Mul: r = BigFloat::mul(a, b, f); break;
+    case OpKind::Div: r = BigFloat::div(a, b, f); break;
+    case OpKind::Pow: r = sf::bf_pow(a, b, f); break;
+    case OpKind::Atan2: r = sf::bf_atan2(a, b, f); break;
+    case OpKind::Fma: r = BigFloat::fma(a, b, BigFloat::from_double_rounded(x[2], f), f); break;
+    case OpKind::Neg: r = a.negated(); break;
+    case OpKind::Sqrt: r = BigFloat::sqrt(a, f); break;
+    case OpKind::Exp: r = sf::bf_exp(a, f); break;
+    case OpKind::Log: r = sf::bf_log(a, f); break;
+    case OpKind::Log2: r = sf::bf_log2(a, f); break;
+    case OpKind::Log10: r = sf::bf_log10(a, f); break;
+    case OpKind::Sin: r = sf::bf_sin(a, f); break;
+    case OpKind::Cos: r = sf::bf_cos(a, f); break;
+    case OpKind::Tan: r = sf::bf_tan(a, f); break;
+    case OpKind::Atan: r = sf::bf_atan(a, f); break;
+    case OpKind::Tanh: r = sf::bf_tanh(a, f); break;
+    default: r = sf::bf_cbrt(a, f); break;
+  }
+  return r.to_double();
+}
+
+/// Bitwise equal, or both NaN.
+bool same(double got, double want) {
+  return (std::isnan(got) && std::isnan(want)) ||
+         std::bit_cast<u64>(got) == std::bit_cast<u64>(want);
+}
+
+/// One path of the dispatch: the settings that select it and its reference.
+struct Path {
+  const char* name;
+  std::optional<sf::Format> fmt;  ///< the scope's format; none: untruncated
+  bool hw = false;
+  AllocStrategy alloc = AllocStrategy::Scratch;
+  Mode mode = Mode::Op;
+  bool simd_paths = false;  ///< batch entries once per SIMD path the CPU has
+};
+
+}  // namespace matrix
+
+TEST_F(RuntimeTest, DispatchMatrixMatchesReferencesOnEveryPath) {
+  using matrix::Path;
+  const sf::Format e8m12{8, 12}, e11m30{11, 30}, e12m12{12, 12};
+  const Path paths[] = {
+      {"untruncated", std::nullopt},
+      {"hw_fp64", sf::Format::fp64(), true},
+      {"hw_fp32", sf::Format::fp32(), true},
+      {"fast_e8m12", e8m12, true, AllocStrategy::Scratch, Mode::Op, true},
+      {"fast_e11m30", e11m30, true, AllocStrategy::Scratch, Mode::Op, true},
+      {"bigfloat_naive_e8m12", e8m12, false, AllocStrategy::Naive},
+      {"bigfloat_scratch_e8m12", e8m12, false, AllocStrategy::Scratch},
+      {"bigfloat_naive_e12m12", e12m12, false, AllocStrategy::Naive},
+      {"bigfloat_scratch_e12m12", e12m12, false, AllocStrategy::Scratch},
+      {"mem_e8m12", e8m12, false, AllocStrategy::Scratch, Mode::Mem},
+  };
+  std::vector<std::optional<sf::simd::Path>> simd;
+  for (const auto p : {sf::simd::Path::Portable, sf::simd::Path::Avx2, sf::simd::Path::Avx512}) {
+    if (sf::simd::path_supported(p)) simd.emplace_back(p);
+  }
+  for (const Path& path : paths) {
+    const std::vector<double> vals = matrix::values(path.fmt.value_or(sf::Format::fp64()));
+    for (const auto& [k, arity] : matrix::kKinds) {
+      const auto x = matrix::operands(vals, arity);
+      const std::size_t n = x[0].size();
+      const auto reference = [&](const double* xi) {
+        if (!path.fmt || (path.hw && *path.fmt == sf::Format::fp64())) {
+          return matrix::hw_ref<double>(k, xi);
+        }
+        if (path.hw && *path.fmt == sf::Format::fp32()) return matrix::hw_ref<float>(k, xi);
+        return matrix::bf_ref(k, xi, *path.fmt);
+      };
+      // References for the lanes, and for the lanes with operand `pos`
+      // replaced by the broadcast `value`.
+      const auto want_for = [&](int pos, double value) {
+        std::vector<double> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          double xi[3] = {x[0][i], x[1][i], x[2][i]};
+          if (pos >= 0) xi[pos] = value;
+          want[i] = reference(xi);
+        }
+        return want;
+      };
+      // Runs `entry` over the n elements on a fresh runtime set up for the
+      // path, then checks every element against `want` and the per-OpKind
+      // counts against n.
+      const auto check = [&](const char* entry, const std::vector<double>& want,
+                             const std::optional<sf::simd::Path>& simd_path, const auto& run) {
+        R.reset_all();
+        R.set_hw_fastpath(path.hw);
+        R.set_alloc_strategy(path.alloc);
+        R.set_mode(path.mode);
+        R.force_simd_path(simd_path);
+        std::vector<double> got(n);
+        {
+          std::optional<TruncScope> scope;
+          if (path.fmt) scope.emplace(path.fmt->exp_bits, path.fmt->man_bits);
+          run(got.data());
+        }
+        const CounterSnapshot c = R.counters();
+        for (std::size_t i = 0; i < n; ++i) {
+          const double v = path.mode == Mode::Mem ? R.mem_materialize(got[i]) : got[i];
+          ASSERT_TRUE(matrix::same(v, want[i]))
+              << path.name << " " << entry << " " << op_name(k) << " i=" << i << " got " << v
+              << " want " << want[i] << " x=0x" << std::hex << std::bit_cast<u64>(x[0][i])
+              << " 0x" << std::bit_cast<u64>(x[1][i]) << " 0x" << std::bit_cast<u64>(x[2][i]);
+        }
+        EXPECT_EQ(R.mem_live(), 0u) << path.name << " " << entry << " " << op_name(k);
+        const int ki = static_cast<int>(k);
+        EXPECT_EQ(c.trunc_by_kind[ki], path.fmt ? n : 0) << path.name << " " << entry;
+        EXPECT_EQ(c.full_by_kind[ki], path.fmt ? 0 : n) << path.name << " " << entry;
+        EXPECT_EQ(c.total_flops(), n) << path.name << " " << entry << " " << op_name(k);
+      };
+      const std::vector<double> want = want_for(-1, 0.0);
+      check("scalar", want, std::nullopt, [&](double* out) {
+        for (std::size_t i = 0; i < n; ++i) {
+          out[i] = arity == 1   ? R.op1(k, x[0][i])
+                   : arity == 2 ? R.op2(k, x[0][i], x[1][i])
+                                : R.op3(k, x[0][i], x[1][i], x[2][i]);
+        }
+      });
+      for (const auto& simd_path : path.simd_paths ? simd : decltype(simd){std::nullopt}) {
+        check("batch", want, simd_path, [&](double* out) {
+          if (arity == 1) R.op1_batch(k, x[0].data(), out, n);
+          if (arity == 2) R.op2_batch(k, x[0].data(), x[1].data(), out, n);
+          if (arity == 3) R.op3_batch(k, x[0].data(), x[1].data(), x[2].data(), out, n);
+        });
+        if (arity != 2) continue;
+        // A broadcast in either position against every lane of the other:
+        // 1/3, which no narrow format holds exactly.
+        for (const int pos : {0, 1}) {
+          const double value = 1.0 / 3.0;
+          check(pos == 0 ? "broadcast_a" : "broadcast_b", want_for(pos, value), simd_path,
+                [&](double* out) {
+                  const Runtime::BatchArg lanes{x[1 - pos].data()}, one{nullptr, value};
+                  R.op2_lanes(k, pos == 0 ? one : lanes, pos == 0 ? lanes : one, out, n);
+                });
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Op kinds and operand counts
+// ---------------------------------------------------------------------------
+
+TEST(RuntimeDeath, OpKindMustMatchOperandCount) {
+  // Each statement runs in a fresh process: CI runs this suite under TSan,
+  // and a forked copy of a threaded process may hold locks it cannot use.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Runtime& R = Runtime::instance();
+  const double a[4] = {1.0, 2.0, 3.0, 4.0};
+  double out[4];
+  struct Case {
+    const char* name;
+    std::optional<sf::Format> fmt;
+    bool hw;
+  };
+  const Case cases[] = {
+      {"untruncated", std::nullopt, false},  {"hw_fp64", sf::Format::fp64(), true},
+      {"fast_hw_on", sf::Format{8, 12}, true}, {"fast_hw_off", sf::Format{8, 12}, false},
+      {"bigfloat", sf::Format{12, 30}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    R.reset_all();
+    R.set_hw_fastpath(c.hw);
+    std::optional<TruncScope> scope;
+    if (c.fmt) scope.emplace(c.fmt->exp_bits, c.fmt->man_bits);
+    EXPECT_DEATH((void)R.op1(OpKind::Add, 1.0), "operand count");
+    EXPECT_DEATH((void)R.op2(OpKind::Sqrt, 4.0, 2.0), "operand count");
+    EXPECT_DEATH((void)R.op3(OpKind::Add, 1.0, 2.0, 3.0), "operand count");
+    EXPECT_DEATH(R.op2_batch(OpKind::Neg, a, a, out, 4), "operand count");
+    EXPECT_DEATH(R.op3_batch(OpKind::Mul, a, a, a, out, 4), "operand count");
+  }
+  R.reset_all();
+}
+
+// ---------------------------------------------------------------------------
 // C batch shims (capi)
 // ---------------------------------------------------------------------------
 
 TEST_F(RuntimeTest, CBatchShimsMatchScalarShims) {
   const auto a = batchtest::operand_pool(600, 88);
   const auto b = batchtest::operand_pool(600, 99);
+  const auto c = batchtest::operand_pool(600, 111);
+  // Every shim leaves the thread as it found it: no region, no truncation.
+  const auto unwound = [&](const char* shim) {
+    EXPECT_STREQ(R.current_region(), "<toplevel>") << shim;
+    EXPECT_FALSE(R.truncation_active()) << shim;
+  };
   std::vector<double> scalar(a.size()), batch(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     scalar[i] = capi::_raptor_mul_f64(a[i], b[i], 8, 12, "t.cpp:1:1");
+    unwound("_raptor_mul_f64");
   }
   capi::_raptor_mul_f64_batch(a.data(), b.data(), batch.data(), a.size(), 8, 12, "t.cpp:1:1");
+  unwound("_raptor_mul_f64_batch");
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batch[i])) << i;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    scalar[i] = capi::_raptor_fma_f64(a[i], b[i], c[i], 8, 12, "t.cpp:2:1");
+    unwound("_raptor_fma_f64");
+  }
+  capi::_raptor_fma_f64_batch(a.data(), b.data(), c.data(), batch.data(), a.size(), 8, 12,
+                              "t.cpp:2:1");
+  unwound("_raptor_fma_f64_batch");
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(std::bit_cast<u64>(scalar[i]), std::bit_cast<u64>(batch[i])) << i;
   }
   capi::_raptor_trunc_f64_batch(a.data(), batch.data(), a.size(), 5, 7);
+  unwound("_raptor_trunc_f64_batch");
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(std::bit_cast<u64>(batch[i]),
               std::bit_cast<u64>(sf::quantize(a[i], sf::Format{5, 7})))
         << i;
   }
+  EXPECT_EQ(capi::_raptor_sqrt_f64(2.0, 8, 12, "t.cpp:3:1"),
+            sf::trunc_sqrt(2.0, sf::Format{8, 12}));
+  unwound("_raptor_sqrt_f64");
+  const double boxed = capi::_raptor_pre_c(1.0 / 3.0, 8, 12);
+  unwound("_raptor_pre_c");
+  EXPECT_EQ(capi::_raptor_post_c(boxed, 8, 12), sf::quantize(1.0 / 3.0, sf::Format{8, 12}));
+  EXPECT_EQ(R.mem_live(), 0u);
 }
 
 // ---------------------------------------------------------------------------
