@@ -18,7 +18,12 @@
 // hardware types, on the fast kernels at (8, 12) (the scalar loop under
 // hw_fastpath, the batch once per SIMD path the CPU has) and in BigFloat
 // (the scalar loop at (8, 12) without hw_fastpath, the batch at (12, 12),
-// outside the fast envelope). Its rows are ungated.
+// outside the fast envelope). The scalar loop has four more rows: the same
+// loop in plain `double` with no runtime (the native baseline), untruncated
+// dispatch with counting off, BigFloat at (8, 12) under
+// AllocStrategy::Naive (one new/delete per cell), and mem-mode add at
+// (8, 12) over shadow handles, each result released so the shadow table
+// stays bounded. Its rows are ungated.
 //
 // Writes BENCH_overhead.json (bench/report.hpp's layout) and exits nonzero
 // when a bound fails, unless --no-check.
@@ -84,15 +89,28 @@ const std::vector<double>& data(std::size_t i) {
   return d[i];
 }
 
+/// How a scalar pass adds: through the runtime's op2, as a mem-mode op2
+/// that releases each result, or in plain `double`.
+enum class Drive { Runtime, Mem, Double };
+
 /// One pass of op2 add over the first whole spans of `span` lanes in
-/// kLanes (span 0: a scalar op2 loop over all kLanes); returns the number
-/// of elements added.
-std::size_t add_pass(std::size_t span, double* out) {
+/// kLanes (span 0: a scalar loop over all kLanes, added as `drive` says);
+/// returns the number of elements added.
+std::size_t add_pass(std::size_t span, double* out, Drive drive = Drive::Runtime,
+                     const double* a = data(0).data(), const double* b = data(1).data()) {
   auto& R = rt::Runtime::instance();
-  const double* a = data(0).data();
-  const double* b = data(1).data();
   if (span == 0) {
-    for (std::size_t i = 0; i < kLanes; ++i) out[i] = R.op2(rt::OpKind::Add, a[i], b[i], 64);
+    if (drive == Drive::Double) {
+      for (std::size_t i = 0; i < kLanes; ++i) out[i] = a[i] + b[i];
+      asm volatile("" : : "r"(out) : "memory");  // the stores are the result: keep them
+    } else if (drive == Drive::Mem) {
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        out[i] = R.op2(rt::OpKind::Add, a[i], b[i], 64);
+        R.mem_release(out[i]);
+      }
+    } else {
+      for (std::size_t i = 0; i < kLanes; ++i) out[i] = R.op2(rt::OpKind::Add, a[i], b[i], 64);
+    }
     return kLanes;
   }
   std::size_t i = 0;
@@ -165,6 +183,9 @@ struct PathRow {
   std::optional<sf::Format> fmt;  ///< the scope's format; none: native
   bool hw = false;                ///< hw_fastpath
   std::optional<sf::simd::Path> simd;
+  Drive drive = Drive::Runtime;
+  bool counting = true;
+  rt::AllocStrategy alloc = rt::AllocStrategy::Scratch;
 };
 
 /// The paths table's rows for the scalar loop (span 0) or a batch span.
@@ -178,6 +199,11 @@ std::vector<PathRow> path_rows(std::size_t span) {
   if (span == 0) {
     rows.push_back({"fast", e8m12, true, std::nullopt});
     rows.push_back({"bigfloat", e8m12, false, std::nullopt});
+    rows.push_back({"double", std::nullopt, false, std::nullopt, Drive::Double});
+    rows.push_back({"native_uncounted", std::nullopt, false, std::nullopt, Drive::Runtime, false});
+    rows.push_back({"bigfloat_naive", e8m12, false, std::nullopt, Drive::Runtime, true,
+                    rt::AllocStrategy::Naive});
+    rows.push_back({"mem", e8m12, false, std::nullopt, Drive::Mem});
     return rows;
   }
   for (const auto p : {sf::simd::Path::Portable, sf::simd::Path::Avx2, sf::simd::Path::Avx512}) {
@@ -190,22 +216,35 @@ std::vector<PathRow> path_rows(std::size_t span) {
 }
 
 /// ns per element of op2 add in spans of `span` lanes on the path of `row`,
-/// counting only, from a clean runtime.
+/// from a clean runtime.
 double measure_path(std::size_t span, const PathRow& row, int reps) {
   auto& R = rt::Runtime::instance();
   R.reset_all();
   R.set_hw_fastpath(row.hw);
   R.force_simd_path(row.simd);
+  R.set_counting(row.counting);
+  R.set_alloc_strategy(row.alloc);
   std::vector<double> out(kLanes);
   double sec = 0.0;
   std::size_t elements = 0;
   {
     std::optional<TruncScope> scope;
     if (row.fmt) scope.emplace(row.fmt->exp_bits, row.fmt->man_bits);
-    for (int r = 0; r < reps / 4; ++r) add_pass(span, out.data());  // warm-up
+    // Mem-mode adds shadow handles, made for the row and released after it.
+    std::vector<double> ha, hb;
+    if (row.drive == Drive::Mem) {
+      R.set_mode(rt::Mode::Mem);
+      for (const double x : data(0)) ha.push_back(R.mem_make(x));
+      for (const double x : data(1)) hb.push_back(R.mem_make(x));
+    }
+    const double* a = ha.empty() ? data(0).data() : ha.data();
+    const double* b = hb.empty() ? data(1).data() : hb.data();
+    for (int r = 0; r < reps / 4; ++r) add_pass(span, out.data(), row.drive, a, b);  // warm-up
     Timer t;
-    for (int r = 0; r < reps; ++r) elements += add_pass(span, out.data());
+    for (int r = 0; r < reps; ++r) elements += add_pass(span, out.data(), row.drive, a, b);
     sec = t.seconds();
+    for (const double h : ha) R.mem_release(h);
+    for (const double h : hb) R.mem_release(h);
   }
   R.reset_all();
   return 1e9 * sec / static_cast<double>(elements);
@@ -259,10 +298,9 @@ int run(int argc, char** argv) {
   for (u32 i = 1; std::remove(trace::segment_path(kTracePath, i).c_str()) == 0; ++i) {
   }
 
-  std::printf("\nexecution paths of op2 add, counting only (ns/el, best of %d interleaved "
-              "trials)\n\n",
+  std::printf("\nexecution paths of op2 add (ns/el, best of %d interleaved trials)\n\n",
               kTrials);
-  std::printf("%-12s %6s %-14s %10s\n", "shape", "lanes", "path", "ns/el");
+  std::printf("%-12s %6s %-16s %10s\n", "shape", "lanes", "path", "ns/el");
   for (const std::size_t span : {std::size_t{0}, std::size_t{8}, std::size_t{72}, kLanes}) {
     const std::vector<PathRow> rows = path_rows(span);
     std::vector<double> best(rows.size());
@@ -279,7 +317,7 @@ int run(int argc, char** argv) {
           .set("lanes", std::max<std::size_t>(span, 1))
           .set("path", rows[i].name)
           .set("ns_per_el", best[i]);
-      std::printf("%-12s %6zu %-14s %10.2f\n", shape, std::max<std::size_t>(span, 1),
+      std::printf("%-12s %6zu %-16s %10.2f\n", shape, std::max<std::size_t>(span, 1),
                   rows[i].name.c_str(), best[i]);
     }
   }

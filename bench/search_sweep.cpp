@@ -111,7 +111,7 @@ int run(int argc, char** argv) {
   bench::Report report("search_sweep");
   const auto dispatch_row = [&](const char* name, double ts, double tb) {
     std::printf("%-12s %12.3f %12.3f %9.1fx\n", name, ts, tb, ts / tb);
-    csv.row_strings({name, std::to_string(ts), std::to_string(tb), std::to_string(ts / tb)});
+    csv.row_strings({name, io::csv_number(ts), io::csv_number(tb), io::csv_number(ts / tb)});
     report.row("dispatch")
         .set("case", name)
         .set("scalar_s", ts)
@@ -191,8 +191,8 @@ int run(int argc, char** argv) {
     const double secs = t.seconds();
     std::printf("%-16s %12.2f %12d %12.3e %13.1f%% %10.3f\n", name, secs, res.evaluations,
                 res.final_error, 100.0 * res.trunc_fraction, res.trunc_share);
-    csv.row_strings({std::string("search_") + name, std::to_string(secs),
-                     std::to_string(res.evaluations), std::to_string(res.final_error)});
+    csv.row_strings({std::string("search_") + name, io::csv_number(secs),
+                     std::to_string(res.evaluations), io::csv_number(res.final_error)});
     report.row("search")
         .set("workload", name)
         .set("time_s", secs)

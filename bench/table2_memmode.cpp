@@ -119,8 +119,8 @@ int run(int argc, char** argv) {
         i == 0 ? " " : (r.l1_velx < rows[0].l1_velx ? "v" : "^");
     std::printf("%-28s %s%-13.4e %s%-13.4e %.1f%%\n", r.name.c_str(), dens_arrow, r.l1_dens,
                 velx_arrow, r.l1_velx, 100.0 * r.trunc_frac);
-    csv.row_strings({r.name, std::to_string(r.l1_dens), std::to_string(r.l1_velx),
-                     std::to_string(r.trunc_frac)});
+    csv.row_strings({r.name, io::csv_number(r.l1_dens), io::csv_number(r.l1_velx),
+                     io::csv_number(r.trunc_frac)});
   }
   std::printf("# total %.1f s\n", timer.seconds());
   return 0;

@@ -590,10 +590,10 @@ int run(int argc, char** argv) {
                                         counting, false, mantissa, false);
       std::printf("%-34s M-%-6d %-12.3f %-12.3f %-10.1f %-10.1f\n", name, cutoff, naive.seconds,
                   opt.seconds, naive.seconds / base, opt.seconds / base);
-      csv.row_strings({name, std::to_string(cutoff), std::to_string(naive.seconds),
-                       std::to_string(opt.seconds), std::to_string(naive.seconds / base),
-                       std::to_string(opt.seconds / base),
-                       std::to_string(counting ? opt.trunc_frac : -1.0)});
+      csv.row_strings({name, std::to_string(cutoff), io::csv_number(naive.seconds),
+                       io::csv_number(opt.seconds), io::csv_number(naive.seconds / base),
+                       io::csv_number(opt.seconds / base),
+                       io::csv_number(counting ? opt.trunc_frac : -1.0)});
       table_row(name, cutoff, naive.seconds, opt.seconds, counting ? opt.trunc_frac : -1.0);
     }
   };

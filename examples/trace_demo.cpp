@@ -66,7 +66,7 @@ int run(int argc, char** argv) {
   if (serving) {
     const int port = cli.get_port("serve");
     rt::register_runtime_metrics();
-    rt::add_runtime_endpoints(server, path);
+    rt::add_runtime_endpoints(server, {path});
     server.handle("/stop", [&stop_requested](const telemetry::HttpRequest&) {
       stop_requested.store(true);
       return telemetry::HttpResponse{200, "text/plain; charset=utf-8", "stopping\n"};

@@ -2,6 +2,7 @@
 // each reproduced table/figure.
 #pragma once
 
+#include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <string>
@@ -10,6 +11,14 @@
 #include "support/common.hpp"
 
 namespace raptor::io {
+
+/// One CSV number as `%.10g`: 1e-9 keeps its digits and 1e300 stays short,
+/// where std::to_string prints six fixed decimals of either.
+[[nodiscard]] inline std::string csv_number(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.10g", v);
+  return buf;
+}
 
 class CsvWriter {
  public:
@@ -27,9 +36,7 @@ class CsvWriter {
     for (const double v : values) {
       if (!first) out_ << ',';
       first = false;
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.10g", v);
-      out_ << buf;
+      out_ << csv_number(v);
     }
     out_ << '\n';
   }

@@ -35,9 +35,8 @@ inline void write_region_profiles_csv(const std::string& path,
     const rt::CounterSnapshot& c = e.profile.counters;
     csv.row_strings({csv_field(e.label), std::to_string(c.trunc_flops),
                      std::to_string(c.full_flops), std::to_string(c.trunc_bytes),
-                     std::to_string(c.full_bytes), std::to_string(c.trunc_fraction()),
-                     std::to_string(e.profile.seconds),
-                     std::to_string(e.profile.max_deviation),
+                     std::to_string(c.full_bytes), csv_number(c.trunc_fraction()),
+                     csv_number(e.profile.seconds), csv_number(e.profile.max_deviation),
                      std::to_string(e.profile.flagged)});
   }
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ir/runtime_abi.hpp"
+
 namespace raptor::ir::analysis {
 
 int CallGraph::index_of(std::string_view name) const {
@@ -144,7 +146,7 @@ CallGraph build_call_graph(const Module& m) {
       if (ci >= 0) {
         cg.callees[fi].push_back(ci);
         cg.callers[static_cast<std::size_t>(ci)].push_back(static_cast<int>(fi));
-      } else if (callee.rfind("_raptor_", 0) != 0) {
+      } else if (!is_runtime_call(callee)) {
         cg.externals[fi].push_back(callee);
       }
     }

@@ -6,6 +6,7 @@
 
 #include "ir/analysis/callgraph.hpp"
 #include "ir/analysis/cfg.hpp"
+#include "ir/runtime_abi.hpp"
 
 namespace raptor::ir::analysis {
 
@@ -238,22 +239,6 @@ const FunctionExpSummary* ModuleExpAnalysis::find(std::string_view name) const {
 
 namespace {
 
-struct ShimOp {
-  Opcode op;
-  int operands;
-};
-
-const std::map<std::string, ShimOp, std::less<>>& shim_ops() {
-  static const std::map<std::string, ShimOp, std::less<>> kOps = {
-      {"_raptor_add_f64", {Opcode::FAdd, 2}},  {"_raptor_sub_f64", {Opcode::FSub, 2}},
-      {"_raptor_mul_f64", {Opcode::FMul, 2}},  {"_raptor_div_f64", {Opcode::FDiv, 2}},
-      {"_raptor_sqrt_f64", {Opcode::FSqrt, 1}}, {"_raptor_neg_f64", {Opcode::FNeg, 1}},
-      {"_raptor_exp_f64", {Opcode::FExp, 1}},  {"_raptor_log_f64", {Opcode::FLog, 1}},
-      {"_raptor_sin_f64", {Opcode::FSin, 1}},  {"_raptor_cos_f64", {Opcode::FCos, 1}},
-  };
-  return kOps;
-}
-
 using State = std::vector<ExpInterval>;
 
 /// One intraprocedural pass to fixpoint; collects the return interval,
@@ -382,8 +367,7 @@ class IntraAnalyzer {
 
   void step_call(const Inst& in, State& s, bool record_pass) {
     // Runtime shims: model as the underlying op clamped to the target format.
-    if (const auto it = shim_ops().find(in.callee); it != shim_ops().end()) {
-      const ShimOp& so = it->second;
+    if (const Shim* so = find_shim(in.callee)) {
       const auto arg_reg = [&](int k) {
         return k < static_cast<int>(in.call_args.size()) &&
                        in.call_args[static_cast<std::size_t>(k)].kind == Arg::Kind::Reg
@@ -391,18 +375,18 @@ class IntraAnalyzer {
                    : ExpInterval::top();
       };
       const ExpInterval a = arg_reg(0);
-      const ExpInterval b = so.operands == 2 ? arg_reg(1) : ExpInterval::bottom();
+      const ExpInterval b = so->operands == 2 ? arg_reg(1) : ExpInterval::bottom();
       int to_exp = 0;
-      if (so.operands < static_cast<int>(in.call_args.size()) &&
-          in.call_args[static_cast<std::size_t>(so.operands)].kind == Arg::Kind::Imm) {
-        to_exp = static_cast<int>(in.call_args[static_cast<std::size_t>(so.operands)].imm);
+      if (so->operands < static_cast<int>(in.call_args.size()) &&
+          in.call_args[static_cast<std::size_t>(so->operands)].kind == Arg::Kind::Imm) {
+        to_exp = static_cast<int>(in.call_args[static_cast<std::size_t>(so->operands)].imm);
       }
-      const ExpInterval v = exp_clamp_to_format(exp_transfer(so.op, a, b), to_exp);
+      const ExpInterval v = exp_clamp_to_format(exp_transfer(so->op, a, b), to_exp);
       set_reg(s, in.result, v);
       if (record_pass) record(in.loc, v);
       return;
     }
-    if (in.callee.rfind("_raptor_", 0) == 0) {
+    if (is_runtime_call(in.callee)) {
       // alloc_scratch handle (or an unknown shim): not an FP value.
       set_reg(s, in.result, ExpInterval::top());
       return;

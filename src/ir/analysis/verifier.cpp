@@ -1,7 +1,6 @@
 #include "ir/analysis/verifier.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <map>
 
 #include "ir/analysis/cfg.hpp"
@@ -71,27 +70,6 @@ const std::vector<RuleInfo>& verifier_rules() {
       {"external-call", Severity::Warning, "instrumented call to an undefined non-runtime function"},
   };
   return kRules;
-}
-
-std::optional<CloneName> parse_clone_name(std::string_view name) {
-  // _<base>_trunc_f64_to_<e>_<m>
-  constexpr std::string_view kMarker = "_trunc_f64_to_";
-  if (name.size() < 2 || name.front() != '_') return std::nullopt;
-  const auto pos = name.find(kMarker);
-  if (pos == std::string_view::npos || pos < 2) return std::nullopt;
-  CloneName cn;
-  cn.base = std::string(name.substr(1, pos - 1));
-  std::string_view rest = name.substr(pos + kMarker.size());
-  const auto sep = rest.find('_');
-  if (sep == std::string_view::npos) return std::nullopt;
-  const std::string_view e_str = rest.substr(0, sep);
-  const std::string_view m_str = rest.substr(sep + 1);
-  const auto to_int = [](std::string_view s, int& v) {
-    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    return ec == std::errc{} && p == s.data() + s.size();
-  };
-  if (!to_int(e_str, cn.to_exp) || !to_int(m_str, cn.to_man)) return std::nullopt;
-  return cn;
 }
 
 namespace {
@@ -306,22 +284,6 @@ class FunctionChecker {
 
 // -- Instrumentation-invariant rules ----------------------------------------
 
-struct ShimSpec {
-  int operands;  ///< leading register operands
-  bool returns;  ///< must assign a result register
-};
-
-const std::map<std::string, ShimSpec, std::less<>>& known_shims() {
-  static const std::map<std::string, ShimSpec, std::less<>> kShims = {
-      {"_raptor_add_f64", {2, true}},  {"_raptor_sub_f64", {2, true}},
-      {"_raptor_mul_f64", {2, true}},  {"_raptor_div_f64", {2, true}},
-      {"_raptor_sqrt_f64", {1, true}}, {"_raptor_neg_f64", {1, true}},
-      {"_raptor_exp_f64", {1, true}},  {"_raptor_log_f64", {1, true}},
-      {"_raptor_sin_f64", {1, true}},  {"_raptor_cos_f64", {1, true}},
-  };
-  return kShims;
-}
-
 class InstrumentationChecker {
  public:
   InstrumentationChecker(const Module& m, const Function& f, int to_exp, int to_man,
@@ -358,7 +320,7 @@ class InstrumentationChecker {
   void detect_scratch() {
     for (const auto& blk : f_.blocks) {
       for (const auto& in : blk.insts) {
-        if (in.op == Opcode::Call && in.callee == "_raptor_alloc_scratch") {
+        if (in.op == Opcode::Call && in.callee == kAllocScratch) {
           self_alloc_ = true;
           if (scratch_reg_ < 0) scratch_reg_ = in.result;
         }
@@ -384,7 +346,7 @@ class InstrumentationChecker {
       return;
     }
     if (in.op != Opcode::Call) return;
-    if (in.callee.rfind("_raptor_", 0) == 0) {
+    if (is_runtime_call(in.callee)) {
       check_shim(b, i, in);
       return;
     }
@@ -411,33 +373,32 @@ class InstrumentationChecker {
 
   void check_shim(int b, int i, const Inst& in) {
     const std::string& name = in.callee;
-    if (name == "_raptor_alloc_scratch") {
+    if (name == kAllocScratch) {
       const bool shape_ok = in.result >= 0 && in.call_args.size() == 2 &&
                             in.call_args[0].kind == Arg::Kind::Imm &&
                             in.call_args[1].kind == Arg::Kind::Imm;
       if (!shape_ok) {
         diag(Severity::Error, "shim-args", where_of(f_, b, i),
-             "@_raptor_alloc_scratch expects (imm e, imm m) and a result register");
+             "@" + name + " expects (imm e, imm m) and a result register");
       }
       return;
     }
-    if (name == "_raptor_free_scratch") {
+    if (name == kFreeScratch) {
       const bool shape_ok = in.call_args.size() == 1 && in.call_args[0].kind == Arg::Kind::Reg;
       if (!shape_ok) {
         diag(Severity::Error, "shim-args", where_of(f_, b, i),
-             "@_raptor_free_scratch expects exactly the scratch register");
+             "@" + name + " expects exactly the scratch register");
       }
       return;
     }
-    const auto it = known_shims().find(name);
-    if (it == known_shims().end()) {
+    const Shim* shim = find_shim(name);
+    if (shim == nullptr) {
       diag(Severity::Error, "shim-args", where_of(f_, b, i),
            "unknown runtime shim @" + name + " (the interpreter would reject it)");
       return;
     }
-    const ShimSpec& spec = it->second;
     // Expected shape: Reg operands, Imm e, Imm m, Str loc [, Reg scratch].
-    std::vector<Arg::Kind> want(static_cast<std::size_t>(spec.operands), Arg::Kind::Reg);
+    std::vector<Arg::Kind> want(static_cast<std::size_t>(shim->operands), Arg::Kind::Reg);
     want.push_back(Arg::Kind::Imm);
     want.push_back(Arg::Kind::Imm);
     want.push_back(Arg::Kind::Str);
@@ -461,14 +422,14 @@ class InstrumentationChecker {
       }
       return;
     }
-    if (spec.returns && in.result < 0) {
+    if (in.result < 0) {
       diag(Severity::Error, "shim-args", where_of(f_, b, i),
            "@" + name + " result is discarded");
       return;
     }
-    const auto e_imm = static_cast<int>(in.call_args[static_cast<std::size_t>(spec.operands)].imm);
+    const auto e_imm = static_cast<int>(in.call_args[static_cast<std::size_t>(shim->operands)].imm);
     const auto m_imm =
-        static_cast<int>(in.call_args[static_cast<std::size_t>(spec.operands) + 1].imm);
+        static_cast<int>(in.call_args[static_cast<std::size_t>(shim->operands) + 1].imm);
     if (e_imm != to_exp_ || m_imm != to_man_) {
       diag(Severity::Error, "shim-args", where_of(f_, b, i),
            "@" + name + " format immediates (" + std::to_string(e_imm) + "," +
@@ -489,27 +450,28 @@ class InstrumentationChecker {
       const auto& insts = f_.blocks[static_cast<std::size_t>(b)].insts;
       for (int i = 0; i < static_cast<int>(insts.size()); ++i) {
         const Inst& in = insts[static_cast<std::size_t>(i)];
-        if (in.op == Opcode::Call && in.callee == "_raptor_alloc_scratch") {
+        if (in.op == Opcode::Call && in.callee == kAllocScratch) {
           ++allocs;
           if (b != 0 || i != 0) {
             diag(Severity::Error, "scratch-free", where_of(f_, b, i),
                  "scratch pad must be allocated first in the entry block");
           }
         }
-        if (in.op == Opcode::Call && in.callee == "_raptor_free_scratch") {
+        if (in.op == Opcode::Call && in.callee == kFreeScratch) {
           ++frees;
           const bool followed_by_ret = i + 1 < static_cast<int>(insts.size()) &&
                                        insts[static_cast<std::size_t>(i) + 1].op == Opcode::Ret;
           if (!followed_by_ret) {
             diag(Severity::Error, "scratch-free", where_of(f_, b, i),
-                 "@_raptor_free_scratch is not immediately followed by ret (double-free hazard)");
+                 "@" + std::string(kFreeScratch) +
+                     " is not immediately followed by ret (double-free hazard)");
           }
         }
         if (in.op == Opcode::Ret) {
           ++rets;
           const bool freed_before =
               i > 0 && insts[static_cast<std::size_t>(i) - 1].op == Opcode::Call &&
-              insts[static_cast<std::size_t>(i) - 1].callee == "_raptor_free_scratch" &&
+              insts[static_cast<std::size_t>(i) - 1].callee == kFreeScratch &&
               insts[static_cast<std::size_t>(i) - 1].call_args.size() == 1 &&
               insts[static_cast<std::size_t>(i) - 1].call_args[0].kind == Arg::Kind::Reg &&
               insts[static_cast<std::size_t>(i) - 1].call_args[0].reg == scratch_reg_;
@@ -522,7 +484,8 @@ class InstrumentationChecker {
     }
     if (allocs != 1) {
       diag(Severity::Error, "scratch-free", "",
-           "expected exactly one @_raptor_alloc_scratch, found " + std::to_string(allocs));
+           "expected exactly one @" + std::string(kAllocScratch) + ", found " +
+               std::to_string(allocs));
     }
     (void)frees;
     (void)rets;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "ir/ir.hpp"
+#include "ir/runtime_abi.hpp"
 
 namespace raptor::ir::analysis {
 
@@ -56,14 +57,6 @@ struct VerifyResult {
   [[nodiscard]] std::string to_string() const;
   void merge(VerifyResult other);
 };
-
-/// Parsed `_<base>_trunc_f64_to_<e>_<m>` clone name (paper Fig. 4a).
-struct CloneName {
-  std::string base;
-  int to_exp = 0;
-  int to_man = 0;
-};
-[[nodiscard]] std::optional<CloneName> parse_clone_name(std::string_view name);
 
 /// Explicit description of a pass run, for verifying its output exactly
 /// (instrument.cpp's post-pass hook builds this from TruncPassResult).

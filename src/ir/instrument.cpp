@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ir/analysis/verifier.hpp"
+#include "ir/runtime_abi.hpp"
 #include "softfloat/format.hpp"
 
 namespace raptor::ir {
@@ -48,27 +49,6 @@ void verify_pass_output(const Module& m, const std::vector<std::string>& transfo
   }
 }
 
-const char* shim_name(Opcode op) {
-  switch (op) {
-    case Opcode::FAdd: return "_raptor_add_f64";
-    case Opcode::FSub: return "_raptor_sub_f64";
-    case Opcode::FMul: return "_raptor_mul_f64";
-    case Opcode::FDiv: return "_raptor_div_f64";
-    case Opcode::FSqrt: return "_raptor_sqrt_f64";
-    case Opcode::FNeg: return "_raptor_neg_f64";
-    case Opcode::FExp: return "_raptor_exp_f64";
-    case Opcode::FLog: return "_raptor_log_f64";
-    case Opcode::FSin: return "_raptor_sin_f64";
-    case Opcode::FCos: return "_raptor_cos_f64";
-    default: RAPTOR_REQUIRE(false, "not an FP op"); return "";
-  }
-}
-
-std::string clone_name(const std::string& base, const TruncPassOptions& o) {
-  return "_" + base + "_trunc_f64_to_" + std::to_string(o.to_exp) + "_" +
-         std::to_string(o.to_man);
-}
-
 /// Rewrite one function body in place.
 ///  * whole_module: in-place file/program scope — callee names stay, each
 ///    function self-allocates its pad;
@@ -83,18 +63,13 @@ void rewrite_function(Function& f, const TruncPassOptions& o,
   if (o.scratch_opt) {
     if (add_scratch_param) {
       // Cloned callee: scratch arrives as a trailing parameter (Fig. 4b).
+      // Parameters are registers [0, num_params), filled by position from
+      // the call's arguments, so the pad must be register num_params. When
+      // a local already holds that index the two registers trade places
+      // and every operand is renamed with them: each instruction still
+      // reads and writes the same values.
       scratch_reg = f.add_reg("__scratch");
-      // Move the new register into the parameter block: parameters must be
-      // the first registers, and all existing registers keep their indices
-      // because the scratch register is appended *after* them — so we only
-      // bump num_params if no locals exist yet. Otherwise we remap: simpler
-      // and always correct is to require callers to pass it positionally
-      // last, which exec() supports because parameters are copied by index.
-      // We therefore record num_params as including the trailing register
-      // only when it is contiguous; if locals exist we swap names.
       if (scratch_reg != f.num_params) {
-        // Swap the register storage so the scratch register sits right
-        // after the existing parameters; fix up instructions accordingly.
         const int target = f.num_params;
         std::swap(f.reg_names[scratch_reg], f.reg_names[target]);
         for (auto& blk : f.blocks) {
@@ -127,13 +102,14 @@ void rewrite_function(Function& f, const TruncPassOptions& o,
     out.reserve(blk.insts.size());
     for (auto& in : blk.insts) {
       if (is_fp_arith(in.op)) {
+        const Shim& shim = shim_for(in.op);
         Inst call;
         call.op = Opcode::Call;
         call.result = in.result;
-        call.callee = shim_name(in.op);
+        call.callee = shim.name;
         call.loc = in.loc;
         call.call_args.push_back(Arg::make_reg(in.a));
-        if (!is_unary_fp(in.op)) call.call_args.push_back(Arg::make_reg(in.b));
+        if (shim.operands == 2) call.call_args.push_back(Arg::make_reg(in.b));
         call.call_args.push_back(Arg::make_imm(o.to_exp));
         call.call_args.push_back(Arg::make_imm(o.to_man));
         call.call_args.push_back(Arg::make_str(in.loc));
@@ -147,14 +123,14 @@ void rewrite_function(Function& f, const TruncPassOptions& o,
         if (internal) {
           Inst call = in;
           if (!whole_module) {
-            call.callee = clone_name(in.callee, o);
+            call.callee = clone_name(in.callee, o.to_exp, o.to_man);
             if (o.scratch_opt && scratch_reg >= 0) {
               call.call_args.push_back(Arg::make_reg(scratch_reg));
             }
           }
           out.push_back(std::move(call));
         } else {
-          if (in.callee.rfind("_raptor_", 0) != 0) {
+          if (!is_runtime_call(in.callee)) {
             const std::string w = "ignoring call to external @" + in.callee +
                                   " (no definition available; see paper fn.12)";
             if (std::find(warnings.begin(), warnings.end(), w) == warnings.end()) {
@@ -169,7 +145,7 @@ void rewrite_function(Function& f, const TruncPassOptions& o,
         Inst free_call;
         free_call.op = Opcode::Call;
         free_call.result = -1;
-        free_call.callee = "_raptor_free_scratch";
+        free_call.callee = kFreeScratch;
         free_call.call_args.push_back(Arg::make_reg(scratch_reg));
         free_call.loc = in.loc;
         out.push_back(std::move(free_call));
@@ -185,7 +161,7 @@ void rewrite_function(Function& f, const TruncPassOptions& o,
     Inst alloc;
     alloc.op = Opcode::Call;
     alloc.result = scratch_reg;
-    alloc.callee = "_raptor_alloc_scratch";
+    alloc.callee = kAllocScratch;
     alloc.call_args.push_back(Arg::make_imm(o.to_exp));
     alloc.call_args.push_back(Arg::make_imm(o.to_man));
     RAPTOR_REQUIRE(!f.blocks.empty(), "function has no blocks");
@@ -243,14 +219,14 @@ TruncPassResult run_trunc_pass(const Module& input, const TruncPassOptions& opts
     const Function* orig = input.find(name);
     RAPTOR_ASSERT(orig != nullptr);
     Function clone = *orig;
-    clone.name = clone_name(name, opts);
+    clone.name = clone_name(name, opts.to_exp, opts.to_man);
     const bool is_root = name == opts.root;
     rewrite_function(clone, opts, in_set, /*add_scratch_param=*/!is_root,
                      /*self_scratch=*/is_root, /*whole_module=*/false, result.warnings);
     result.transformed.push_back(clone.name);
     result.module.funcs.push_back(std::move(clone));
   }
-  result.entry = clone_name(opts.root, opts);
+  result.entry = clone_name(opts.root, opts.to_exp, opts.to_man);
   if (opts.verify) {
     verify_pass_output(result.module, result.transformed, opts, /*whole_module=*/false);
   }

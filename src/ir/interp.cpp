@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "trunc/capi.hpp"
+#include "ir/runtime_abi.hpp"
 
 namespace raptor::ir {
 
@@ -41,38 +41,22 @@ bool apply_cmp(CmpKind k, double a, double b) {
 
 bool Interpreter::builtin(const std::string& name, const std::vector<double>& argv,
                           const std::vector<std::string>& strs, double& result) {
-  if (name.rfind("_raptor_", 0) != 0) return false;
+  if (!is_runtime_call(name)) return false;
   ++stats_.builtin_calls[name];
   const char* loc = strs.empty() ? nullptr : strs.front().c_str();
-  // Binary ops: (a, b, e, m, loc [, scratch]). Scratch cookies ride along as
-  // ordinary values to honour the Fig. 4b calling convention; the library
-  // runtime keeps the actual pad thread-local.
+  // Op shims: (operands..., e, m, loc [, scratch]). Scratch cookies ride
+  // along as ordinary values to honour the Fig. 4b calling convention; the
+  // library runtime keeps the actual pad thread-local.
   const auto e_of = [&](std::size_t i) { return static_cast<int>(argv.at(i)); };
-  if (name == "_raptor_add_f64") {
-    result = capi::_raptor_add_f64(argv.at(0), argv.at(1), e_of(2), e_of(3), loc);
-  } else if (name == "_raptor_sub_f64") {
-    result = capi::_raptor_sub_f64(argv.at(0), argv.at(1), e_of(2), e_of(3), loc);
-  } else if (name == "_raptor_mul_f64") {
-    result = capi::_raptor_mul_f64(argv.at(0), argv.at(1), e_of(2), e_of(3), loc);
-  } else if (name == "_raptor_div_f64") {
-    result = capi::_raptor_div_f64(argv.at(0), argv.at(1), e_of(2), e_of(3), loc);
-  } else if (name == "_raptor_sqrt_f64") {
-    result = capi::_raptor_sqrt_f64(argv.at(0), e_of(1), e_of(2), loc);
-  } else if (name == "_raptor_neg_f64") {
-    result = capi::_raptor_neg_f64(argv.at(0), e_of(1), e_of(2), loc);
-  } else if (name == "_raptor_exp_f64") {
-    result = capi::_raptor_exp_f64(argv.at(0), e_of(1), e_of(2), loc);
-  } else if (name == "_raptor_log_f64") {
-    result = capi::_raptor_log_f64(argv.at(0), e_of(1), e_of(2), loc);
-  } else if (name == "_raptor_sin_f64") {
-    result = capi::_raptor_sin_f64(argv.at(0), e_of(1), e_of(2), loc);
-  } else if (name == "_raptor_cos_f64") {
-    result = capi::_raptor_cos_f64(argv.at(0), e_of(1), e_of(2), loc);
-  } else if (name == "_raptor_alloc_scratch") {
+  if (const Shim* shim = find_shim(name)) {
+    const auto n = static_cast<std::size_t>(shim->operands);
+    result = n == 2 ? shim->binary(argv.at(0), argv.at(1), e_of(n), e_of(n + 1), loc)
+                    : shim->unary(argv.at(0), e_of(n), e_of(n + 1), loc);
+  } else if (name == kAllocScratch) {
     char* cookie = static_cast<char*>(capi::_raptor_alloc_scratch(e_of(0), e_of(1)));
     scratch_handles_.push_back(cookie);
     result = static_cast<double>(scratch_handles_.size());  // opaque handle
-  } else if (name == "_raptor_free_scratch") {
+  } else if (name == kFreeScratch) {
     const auto idx = static_cast<std::size_t>(argv.at(0));
     RAPTOR_REQUIRE(idx >= 1 && idx <= scratch_handles_.size(), "bad scratch handle");
     capi::_raptor_free_scratch(scratch_handles_[idx - 1]);

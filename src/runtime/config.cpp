@@ -45,36 +45,31 @@ TruncationSpec TruncationSpec::parse(std::string_view text) {
     if (us == std::string_view::npos) {
       throw ConfigError("truncation spec: expected '<exp>_<man>' in '" + std::string(clause) + "'");
     }
-    const sf::Format fmt{parse_int(rhs.substr(0, us), "exponent"),
-                         parse_int(rhs.substr(us + 1), "mantissa")};
-    if (!fmt.valid()) {
-      throw ConfigError("truncation spec: format " + fmt.to_string() +
-                        " outside the supported envelope (exp 2..18, man 1..61)");
-    }
-    switch (width) {
-      case 64: spec.for64 = fmt; break;
-      case 32: spec.for32 = fmt; break;
-      case 16: spec.for16 = fmt; break;
-      default:
-        throw ConfigError("truncation spec: unsupported source width " + std::to_string(width) +
-                          " (must be 16, 32 or 64)");
-    }
+    spec.set(width, sf::Format{parse_int(rhs.substr(0, us), "exponent"),
+                               parse_int(rhs.substr(us + 1), "mantissa")});
   }
   return spec;
 }
 
-TruncationSpec TruncationSpec::trunc64(int to_exp, int to_man) {
-  TruncationSpec s;
-  s.for64 = sf::Format{to_exp, to_man};
-  if (!s.for64->valid()) throw ConfigError("trunc64: invalid format " + s.for64->to_string());
-  return s;
+TruncationSpec& TruncationSpec::set(int width, sf::Format fmt) {
+  std::optional<sf::Format>* slot = width == 64   ? &for64
+                                    : width == 32 ? &for32
+                                    : width == 16 ? &for16
+                                                  : nullptr;
+  if (slot == nullptr) {
+    throw ConfigError("truncation spec: unsupported source width " + std::to_string(width) +
+                      " (must be 16, 32 or 64)");
+  }
+  if (!fmt.valid()) {
+    throw ConfigError("truncation spec: format " + fmt.to_string() +
+                      " outside the supported envelope (exp 2..18, man 1..61)");
+  }
+  *slot = fmt;
+  return *this;
 }
 
-TruncationSpec TruncationSpec::trunc32(int to_exp, int to_man) {
-  TruncationSpec s;
-  s.for32 = sf::Format{to_exp, to_man};
-  if (!s.for32->valid()) throw ConfigError("trunc32: invalid format " + s.for32->to_string());
-  return s;
+TruncationSpec TruncationSpec::trunc64(int to_exp, int to_man) {
+  return TruncationSpec().set(64, sf::Format{to_exp, to_man});
 }
 
 std::string TruncationSpec::to_string() const {

@@ -29,13 +29,17 @@ struct TruncationSpec {
     }
   }
 
+  /// Truncate `width`-bit operations (64, 32 or 16) to `fmt`. The one
+  /// mapping from operand width to format: throws ConfigError on any other
+  /// width or a format outside the engine envelope.
+  TruncationSpec& set(int width, sf::Format fmt);
+
   /// Parse "64_to_5_14;32_to_3_8". Throws std::invalid_argument on errors
   /// (bad width, format outside the engine envelope, malformed syntax).
   static TruncationSpec parse(std::string_view text);
 
   /// Convenience: truncate 64-bit operations to (exp, man).
   static TruncationSpec trunc64(int to_exp, int to_man);
-  static TruncationSpec trunc32(int to_exp, int to_man);
 
   [[nodiscard]] std::string to_string() const;
 

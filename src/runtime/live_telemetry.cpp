@@ -1,9 +1,7 @@
 #include "runtime/live_telemetry.hpp"
 
-#include <fstream>
 #include <memory>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "io/profile_dump.hpp"
@@ -16,20 +14,7 @@ namespace raptor::rt {
 
 namespace {
 
-bool file_exists(const std::string& path) {
-  return std::ifstream(path, std::ios::binary).good();
-}
-
 double u2d(u64 v) { return static_cast<double>(v); }
-
-/// /report keeps incremental readers alive across requests: each scrape
-/// decodes only the bytes appended since the last one, exactly like
-/// `raptor_trace --follow`. The server is single-threaded (poll loop), so
-/// the state needs no locking.
-struct ReportState {
-  std::string base;
-  std::vector<std::unique_ptr<trace::RtraceStream>> streams;
-};
 
 }  // namespace
 
@@ -110,7 +95,7 @@ void register_runtime_metrics(telemetry::Registry& reg) {
       "Rotation segments written by the active trace session");
 }
 
-void add_runtime_endpoints(telemetry::Server& server, const std::string& trace_path) {
+void add_runtime_endpoints(telemetry::Server& server, const std::vector<std::string>& trace_paths) {
   server.handle("/metrics", [](const telemetry::HttpRequest&) {
     telemetry::HttpResponse resp;
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -127,37 +112,25 @@ void add_runtime_endpoints(telemetry::Server& server, const std::string& trace_p
     return resp;
   });
 
-  auto state = std::make_shared<ReportState>();
-  server.handle("/report", [state, trace_path](const telemetry::HttpRequest&) {
+  // One reader per capture, kept across requests: each scrape decodes only
+  // the bytes appended since the last one, exactly like `raptor_trace
+  // --follow`. The server is single-threaded (poll loop), so the reader
+  // needs no lock.
+  server.handle("/report", [trace_paths, reader = std::shared_ptr<trace::Capture>()](
+                               const telemetry::HttpRequest&) mutable {
     telemetry::HttpResponse resp;
-    const std::string base =
-        trace_path.empty() ? Runtime::instance().trace_options().path : trace_path;
-    if (base.empty()) {
+    std::vector<std::string> paths = trace_paths;
+    if (paths.empty()) paths.push_back(Runtime::instance().trace_options().path);
+    if (paths.front().empty()) {
       resp.status = 404;
       resp.content_type = "text/plain";
       resp.body = "no trace capture: start a trace session or pass an explicit path\n";
       return resp;
     }
-    if (state->base != base) {
-      state->base = base;
-      state->streams.clear();
-    }
-    if (state->streams.empty()) {
-      state->streams.emplace_back(std::make_unique<trace::RtraceStream>(base));
-    }
-    // Rotation segments appear while the session runs; adopt new ones here.
-    while (file_exists(trace::segment_path(base, static_cast<u32>(state->streams.size())))) {
-      state->streams.emplace_back(std::make_unique<trace::RtraceStream>(
-          trace::segment_path(base, static_cast<u32>(state->streams.size()))));
-    }
-    for (auto& s : state->streams) s->poll();
-    std::vector<trace::TraceData> shards;
-    shards.reserve(state->streams.size());
-    for (const auto& s : state->streams) shards.push_back(s->data());
-    const trace::TraceData td =
-        shards.size() == 1 ? std::move(shards.front()) : trace::merge_traces(shards);
+    if (!reader || reader->inputs() != paths) reader = std::make_shared<trace::Capture>(paths);
+    reader->poll();
     resp.content_type = "application/json";
-    resp.body = trace::report_json(td, trace::build_reports(td));
+    resp.body = trace::report_json(reader->data(), trace::build_reports(reader->data()));
     return resp;
   });
 }

@@ -18,9 +18,9 @@
 //   add_runtime_endpoints(server)  GET handlers:
 //     /metrics   Prometheus text of Registry::instance().snapshot()
 //     /profile   region-profile JSON (io::write_region_profiles_json)
-//     /report    live trace analysis (RtraceStream over the active capture
-//                and its rotation segments) as trace::report_json — the
-//                same bytes `raptor_trace --json` derives offline
+//     /report    live trace analysis (one trace::Capture over the active
+//                capture and its rotation segments) as trace::report_json —
+//                the same bytes `raptor_trace --json` derives offline
 //
 // Concurrency contract: every endpoint is safe at any time, mid-run
 // included. Callbacks are evaluated at scrape time. The op, flop and byte
@@ -41,6 +41,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "telemetry/registry.hpp"
 #include "telemetry/server.hpp"
@@ -52,9 +53,11 @@ namespace raptor::rt {
 /// callbacks, so it also re-arms after Registry::reset().
 void register_runtime_metrics(telemetry::Registry& reg = telemetry::Registry::instance());
 
-/// Install /metrics, /profile and /report on `server`. `trace_path` pins
-/// the capture /report analyzes; empty resolves the active trace session's
-/// path at request time (404 when no session ever started).
-void add_runtime_endpoints(telemetry::Server& server, const std::string& trace_path = {});
+/// Install /metrics, /profile and /report on `server`. `trace_paths` pins
+/// the capture /report analyzes (one file, or shards merged by region
+/// label); empty resolves the active trace session's path at request time
+/// (404 when no session ever started).
+void add_runtime_endpoints(telemetry::Server& server,
+                           const std::vector<std::string>& trace_paths = {});
 
 }  // namespace raptor::rt

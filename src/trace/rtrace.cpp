@@ -6,6 +6,8 @@
 #include <map>
 #include <tuple>
 
+#include "trace/analysis.hpp"
+
 namespace raptor::trace {
 
 namespace {
@@ -158,8 +160,8 @@ void RtraceWriter::finish() {
 
 namespace {
 
-/// Plain truncation — recoverable for the streaming reader (the block may
-/// simply not have landed yet), fatal for the strict whole-file reader.
+/// Plain truncation — recoverable for `Capture` (the block may simply not
+/// have landed yet), fatal for the strict whole-file reader.
 /// Derives from std::runtime_error so strict callers see the contract type.
 class TruncatedError : public std::runtime_error {
  public:
@@ -219,7 +221,7 @@ class Cursor {
 
 /// Decode exactly one tagged block into `td`; returns true on the end
 /// marker. Commits side effects only after the whole block decoded, so a
-/// TruncatedError mid-block leaves `td` untouched (streaming rollback).
+/// TruncatedError mid-block leaves `td` untouched (`Capture` retries it).
 bool decode_block(Cursor& c, TraceData& td) {
   const u8 tag = c.byte();
   switch (tag) {
@@ -341,52 +343,107 @@ TraceData read_rtrace(const std::string& path) {
   }
 }
 
-RtraceStream::RtraceStream(std::string path) : path_(std::move(path)) {}
-
-std::size_t RtraceStream::poll() {
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in.good()) {
-      in.seekg(static_cast<std::streamoff>(file_offset_));
-      std::string fresh((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-      file_offset_ += fresh.size();
-      pending_ += fresh;
-    }
-    // A file that does not exist yet is simply "no data": keep waiting.
-  }
-
-  std::size_t decoded = 0;
-  if (!header_parsed_) {
-    if (pending_.size() < 16) return decoded;
-    parse_header(pending_.data(), data_);
-    pending_.erase(0, 16);
-    header_parsed_ = true;
-  }
-  while (!finished_ && !pending_.empty()) {
-    Cursor c(pending_.data(), pending_.size());
-    try {
-      finished_ = decode_block(c, data_);
-    } catch (const TruncatedError&) {
-      break;  // partial trailing block: the rest may land on the next poll
-    }
-    pending_.erase(0, c.pos());
-    ++decoded;
-  }
-  return decoded;
+Capture::Capture(std::vector<std::string> paths)
+    : paths_(std::move(paths)), files_(paths_.size()) {
+  RAPTOR_REQUIRE(!paths_.empty(), "rtrace: a capture needs at least one input path");
 }
 
-TolerantRead read_rtrace_tolerant(const std::string& path) {
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe.good()) Cursor::fail("cannot open input file");
+u64 Capture::advance(File& f) {
+  if (f.finished) return 0;
+  // The last read stopped at end of file; the drainer may have appended since.
+  f.in.clear();
+  f.pending.append(std::istreambuf_iterator<char>(f.in), std::istreambuf_iterator<char>());
+
+  std::size_t used = 0;
+  if (!f.header) {
+    if (f.pending.size() < 16) return 0;
+    parse_header(f.pending.data(), f.data);
+    f.header = true;
+    used = 16;
   }
-  RtraceStream s(path);
-  s.poll();
-  TolerantRead r;
-  r.data = s.data();
-  r.complete = s.finished();
-  r.bytes_consumed = s.offset();
-  return r;
+  while (!f.finished && used < f.pending.size()) {
+    Cursor c(f.pending.data() + used, f.pending.size() - used);
+    try {
+      f.finished = decode_block(c, f.data);
+    } catch (const TruncatedError&) {
+      break;  // partial trailing block: the rest may land before the next poll
+    }
+    used += c.pos();
+  }
+  f.pending.erase(0, used);
+  f.decoded += used;
+  if (f.finished) {
+    f.in.close();
+    f.pending = std::string();
+  }
+  return used;
+}
+
+bool Capture::poll() {
+  bool fresh = false;
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    std::vector<File>& segments = files_[i];
+    for (File& f : segments) fresh = advance(f) > 0 || fresh;
+    // Adopt the segments that appeared since the last poll, in write order.
+    // The probe that ends this loop is what complete() reads as "no later
+    // segment": it runs after the newest segment was read.
+    for (;;) {
+      std::ifstream in(segment_path(paths_[i], static_cast<u32>(segments.size())),
+                       std::ios::binary);
+      if (!in.is_open()) break;
+      segments.emplace_back().in = std::move(in);
+      advance(segments.back());
+      fresh = true;
+    }
+  }
+  if (fresh && files() > 1) {
+    std::vector<TraceData> shards;
+    for (const std::vector<File>& segments : files_) {
+      for (const File& f : segments) shards.push_back(f.data);
+    }
+    merged_ = merge_traces(shards);
+  }
+  return fresh;
+}
+
+const TraceData& Capture::data() const {
+  if (files() != 1) return merged_;
+  for (const std::vector<File>& segments : files_) {
+    if (!segments.empty()) return segments.front().data;
+  }
+  return merged_;
+}
+
+bool Capture::complete() const {
+  for (const std::vector<File>& segments : files_) {
+    if (segments.empty()) return false;
+    for (const File& f : segments) {
+      if (!f.finished) return false;
+    }
+  }
+  return true;
+}
+
+std::size_t Capture::files() const {
+  std::size_t n = 0;
+  for (const std::vector<File>& segments : files_) n += segments.size();
+  return n;
+}
+
+std::vector<std::string> Capture::missing() const {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    if (files_[i].empty()) out.push_back(paths_[i]);
+  }
+  return out;
+}
+
+u64 Capture::decoded_bytes() const {
+  u64 n = 0;
+  for (const std::vector<File>& segments : files_) {
+    for (const File& f : segments) n += f.decoded;
+  }
+  return n;
 }
 
 std::string segment_path(const std::string& base, u32 index) {

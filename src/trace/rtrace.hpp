@@ -33,8 +33,8 @@
 //
 // Readers throw std::runtime_error("rtrace: ...") on malformed input. A
 // *truncated* file (missing `X`, or cut mid-block) is malformed to the
-// strict whole-file reader but merely "in progress" to the tolerant /
-// streaming readers below, which stop at the last complete block — that is
+// strict whole-file reader but merely "in progress" to the incremental
+// `Capture` reader below, which stops at the last complete block — that is
 // what lets `raptor_trace --follow` tail a file the drainer is still
 // appending to, and lets a crash-abandoned capture still be analyzed.
 //
@@ -66,7 +66,7 @@ class RtraceWriter {
   /// unwinding through the drainer) and the stream is still healthy, write
   /// the end marker so the file is not left silently unterminated. A file
   /// that still lacks `X` (hard crash, dead stream) reads as "in progress"
-  /// through the tolerant readers rather than erroring.
+  /// through `Capture` rather than erroring.
   ~RtraceWriter();
   RtraceWriter(const RtraceWriter&) = delete;
   RtraceWriter& operator=(const RtraceWriter&) = delete;
@@ -151,52 +151,67 @@ struct TraceData {
 /// including a missing end marker (a truncated capture must be loud).
 [[nodiscard]] TraceData read_rtrace(const std::string& path);
 
-/// Incremental reader for a file that may still be growing. Each poll()
-/// reads the bytes appended since the last call and decodes every *complete*
-/// block; a partial trailing block (the drainer mid-append, or a crash cut)
-/// is kept pending and retried on the next poll, so the committed byte
-/// offset only ever advances over whole blocks. Malformed input — bad
-/// magic, unknown tags, out-of-range slots, overlong varints — still throws
-/// std::runtime_error; only plain truncation is tolerated.
-class RtraceStream {
+/// Incremental reader for a whole capture — one file, a rotated series
+/// (`segment_path`) or several shards — and the one way every `.rtrace` is
+/// read outside compaction: `raptor_trace` in all of its modes and the live
+/// /report endpoint go through it.
+///
+/// It is built from one or more input paths; each input is read together
+/// with its rotation segments. poll() adopts the segments that appeared
+/// since the last call and decodes the whole blocks appended to every file
+/// that has not reached its end marker. A partial trailing block (the
+/// drainer mid-append, or a crash cut) stays pending for the next poll, so
+/// plain truncation never throws; malformed input — bad magic, unknown
+/// tags, out-of-range slots, overlong varints — throws std::runtime_error.
+/// A file is held open from the poll that adopts it until its end marker,
+/// so renaming it (compaction) or deleting it afterwards loses nothing.
+class Capture {
  public:
-  explicit RtraceStream(std::string path);
+  explicit Capture(std::vector<std::string> paths);
 
-  /// Ingest newly appended bytes; returns the number of blocks decoded by
-  /// this call. A file that does not exist yet decodes zero blocks.
-  std::size_t poll();
+  /// Adopt new segments and decode newly appended blocks; true when this
+  /// call adopted a file or decoded anything.
+  bool poll();
 
-  /// Everything decoded so far (accumulates across polls).
-  [[nodiscard]] const TraceData& data() const { return data_; }
-  /// True once the `X` end marker has been decoded.
-  [[nodiscard]] bool finished() const { return finished_; }
-  /// Byte offset of the last fully decoded block (resume point).
-  [[nodiscard]] u64 offset() const { return file_offset_ - pending_.size(); }
+  /// Everything decoded so far: a single file's data as read, several
+  /// files merged by region label (`merge_traces`, in input order and each
+  /// input's segments in write order).
+  [[nodiscard]] const TraceData& data() const;
+  /// Every input has appeared, every file adopted so far carries its end
+  /// marker, and no later segment existed at the last poll. The drainer
+  /// creates each segment's successor before writing its end marker, so a
+  /// live capture does not read as complete mid-rotation.
+  [[nodiscard]] bool complete() const;
+  /// Files adopted so far, over every input.
+  [[nodiscard]] std::size_t files() const;
+  /// Inputs whose first file has not appeared yet.
+  [[nodiscard]] std::vector<std::string> missing() const;
+  /// Bytes of whole blocks decoded so far (headers included), over every
+  /// file: the resume point of a single file.
+  [[nodiscard]] u64 decoded_bytes() const;
+  [[nodiscard]] const std::vector<std::string>& inputs() const { return paths_; }
 
  private:
-  std::string path_;
-  std::string pending_;  ///< bytes read from the file but not yet decoded
-  u64 file_offset_ = 0;  ///< bytes consumed from the file into pending_
-  TraceData data_;
-  bool header_parsed_ = false;
-  bool finished_ = false;
-};
+  struct File {
+    std::ifstream in;     ///< open until the end marker is decoded
+    std::string pending;  ///< bytes read but not yet decoded
+    TraceData data;
+    u64 decoded = 0;      ///< bytes of whole blocks decoded, header included
+    bool header = false;
+    bool finished = false;
+  };
+  /// Read what was appended to `f` and decode its whole blocks; returns
+  /// the bytes decoded.
+  u64 advance(File& f);
 
-/// One-shot tolerant read: everything decodable from the file right now.
-struct TolerantRead {
-  TraceData data;
-  bool complete = false;  ///< end marker present: a finished capture
-  u64 bytes_consumed = 0; ///< offset of the last complete block
+  std::vector<std::string> paths_;
+  std::vector<std::vector<File>> files_;  ///< per input, in segment order
+  TraceData merged_;                      ///< data() of two or more files
 };
-
-/// Read an `.rtrace` that may be unterminated or cut mid-block; such files
-/// classify as in-progress (`complete == false`) instead of erroring.
-/// Throws on I/O failure and on genuinely malformed (not truncated) input.
-[[nodiscard]] TolerantRead read_rtrace_tolerant(const std::string& path);
 
 /// Canonical name of rotation segment `index` of a capture based at `base`:
 /// segment 0 is `base` itself, segment N is `base.segN`. Shared between the
-/// rotating drainer and the analyzer's segment discovery.
+/// rotating drainer and `Capture`'s segment discovery.
 [[nodiscard]] std::string segment_path(const std::string& base, u32 index);
 
 /// Rewrite a finished segment with its event blocks folded into per-thread

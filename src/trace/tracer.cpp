@@ -207,12 +207,16 @@ void Tracer::maybe_rotate_locked() {
   // table): an idle drainer must not spin out empty segments when the
   // preamble alone exceeds a small segment_bytes.
   if (writer_->bytes_written() <= segment_preamble_) return;
+  // The successor exists before this segment's end marker is written, so a
+  // reader that decodes the marker always finds the next segment: a live
+  // capture never reads as complete mid-rotation.
+  auto next = std::make_unique<RtraceWriter>(segment_path(opts_.path, segment_index_ + 1),
+                                             opts_.sample_stride, opts_.ring_capacity);
   writer_->finish();
   RAPTOR_REQUIRE(writer_->good(), "trace: writing the .rtrace segment failed");
   const std::string closed = segment_path(opts_.path, segment_index_);
   ++segment_index_;
-  writer_ = std::make_unique<RtraceWriter>(segment_path(opts_.path, segment_index_),
-                                           opts_.sample_stride, opts_.ring_capacity);
+  writer_ = std::move(next);
   // Re-emit the whole string table so every segment is self-contained for
   // labels: the stop()-time histogram blocks may land in a later segment
   // than the drain that first interned a region.

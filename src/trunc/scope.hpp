@@ -60,17 +60,14 @@ class ModeScope {
 };
 
 /// Function-scope op-mode truncation (paper Fig. 3b): returns a callable
-/// executing `fn` with 64-bit FP ops truncated to (to_exp, to_man).
+/// executing `fn` with `from_width`-bit FP ops truncated to (to_exp,
+/// to_man). Throws rt::ConfigError on a width other than 64, 32 or 16 or
+/// an invalid format.
 template <typename Fn>
 auto trunc_func_op(Fn fn, int from_width, int to_exp, int to_man) {
-  return [fn = std::move(fn), from_width, to_exp, to_man](auto&&... args) {
-    rt::TruncationSpec spec;
-    const sf::Format fmt{to_exp, to_man};
-    switch (from_width) {
-      case 64: spec.for64 = fmt; break;
-      case 32: spec.for32 = fmt; break;
-      default: spec.for16 = fmt; break;
-    }
+  return [fn = std::move(fn),
+          spec = rt::TruncationSpec().set(from_width, sf::Format{to_exp, to_man})](
+             auto&&... args) {
     TruncScope scope(spec);
     return fn(std::forward<decltype(args)>(args)...);
   };
@@ -83,15 +80,10 @@ auto trunc_func_op(Fn fn, int from_width, int to_exp, int to_man) {
 /// _raptor_pre_c/_raptor_post_c protocol.
 template <typename Fn>
 auto trunc_func_mem(Fn fn, int from_width, int to_exp, int to_man) {
-  return [fn = std::move(fn), from_width, to_exp, to_man](auto&&... args) {
+  return [fn = std::move(fn),
+          spec = rt::TruncationSpec().set(from_width, sf::Format{to_exp, to_man})](
+             auto&&... args) {
     ModeScope mode(rt::Mode::Mem);
-    rt::TruncationSpec spec;
-    const sf::Format fmt{to_exp, to_man};
-    switch (from_width) {
-      case 64: spec.for64 = fmt; break;
-      case 32: spec.for32 = fmt; break;
-      default: spec.for16 = fmt; break;
-    }
     TruncScope scope(spec);
     return fn(std::forward<decltype(args)>(args)...);
   };

@@ -268,6 +268,36 @@ TEST(ProfileDump, CsvEscapesLabelsRfc4180) {
   EXPECT_NE(header.find("trunc_fraction,seconds,max_deviation"), std::string::npos) << header;
 }
 
+TEST(ProfileDump, CsvNumbersKeepTheirDigits) {
+  // std::to_string(double) printed 1e-9 as 0.000000 and 1e300 as a
+  // 301-digit integer; every CSV double goes through io::csv_number.
+  const std::string path = "test_io_profile_digits.csv";
+  rt::RegionProfileEntry tiny = make_entry("tiny", 1e-9);
+  tiny.profile.seconds = 1e300;
+  rt::RegionProfileEntry huge = make_entry("huge", 1e300);
+  huge.profile.seconds = 1e-9;
+  write_region_profiles_csv(path, {tiny, huge});
+  std::ifstream in(path);
+  std::string header, row1, row2;
+  std::getline(in, header);
+  std::getline(in, row1);
+  std::getline(in, row2);
+  std::remove(path.c_str());
+
+  const auto fields1 = csv_parse(row1);
+  const auto fields2 = csv_parse(row2);
+  ASSERT_EQ(fields1.size(), 9u) << row1;
+  ASSERT_EQ(fields2.size(), 9u) << row2;
+  // Columns 6 and 7: seconds, max_deviation.
+  EXPECT_EQ(std::stod(fields1[6]), 1e300);
+  EXPECT_EQ(std::stod(fields1[7]), 1e-9);
+  EXPECT_EQ(std::stod(fields2[6]), 1e-9);
+  EXPECT_EQ(std::stod(fields2[7]), 1e300);
+  EXPECT_EQ(fields1[6], "1e+300");
+  EXPECT_EQ(fields1[7], "1e-09");
+  EXPECT_EQ(fields1[5], "0.6666666667");  // trunc_fraction 10 / 15
+}
+
 TEST(ProfileDump, CsvFieldQuotesOnlyWhenNeeded) {
   EXPECT_EQ(csv_field("plain/label"), "plain/label");
   EXPECT_EQ(csv_field("a,b"), "\"a,b\"");

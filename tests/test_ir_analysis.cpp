@@ -37,6 +37,7 @@ namespace fs = std::filesystem;
 using namespace ir::analysis;
 using ir::Module;
 using ir::Opcode;
+using ir::parse_clone_name;
 using rt::Runtime;
 
 Module parse(std::string_view text) { return ir::parse_module(text); }

@@ -1031,6 +1031,20 @@ TEST_F(RuntimeTest, TruncFuncOpWrapsWholeCall) {
   EXPECT_DOUBLE_EQ(truncated, sf::quantize(truncated, sf::Format{5, 8}));
 }
 
+TEST_F(RuntimeTest, TruncFuncRejectsWidthsWithoutAFormatSlot) {
+  // Only 64-, 32- and 16-bit operations have a format slot; any other width
+  // (or an invalid format) is a configuration error, not an untruncated run.
+  const auto fn = [](double x) { return Runtime::instance().op2(OpKind::Mul, x, x, 64); };
+  EXPECT_THROW((void)trunc_func_op(fn, 8, 5, 8), ConfigError);
+  EXPECT_THROW((void)trunc_func_op(fn, 128, 5, 8), ConfigError);
+  EXPECT_THROW((void)trunc_func_mem(fn, 8, 5, 8), ConfigError);
+  EXPECT_THROW((void)trunc_func_op(fn, 64, 1, 8), ConfigError);  // exponent below 2
+  EXPECT_THROW((void)TruncationSpec().set(8, sf::Format{5, 8}), ConfigError);
+  TruncationSpec spec;
+  spec.set(32, sf::Format{5, 8}).set(16, sf::Format{4, 3});
+  EXPECT_EQ(spec, TruncationSpec::parse("32_to_5_8;16_to_4_3"));
+}
+
 TEST_F(RuntimeTest, TruncFuncOpReturnsFunctionLikeObject) {
   int calls = 0;
   auto f = trunc_func_op([&calls](double x) {

@@ -466,6 +466,48 @@ TEST_F(LiveTelemetryTest, EndToEndTracedRunServesAdvancingMetricsAndParityReport
   std::remove(path.c_str());
 }
 
+// /report over a rotating session: scrapes taken while the drainer rotates
+// adopt each new segment, and the final scrape is byte-identical to the
+// offline analysis of the label-keyed merge of every segment.
+TEST_F(LiveTelemetryTest, ReportFollowsRotatingSessionAndMatchesOfflineSegments) {
+  telemetry::Server server;
+  rt::add_runtime_endpoints(server);
+  ASSERT_TRUE(server.listen(0)) << server.error();
+
+  const std::string path = "test_telemetry_rotating.rtrace";
+  trace::TraceOptions topts;
+  topts.path = path;
+  topts.sample_stride = 1;
+  topts.segment_bytes = 1 << 10;  // tiny: rotate on almost every drain
+  topts.drain_interval_ms = 1;
+  R.set_region_profiling(true);
+  R.trace_start(topts);
+  {
+    Region r("telemetry/rotating");
+    for (int round = 0; round < 20; ++round) {
+      for (int i = 0; i < 300; ++i) (void)(Real(1.0 + i) + Real(2.0));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ASSERT_TRUE(pump_get(server, "/report").has_value());
+    }
+  }
+  const trace::TraceStats stats = R.trace_stop();
+  R.set_region_profiling(false);
+  ASSERT_GT(stats.segments, 2u);
+
+  const std::optional<std::string> report = pump_get(server, "/report");
+  ASSERT_TRUE(report.has_value());
+  std::vector<trace::TraceData> segments;
+  for (u32 i = 0; i < stats.segments; ++i) {
+    segments.push_back(trace::read_rtrace(trace::segment_path(path, i)));
+  }
+  const trace::TraceData td = trace::merge_traces(segments);
+  EXPECT_EQ(*report, trace::report_json(td, trace::build_reports(td)));
+  EXPECT_NE(report->find("\"telemetry/rotating\""), std::string::npos);
+
+  server.stop();
+  for (u32 i = 0; i < stats.segments; ++i) std::remove(trace::segment_path(path, i).c_str());
+}
+
 /// Last value seen per series name; counts every read that stepped back.
 struct MonotoneSeries {
   std::map<std::string, double> last;

@@ -4,9 +4,9 @@
 // runtime sampling semantics (scalar countdown, one event per batch span,
 // mem-mode deviation buckets), an 8-thread producers-vs-drainer stress
 // that runs under ThreadSanitizer in CI, the hardened codec (adversarial /
-// truncated input, overlong-varint rejection, tolerant + streaming
-// readers), label-keyed multi-shard merge, and segment rotation with
-// compaction.
+// truncated input, overlong-varint rejection), the incremental capture
+// reader (every prefix, shards, deletion, live and rotating sessions),
+// label-keyed multi-shard merge, and segment rotation with compaction.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -261,7 +261,7 @@ TEST(Rtrace, ReaderRejectsGarbage) {
   std::remove(path.c_str());
 }
 
-// -- Hardened codec: adversarial input, tolerant + streaming readers --------
+// -- Hardened codec and the capture reader: adversarial and truncated input -
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -285,6 +285,13 @@ std::string valid_header() {
   return bytes.substr(0, 16);
 }
 
+/// One poll of a capture over `path` and its segments.
+trace::Capture polled(const std::string& path) {
+  trace::Capture capture({path});
+  capture.poll();
+  return capture;
+}
+
 TEST(RtraceHardened, OverlongVarintRejected) {
   const std::string path = "test_trace_overlong.rtrace";
   // Ten-byte varint whose final byte carries payload bits at shift >= 64.
@@ -297,9 +304,9 @@ TEST(RtraceHardened, OverlongVarintRejected) {
   bad += '\x02';
   write_file(path, bad);
   EXPECT_THROW(trace::read_rtrace(path), std::runtime_error);
-  // Overlong encodings are malformed, not truncated: the tolerant reader
+  // Overlong encodings are malformed, not truncated: the capture reader
   // must reject them too instead of waiting for more bytes.
-  EXPECT_THROW(trace::read_rtrace_tolerant(path), std::runtime_error);
+  EXPECT_THROW(polled(path), std::runtime_error);
 
   // The maximal *valid* 10-byte encoding still decodes: (1 << 63) | 1.
   std::string maximal = valid_header();
@@ -349,15 +356,22 @@ TEST(RtraceHardened, AdversarialInputsThrowCleanly) {
   rejects(header + 'S' + '\x00' + "\xFF\xFF\xFF\xFF\x0F");  // 4 GiB string
   rejects(header + 'E');                       // event block with no payload
 
-  // The tolerant reader distinguishes truncation (in progress, data up to
+  // The capture reader distinguishes truncation (in progress, data up to
   // the last complete block) from malformed bytes (still an error).
+  {
+    trace::RtraceWriter w(path, 8, 16);
+    w.string_entry(0, "adv");
+    w.finish();
+  }
+  const std::size_t string_table_end = read_file(path).size() - 1;  // before `X`
   write_file(path, whole.substr(0, whole.size() - 8));
-  const trace::TolerantRead partial = trace::read_rtrace_tolerant(path);
-  EXPECT_FALSE(partial.complete);
-  EXPECT_EQ(partial.data.regions.size(), 1u);
-  EXPECT_TRUE(partial.data.events.empty());  // the one event block was cut
+  const trace::Capture partial = polled(path);
+  EXPECT_FALSE(partial.complete());
+  EXPECT_EQ(partial.data().regions.size(), 1u);
+  EXPECT_TRUE(partial.data().events.empty());  // the one event block was cut
+  EXPECT_EQ(partial.decoded_bytes(), string_table_end);  // stops at a block edge
   write_file(path, header + 'Z');
-  EXPECT_THROW(trace::read_rtrace_tolerant(path), std::runtime_error);
+  EXPECT_THROW(polled(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -373,20 +387,21 @@ TEST(RtraceHardened, WriterFinishOnDestructAndTolerantClassification) {
     // is healthy (an exception unwinding through the drainer).
   }
   EXPECT_EQ(trace::read_rtrace(path).events.size(), evs.size());
-  EXPECT_TRUE(trace::read_rtrace_tolerant(path).complete);
+  EXPECT_TRUE(polled(path).complete());
 
-  // Chop the end marker back off (a hard crash): strict is loud, tolerant
-  // classifies the capture as in progress and keeps every complete block.
+  // Chop the end marker back off (a hard crash): strict is loud, the
+  // capture reader classifies it as in progress and keeps every complete
+  // block.
   const std::string bytes = read_file(path);
   write_file(path, bytes.substr(0, bytes.size() - 1));
   EXPECT_THROW(trace::read_rtrace(path), std::runtime_error);
-  const trace::TolerantRead partial = trace::read_rtrace_tolerant(path);
-  EXPECT_FALSE(partial.complete);
-  EXPECT_EQ(partial.data.events.size(), evs.size());
+  const trace::Capture partial = polled(path);
+  EXPECT_FALSE(partial.complete());
+  EXPECT_EQ(partial.data().events.size(), evs.size());
   std::remove(path.c_str());
 }
 
-TEST(RtraceStreamTest, EveryPrefixDecodesWithoutError) {
+TEST(CaptureTest, EveryPrefixDecodesWithoutError) {
   // Replay a complete capture one byte at a time through the incremental
   // reader: no prefix may throw, completion fires exactly at the end
   // marker, and the accumulated decode matches the strict reader bitwise.
@@ -407,20 +422,95 @@ TEST(RtraceStreamTest, EveryPrefixDecodesWithoutError) {
   }
   const std::string bytes = read_file(path);
 
-  trace::RtraceStream stream(path);
+  trace::Capture capture({path});
   for (std::size_t n = 0; n <= bytes.size(); ++n) {
     write_file(path, bytes.substr(0, n));
-    stream.poll();
-    EXPECT_EQ(stream.finished(), n == bytes.size()) << "prefix " << n;
+    capture.poll();
+    EXPECT_EQ(capture.complete(), n == bytes.size()) << "prefix " << n;
   }
-  EXPECT_EQ(stream.offset(), bytes.size());
+  EXPECT_EQ(capture.decoded_bytes(), bytes.size());
 
   const trace::TraceData strict = trace::read_rtrace(path);
-  EXPECT_EQ(stream.data().regions, strict.regions);
-  EXPECT_EQ(stream.data().events, strict.events);
-  EXPECT_EQ(stream.data().histograms, strict.histograms);
-  EXPECT_EQ(stream.data().drops, strict.drops);
+  EXPECT_EQ(capture.data().regions, strict.regions);
+  EXPECT_EQ(capture.data().events, strict.events);
+  EXPECT_EQ(capture.data().histograms, strict.histograms);
+  EXPECT_EQ(capture.data().drops, strict.drops);
   std::remove(path.c_str());
+}
+
+TEST(CaptureTest, TwoShardsReadAsTheirLabelKeyedMerge) {
+  const std::string paths[2] = {"test_trace_capture_a.rtrace", "test_trace_capture_b.rtrace"};
+  std::vector<trace::Event> evs;
+  for (int i = 0; i < 24; ++i) evs.push_back(make_event(i));
+  trace::RegionHist h;
+  for (int i = 0; i < 40; ++i) h.exp.add(std::ldexp(1.0, i % 9));
+  for (int k = 0; k < 2; ++k) {
+    trace::RtraceWriter w(paths[k], 8, 64u << k);
+    // The shards intern the same labels in different slot orders.
+    w.string_entry(0, k == 0 ? "cap/a" : "cap/b");
+    w.string_entry(1, k == 0 ? "cap/b" : "cap/a");
+    w.string_entry(2, "cap/c");
+    w.event_block(0, evs.data() + 12 * k, 12);
+    w.drop_block(0, 3u + k);
+    w.hist_block(static_cast<u32>(k), h);
+    w.finish();
+  }
+  trace::Capture capture({paths[0], paths[1]});
+  capture.poll();
+  EXPECT_TRUE(capture.complete());
+  EXPECT_EQ(capture.files(), 2u);
+  const trace::TraceData strict =
+      trace::merge_traces({trace::read_rtrace(paths[0]), trace::read_rtrace(paths[1])});
+  EXPECT_EQ(capture.data().regions, strict.regions);
+  EXPECT_EQ(capture.data().events, strict.events);
+  EXPECT_EQ(capture.data().histograms, strict.histograms);
+  EXPECT_EQ(capture.data().drops, strict.drops);
+  EXPECT_EQ(capture.data().sample_stride, strict.sample_stride);
+  EXPECT_EQ(capture.data().ring_capacity, strict.ring_capacity);
+  EXPECT_EQ(trace::report_json(capture.data(), trace::build_reports(capture.data())),
+            trace::report_json(strict, trace::build_reports(strict)));
+
+  // A missing shard holds the capture incomplete and is named.
+  std::remove(paths[1].c_str());
+  trace::Capture partial({paths[0], paths[1]});
+  partial.poll();
+  EXPECT_FALSE(partial.complete());
+  EXPECT_EQ(partial.missing(), std::vector<std::string>{paths[1]});
+  std::remove(paths[0].c_str());
+}
+
+TEST(CaptureTest, DeletedFileKeepsWhatWasDecodedAndWhatItStillHeld) {
+  // perfbench's live workload deletes old captures while /report may still
+  // be reading them: a file adopted by one poll stays readable through the
+  // reader's open handle, so deletion neither loses decoded data nor cuts
+  // off the bytes that landed before it.
+  const std::string path = "test_trace_deleted.rtrace";
+  std::vector<trace::Event> evs;
+  for (int i = 0; i < 32; ++i) evs.push_back(make_event(i));
+  {
+    trace::RtraceWriter w(path, 8, 16);
+    w.string_entry(0, "del");
+    w.event_block(0, evs.data(), 16);
+    w.event_block(1, evs.data() + 16, 16);
+    w.finish();
+  }
+  const std::string bytes = read_file(path);
+  const trace::TraceData strict = trace::read_rtrace(path);
+
+  write_file(path, bytes.substr(0, bytes.size() / 2));
+  trace::Capture capture({path});
+  capture.poll();
+  EXPECT_FALSE(capture.complete());
+  const std::size_t seen = capture.data().events.size();
+  write_file(path, bytes);  // the rest lands, then the file is deleted
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  capture.poll();
+  EXPECT_TRUE(capture.complete());
+  EXPECT_GE(capture.data().events.size(), seen);
+  EXPECT_EQ(capture.data().events, strict.events);
+  EXPECT_FALSE(capture.poll());  // nothing left to read: the data stays
+  EXPECT_EQ(capture.data().events, strict.events);
+  EXPECT_EQ(capture.data().regions, strict.regions);
 }
 
 // -- Multi-shard merge ------------------------------------------------------
@@ -792,14 +882,14 @@ TEST_F(TraceRuntimeTest, SegmentRotationAndCompactionPreserveTotals) {
   }
 }
 
-TEST_F(TraceRuntimeTest, StreamFollowsLiveSessionAndResumes) {
+TEST_F(TraceRuntimeTest, CaptureFollowsLiveSessionAndResumes) {
   // The drainer flushes each cycle, so an incremental reader tailing the
   // file sees event blocks *during* the session, then picks up the tail
   // and end marker after stop() — the substrate of `raptor_trace --follow`.
   trace::TraceOptions o = opts_for(kPath, 1);
   o.drain_interval_ms = 1;
   R.trace_start(o);
-  trace::RtraceStream stream(kPath);
+  trace::Capture stream({kPath});
   {
     TruncScope scope(8, 12);
     Region region("follow/live");
@@ -812,16 +902,68 @@ TEST_F(TraceRuntimeTest, StreamFollowsLiveSessionAndResumes) {
     if (!saw_live_data) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(saw_live_data);
-  EXPECT_FALSE(stream.finished());
+  EXPECT_FALSE(stream.complete());
 
   const trace::TraceStats stats = R.trace_stop();
   stream.poll();  // resume from the remembered offset
-  EXPECT_TRUE(stream.finished());
+  EXPECT_TRUE(stream.complete());
   EXPECT_EQ(stream.data().events.size(), stats.events);
   const trace::TraceData whole = trace::read_rtrace(kPath);
   EXPECT_EQ(stream.data().events, whole.events);
   EXPECT_EQ(stream.data().histograms, whole.histograms);
   EXPECT_EQ(stream.data().drops, whole.drops);
+}
+
+TEST_F(TraceRuntimeTest, CaptureFollowsRotatingSessionAcrossSegments) {
+  // A rotating session read while it runs: the reader adopts each segment
+  // as the drainer opens it, never reads the capture as complete before
+  // stop(), and afterwards equals the label-keyed merge of the segments'
+  // strict reads.
+  trace::TraceOptions o = opts_for(kPath, 1);
+  o.segment_bytes = 1 << 10;  // tiny: rotate on almost every drain
+  o.drain_interval_ms = 1;
+  R.trace_start(o);
+  trace::Capture capture({kPath});
+  bool complete_early = false;
+  std::size_t live_files = 0;
+  {
+    TruncScope scope(8, 12);
+    Region region("rotate/live");
+    for (int round = 0; round < 40; ++round) {
+      for (int i = 0; i < 400; ++i) {
+        (void)R.op2(OpKind::Add, std::ldexp(1.0 + i, round % 20 - 10), 2.0, 64);
+      }
+      capture.poll();
+      complete_early = complete_early || capture.complete();
+      live_files = capture.files();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_FALSE(complete_early);
+  const trace::TraceStats stats = R.trace_stop();
+  ASSERT_GT(stats.segments, 2u);
+  EXPECT_GT(live_files, 1u);  // segments were adopted while the session ran
+  capture.poll();
+  EXPECT_TRUE(capture.complete());
+  EXPECT_EQ(capture.files(), stats.segments);
+
+  std::vector<trace::TraceData> segments;
+  for (u32 i = 0; i < stats.segments; ++i) {
+    segments.push_back(trace::read_rtrace(trace::segment_path(kPath, i)));
+  }
+  const trace::TraceData merged = trace::merge_traces(segments);
+  EXPECT_EQ(capture.data().regions, merged.regions);
+  EXPECT_EQ(capture.data().events, merged.events);
+  EXPECT_EQ(capture.data().histograms, merged.histograms);
+  EXPECT_EQ(capture.data().drops, merged.drops);
+  EXPECT_EQ(capture.data().region_seconds, merged.region_seconds);
+  u64 ops = 0;
+  for (const auto& e : capture.data().events) ops += e.count;
+  EXPECT_EQ(ops, stats.events);
+
+  for (u32 i = 1; i < stats.segments; ++i) {
+    std::remove(trace::segment_path(kPath, i).c_str());
+  }
 }
 
 // -- Recommendation math ----------------------------------------------------

@@ -8,17 +8,17 @@
 //                                              segments (<file>.segN) of
 //                                              every input are discovered
 //                                              automatically
-//   raptor_trace <file> --tolerant             accept an in-progress capture
+//   raptor_trace <files> --tolerant            accept an in-progress capture
 //                                              (missing end marker / partial
 //                                              trailing block) and report
 //                                              what is decodable so far
-//   raptor_trace <file> --follow               tail a growing capture:
+//   raptor_trace <files> --follow              tail a growing capture:
 //                                              re-emit the report (and any
 //                                              --csv/--json/--recommend
 //                                              outputs) every --interval=MS
 //                                              until the capture completes
 //                                              or --follow-max=N ticks pass
-//   raptor_trace <file> --serve[=PORT]         follow mode that additionally
+//   raptor_trace <files> --serve[=PORT]        follow mode that additionally
 //                                              serves /metrics, /profile and
 //                                              /report over HTTP on loopback
 //                                              (PORT 0/omitted = ephemeral;
@@ -26,16 +26,16 @@
 //                                              bound port for scripts);
 //                                              /report returns the same JSON
 //                                              --json derives offline
-//   raptor_trace <file> --csv=out.csv          per-region rows as CSV
-//   raptor_trace <file> --json=out.json        per-region rows as JSON
-//   raptor_trace <file> --recommend[=out.cfg]  profile-config recommendation
+//   raptor_trace <files> --csv=out.csv         per-region rows as CSV
+//   raptor_trace <files> --json=out.json       per-region rows as JSON
+//   raptor_trace <files> --recommend[=out.cfg] profile-config recommendation
 //                                              (exp bits from the observed
 //                                              dynamic range; parseable by
 //                                              rt::parse_profile)
-//   raptor_trace --selftest                    codec round trip, shard
-//                                              merge, streaming reader and
-//                                              adversarial-input checks
+//   raptor_trace --selftest                    recommendation round trip,
+//                                              report rendering, compaction
 //
+// Every mode reads through one trace::Capture (rtrace.hpp).
 // The report aggregates the sampled event stream (op mix, truncated share)
 // with the persisted per-region histograms (exact exponent range, deviation
 // quantiles) and prints drop accounting so a lossy capture is visible.
@@ -46,6 +46,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,8 +134,8 @@ void write_csv(const std::string& path, const std::vector<trace::RegionReport>& 
                      r.exp.has_range() ? std::to_string(r.exp.max_exp) : "",
                      std::to_string(r.exp.zero), std::to_string(r.exp.subnormal),
                      std::to_string(r.exp.inf), std::to_string(r.exp.nan),
-                     std::to_string(r.dev.quantile(0.5)), std::to_string(r.dev.quantile(0.99)),
-                     std::to_string(r.dev.max_bound()), std::to_string(r.seconds)});
+                     io::csv_number(r.dev.quantile(0.5)), io::csv_number(r.dev.quantile(0.99)),
+                     io::csv_number(r.dev.max_bound()), io::csv_number(r.seconds)});
   }
 }
 
@@ -145,21 +146,6 @@ void write_json(const std::string& path, const trace::TraceData& td,
   // The shared renderer keeps this byte-identical to the telemetry server's
   // /report body (pinned by test_telemetry).
   out << trace::report_json(td, reports);
-}
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path, std::ios::binary).good();
-}
-
-/// An input plus its rotation segments, in write order: `p`, `p.seg1`, ...
-std::vector<std::string> expand_segments(const std::string& base) {
-  std::vector<std::string> out{base};
-  for (u32 i = 1;; ++i) {
-    const std::string seg = trace::segment_path(base, i);
-    if (!file_exists(seg)) break;
-    out.push_back(seg);
-  }
-  return out;
 }
 
 /// Regenerate the side outputs (CSV/JSON/recommendation). `strict` makes a
@@ -195,81 +181,10 @@ int emit_outputs(const Cli& cli, const trace::TraceData& td,
   return 0;
 }
 
-// -- --follow: tail a growing capture (plus its rotation segments) ---------
-
-int follow(const Cli& cli) {
-  const std::string base = cli.positional().front();
-  const int interval_ms = std::max(1, cli.get_int("interval", 500));
-  const int max_ticks = cli.get_int("follow-max", 0);  // 0 = until complete
-
-  // --serve: poll-based HTTP endpoints alongside the tail. The tick loop
-  // below keeps polling the server between report re-emits, so requests are
-  // answered while we wait out the interval.
-  telemetry::Server server;
-  if (cli.has("serve")) {
-    const int port = cli.get_port("serve");
-    rt::register_runtime_metrics();
-    rt::add_runtime_endpoints(server, base);
-    if (!server.listen(static_cast<std::uint16_t>(port))) {
-      throw CliError("--serve failed to bind: " + server.error());
-    }
-    std::printf("serving /metrics /profile /report on 127.0.0.1:%u\n", server.port());
-    if (cli.has("port-file")) {
-      std::ofstream pf(cli.get("port-file", ""));
-      if (!pf.good()) throw CliError("cannot open --port-file output");
-      pf << server.port() << '\n';
-    }
-  }
-
-  std::vector<std::unique_ptr<trace::RtraceStream>> streams;
-  streams.emplace_back(std::make_unique<trace::RtraceStream>(base));
-  int tick = 0;
-  int complete_ticks = 0;
-  for (;;) {
-    ++tick;
-    // Rotation segments appear while we tail; pick new ones up each tick.
-    while (file_exists(trace::segment_path(base, static_cast<u32>(streams.size())))) {
-      streams.emplace_back(std::make_unique<trace::RtraceStream>(
-          trace::segment_path(base, static_cast<u32>(streams.size()))));
-    }
-    for (auto& s : streams) s->poll();
-
-    std::vector<trace::TraceData> shards;
-    shards.reserve(streams.size());
-    for (const auto& s : streams) shards.push_back(s->data());
-    const trace::TraceData td =
-        shards.size() == 1 ? std::move(shards.front()) : trace::merge_traces(shards);
-    const auto reports = trace::build_reports(td);
-
-    // The session is over when the newest segment carries its end marker
-    // and no successor segment has appeared; require that to hold on two
-    // consecutive ticks so a rotation between finish() and the next
-    // segment's creation is not misread as completion.
-    const bool last_done = streams.back()->finished() &&
-                           !file_exists(trace::segment_path(base, static_cast<u32>(streams.size())));
-    complete_ticks = last_done ? complete_ticks + 1 : 0;
-
-    std::printf("\n-- follow tick %d: %zu file(s), %zu event records%s --\n", tick,
-                streams.size(), td.events.size(), last_done ? ", capture complete" : "");
-    print_report(stdout, td, reports);
-    (void)emit_outputs(cli, td, reports, /*strict=*/false);
-    std::fflush(stdout);
-
-    if (complete_ticks >= 2) return 0;
-    if (max_ticks > 0 && tick >= max_ticks) return 0;
-    if (server.listening()) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(interval_ms);
-      do {
-        server.poll(10);
-      } while (std::chrono::steady_clock::now() < deadline);
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-  }
-}
-
-// -- --selftest: writer/reader, shard merge, streaming, adversarial input --
+// -- --selftest: what only this tool does, or no test suite calls ----------
+//
+// The codec, the capture reader, the shard merge and malformed input are
+// covered by test_trace.
 
 int selftest() {
   const std::string path = "raptor_trace_selftest.rtrace";
@@ -279,18 +194,6 @@ int selftest() {
       std::fprintf(stderr, "selftest FAILED: %s\n", what);
       ++failures;
     }
-  };
-  const auto throws = [](const auto& fn) {
-    try {
-      fn();
-    } catch (const std::runtime_error&) {
-      return true;
-    }
-    return false;
-  };
-  const auto write_bytes = [](const std::string& p, const std::string& bytes) {
-    std::ofstream out(p, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   };
   const auto read_bytes = [](const std::string& p) {
     std::ifstream in(p, std::ios::binary);
@@ -344,38 +247,6 @@ int selftest() {
   }
 
   const trace::TraceData td = trace::read_rtrace(path);
-  check(td.sample_stride == 64, "sample stride round trip");
-  check(td.ring_capacity == (1u << 14), "ring capacity round trip");
-  check(td.regions.size() == 3 && td.regions[1] == "demo/beta with space",
-        "string table round trip");
-  check(td.events.size() == t0.size() + t1.size(), "event count round trip");
-  for (std::size_t i = 0; i < t0.size() && i < td.events.size(); ++i) {
-    const trace::Event& e = t0[i];
-    const trace::DecodedEvent& d = td.events[i];
-    const bool same = d.thread == 0 && d.kind == e.kind && d.flags == e.flags &&
-                      d.region == e.region && d.fmt_exp == e.fmt_exp && d.fmt_man == e.fmt_man &&
-                      d.dev_bucket == e.dev_bucket && d.exp_min == e.exp_min &&
-                      d.exp_max == e.exp_max && d.count == e.count;
-    if (!same) {
-      check(false, "thread-0 event round trip");
-      break;
-    }
-  }
-  for (std::size_t i = 0; i < t1.size() && t0.size() + i < td.events.size(); ++i) {
-    const trace::Event& e = t1[i];
-    const trace::DecodedEvent& d = td.events[t0.size() + i];
-    const bool same = d.thread == 1 && d.kind == e.kind && d.flags == e.flags &&
-                      d.dev_bucket == e.dev_bucket && d.exp_min == e.exp_min &&
-                      d.exp_max == e.exp_max && d.count == e.count;
-    if (!same) {
-      check(false, "thread-1 event round trip");
-      break;
-    }
-  }
-  check(td.total_dropped() == 123, "drop accounting round trip");
-  check(td.histograms.size() == 2 && td.histograms[0].second == h0 &&
-            td.histograms[1].second == h1,
-        "histogram round trip");
 
   // Recommendation math: h1 observed exponents -27..26 (1e±8) need bias
   // >= 27 -> 6 exponent bits.
@@ -427,179 +298,48 @@ int selftest() {
     }
   }
 
-  // Multi-shard merge, keyed by region label: the shards intern the same
-  // labels in *different* slot orders, so a slot-keyed merge would cross
-  // the streams; the label-keyed merge must reproduce the combined
-  // histograms bitwise.
-  const std::string shard_a = "raptor_trace_selftest_a.rtrace";
-  const std::string shard_b = "raptor_trace_selftest_b.rtrace";
-  std::vector<trace::Event> shard_events(t0.begin(), t0.begin() + 16);
-  for (std::size_t i = 0; i < shard_events.size(); ++i) {
-    shard_events[i].region = static_cast<u16>(i % 2);  // only interned slots
-  }
+  // Segment compaction folds records, preserves op totals and reports the
+  // size it rewrote.
   {
-    trace::RtraceWriter w(shard_a, 64, 1 << 10);
-    w.string_entry(0, "demo/alpha");
-    w.string_entry(1, "demo/gamma");
-    w.event_block(0, shard_events.data(), 8);
-    w.drop_block(0, 5);
-    w.hist_block(0, h0);
-    w.hist_block(1, h1);
-    w.finish();
-  }
-  {
-    trace::RtraceWriter w(shard_b, 64, 1 << 12);
-    w.string_entry(0, "demo/gamma");  // permuted slot order vs shard_a
-    w.string_entry(1, "demo/alpha");
-    w.event_block(0, shard_events.data() + 8, 8);
-    w.drop_block(0, 7);
-    w.hist_block(0, h0);
-    w.hist_block(1, h1);
-    w.finish();
-  }
-  {
-    const trace::TraceData merged =
-        trace::merge_traces({trace::read_rtrace(shard_a), trace::read_rtrace(shard_b)});
-    check(merged.sample_stride == 64, "merge keeps the common stride");
-    check(merged.ring_capacity == (1u << 12), "merge keeps the largest ring");
-    check(merged.regions.size() == 2, "merge interns each label once");
-    trace::RegionHist alpha_gamma;  // each label saw h0 in one shard, h1 in the other
-    alpha_gamma = h0;
-    alpha_gamma.merge(h1);
-    std::size_t matched = 0;
-    for (const auto& [slot, hist] : merged.histograms) {
-      if (merged.region_name(slot) == "demo/alpha" || merged.region_name(slot) == "demo/gamma") {
-        if (hist == alpha_gamma) ++matched;
-      }
-    }
-    check(matched == 2, "label-keyed histogram merge is bitwise exact");
-    check(merged.total_dropped() == 12, "merge sums shard drop accounting");
-    check(merged.events.size() == 16, "merge concatenates shard events");
-    bool threads_distinct = true;
-    for (const auto& e : merged.events) {
-      if (e.thread != 0 && e.thread != 1) threads_distinct = false;
-    }
-    check(threads_distinct, "shard thread ids are remapped, not collapsed");
-    // Stride reconciliation: disagreeing shards read back as "mixed" (0).
-    trace::TraceData odd = trace::read_rtrace(shard_b);
-    odd.sample_stride = 16;
-    check(trace::merge_traces({trace::read_rtrace(shard_a), odd}).sample_stride == 0,
-          "mixed shard strides reconcile to 0");
-  }
-
-  // Streaming reader: replaying the file byte-by-byte must decode exactly
-  // the strict-reader result, never throw on a partial block, and only
-  // finish at the end marker.
-  {
-    const std::string bytes = read_bytes(path);
-    const std::string grow = "raptor_trace_selftest_grow.rtrace";
-    trace::RtraceStream stream(grow);
-    bool ever_finished_early = false;
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-      written = std::min(bytes.size(), written + 7);
-      write_bytes(grow, bytes.substr(0, written));
-      stream.poll();
-      if (stream.finished() && written < bytes.size()) ever_finished_early = true;
-    }
-    check(!ever_finished_early, "stream only finishes at the end marker");
-    check(stream.finished(), "stream finishes on the complete file");
-    check(stream.offset() == bytes.size(), "stream consumed every byte");
-    check(stream.data().events.size() == td.events.size() &&
-              stream.data().histograms == td.histograms &&
-              stream.data().regions == td.regions,
-          "streamed decode matches the strict reader");
-    std::remove(grow.c_str());
-
-    // Tolerant read of a mid-block cut: in progress, events up to the last
-    // complete block, no exception.
-    const std::string cut = "raptor_trace_selftest_cut.rtrace";
-    write_bytes(cut, bytes.substr(0, bytes.size() / 2));
-    try {
-      const trace::TolerantRead partial = trace::read_rtrace_tolerant(cut);
-      check(!partial.complete, "half a file classifies as in progress");
-      check(partial.bytes_consumed <= bytes.size() / 2, "tolerant offset stops at a block edge");
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "selftest: tolerant read threw on truncation: %s\n", ex.what());
-      ++failures;
-    }
-    check(throws([&] { (void)trace::read_rtrace(cut); }), "strict reader rejects the same cut");
-    std::remove(cut.c_str());
-  }
-
-  // Adversarial codec input: hardened decoding must reject malformed files
-  // with std::runtime_error even in tolerant mode.
-  {
-    const std::string bad = "raptor_trace_selftest_bad.rtrace";
-    const std::string header = read_bytes(path).substr(0, 16);
-    // Overlong varint: ten bytes whose final payload bits are shifted out.
-    std::string overlong = header;
-    overlong += 'D';
-    overlong += '\x00';  // thread 0
-    for (int i = 0; i < 9; ++i) overlong += '\x80';
-    overlong += '\x02';  // dropped bits at shift 63
-    write_bytes(bad, overlong);
-    check(throws([&] { (void)trace::read_rtrace(bad); }), "strict rejects overlong varint");
-    check(throws([&] { (void)trace::read_rtrace_tolerant(bad); }),
-          "tolerant rejects overlong varint");
-    // The maximal *valid* 10-byte varint still decodes: (1 << 63) | 1.
-    std::string maximal = header;
-    maximal += 'D';
-    maximal += '\x00';
-    maximal += '\x81';
-    for (int i = 0; i < 8; ++i) maximal += '\x80';
-    maximal += '\x01';
-    maximal += 'X';
-    write_bytes(bad, maximal);
-    check(trace::read_rtrace(bad).total_dropped() == ((u64{1} << 63) | 1),
-          "maximal valid varint decodes");
-    // Out-of-range histogram slot: same bound as string slots.
-    std::string bad_slot = header;
-    bad_slot += 'H';
-    bad_slot += '\x80';
-    bad_slot += '\x80';
-    bad_slot += '\x04';  // slot 0x10000
-    write_bytes(bad, bad_slot);
-    check(throws([&] { (void)trace::read_rtrace(bad); }), "histogram slot bound enforced");
-    std::remove(bad.c_str());
-  }
-
-  // Writer hardening: a writer destroyed without finish() (exception
-  // unwinding through the drainer) still terminates the file when the
-  // stream is healthy, and segment compaction preserves op totals.
-  {
-    const std::string abandoned = "raptor_trace_selftest_abandoned.rtrace";
+    const std::string segment = "raptor_trace_selftest_compact.rtrace";
     {
-      trace::RtraceWriter w(abandoned, 8, 1 << 10);
+      trace::RtraceWriter w(segment, 8, 1 << 10);
       w.string_entry(0, "demo/alpha");
       w.event_block(0, t0.data(), t0.size());
-      // no finish()
-    }
-    try {
-      const trace::TraceData closed = trace::read_rtrace(abandoned);
-      check(closed.events.size() == t0.size(), "finish-on-destruct terminates the file");
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "selftest: abandoned writer left a bad file: %s\n", ex.what());
-      ++failures;
+      w.finish();
     }
     u64 ops_before = 0;
-    for (const auto& e : trace::read_rtrace(abandoned).events) ops_before += e.count;
-    const u64 compact_size = trace::compact_rtrace(abandoned);
-    const trace::TraceData compacted = trace::read_rtrace(abandoned);
+    for (const auto& e : trace::read_rtrace(segment).events) ops_before += e.count;
+    const u64 compact_size = trace::compact_rtrace(segment);
+    const trace::TraceData compacted = trace::read_rtrace(segment);
     u64 ops_after = 0;
     for (const auto& e : compacted.events) ops_after += e.count;
     check(ops_after == ops_before, "compaction preserves op totals");
     check(compacted.events.size() < t0.size(), "compaction folds records");
-    check(compact_size > 0 && read_bytes(abandoned).size() == compact_size,
+    check(compact_size > 0 && read_bytes(segment).size() == compact_size,
           "compaction reports the rewritten size");
-    std::remove(abandoned.c_str());
+    std::remove(segment.c_str());
   }
 
-  std::remove(shard_a.c_str());
-  std::remove(shard_b.c_str());
   std::remove(path.c_str());
   if (failures == 0) std::printf("raptor_trace selftest: all checks passed\n");
   return failures == 0 ? 0 : 1;
+}
+
+/// Serve /metrics, /profile and /report over `paths` on --serve's port.
+void serve(const Cli& cli, telemetry::Server& server, const std::vector<std::string>& paths) {
+  const int port = cli.get_port("serve");
+  rt::register_runtime_metrics();
+  rt::add_runtime_endpoints(server, paths);
+  if (!server.listen(static_cast<std::uint16_t>(port))) {
+    throw CliError("--serve failed to bind: " + server.error());
+  }
+  std::printf("serving /metrics /profile /report on 127.0.0.1:%u\n", server.port());
+  if (cli.has("port-file")) {
+    std::ofstream pf(cli.get("port-file", ""));
+    if (!pf.good()) throw CliError("cannot open --port-file output");
+    pf << server.port() << '\n';
+  }
 }
 
 }  // namespace
@@ -617,44 +357,69 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  if (cli.has("follow") || cli.has("serve")) {  // --serve implies follow mode
-    if (cli.positional().size() != 1) {
-      std::fprintf(stderr, "--follow tails one capture (its rotation segments are discovered)\n");
-      return 2;
-    }
-    return follow(cli);
-  }
+  const bool follow = cli.has("follow") || cli.has("serve");  // --serve implies follow mode
+  const int interval_ms = std::max(1, cli.get_int("interval", 500));
+  const int max_ticks = cli.get_int("follow-max", 0);  // 0 = until complete
+  // --serve: the tick loop below keeps polling the server between report
+  // re-emits, so requests are answered while we wait out the interval.
+  telemetry::Server server;
+  if (cli.has("serve")) serve(cli, server, cli.positional());
 
   // Every positional plus its rotation segments; more than one file means a
-  // label-keyed multi-shard merge.
-  std::vector<std::string> files;
-  for (const std::string& p : cli.positional()) {
-    for (std::string& f : expand_segments(p)) files.push_back(std::move(f));
-  }
-  const bool tolerant = cli.has("tolerant");
-  bool in_progress = false;
-  std::vector<trace::TraceData> shards;
-  try {
-    for (const std::string& f : files) {
-      if (tolerant) {
-        trace::TolerantRead r = trace::read_rtrace_tolerant(f);
-        if (!r.complete) in_progress = true;
-        shards.push_back(std::move(r.data));
-      } else {
-        shards.push_back(trace::read_rtrace(f));
+  // label-keyed multi-shard merge. One-shot mode reads once; follow mode
+  // re-reads every --interval and re-emits the report (and any
+  // --csv/--json/--recommend outputs).
+  trace::Capture capture(cli.positional());
+  int complete_ticks = 0;
+  for (int tick = 1;; ++tick) {
+    try {
+      capture.poll();
+      if (!follow) {
+        for (const std::string& p : capture.missing()) {
+          throw std::runtime_error("rtrace: cannot open input file " + p);
+        }
+        if (!capture.complete() && !cli.has("tolerant")) {
+          throw std::runtime_error(
+              "rtrace: capture incomplete (missing end marker or cut mid-block; --tolerant "
+              "reports what is decodable)");
+        }
       }
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "%s\n", ex.what());
+      return 1;
     }
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "%s\n", ex.what());
-    return 1;
+    const trace::TraceData& td = capture.data();
+    const std::vector<trace::RegionReport> reports = trace::build_reports(td);
+    if (!follow) {
+      if (capture.files() > 1) std::printf("merged %zu shard files\n", capture.files());
+      if (!capture.complete()) std::printf("capture in progress (no end marker yet)\n");
+      print_report(stdout, td, reports);
+      return emit_outputs(cli, td, reports, /*strict=*/true);
+    }
+
+    // Require completion on two consecutive ticks, so a writer that closes
+    // one segment before it creates the next is not taken for done
+    // mid-rotation.
+    complete_ticks = capture.complete() ? complete_ticks + 1 : 0;
+    std::printf("\n-- follow tick %d: %zu file(s), %zu event records%s --\n", tick,
+                capture.files(), td.events.size(),
+                capture.complete() ? ", capture complete" : "");
+    print_report(stdout, td, reports);
+    (void)emit_outputs(cli, td, reports, /*strict=*/false);
+    std::fflush(stdout);
+
+    if (complete_ticks >= 2) return 0;
+    if (max_ticks > 0 && tick >= max_ticks) return 0;
+    if (server.listening()) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(interval_ms);
+      do {
+        server.poll(10);
+      } while (std::chrono::steady_clock::now() < deadline);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+    }
   }
-  const trace::TraceData td =
-      shards.size() == 1 ? std::move(shards.front()) : trace::merge_traces(shards);
-  if (files.size() > 1) std::printf("merged %zu shard files\n", files.size());
-  if (in_progress) std::printf("capture in progress (no end marker yet)\n");
-  const std::vector<trace::RegionReport> reports = trace::build_reports(td);
-  print_report(stdout, td, reports);
-  return emit_outputs(cli, td, reports, /*strict=*/true);
 }
 
 int main(int argc, char** argv) { return raptor::cli_main(run, argc, argv); }
