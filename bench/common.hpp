@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "hydro/setups.hpp"
+#include "io/csv.hpp"
 #include "io/sfocu.hpp"
 #include "runtime/runtime.hpp"
+#include "support/cli.hpp"
 #include "support/timer.hpp"
 #include "trunc/real.hpp"
 
@@ -102,5 +104,54 @@ inline void print_sweep_row(const SweepResult& r) {
 }
 
 inline std::vector<int> default_mantissas() { return {4, 6, 8, 10, 12, 16, 20, 28, 36, 44, 52}; }
+
+/// The body of the Figure 7 sweeps (fig7a_sedov, fig7b_sod): a
+/// full-precision reference of `problem` on `grid_cfg` to --t-end (default
+/// `t_end`), then one truncated run per cutoff M-l in `cutoffs` and per
+/// mantissa (--quick: 4, 12, 28 and 52), each printed and written to --csv
+/// (default `<program>.csv`). `init(x, y, v)` fills a cell of a double or a
+/// Real grid.
+template <class Init>
+int fig7_sweep(const Cli& cli, const char* program, const char* figure, const char* problem,
+               const amr::GridConfig& grid_cfg, const Init& init, double t_end,
+               const std::vector<int>& cutoffs) {
+  const std::vector<int> mantissas =
+      cli.has("quick") ? std::vector<int>{4, 12, 28, 52} : default_mantissas();
+  CompressibleCase pc;
+  pc.grid_cfg = grid_cfg;
+  pc.init = init;
+  pc.t_end = cli.get_double("t-end", t_end);
+
+  // Full-precision reference.
+  Timer timer;
+  amr::AmrGrid<double> ref(pc.grid_cfg);
+  ref.build_with_ic(init);
+  hydro::HydroConfig hc;
+  hydro::HydroSolver<double> solver(hc);
+  const int steps = hydro::run_to_time(ref, solver, pc.t_end, pc.regrid_interval);
+  const auto ref_dens = io::to_uniform(ref, hydro::DENS);
+  const auto ref_velx = velx_field(ref);
+  std::printf("# %s reference: %d steps, %d leaves, max level %d (%.1f s)\n", problem, steps,
+              ref.num_leaves(), ref.max_level_present(), timer.seconds());
+
+  const std::string title = std::string("Figure ") + figure + ": " + problem +
+                            " truncation sweep (L1 density error vs mantissa)";
+  print_sweep_header(title.c_str());
+  const std::string csv_path = cli.get("csv", std::string(program) + ".csv");
+  io::CsvWriter csv(csv_path, {"cutoff_l", "mantissa", "l1_dens", "l1_velx", "trunc_flops",
+                               "full_flops", "leaves", "seconds"});
+  for (const int cutoff : cutoffs) {
+    for (const int m : mantissas) {
+      const auto r = run_truncated_case(pc, m, cutoff, ref_dens, ref_velx);
+      print_sweep_row(r);
+      csv.row({static_cast<double>(r.cutoff_l), static_cast<double>(r.mantissa), r.l1_dens,
+               r.l1_velx, static_cast<double>(r.trunc_flops), static_cast<double>(r.full_flops),
+               static_cast<double>(r.leaves_end), r.seconds});
+    }
+    std::printf("#\n");
+  }
+  std::printf("# total %.1f s; series written to %s\n", timer.seconds(), csv_path.c_str());
+  return 0;
+}
 
 }  // namespace raptor::bench

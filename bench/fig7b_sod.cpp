@@ -10,54 +10,15 @@
 //
 // Options: --quick, --level=N, --t-end=T, --csv=PATH.
 #include "bench/common.hpp"
-#include "io/csv.hpp"
-#include "support/cli.hpp"
-#include "support/timer.hpp"
 
 using namespace raptor;
 
 int run(int argc, char** argv) {
   const Cli cli(argc, argv);
-  const int max_level = cli.get_int("level", 5);
-  const double t_end = cli.get_double("t-end", 0.05);
-  const std::vector<int> mantissas =
-      cli.has("quick") ? std::vector<int>{4, 12, 28, 52} : bench::default_mantissas();
-
-  hydro::SodParams sp;
-  bench::CompressibleCase pc;
-  pc.grid_cfg = hydro::sod_grid_config(max_level);
-  pc.init = [sp](double x, double y, std::span<Real> v) { hydro::sod_init(sp, x, y, v); };
-  pc.t_end = t_end;
-
-  Timer timer;
-  amr::AmrGrid<double> ref(pc.grid_cfg);
-  ref.build_with_ic(
-      [&sp](double x, double y, std::span<double> v) { hydro::sod_init(sp, x, y, v); });
-  hydro::HydroConfig hc;
-  hydro::HydroSolver<double> solver(hc);
-  const int steps = hydro::run_to_time(ref, solver, pc.t_end, pc.regrid_interval);
-  const auto ref_dens = io::to_uniform(ref, hydro::DENS);
-  const auto ref_velx = bench::velx_field(ref);
-  std::printf("# Sod reference: %d steps, %d leaves, max level %d (%.1f s)\n", steps,
-              ref.num_leaves(), ref.max_level_present(), timer.seconds());
-
-  bench::print_sweep_header("Figure 7b: Sod truncation sweep (L1 density error vs mantissa)");
-  io::CsvWriter csv(cli.get("csv", "fig7b_sod.csv"),
-                    {"cutoff_l", "mantissa", "l1_dens", "l1_velx", "trunc_flops", "full_flops",
-                     "leaves", "seconds"});
-  for (const int cutoff : {0, 1, 2}) {
-    for (const int m : mantissas) {
-      const auto r = bench::run_truncated_case(pc, m, cutoff, ref_dens, ref_velx);
-      bench::print_sweep_row(r);
-      csv.row({static_cast<double>(r.cutoff_l), static_cast<double>(r.mantissa), r.l1_dens,
-               r.l1_velx, static_cast<double>(r.trunc_flops), static_cast<double>(r.full_flops),
-               static_cast<double>(r.leaves_end), r.seconds});
-    }
-    std::printf("#\n");
-  }
-  std::printf("# total %.1f s; series written to %s\n", timer.seconds(),
-              cli.get("csv", "fig7b_sod.csv").c_str());
-  return 0;
+  const hydro::SodParams sp;
+  return bench::fig7_sweep(
+      cli, "fig7b_sod", "7b", "Sod", hydro::sod_grid_config(cli.get_int("level", 5)),
+      [sp](double x, double y, auto v) { hydro::sod_init(sp, x, y, v); }, 0.05, {0, 1, 2});
 }
 
 int main(int argc, char** argv) { return raptor::cli_main(run, argc, argv); }

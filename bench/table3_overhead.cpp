@@ -28,11 +28,10 @@
 // The two loop benches additionally re-measure the batched phase once per
 // supported SIMD dispatch path (DESIGN.md §13) — the forced-portable run is
 // the pre-SIMD per-element loop body, so batch_portable_s / batch_<best>_s
-// is the SIMD speedup — and write the per-path numbers to BENCH_simd.json,
-// next to a batch::Vec lane-control ladder (ns per lane of a plain op, an op
-// on exactness-tagged operands, an op with a broadcast, fabs, fmax and a
-// one-op-per-arm branch at 8, 72 and 2016 lanes) and a mantissa ladder (ns per element of batch Add/Mul/Div/Sqrt at
-// Format{11,m}, m from 12 to 52, 4096 lanes, on every path).
+// is the SIMD speedup — and write the per-path numbers to BENCH_simd.json.
+// The per-op costs under these loops (the batch::Vec lane-control ops and
+// the Format{11,m} mantissa rows on every path) are overhead_ladder's
+// `paths` table.
 //
 // Options: --level=N, --steps=N, --csv=..., --json=..., --simd-json=...,
 //   --loops-only (skip the Sedov table; CI), --gate-simd=N (exit nonzero
@@ -40,9 +39,7 @@
 //   loops; no-op when only the portable path is supported).
 #include <algorithm>
 #include <cmath>
-#include <random>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -231,159 +228,12 @@ LoopBench bench_plm_pencil(int n, int reps) {
   return out;
 }
 
-/// One row of the batch::Vec lane-control ladder: ns per lane of one Vec
-/// operation at a span length.
-struct VecRow {
-  const char* op;
-  std::size_t lanes = 0;
-  double ns_per_lane = 0.0;
-};
-
-constexpr const char* kVecOps[] = {"plain", "exact", "broadcast", "fabs", "fmax", "branch"};
-constexpr std::size_t kVecLanes[] = {8, 72, 2016};
-
-/// The Vec ladder at format e8m12 on the default SIMD path: a plain op on
-/// gathered operands (a + b), the same op on two results of ops in the
-/// scope (c + d, whose exactness tags skip both operand rounds), an op with
-/// a broadcast (a * 0.5), fabs, fmax, and branch with one op per arm
-/// (a <= b ? a + b : a - b), each at 8, 72 and 2016 lanes over operands of
-/// random sign. Every row processes the same number of
-/// lanes. The rows of one span length take turns over 15 trials and each
-/// keeps its fastest, so a slow stretch of the host cannot skew one row
-/// against another.
-std::vector<VecRow> bench_vec_ladder() {
-  auto& R = rt::Runtime::instance();
-  R.reset_all();
-  constexpr double kLanesPerRow = 2e6;
-  constexpr int kTrials = 15;
-  std::vector<VecRow> rows;
-  std::mt19937_64 rng(0x7EC);
-  for (const std::size_t n : kVecLanes) {
-    const auto draw = [&] {
-      return batch::Vec::gather(n, [&](std::size_t) {
-        const double v = std::ldexp(1.0 + static_cast<double>(rng() % 4096) / 4096.0,
-                                    static_cast<int>(rng() % 8) - 4);
-        return (rng() & 1) != 0 ? -v : v;
-      });
-    };
-    const batch::Vec a = draw(), b = draw();
-    const int reps = static_cast<int>(kLanesPerRow / static_cast<double>(n));
-    TruncScope sc(rt::TruncationSpec::trunc64(8, 12));
-    const batch::Vec c = a * b, d = a - b;
-    const auto once = [&](std::size_t k) {
-      switch (k) {
-        case 0: return a + b;
-        case 1: return c + d;
-        case 2: return a * batch::Vec(0.5);
-        case 3: return fabs(a);
-        case 4: return fmax(a, b);
-        default:
-          return batch::branch(
-              a <= b, [&](auto pick) { return pick(a) + pick(b); },
-              [&](auto pick) { return pick(a) - pick(b); });
-      }
-    };
-    std::vector<double> best(std::size(kVecOps), 1e300);
-    volatile double sink = 0.0;
-    for (int trial = 0; trial < kTrials; ++trial) {
-      for (std::size_t k = 0; k < std::size(kVecOps); ++k) {
-        Timer t;
-        for (int r = 0; r < reps; ++r) sink = sink + once(k)[0];
-        best[k] = std::min(best[k], t.seconds());
-      }
-    }
-    for (std::size_t k = 0; k < std::size(kVecOps); ++k) {
-      rows.push_back(
-          {kVecOps[k], n, 1e9 * best[k] / (static_cast<double>(reps) * static_cast<double>(n))});
-    }
-  }
-  R.reset_all();
-  return rows;
-}
-
-/// One row of the mantissa ladder: ns per element of one batch op at
-/// Format{11, man}, 4096 lanes, on one SIMD path.
-struct ManRow {
-  const char* op;
-  int man = 0;
-  sf::simd::Path path = sf::simd::Path::Portable;
-  double ns_per_el = 0.0;
-};
-
-constexpr const char* kManOps[] = {"add", "mul", "div", "sqrt"};
-constexpr int kManBits[] = {12, 24, 25, 28, 36, 44, 50, 51, 52};
-
-/// The mantissa ladder: op2_batch Add/Mul/Div and op1_batch Sqrt over 4096
-/// lanes at e11 x m in kManBits, on every supported path — the cost of the
-/// double-rounding kernels (m <= 24) against the tie-breaking ones
-/// (m > 24). Operands are random normal values (positive, for sqrt). Per
-/// path the rows take turns over 7 trials and each keeps its fastest.
-std::vector<ManRow> bench_mantissa_ladder() {
-  auto& R = rt::Runtime::instance();
-  constexpr std::size_t kLanes = 4096;
-  constexpr double kElemsPerRow = 1e6;
-  constexpr int kTrials = 7;
-  const int reps = static_cast<int>(kElemsPerRow / kLanes);
-  std::mt19937_64 rng(0x3A4);
-  std::vector<double> a(kLanes), b(kLanes), out(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    a[i] = std::ldexp(1.0 + static_cast<double>(rng() >> 12) * 0x1p-52,
-                      static_cast<int>(rng() % 16) - 8);
-    b[i] = std::ldexp(1.0 + static_cast<double>(rng() >> 12) * 0x1p-52,
-                      static_cast<int>(rng() % 16) - 8);
-    if ((rng() & 1) != 0) b[i] = -b[i];
-  }
-  std::vector<ManRow> rows;
-  for (const sf::simd::Path p : kAllPaths) {
-    if (!sf::simd::path_supported(p)) continue;
-    R.reset_all();
-    R.force_simd_path(p);
-    std::vector<double> best(std::size(kManBits) * std::size(kManOps), 1e300);
-    for (int trial = 0; trial < kTrials; ++trial) {
-      for (std::size_t mi = 0; mi < std::size(kManBits); ++mi) {
-        TruncScope sc(rt::TruncationSpec::trunc64(11, kManBits[mi]));
-        for (std::size_t k = 0; k < std::size(kManOps); ++k) {
-          const rt::OpKind kinds[] = {rt::OpKind::Add, rt::OpKind::Mul, rt::OpKind::Div};
-          Timer t;
-          for (int r = 0; r < reps; ++r) {
-            if (k < 3) {
-              R.op2_batch(kinds[k], a.data(), b.data(), out.data(), kLanes);
-            } else {
-              R.op1_batch(rt::OpKind::Sqrt, a.data(), out.data(), kLanes);
-            }
-          }
-          double& cell = best[mi * std::size(kManOps) + k];
-          cell = std::min(cell, t.seconds());
-        }
-      }
-    }
-    for (std::size_t mi = 0; mi < std::size(kManBits); ++mi) {
-      for (std::size_t k = 0; k < std::size(kManOps); ++k) {
-        rows.push_back({kManOps[k], kManBits[mi], p,
-                        1e9 * best[mi * std::size(kManOps) + k] /
-                            (static_cast<double>(reps) * static_cast<double>(kLanes))});
-      }
-    }
-  }
-  R.reset_all();
-  return rows;
-}
-
-/// ns per lane of `op` at `lanes` in the ladder.
-double vec_ns(const std::vector<VecRow>& rows, std::string_view op, std::size_t lanes) {
-  for (const VecRow& r : rows) {
-    if (r.op == op && r.lanes == lanes) return r.ns_per_lane;
-  }
-  return 0.0;
-}
-
 /// Per-path loop-bench measurement + BENCH_simd.json + the CI speedup gate.
 /// Returns nonzero when gating is requested and the best SIMD path is not at
 /// least `gate_simd` times the portable path on both loops (skipped — with a
 /// note — when only the portable path exists, e.g. non-x86 runners).
-int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
-                        const std::vector<VecRow>& ladder, const std::vector<ManRow>& man_ladder,
-                        const std::string& path, int gate_simd) {
+int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm, const std::string& path,
+                        int gate_simd) {
   std::printf("\n# SIMD batch kernels, format e8m12 (forced per-path batch timings):\n");
   for (const auto& [name, lb] : {std::pair<const char*, const LoopBench&>{"weno row", weno},
                                  {"plm pencil", plm}}) {
@@ -393,34 +243,6 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
       if (s >= 0.0) std::printf("  %s %.4fs", sf::simd::path_name(p), s);
     }
     std::printf("  speedup %.2fx\n", lb.simd_speedup());
-  }
-
-  std::printf("\n# batch::Vec ladder, format e8m12, %s path (ns per lane; x = / plain):\n",
-              sf::simd::path_name(sf::simd::default_path()));
-  std::printf("%-10s", "op");
-  for (const std::size_t n : kVecLanes) std::printf("  %10zu lanes", n);
-  std::printf("\n");
-  for (const char* op : kVecOps) {
-    std::printf("%-10s", op);
-    for (const std::size_t n : kVecLanes) {
-      std::printf("  %6.2f (%4.2fx)", vec_ns(ladder, op, n),
-                  vec_ns(ladder, op, n) / vec_ns(ladder, "plain", n));
-    }
-    std::printf("\n");
-  }
-
-  std::printf("\n# mantissa ladder, Format{11,m}, 4096 lanes (ns per element):\n");
-  std::printf("%-10s %-6s", "path", "op");
-  for (const int m : kManBits) std::printf("  m=%-5d", m);
-  std::printf("\n");
-  for (std::size_t r = 0; r < man_ladder.size(); r += std::size(kManBits) * std::size(kManOps)) {
-    for (std::size_t k = 0; k < std::size(kManOps); ++k) {
-      std::printf("%-10s %-6s", sf::simd::path_name(man_ladder[r].path), kManOps[k]);
-      for (std::size_t mi = 0; mi < std::size(kManBits); ++mi) {
-        std::printf("  %7.2f", man_ladder[r + mi * std::size(kManOps) + k].ns_per_el);
-      }
-      std::printf("\n");
-    }
   }
 
   const bool vector_paths = sf::simd::best_path() != sf::simd::Path::Portable;
@@ -438,21 +260,6 @@ int simd_bench_and_gate(const LoopBench& weno, const LoopBench& plm,
       if (s >= 0.0) row.set(std::string("batch_") + sf::simd::path_name(p) + "_s", s);
     }
     row.set("simd_speedup", lb.simd_speedup());
-  }
-  for (const VecRow& r : ladder) {
-    report.row("vec_ladder")
-        .set("op", r.op)
-        .set("lanes", r.lanes)
-        .set("ns_per_lane", r.ns_per_lane)
-        .set("x_plain", r.ns_per_lane / vec_ns(ladder, "plain", r.lanes));
-  }
-  for (const ManRow& r : man_ladder) {
-    report.row("mantissa_ladder")
-        .set("op", r.op)
-        .set("format", "e11m" + std::to_string(r.man))
-        .set("lanes", 4096)
-        .set("path", sf::simd::path_name(r.path))
-        .set("ns_per_el", r.ns_per_el);
   }
   if (report.write(path)) std::printf("# wrote %s\n", path.c_str());
   if (gate_simd <= 0) return 0;
@@ -484,10 +291,8 @@ int run(int argc, char** argv) {
               "weno row", weno.native_s, weno.scalar_s, weno.batch_s, weno.overhead_ratio());
   std::printf("%-16s native %.4fs  scalar %.4fs  batch %.4fs  overhead ratio %.1fx\n",
               "plm pencil", plm.native_s, plm.scalar_s, plm.batch_s, plm.overhead_ratio());
-  const std::vector<VecRow> ladder = bench_vec_ladder();
-  const std::vector<ManRow> man_ladder = bench_mantissa_ladder();
-  const int gate_rc = simd_bench_and_gate(weno, plm, ladder, man_ladder,
-                                          cli.get("simd-json", "BENCH_simd.json"), gate_simd);
+  const int gate_rc =
+      simd_bench_and_gate(weno, plm, cli.get("simd-json", "BENCH_simd.json"), gate_simd);
   if (loops_only) return gate_rc;
 
   hydro::SedovParams sp;
@@ -516,34 +321,42 @@ int run(int argc, char** argv) {
     return t.seconds();
   };
 
+  // One instrumented Sedov run; `excluded` names a region left untruncated
+  // (null: none).
   const auto run_instrumented = [&](int cutoff, rt::Mode mode, rt::AllocStrategy alloc,
-                                    bool counting, bool hw, int man, bool batch) {
+                                    bool counting, bool hw, int man, bool batch,
+                                    const char* excluded = nullptr) {
     R.reset_all();
     R.set_mode(mode);
     R.set_alloc_strategy(alloc);
     R.set_counting(counting);
     R.set_hw_fastpath(hw);
-    amr::AmrGrid<Real> grid(grid_cfg);
-    grid.build_with_ic(
-        [&sp](double x, double y, std::span<Real> v) { hydro::sedov_init(sp, x, y, v); });
-    hydro::HydroConfig hc;
-    hc.trunc = rt::TruncationSpec::trunc64(hw ? 8 : 11, hw ? 23 : man);
-    // The paper's Table 3 measures per-op scalar dispatch; batch is the §8
-    // comparison knob.
-    hc.batch = batch;
-    const int M = max_level;
-    hc.trunc_enabled = [M, cutoff](int level) { return level <= M - cutoff; };
-    hydro::HydroSolver<Real> solver(hc);
-    Timer t;
-    for (int s = 0; s < steps; ++s) {
-      if (s > 0 && s % 4 == 0) grid.regrid();
-      solver.step(grid, fixed_dt);
-    }
+    if (excluded != nullptr) R.exclude_region(excluded);
     Measurement m;
-    m.seconds = t.seconds();
-    // Re-measure the truncated share with counting on when it was off.
-    if (counting) {
-      m.trunc_frac = R.counters().trunc_fraction();
+    {
+      // Inner scope: mem-mode's grid holds shadow handles, released before
+      // reset_all() recycles the table.
+      amr::AmrGrid<Real> grid(grid_cfg);
+      grid.build_with_ic(
+          [&sp](double x, double y, std::span<Real> v) { hydro::sedov_init(sp, x, y, v); });
+      hydro::HydroConfig hc;
+      hc.trunc = rt::TruncationSpec::trunc64(hw ? 8 : 11, hw ? 23 : man);
+      // The paper's Table 3 measures per-op scalar dispatch; batch is the §8
+      // comparison knob (mem-mode always takes the scalar row loop).
+      hc.batch = batch;
+      const int M = max_level;
+      hc.trunc_enabled = [M, cutoff](int level) { return level <= M - cutoff; };
+      hydro::HydroSolver<Real> solver(hc);
+      Timer t;
+      for (int s = 0; s < steps; ++s) {
+        if (s > 0 && s % 4 == 0) grid.regrid();
+        solver.step(grid, fixed_dt);
+      }
+      m.seconds = t.seconds();
+      // The truncated share, when counting was on.
+      if (counting) {
+        m.trunc_frac = R.counters().trunc_fraction();
+      }
     }
     R.reset_all();
     return m;
@@ -628,32 +441,12 @@ int run(int argc, char** argv) {
   // Mem-mode rows (paper: "Truncate Hydro" vs "Exclude Recon" — comparable
   // cost because exclusion is dynamic in the runtime).
   for (const bool exclude_recon : {false, true}) {
-    R.reset_all();
-    R.set_mode(rt::Mode::Mem);
-    if (exclude_recon) R.exclude_region("hydro/recon");
-    double secs = 0.0, frac = 0.0;
-    {
-      // Inner scope: release boxed values before the table is recycled.
-      amr::AmrGrid<Real> grid(grid_cfg);
-      grid.build_with_ic(
-          [&sp](double x, double y, std::span<Real> v) { hydro::sedov_init(sp, x, y, v); });
-      hydro::HydroConfig hc;
-      hc.trunc = rt::TruncationSpec::trunc64(11, mantissa);
-      hydro::HydroSolver<Real> solver(hc);
-      Timer t;
-      for (int s = 0; s < steps; ++s) {
-        if (s > 0 && s % 4 == 0) grid.regrid();
-        solver.step(grid, fixed_dt);
-      }
-      secs = t.seconds();
-      frac = R.counters().trunc_fraction();
-    }
-    std::printf("%-34s M-%-6d %-12s %-12.3f %-10s %-10.1f  (trunc %.1f%%)\n",
-                exclude_recon ? "mem-mode, exclude Recon" : "mem-mode, truncate hydro", 0, "-",
-                secs, "-", secs / base, 100.0 * frac);
-    table_row(exclude_recon ? "mem-mode, exclude Recon" : "mem-mode, truncate hydro", 0, 0.0, secs,
-              frac);
-    R.reset_all();
+    const char* name = exclude_recon ? "mem-mode, exclude Recon" : "mem-mode, truncate hydro";
+    const auto mem = run_instrumented(0, rt::Mode::Mem, rt::AllocStrategy::Scratch, true, false,
+                                      mantissa, false, exclude_recon ? "hydro/recon" : nullptr);
+    std::printf("%-34s M-%-6d %-12s %-12.3f %-10s %-10.1f  (trunc %.1f%%)\n", name, 0, "-",
+                mem.seconds, "-", mem.seconds / base, 100.0 * mem.trunc_frac);
+    table_row(name, 0, 0.0, mem.seconds, mem.trunc_frac);
   }
 
   // -- BENCH_table3.json: the recorded perf trajectory ---------------------

@@ -312,11 +312,12 @@ class HydroSolver {
   }
 
   /// Most blocks one batch span covers. By ~2000 lanes (28 blocks of 8x8
-  /// cells, the top row of BENCH_simd.json's Vec ladder) a Vec operator
-  /// costs what its SIMD kernel costs, so longer spans gain nothing, while a
-  /// Riemann solve keeps a few dozen Vecs live: at 32 blocks (2304 faces,
-  /// 18 KB a Vec) they stay in L2, whereas one span over all 196 leaves of
-  /// a level-6 Sedov grid ran ~25% slower than spans of 16-64 blocks.
+  /// cells, the widest `vec` rows of BENCH_overhead.json's `paths` table)
+  /// a Vec operator costs what its SIMD kernel costs, so longer spans gain
+  /// nothing, while a Riemann solve keeps a few dozen Vecs live: at 32
+  /// blocks (2304 faces, 18 KB a Vec) they stay in L2, whereas one span
+  /// over all 196 leaves of a level-6 Sedov grid ran ~25% slower than spans
+  /// of 16-64 blocks.
   static constexpr std::size_t kMaxSpanBlocks = 32;
 
   /// The batch path of one sweep. Each thread takes a contiguous share of

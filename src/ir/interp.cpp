@@ -53,14 +53,13 @@ bool Interpreter::builtin(const std::string& name, const std::vector<double>& ar
     result = n == 2 ? shim->binary(argv.at(0), argv.at(1), e_of(n), e_of(n + 1), loc)
                     : shim->unary(argv.at(0), e_of(n), e_of(n + 1), loc);
   } else if (name == kAllocScratch) {
-    char* cookie = static_cast<char*>(capi::_raptor_alloc_scratch(e_of(0), e_of(1)));
-    scratch_handles_.push_back(cookie);
+    scratch_handles_.emplace_back(capi::_raptor_alloc_scratch(e_of(0), e_of(1)),
+                                  &capi::_raptor_free_scratch);
     result = static_cast<double>(scratch_handles_.size());  // opaque handle
   } else if (name == kFreeScratch) {
     const auto idx = static_cast<std::size_t>(argv.at(0));
     RAPTOR_REQUIRE(idx >= 1 && idx <= scratch_handles_.size(), "bad scratch handle");
-    capi::_raptor_free_scratch(scratch_handles_[idx - 1]);
-    scratch_handles_[idx - 1] = nullptr;
+    scratch_handles_[idx - 1].reset();
     result = 0.0;
   } else {
     throw std::runtime_error("unknown RAPTOR builtin @" + name);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,8 @@ class Interpreter {
  public:
   explicit Interpreter(const Module& m, u64 max_insts = 100'000'000)
       : mod_(m), max_insts_(max_insts) {}
+  Interpreter(const Interpreter&) = delete;
+  Interpreter& operator=(const Interpreter&) = delete;
 
   /// Call a function by name. Throws std::runtime_error on missing
   /// functions, arity mismatch, or instruction-budget exhaustion.
@@ -40,7 +43,11 @@ class Interpreter {
   const Module& mod_;
   u64 max_insts_;
   ExecStats stats_;
-  std::vector<char*> scratch_handles_;
+  /// The cookies of @_raptor_alloc_scratch calls, indexed by handle - 1,
+  /// each freed through _raptor_free_scratch. Owned, so a run the
+  /// instruction budget aborts between a function's alloc and its free
+  /// leaks no pad.
+  std::vector<std::unique_ptr<void, void (*)(void*)>> scratch_handles_;
 };
 
 }  // namespace raptor::ir

@@ -137,7 +137,9 @@ class ShadowTable {
   void reset_locked_sections();
 
  private:
-  struct Shard {
+  /// One cache line apart: threads take home shards round-robin, so
+  /// neighbouring shards sharing a line would ping-pong it between cores.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::deque<ShadowEntry> entries;
     std::vector<u32> free_slots;

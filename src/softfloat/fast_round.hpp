@@ -132,8 +132,11 @@ struct RoundSpec {
 /// the error `t` of that result (t = 0: x is exact; otherwise only t's sign
 /// is read, and it breaks the ties x lands on: a target midpoint x rounds
 /// away from zero when t has x's sign, toward zero when not). Bit-identical
-/// to BigFloat for every format fast_round_supports() accepts.
-[[nodiscard]] inline double fast_round(double x, double t, const RoundSpec& spec) {
+/// to BigFloat for every format fast_round_supports() accepts. Aligned like
+/// the span kernels: whichever translation unit supplies the out-of-line
+/// copy the scalar fast path calls, it starts on a 64-byte boundary.
+[[nodiscard, gnu::aligned(64)]] inline double fast_round(double x, double t,
+                                                        const RoundSpec& spec) {
   constexpr u64 kSign = u64{1} << 63;
   constexpr u64 kFrac = (u64{1} << 52) - 1;
   constexpr u64 kInf = u64{0x7FF} << 52;

@@ -16,8 +16,9 @@ namespace {
 
 /// Portable path: per-element calls into the scalar sf::fast_* kernels,
 /// i.e. exactly the pre-SIMD batch loop bodies. This is both the fallback
-/// for non-x86 builds and the measurement baseline the BENCH_simd.json gate
-/// compares the vector paths against.
+/// for non-x86 builds and the measurement baseline the SIMD gates (the
+/// BENCH_simd.json loops, overhead_ladder's fast_portable rows) compare the
+/// vector paths against.
 void span_portable(SpanOp op, const double* a, const double* b, const double* c, double* out,
                    std::size_t n, const RoundSpec& spec) {
   switch (op) {

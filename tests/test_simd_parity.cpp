@@ -33,7 +33,8 @@
 //    results, counters, and trace events.
 //  * Dispatch introspection: Runtime::simd_path(), force-path override wins,
 //    forcing an unsupported path falls back cleanly, reset_all() restores
-//    the CPUID/environment default.
+//    the CPUID/environment default; every span entry point the build
+//    compiled starts on a 64-byte boundary.
 //  * Counter conservation: ops counted == elements processed on every path
 //    and lane width, per kind, for truncated and full-precision spans alike.
 #include <gtest/gtest.h>
@@ -41,6 +42,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -156,6 +158,23 @@ TEST(SimdDispatch, PathNamesRoundTrip) {
   for (const Path p : {Path::Portable, Path::Avx2, Path::Avx512}) {
     EXPECT_EQ(sf::simd::parse_path(sf::simd::path_name(p)), p);
   }
+}
+
+// The span kernels' translation units are built with -falign-functions=64
+// and the scalar kernels' out-of-line fast_round is aligned to match, so
+// each entry point starts on a 64-byte boundary in every binary: a per-path
+// timing moves with the kernel's own code, not with the link layout.
+TEST(SimdDispatch, SpanEntryPointsStartOn64ByteBoundaries) {
+  const auto offset = [](auto* fn) { return reinterpret_cast<std::uintptr_t>(fn) % 64; };
+  EXPECT_EQ(offset(&sf::simd::span_exec), 0u);
+  EXPECT_EQ(offset(static_cast<double (*)(double, double, const sf::RoundSpec&)>(&sf::fast_round)),
+            0u);
+#ifdef RAPTOR_SIMD_HAVE_AVX2
+  EXPECT_EQ(offset(&sf::simd::detail::span_avx2), 0u);
+#endif
+#ifdef RAPTOR_SIMD_HAVE_AVX512
+  EXPECT_EQ(offset(&sf::simd::detail::span_avx512), 0u);
+#endif
 }
 
 // ---------------------------------------------------------------------------
